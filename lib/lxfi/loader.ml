@@ -549,10 +549,7 @@ let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info)
     fail "upgrade: module %s has in-flight kernel entries" mname;
   let snap = Snapshot.capture rt old_mi in
   let old_surface = surface_of rt old_mi in
-  let old_mem =
-    (old_mi.Runtime.mi_stack_base, old_mi.Runtime.mi_stack_len)
-    :: List.map (fun (_, b, l) -> (b, l)) old_mi.Runtime.mi_sections
-  in
+  let old_mem = Snapshot.owned_ranges old_mi in
   let overlaps_old ~base ~size =
     List.exists (fun (b, l) -> base < b + l && b < base + size) old_mem
   in

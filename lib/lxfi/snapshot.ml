@@ -137,17 +137,20 @@ let capture (rt : Runtime.t) (mi : Runtime.module_info) : t =
     List.filter_map (capture_global rt mi) mi.Runtime.mi_prog.Mir.Ast.globals
     |> List.sort (fun a b -> compare a.gs_name b.gs_name)
   in
-  let ranges = owned_ranges mi in
-  let line_covers l =
-    let base = l lsl Writer_set.line_shift in
-    let len = 1 lsl Writer_set.line_shift in
-    List.exists (fun (b, n) -> base < b + n && b < base + len) ranges
-  in
+  (* Ranges in base order, each enumerated ascending: a line at or
+     below the last one kept lies in an earlier range's span, so it is
+     already listed.  The result is ascending and unique without a
+     sort. *)
   let wset =
-    Writer_set.fold_lines rt.Runtime.wset
-      (fun acc l -> if line_covers l then l :: acc else acc)
+    List.fold_left
+      (fun acc (base, size) ->
+        List.fold_left
+          (fun acc l -> match acc with top :: _ when l <= top -> acc | _ -> l :: acc)
+          acc
+          (Writer_set.lines_in rt.Runtime.wset ~base ~size))
       []
-    |> List.sort compare
+      (List.sort compare (owned_ranges mi))
+    |> List.rev
   in
   {
     sn_module = mi.Runtime.mi_name;

@@ -39,6 +39,12 @@ type t = {
   sn_stats : Stats.snapshot;
 }
 
+val owned_ranges : Runtime.module_info -> (int * int) list
+(** Module-owned memory as [(base, len)] ranges: the module stack, then
+    each data section.  {!capture} records the writer-set lines over
+    these ranges; [Loader.upgrade] drops restored WRITE capabilities
+    that overlap them. *)
+
 val capture : Runtime.t -> Runtime.module_info -> t
 (** Capture the module's full security state.  Deterministic: repeated
     capture of unchanged state renders byte-identically. *)

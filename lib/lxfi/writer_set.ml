@@ -3,12 +3,18 @@
 
     The runtime tracks, per 64-byte line of the address space, whether
     {e any} module principal has ever been granted a WRITE capability
-    covering it since it was last zeroed.  Before the expensive
+    covering it since it was last cleared.  Before the expensive
     indirect-call capability check, the kernel consults this bitmap: a
     function-pointer slot no module could have written needs no check
     at all.  The paper reports this eliminates ~2/3 of indirect-call
     checks on the UDP TX path (Figure 13); the ablation benchmark
     reproduces that ratio.
+
+    The bitmap has two levels, like a page table: a hash table maps a
+    chunk index (the line index shifted right by [chunk_shift]) to an
+    int whose low 32 bits are the marks of that chunk's 32 lines (2 KB
+    of address space).  Chunks with no marked line have no entry, so
+    the table only holds memory some principal could write.
 
     False positives (a line granted but never actually written) cost
     only an unnecessary check; false negatives cannot arise from module
@@ -19,38 +25,57 @@
     sites in [lib/kernel] always pass the original slot address). *)
 
 let line_shift = 6
+let chunk_shift = 5
+let chunk_mask = (1 lsl chunk_shift) - 1
 
-type t = { lines : (int, unit) Hashtbl.t; mutable marks : int }
+type t = (int, int) Hashtbl.t
 
-let create () = { lines = Hashtbl.create 1024; marks = 0 }
+let create () : t = Hashtbl.create 64
+
+(* [f chunk mask] for every chunk, ascending, that the lines of
+   [base, base+size) touch; [mask] selects those lines in the chunk. *)
+let iter_chunks ~base ~size f =
+  if size > 0 then begin
+    let first = base lsr line_shift and last = (base + size - 1) lsr line_shift in
+    for c = first lsr chunk_shift to last lsr chunk_shift do
+      let lo = if c = first lsr chunk_shift then first land chunk_mask else 0 in
+      let hi = if c = last lsr chunk_shift then last land chunk_mask else chunk_mask in
+      f c (((1 lsl (hi - lo + 1)) - 1) lsl lo)
+    done
+  end
 
 let mark_range t ~base ~size =
-  if size > 0 then begin
-    let first = base lsr line_shift and last = (base + size - 1) lsr line_shift in
-    for l = first to last do
-      if not (Hashtbl.mem t.lines l) then begin
-        Hashtbl.replace t.lines l ();
-        t.marks <- t.marks + 1
-      end
-    done
-  end
+  iter_chunks ~base ~size (fun c mask ->
+      match Hashtbl.find_opt t c with
+      | Some m -> if m lor mask <> m then Hashtbl.replace t c (m lor mask)
+      | None -> Hashtbl.add t c mask)
 
-(** [maybe_written t addr] — could any module principal have written the
-    word at [addr]?  [false] means the check may be skipped. *)
-let maybe_written t addr = Hashtbl.mem t.lines (addr lsr line_shift)
+let maybe_written t addr =
+  let l = addr lsr line_shift in
+  match Hashtbl.find_opt t (l lsr chunk_shift) with
+  | Some m -> m land (1 lsl (l land chunk_mask)) <> 0
+  | None -> false
 
-(** [clear_range t ~base ~size] — called when memory is zeroed and
-    recycled outside module hands (slab page recycling). *)
 let clear_range t ~base ~size =
-  if size > 0 then begin
-    let first = base lsr line_shift and last = (base + size - 1) lsr line_shift in
-    for l = first to last do
-      Hashtbl.remove t.lines l
-    done
-  end
+  iter_chunks ~base ~size (fun c mask ->
+      match Hashtbl.find_opt t c with
+      | Some m ->
+          let m' = m land lnot mask in
+          if m' = 0 then Hashtbl.remove t c else if m' <> m then Hashtbl.replace t c m'
+      | None -> ())
 
-let marked_lines t = Hashtbl.length t.lines
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
-(** [fold_lines t f acc] — fold over every marked line index (hash
-    order; snapshotting sorts). *)
-let fold_lines t f acc = Hashtbl.fold (fun l () acc -> f acc l) t.lines acc
+let marked_lines t = Hashtbl.fold (fun _ m n -> n + popcount m) t 0
+
+let lines_in t ~base ~size =
+  let acc = ref [] in
+  iter_chunks ~base ~size (fun c mask ->
+      match Hashtbl.find_opt t c with
+      | Some m ->
+          let m = m land mask in
+          for b = 0 to chunk_mask do
+            if m land (1 lsl b) <> 0 then acc := ((c lsl chunk_shift) lor b) :: !acc
+          done
+      | None -> ());
+  List.rev !acc

@@ -78,6 +78,91 @@ let prop_writer_set_no_false_negatives =
           && Lxfi.Writer_set.maybe_written w (base + size - 1))
         ranges)
 
+(* Writer set against a set-of-lines model: interleaved marks, clears
+   and queries over ranges that straddle the 2 KB chunk boundaries and
+   reach 64 KB. *)
+
+module Lines = Set.Make (Int)
+
+type wsop = Mark of int * int | Clear of int * int | Lines_in of int * int
+
+let ws_base = 0x2_0000_0000
+
+let gen_wsop =
+  QCheck.Gen.(
+    (* bases cluster around chunk boundaries, 2 KB apart *)
+    let base =
+      map2 (fun c off -> ws_base + (c * 2048) + off - 128) (int_bound 64) (int_bound 256)
+    in
+    let size =
+      frequency
+        [
+          (1, return 0);
+          (4, int_range 1 256);
+          (3, int_range 1 4096);
+          (2, int_range 1 0x10000);
+        ]
+    in
+    frequency
+      [
+        (4, map2 (fun b s -> Mark (b, s)) base size);
+        (3, map2 (fun b s -> Clear (b, s)) base size);
+        (3, map2 (fun b s -> Lines_in (b, s)) base size);
+      ])
+
+let show_wsop = function
+  | Mark (b, s) -> Printf.sprintf "Mark(0x%x,%d)" b s
+  | Clear (b, s) -> Printf.sprintf "Clear(0x%x,%d)" b s
+  | Lines_in (b, s) -> Printf.sprintf "Lines_in(0x%x,%d)" b s
+
+let prop_writer_set_matches_model =
+  QCheck.Test.make ~count:200 ~name:"writer set = line-set model (mark/clear/lines_in)"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_wsop l))
+       QCheck.Gen.(list_size (int_bound 40) gen_wsop))
+    (fun ops ->
+      let module W = Lxfi.Writer_set in
+      let w = W.create () in
+      let model = ref Lines.empty in
+      let span ~base ~size =
+        let sh = W.line_shift in
+        if size <= 0 then Lines.empty
+        else
+          Seq.ints (base lsr sh)
+          |> Seq.take_while (fun l -> l <= (base + size - 1) lsr sh)
+          |> Lines.of_seq
+      in
+      (* every line of the range answers as the model says, at both its
+         first and last byte, and the enumerator lists exactly the
+         model's lines of the range, ascending *)
+      let agrees ~base ~size =
+        let lines = span ~base ~size in
+        Lines.for_all
+          (fun l ->
+            let a = l lsl W.line_shift in
+            let want = Lines.mem l !model in
+            W.maybe_written w a = want
+            && W.maybe_written w (a + (1 lsl W.line_shift) - 1) = want)
+          lines
+        && W.lines_in w ~base ~size = Lines.elements (Lines.inter lines !model)
+      in
+      List.for_all
+        (fun op ->
+          let base, size =
+            match op with Mark (b, s) | Clear (b, s) | Lines_in (b, s) -> (b, s)
+          in
+          (match op with
+          | Mark _ ->
+              W.mark_range w ~base ~size;
+              model := Lines.union !model (span ~base ~size)
+          | Clear _ ->
+              W.clear_range w ~base ~size;
+              model := Lines.diff !model (span ~base ~size)
+          | Lines_in _ -> ());
+          agrees ~base ~size && W.marked_lines w = Lines.cardinal !model)
+        ops
+      && agrees ~base:(ws_base - 0x1000) ~size:0x32000)
+
 (* ------------------------------------------------------------------ *)
 (* Annotation language: print/parse fixpoint on generated ASTs.        *)
 (* ------------------------------------------------------------------ *)
@@ -433,6 +518,7 @@ let () =
           [
             prop_captable_matches_model;
             prop_writer_set_no_false_negatives;
+            prop_writer_set_matches_model;
             prop_annot_roundtrip;
             prop_annot_hash_stable;
             prop_registry_define_consistent;

@@ -171,6 +171,59 @@ let test_upgrade_revalidates_flow_position () =
     "post-upgrade traffic re-advances from start" (Some "kmalloc")
     mi3.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos
 
+(* [sn_wset] holds the writer-set lines over the captured module's own
+   memory and nothing else: not a second module's stack, and not a slab
+   object the module holds a WRITE capability on, though both are
+   marked. *)
+let test_wset_is_module_owned () =
+  let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+  let rt = sys.Kmodules.Ksys.rt in
+  let wset_prog name =
+    let open Mir.Builder in
+    prog name ~imports:[] ~globals:[ global "counter" 8 ]
+      ~funcs:[ func "module_init" [] [ ret0 ] ]
+  in
+  let mi_a, _ = Kmodules.Ksys.load sys (wset_prog "wseta") in
+  let mi_b, _ = Kmodules.Ksys.load sys (wset_prog "wsetb") in
+  let obj_size = 256 in
+  let obj =
+    Kernel_sim.Slab.kmalloc sys.Kmodules.Ksys.kst.Kernel_sim.Kstate.slab obj_size
+  in
+  Lxfi.Runtime.grant rt mi_a.Lxfi.Runtime.mi_shared
+    (Lxfi.Capability.Cwrite { base = obj; size = obj_size });
+  let lines base len =
+    let sh = Lxfi.Writer_set.line_shift in
+    List.init (((base + len - 1) lsr sh) - (base lsr sh) + 1) (fun i -> (base lsr sh) + i)
+  in
+  let stack (mi : Lxfi.Runtime.module_info) =
+    lines mi.Lxfi.Runtime.mi_stack_base mi.Lxfi.Runtime.mi_stack_len
+  in
+  let marked l =
+    Lxfi.Writer_set.maybe_written rt.Lxfi.Runtime.wset (l lsl Lxfi.Writer_set.line_shift)
+  in
+  Alcotest.(check bool)
+    "B's stack and the object are marked" true
+    (List.for_all marked (stack mi_b) && List.for_all marked (lines obj obj_size));
+  let wset = (Lxfi.Snapshot.capture rt mi_a).Lxfi.Snapshot.sn_wset in
+  Alcotest.(check (list int)) "ascending and unique" (List.sort_uniq Int.compare wset) wset;
+  Alcotest.(check bool)
+    "every line of A's stack" true
+    (List.for_all (fun l -> List.mem l wset) (stack mi_a));
+  Alcotest.(check bool)
+    "no line of B's stack" true
+    (List.for_all (fun l -> not (List.mem l wset)) (stack mi_b));
+  Alcotest.(check bool)
+    "no line of the slab object" true
+    (List.for_all (fun l -> not (List.mem l wset)) (lines obj obj_size));
+  Alcotest.(check bool)
+    "every line lies in A's owned ranges" true
+    (List.for_all
+       (fun l ->
+         List.exists
+           (fun (base, len) -> List.mem l (lines base len))
+           (Lxfi.Snapshot.owned_ranges mi_a))
+       wset)
+
 let () =
   Kernel_sim.Klog.quiet ();
   Alcotest.run "snapshot"
@@ -183,6 +236,10 @@ let () =
             prop_diff_empty_iff_equal;
           ] );
       ("diff", [ Alcotest.test_case "side markers" `Quick test_diff_markers ]);
+      ( "wset",
+        [
+          Alcotest.test_case "only module-owned lines" `Quick test_wset_is_module_owned;
+        ] );
       ( "lifecycle",
         [
           Alcotest.test_case "upgrade re-validates flow position" `Quick
