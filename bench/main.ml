@@ -572,38 +572,10 @@ let module_overheads () =
 (* Robustness: the deterministic fault-injection campaign against the
    quarantine policy (see lib/workloads/faultsim.ml and EXPERIMENTS.md,
    "faultsim").  Seed fixed so the bench output is reproducible. *)
-let faultsim_json rows breaches =
-  Bench_json.Obj
-    [
-      ("cells", Bench_json.Int (List.length rows));
-      ("breaches", Bench_json.Int (List.length breaches));
-      ("all_invariants_held", Bench_json.Bool (breaches = []));
-      ( "rows",
-        Bench_json.List
-          (List.map
-             (fun (r : Faultsim.row) ->
-               Bench_json.Obj
-                 [
-                   ("class", Bench_json.Str r.Faultsim.fs_class);
-                   ("workload", Bench_json.Str r.Faultsim.fs_workload);
-                   ("plan", Bench_json.Str r.Faultsim.fs_plan);
-                   ("fired", Bench_json.Int r.Faultsim.fs_fired);
-                   ("quarantines", Bench_json.Int r.Faultsim.fs_quarantines);
-                   ("escalations", Bench_json.Int r.Faultsim.fs_escalations);
-                   ("efaults", Bench_json.Int r.Faultsim.fs_efaults);
-                   ("bystander_ok", Bench_json.Bool r.Faultsim.fs_bystander_ok);
-                   ("invariants_ok", Bench_json.Bool r.Faultsim.fs_invariants_ok);
-                 ])
-             rows) );
-    ]
-
 let faultsim_section () =
-  ignore (Faultsim.print ~seed:42 () : int);
-  if !json_mode then begin
-    let rows, breaches = Faultsim.run ~seed:42 () in
-    Some (faultsim_json rows breaches)
-  end
-  else None
+  let rows, breaches = Faultsim.run ~seed:42 () in
+  ignore (Faultsim.print ~seed:42 rows breaches : int);
+  if !json_mode then Some (Faultsim.to_json rows breaches) else None
 
 (* Robustness: the live-lifecycle campaign — hot upgrades under
    traffic plus quarantine→repair→replay (lib/workloads/lifecycle.ml;
@@ -612,12 +584,9 @@ let faultsim_section () =
    upgrade/repair paths only, so its counters are gated separately by
    the CI lifecycle job's run-twice cmp. *)
 let lifecycle_section () =
-  ignore (Lifecycle.print ~seed:1 () : int);
-  if !json_mode then begin
-    let rows, breaches = Lifecycle.run ~seed:1 () in
-    Some (Lifecycle.to_json ~seed:1 rows breaches)
-  end
-  else None
+  let rows, breaches = Lifecycle.run ~seed:1 () in
+  ignore (Lifecycle.print ~seed:1 rows breaches : int);
+  if !json_mode then Some (Lifecycle.to_json ~seed:1 rows breaches) else None
 
 (* Event tracing (--trace): one traced netperf op mix; the profile goes
    to stdout, the Chrome trace-event JSON next to the bench JSON. *)
@@ -663,7 +632,7 @@ let enforcement_reference () =
                    guards) );
             ("measure", Bench_json.of_measure m);
           ] );
-      ("faultsim", faultsim_json rows breaches);
+      ("faultsim", Faultsim.to_json rows breaches);
     ]
 
 let reference_string () = Bench_json.to_string (enforcement_reference ()) ^ "\n"

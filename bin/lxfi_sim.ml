@@ -276,7 +276,8 @@ let faultsim_cmd =
     (match trace_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
-    exit (Workloads.Faultsim.print ?trace_dir ~seed ())
+    let rows, breaches = Workloads.Faultsim.run ?trace_dir ~seed () in
+    exit (Workloads.Faultsim.print ~seed rows breaches)
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -302,7 +303,14 @@ let lifecycle_cmd =
   in
   let run seed json =
     Kernel_sim.Klog.quiet ();
-    exit (Workloads.Lifecycle.print ?json ~seed ())
+    let rows, breaches = Workloads.Lifecycle.run ~seed () in
+    let rc = Workloads.Lifecycle.print ~seed rows breaches in
+    Option.iter
+      (fun file ->
+        Workloads.Bench_json.write_file file
+          (Workloads.Lifecycle.to_json ~seed rows breaches))
+      json;
+    exit rc
   in
   Cmd.v
     (Cmd.info "lifecycle"

@@ -1,25 +1,18 @@
-(** Splitmix64 (Steele et al.), matching {!Kernel_sim.Finject}'s
-    engine: tiny, fast, and plenty for statement-shape choices. *)
+(** The fuzzer's stream is {!Kernel_sim.Finject}'s splitmix64 stream:
+    tiny, fast, and plenty for statement-shape choices. *)
 
-type t = { mutable state : int64 }
+open Kernel_sim
 
-let gamma = 0x9E3779B97F4A7C15L
+type t = Finject.t
 
-let create ~seed = { state = Int64.of_int seed }
-
-let next t =
-  t.state <- Int64.add t.state gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let create = Finject.create
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int n))
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (Finject.next t) 1) (Int64.of_int n))
 
 let rand t = int t
 
 let derive seed i =
   let r = create ~seed:(seed lxor (i * 0x632BE59B)) in
-  Int64.to_int (Int64.shift_right_logical (next r) 2)
+  Int64.to_int (Int64.shift_right_logical (Finject.next r) 2)

@@ -1,10 +1,10 @@
-(** Deterministic random stream for the fuzzer (splitmix64, the same
-    engine {!Kernel_sim.Finject} uses).  Every campaign artefact — the
-    generated modules, the mutation schedule, the JSON report — derives
-    from one integer seed through this stream, which is what makes two
-    runs with the same seed byte-identical. *)
+(** Deterministic random stream for the fuzzer: the splitmix64 stream
+    of {!Kernel_sim.Finject}.  Every campaign artefact — the generated
+    modules, the mutation schedule, the JSON report — derives from one
+    integer seed through this stream, which is what makes two runs with
+    the same seed byte-identical. *)
 
-type t
+type t = Kernel_sim.Finject.t
 
 val create : seed:int -> t
 

@@ -36,6 +36,9 @@ val seen : t -> site -> int
 val fired : t -> site -> int
 (** Faults actually injected at a site since [create]. *)
 
+val next : t -> int64
+(** The next 64 bits of the seed's splitmix64 stream. *)
+
 val pick : t -> int -> int
 (** Deterministic integer in [0, n).  Advances the stream. *)
 

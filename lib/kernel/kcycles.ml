@@ -24,18 +24,13 @@ type t = {
 
 let create () = { kernel = 0; module_ = 0; guard = 0 }
 
-let reset t =
-  t.kernel <- 0;
-  t.module_ <- 0;
-  t.guard <- 0
-
 let charge t cat n =
   match cat with
   | Kernel -> t.kernel <- t.kernel + n
   | Module -> t.module_ <- t.module_ + n
   | Guard -> t.guard <- t.guard + n
 
-(** Total cycles consumed since creation or the last [reset]. *)
+(** Total cycles consumed since creation. *)
 let total t = t.kernel + t.module_ + t.guard
 
 let kernel t = t.kernel
@@ -43,15 +38,13 @@ let module_ t = t.module_
 let guard t = t.guard
 
 (** Snapshot for differential measurement around a workload section. *)
-type snapshot = { s_kernel : int; s_module : int; s_guard : int }
-
-let snapshot t = { s_kernel = t.kernel; s_module = t.module_; s_guard = t.guard }
+let snapshot t = { t with kernel = t.kernel }
 
 let since t s =
   {
-    kernel = t.kernel - s.s_kernel;
-    module_ = t.module_ - s.s_module;
-    guard = t.guard - s.s_guard;
+    kernel = t.kernel - s.kernel;
+    module_ = t.module_ - s.module_;
+    guard = t.guard - s.guard;
   }
 
 let pp ppf t =

@@ -11,18 +11,16 @@ type category =
 type t = { mutable kernel : int; mutable module_ : int; mutable guard : int }
 
 val create : unit -> t
-val reset : t -> unit
 val charge : t -> category -> int -> unit
 val total : t -> int
 val kernel : t -> int
 val module_ : t -> int
 val guard : t -> int
 
-type snapshot
+val snapshot : t -> t
+(** An independent copy, for differential measurement. *)
 
-val snapshot : t -> snapshot
-
-val since : t -> snapshot -> t
+val since : t -> t -> t
 (** Per-category deltas since the snapshot, as a fresh value. *)
 
 val pp : Format.formatter -> t -> unit

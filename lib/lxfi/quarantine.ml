@@ -99,7 +99,7 @@ let module_of_violation (rt : Runtime.t) (v : Violation.info) principal =
     module if it keeps offending. *)
 let handle (rt : Runtime.t) (v : Violation.info) =
   rt.Runtime.last_violation <- Some v;
-  Stats.note_violation rt.Runtime.stats v.Violation.v_module;
+  rt.Runtime.stats.Stats.violations <- rt.Runtime.stats.Stats.violations + 1;
   let principal =
     match v.Violation.v_principal with
     | Some p -> Some p
@@ -128,7 +128,7 @@ let handle (rt : Runtime.t) (v : Violation.info) =
 (** Like {!handle} for raw machine faults ([Kmem.Fault] / [Oops]) that
     carry no principal: attribute to the innermost callee of [mi]. *)
 let handle_fault (rt : Runtime.t) (mi : Runtime.module_info) ~reason =
-  Stats.note_violation rt.Runtime.stats mi.Runtime.mi_name;
+  rt.Runtime.stats.Stats.violations <- rt.Runtime.stats.Stats.violations + 1;
   let p =
     match rt.Runtime.last_callee with
     | Some p when p.Principal.owner = mi.Runtime.mi_name -> p

@@ -56,7 +56,7 @@ type t = {
   sn_principals : pstate list;  (** sorted by (kind, name, desc) *)
   sn_globals : gstate list;  (** sorted by name *)
   sn_wset : int list;  (** sorted writer-set lines over module memory *)
-  sn_stats : Stats.snapshot;  (** global guard counters at capture *)
+  sn_stats : Stats.t;  (** global guard counters at capture *)
 }
 
 let kind_rank = function
@@ -324,19 +324,7 @@ let render_lines (t : t) : string list =
   let wset_line =
     line "wset %s" (String.concat " " (List.map (Printf.sprintf "0x%x") t.sn_wset))
   in
-  let s = t.sn_stats in
-  let stats_line =
-    line
-      "stats annot=%d entry=%d exit=%d wcheck=%d mind=%d kall=%d kchk=%d kel=%d \
-       grant=%d revoke=%d switch=%d viol=%d quar=%d esc=%d wdog=%d flow=%d drop=%d"
-      s.Stats.s_annotation_actions s.Stats.s_fn_entry s.Stats.s_fn_exit
-      s.Stats.s_mem_write_checks s.Stats.s_mod_indcall_checks
-      s.Stats.s_kernel_indcall_all s.Stats.s_kernel_indcall_checked
-      s.Stats.s_kernel_indcall_elided s.Stats.s_caps_granted s.Stats.s_caps_revoked
-      s.Stats.s_principal_switches s.Stats.s_violations s.Stats.s_quarantines
-      s.Stats.s_escalations s.Stats.s_watchdog_expiries s.Stats.s_flow_violations
-      s.Stats.s_caps_dropped
-  in
+  let stats_line = Fmt.str "stats %a" Stats.pp t.sn_stats in
   header
   @ List.concat_map principal_lines t.sn_principals
   @ List.concat_map global_lines t.sn_globals

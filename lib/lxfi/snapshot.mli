@@ -36,7 +36,7 @@ type t = {
   sn_principals : pstate list;  (** sorted by (kind, name, desc) *)
   sn_globals : gstate list;  (** sorted by name *)
   sn_wset : int list;  (** sorted writer-set lines over module memory *)
-  sn_stats : Stats.snapshot;
+  sn_stats : Stats.t;
 }
 
 val owned_ranges : Runtime.module_info -> (int * int) list

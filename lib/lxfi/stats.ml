@@ -2,7 +2,9 @@
     by type) and the writer-set ablation.
 
     Counters are cheap monotonic ints; the benchmark harness snapshots
-    them around a workload section and divides by the packet count. *)
+    them around a workload section and divides by the packet count.
+    [all] names each field once; every other whole-record operation is
+    derived from it. *)
 
 type t = {
   mutable annotation_actions : int;
@@ -17,13 +19,12 @@ type t = {
   mutable caps_granted : int;
   mutable caps_revoked : int;
   mutable principal_switches : int;
-  mutable violations : int;
+  mutable violations : int;  (** contained by [Quarantine] *)
   mutable quarantines : int;  (** principals quarantined *)
   mutable escalations : int;  (** whole-module unloads after repeat offenses *)
   mutable watchdog_expiries : int;
   mutable flow_violations : int;  (** kernel-API calls denied by the flow automaton *)
   mutable caps_dropped : int;  (** grants suppressed by fault injection *)
-  violations_by_module : (string, int) Hashtbl.t;
 }
 
 let create () =
@@ -45,107 +46,46 @@ let create () =
     watchdog_expiries = 0;
     flow_violations = 0;
     caps_dropped = 0;
-    violations_by_module = Hashtbl.create 8;
   }
 
-let reset t =
-  t.annotation_actions <- 0;
-  t.fn_entry <- 0;
-  t.fn_exit <- 0;
-  t.mem_write_checks <- 0;
-  t.mod_indcall_checks <- 0;
-  t.kernel_indcall_all <- 0;
-  t.kernel_indcall_checked <- 0;
-  t.kernel_indcall_elided <- 0;
-  t.caps_granted <- 0;
-  t.caps_revoked <- 0;
-  t.principal_switches <- 0;
-  t.violations <- 0;
-  t.quarantines <- 0;
-  t.escalations <- 0;
-  t.watchdog_expiries <- 0;
-  t.flow_violations <- 0;
-  t.caps_dropped <- 0;
-  Hashtbl.reset t.violations_by_module
+type counter = { name : string; get : t -> int; set : t -> int -> unit }
 
-(** [note_violation t module_] bumps the global and per-module violation
-    counters. *)
-let note_violation t module_ =
-  t.violations <- t.violations + 1;
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.violations_by_module module_) in
-  Hashtbl.replace t.violations_by_module module_ (n + 1)
+let all =
+  let c name get set = { name; get; set } in
+  [
+    c "annotation_actions"
+      (fun t -> t.annotation_actions) (fun t n -> t.annotation_actions <- n);
+    c "fn_entry" (fun t -> t.fn_entry) (fun t n -> t.fn_entry <- n);
+    c "fn_exit" (fun t -> t.fn_exit) (fun t n -> t.fn_exit <- n);
+    c "mem_write_checks" (fun t -> t.mem_write_checks) (fun t n -> t.mem_write_checks <- n);
+    c "mod_indcall_checks"
+      (fun t -> t.mod_indcall_checks) (fun t n -> t.mod_indcall_checks <- n);
+    c "kernel_indcall_all"
+      (fun t -> t.kernel_indcall_all) (fun t n -> t.kernel_indcall_all <- n);
+    c "kernel_indcall_checked"
+      (fun t -> t.kernel_indcall_checked) (fun t n -> t.kernel_indcall_checked <- n);
+    c "kernel_indcall_elided"
+      (fun t -> t.kernel_indcall_elided) (fun t n -> t.kernel_indcall_elided <- n);
+    c "caps_granted" (fun t -> t.caps_granted) (fun t n -> t.caps_granted <- n);
+    c "caps_revoked" (fun t -> t.caps_revoked) (fun t n -> t.caps_revoked <- n);
+    c "principal_switches"
+      (fun t -> t.principal_switches) (fun t n -> t.principal_switches <- n);
+    c "violations" (fun t -> t.violations) (fun t n -> t.violations <- n);
+    c "quarantines" (fun t -> t.quarantines) (fun t n -> t.quarantines <- n);
+    c "escalations" (fun t -> t.escalations) (fun t n -> t.escalations <- n);
+    c "watchdog_expiries" (fun t -> t.watchdog_expiries) (fun t n -> t.watchdog_expiries <- n);
+    c "flow_violations" (fun t -> t.flow_violations) (fun t n -> t.flow_violations <- n);
+    c "caps_dropped" (fun t -> t.caps_dropped) (fun t n -> t.caps_dropped <- n);
+  ]
 
-let module_violations t module_ =
-  Option.value ~default:0 (Hashtbl.find_opt t.violations_by_module module_)
-
-type snapshot = {
-  s_annotation_actions : int;
-  s_fn_entry : int;
-  s_fn_exit : int;
-  s_mem_write_checks : int;
-  s_mod_indcall_checks : int;
-  s_kernel_indcall_all : int;
-  s_kernel_indcall_checked : int;
-  s_kernel_indcall_elided : int;
-  s_caps_granted : int;
-  s_caps_revoked : int;
-  s_principal_switches : int;
-  s_violations : int;
-  s_quarantines : int;
-  s_escalations : int;
-  s_watchdog_expiries : int;
-  s_flow_violations : int;
-  s_caps_dropped : int;
-}
-
-let snapshot t =
-  {
-    s_annotation_actions = t.annotation_actions;
-    s_fn_entry = t.fn_entry;
-    s_fn_exit = t.fn_exit;
-    s_mem_write_checks = t.mem_write_checks;
-    s_mod_indcall_checks = t.mod_indcall_checks;
-    s_kernel_indcall_all = t.kernel_indcall_all;
-    s_kernel_indcall_checked = t.kernel_indcall_checked;
-    s_kernel_indcall_elided = t.kernel_indcall_elided;
-    s_caps_granted = t.caps_granted;
-    s_caps_revoked = t.caps_revoked;
-    s_principal_switches = t.principal_switches;
-    s_violations = t.violations;
-    s_quarantines = t.quarantines;
-    s_escalations = t.escalations;
-    s_watchdog_expiries = t.watchdog_expiries;
-    s_flow_violations = t.flow_violations;
-    s_caps_dropped = t.caps_dropped;
-  }
+let snapshot t = { t with fn_entry = t.fn_entry }
 
 let since t s =
-  {
-    s_annotation_actions = t.annotation_actions - s.s_annotation_actions;
-    s_fn_entry = t.fn_entry - s.s_fn_entry;
-    s_fn_exit = t.fn_exit - s.s_fn_exit;
-    s_mem_write_checks = t.mem_write_checks - s.s_mem_write_checks;
-    s_mod_indcall_checks = t.mod_indcall_checks - s.s_mod_indcall_checks;
-    s_kernel_indcall_all = t.kernel_indcall_all - s.s_kernel_indcall_all;
-    s_kernel_indcall_checked = t.kernel_indcall_checked - s.s_kernel_indcall_checked;
-    s_kernel_indcall_elided = t.kernel_indcall_elided - s.s_kernel_indcall_elided;
-    s_caps_granted = t.caps_granted - s.s_caps_granted;
-    s_caps_revoked = t.caps_revoked - s.s_caps_revoked;
-    s_principal_switches = t.principal_switches - s.s_principal_switches;
-    s_violations = t.violations - s.s_violations;
-    s_quarantines = t.quarantines - s.s_quarantines;
-    s_escalations = t.escalations - s.s_escalations;
-    s_watchdog_expiries = t.watchdog_expiries - s.s_watchdog_expiries;
-    s_flow_violations = t.flow_violations - s.s_flow_violations;
-    s_caps_dropped = t.caps_dropped - s.s_caps_dropped;
-  }
+  let d = snapshot t in
+  List.iter (fun c -> c.set d (c.get t - c.get s)) all;
+  d
 
 let pp ppf t =
-  Fmt.pf ppf
-    "guards{annot=%d; entry=%d; exit=%d; wcheck=%d; mod-ind=%d; kind=%d \
-     (checked=%d elided=%d); grant=%d; revoke=%d; switch=%d; viol=%d; \
-     quarantine=%d; escalate=%d; watchdog=%d; flow=%d; dropped=%d}"
-    t.annotation_actions t.fn_entry t.fn_exit t.mem_write_checks t.mod_indcall_checks
-    t.kernel_indcall_all t.kernel_indcall_checked t.kernel_indcall_elided t.caps_granted
-    t.caps_revoked t.principal_switches t.violations t.quarantines t.escalations
-    t.watchdog_expiries t.flow_violations t.caps_dropped
+  Fmt.pf ppf "guards{%a}"
+    (Fmt.list ~sep:(Fmt.any "; ") (fun ppf c -> Fmt.pf ppf "%s=%d" c.name (c.get t)))
+    all

@@ -17,45 +17,30 @@ type t = {
   mutable caps_revoked : int;
   mutable principal_switches : int;
   mutable violations : int;
+      (** violations and faults contained by the quarantine policy (its
+          only writers are [Quarantine.handle] and [handle_fault]), so
+          always 0 under [Config.lxfi].  A contained watchdog expiry or
+          flow violation counts here and in its own counter. *)
   mutable quarantines : int;  (** principals quarantined *)
   mutable escalations : int;  (** whole-module unloads after repeat offenses *)
   mutable watchdog_expiries : int;
   mutable flow_violations : int;  (** kernel-API calls denied by the flow automaton *)
   mutable caps_dropped : int;  (** grants suppressed by fault injection *)
-  violations_by_module : (string, int) Hashtbl.t;
 }
 
 val create : unit -> t
-val reset : t -> unit
 
-val note_violation : t -> string -> unit
-(** Bump the global and per-module violation counters. *)
+type counter = { name : string; get : t -> int; set : t -> int -> unit }
 
-val module_violations : t -> string -> int
-(** Total violations recorded against a module. *)
+val all : counter list
+(** One row per field of [t], in the order of the JSON guard-counter
+    objects.  [name] is the field's name. *)
 
-type snapshot = {
-  s_annotation_actions : int;
-  s_fn_entry : int;
-  s_fn_exit : int;
-  s_mem_write_checks : int;
-  s_mod_indcall_checks : int;
-  s_kernel_indcall_all : int;
-  s_kernel_indcall_checked : int;
-  s_kernel_indcall_elided : int;
-  s_caps_granted : int;
-  s_caps_revoked : int;
-  s_principal_switches : int;
-  s_violations : int;
-  s_quarantines : int;
-  s_escalations : int;
-  s_watchdog_expiries : int;
-  s_flow_violations : int;
-  s_caps_dropped : int;
-}
+val snapshot : t -> t
+(** An independent copy, for differential measurement. *)
 
-val snapshot : t -> snapshot
-val since : t -> snapshot -> snapshot
-(** Counter deltas since an earlier snapshot. *)
+val since : t -> t -> t
+(** [since t s] — counter deltas from the earlier snapshot [s] to [t]. *)
 
 val pp : Format.formatter -> t -> unit
+(** [guards{name=n; ...}] over {!all}. *)

@@ -28,7 +28,11 @@ val counter_row : kind -> string
 (** The Figure 13 row title under which this kind is accounted
     ("Violations", "Watchdog expiries", "Flow violations", ...).
     Exhaustive: a new kind cannot compile without a row decision, and
-    the stats tests assert the row exists in the table. *)
+    the stats tests assert the row exists in the table.  The
+    "Violations" row counts only violations the quarantine policy
+    contains, so it reads 0 under [Config.lxfi]; under quarantine a
+    contained watchdog expiry or flow violation counts in its own row
+    and in "Violations" too. *)
 
 type info = {
   v_kind : kind;

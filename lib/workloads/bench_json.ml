@@ -86,30 +86,9 @@ let write_file path v =
   output_char oc '\n';
   close_out oc
 
-(** Full guard-counter snapshot, one field per {!Lxfi.Stats.snapshot}
-    counter (including the enforcement counters: grants, revokes,
-    principal switches, violations, quarantines, watchdog expiries). *)
-let of_stats (s : Lxfi.Stats.snapshot) : t =
-  Obj
-    [
-      ("annotation_actions", Int s.Lxfi.Stats.s_annotation_actions);
-      ("fn_entry", Int s.Lxfi.Stats.s_fn_entry);
-      ("fn_exit", Int s.Lxfi.Stats.s_fn_exit);
-      ("mem_write_checks", Int s.Lxfi.Stats.s_mem_write_checks);
-      ("mod_indcall_checks", Int s.Lxfi.Stats.s_mod_indcall_checks);
-      ("kernel_indcall_all", Int s.Lxfi.Stats.s_kernel_indcall_all);
-      ("kernel_indcall_checked", Int s.Lxfi.Stats.s_kernel_indcall_checked);
-      ("kernel_indcall_elided", Int s.Lxfi.Stats.s_kernel_indcall_elided);
-      ("caps_granted", Int s.Lxfi.Stats.s_caps_granted);
-      ("caps_revoked", Int s.Lxfi.Stats.s_caps_revoked);
-      ("principal_switches", Int s.Lxfi.Stats.s_principal_switches);
-      ("violations", Int s.Lxfi.Stats.s_violations);
-      ("quarantines", Int s.Lxfi.Stats.s_quarantines);
-      ("escalations", Int s.Lxfi.Stats.s_escalations);
-      ("watchdog_expiries", Int s.Lxfi.Stats.s_watchdog_expiries);
-      ("flow_violations", Int s.Lxfi.Stats.s_flow_violations);
-      ("caps_dropped", Int s.Lxfi.Stats.s_caps_dropped);
-    ]
+(** Every guard counter, one field per {!Lxfi.Stats.all} row. *)
+let of_stats (s : Lxfi.Stats.t) : t =
+  Obj (List.map (fun c -> (c.Lxfi.Stats.name, Int (c.Lxfi.Stats.get s))) Lxfi.Stats.all)
 
 (** A netperf measurement: simulated cycles per unit, guard share, and
     the guard counters accumulated over the run. *)

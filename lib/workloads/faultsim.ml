@@ -364,10 +364,35 @@ let run ?trace_dir ~seed () =
   in
   (rows, breaches @ class_breaches)
 
-(** [print ~seed] runs the campaign and prints the report; returns 0
-    when every invariant held, 1 otherwise. *)
-let print ?trace_dir ~seed () =
-  let rows, breaches = run ?trace_dir ~seed () in
+(* ------------------------------------------------------------------ *)
+(* Rendering.                                                          *)
+
+let to_json (rows : row list) (breaches : string list) : Bench_json.t =
+  let row_json r =
+    Bench_json.Obj
+      [
+        ("class", Bench_json.Str r.fs_class);
+        ("workload", Bench_json.Str r.fs_workload);
+        ("plan", Bench_json.Str r.fs_plan);
+        ("fired", Bench_json.Int r.fs_fired);
+        ("quarantines", Bench_json.Int r.fs_quarantines);
+        ("escalations", Bench_json.Int r.fs_escalations);
+        ("efaults", Bench_json.Int r.fs_efaults);
+        ("bystander_ok", Bench_json.Bool r.fs_bystander_ok);
+        ("invariants_ok", Bench_json.Bool r.fs_invariants_ok);
+      ]
+  in
+  Bench_json.Obj
+    [
+      ("cells", Bench_json.Int (List.length rows));
+      ("breaches", Bench_json.Int (List.length breaches));
+      ("all_invariants_held", Bench_json.Bool (breaches = []));
+      ("rows", Bench_json.List (List.map row_json rows));
+    ]
+
+(** [print ~seed rows breaches] prints the report of a campaign result;
+    returns 0 when every invariant held, 1 otherwise. *)
+let print ~seed rows breaches =
   Report.table
     ~title:(Printf.sprintf "Fault-injection campaign (seed %d)" seed)
     ~header:

@@ -47,5 +47,10 @@ val run : ?trace_dir:string -> seed:int -> unit -> row list * string list
 (** The full campaign: every fault class x workload at seed-derived
     injection points.  Rows are sorted; breaches empty on success. *)
 
-val print : ?trace_dir:string -> seed:int -> unit -> int
-(** Run and print the report table; 0 when every invariant held. *)
+val to_json : row list -> string list -> Bench_json.t
+(** Byte-stable JSON rendering of a {!run} result (simulated quantities
+    only); also the [faultsim] part of the bench enforcement reference. *)
+
+val print : seed:int -> row list -> string list -> int
+(** Print the report table of a {!run} result; 0 when every invariant
+    held. *)

@@ -67,6 +67,6 @@ val to_json : seed:int -> row list -> string list -> Bench_json.t
 (** Byte-stable JSON rendering of a campaign result (simulated
     quantities only — safe to [cmp] across reruns). *)
 
-val print : ?json:string -> seed:int -> unit -> int
-(** Run, print the report (optionally writing the JSON report to
-    [json]); 0 when every invariant held. *)
+val print : seed:int -> row list -> string list -> int
+(** Print the report of a {!run} result; 0 when every invariant
+    held. *)

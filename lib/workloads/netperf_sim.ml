@@ -130,7 +130,7 @@ let rx_burst env ~count ~frame_len =
 type measure = {
   m_cycles_per_unit : float;  (** cycles per packet (streams) or per txn (RR) *)
   m_guard_cycles_per_unit : float;
-  m_stats : Lxfi.Stats.snapshot;  (** guard counts over the run *)
+  m_stats : Lxfi.Stats.t;  (** guard counts over the run *)
   m_units : int;
 }
 
@@ -296,87 +296,31 @@ type guard_row = {
 let figure13 ?(pkts = 4000) () : guard_row list * measure =
   let env = setup Lxfi.Config.lxfi in
   let m = measure_udp_tx env ~pkts in
-  let per c = float_of_int c /. float_of_int m.m_units in
-  let s = m.m_stats in
-  ( [
-      {
-        g_type = "Annotation action";
-        g_per_packet = per s.Lxfi.Stats.s_annotation_actions;
-        g_paper_per_packet = 13.5;
-      };
-      {
-        g_type = "Function entry";
-        g_per_packet = per s.Lxfi.Stats.s_fn_entry;
-        g_paper_per_packet = 7.1;
-      };
-      {
-        g_type = "Function exit";
-        g_per_packet = per s.Lxfi.Stats.s_fn_exit;
-        g_paper_per_packet = 7.1;
-      };
-      {
-        g_type = "Mem-write check";
-        g_per_packet = per s.Lxfi.Stats.s_mem_write_checks;
-        g_paper_per_packet = 28.8;
-      };
-      {
-        g_type = "Kernel ind-call all";
-        g_per_packet = per s.Lxfi.Stats.s_kernel_indcall_all;
-        g_paper_per_packet = 9.2;
-      };
-      {
-        g_type = "Kernel ind-call checked";
-        g_per_packet = per s.Lxfi.Stats.s_kernel_indcall_checked;
-        g_paper_per_packet = 3.1;
-      };
-      (* Enforcement activity behind the guards (no per-guard column in
-         the paper's Figure 13; [nan] renders as "-"). *)
-      {
-        g_type = "Caps granted";
-        g_per_packet = per s.Lxfi.Stats.s_caps_granted;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Caps revoked";
-        g_per_packet = per s.Lxfi.Stats.s_caps_revoked;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Principal switches";
-        g_per_packet = per s.Lxfi.Stats.s_principal_switches;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Violations";
-        g_per_packet = per s.Lxfi.Stats.s_violations;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Quarantines";
-        g_per_packet = per s.Lxfi.Stats.s_quarantines;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Escalations";
-        g_per_packet = per s.Lxfi.Stats.s_escalations;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Watchdog expiries";
-        g_per_packet = per s.Lxfi.Stats.s_watchdog_expiries;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Caps dropped";
-        g_per_packet = per s.Lxfi.Stats.s_caps_dropped;
-        g_paper_per_packet = Float.nan;
-      };
-      {
-        g_type = "Flow violations";
-        g_per_packet = per s.Lxfi.Stats.s_flow_violations;
-        g_paper_per_packet = Float.nan;
-      };
-    ],
+  let row (g_type, get, g_paper_per_packet) =
+    let g_per_packet = float_of_int (get m.m_stats) /. float_of_int m.m_units in
+    { g_type; g_per_packet; g_paper_per_packet }
+  in
+  (* The enforcement rows from "Caps granted" on have no column in the
+     paper's Figure 13 ([nan] renders as "-"). *)
+  ( List.map row
+      Lxfi.Stats.
+        [
+          ("Annotation action", (fun s -> s.annotation_actions), 13.5);
+          ("Function entry", (fun s -> s.fn_entry), 7.1);
+          ("Function exit", (fun s -> s.fn_exit), 7.1);
+          ("Mem-write check", (fun s -> s.mem_write_checks), 28.8);
+          ("Kernel ind-call all", (fun s -> s.kernel_indcall_all), 9.2);
+          ("Kernel ind-call checked", (fun s -> s.kernel_indcall_checked), 3.1);
+          ("Caps granted", (fun s -> s.caps_granted), Float.nan);
+          ("Caps revoked", (fun s -> s.caps_revoked), Float.nan);
+          ("Principal switches", (fun s -> s.principal_switches), Float.nan);
+          ("Violations", (fun s -> s.violations), Float.nan);
+          ("Quarantines", (fun s -> s.quarantines), Float.nan);
+          ("Escalations", (fun s -> s.escalations), Float.nan);
+          ("Watchdog expiries", (fun s -> s.watchdog_expiries), Float.nan);
+          ("Caps dropped", (fun s -> s.caps_dropped), Float.nan);
+          ("Flow violations", (fun s -> s.flow_violations), Float.nan);
+        ],
     m )
 
 (** Writer-set ablation (§8.4: the fast path eliminates ~2/3 of
@@ -395,13 +339,13 @@ let writer_set_ablation ?(pkts = 2000) () : ws_ablation =
       (setup { Lxfi.Config.lxfi with Lxfi.Config.writer_set_tracking = false })
       ~pkts
   in
-  let frac (s : Lxfi.Stats.snapshot) =
-    float_of_int s.Lxfi.Stats.s_kernel_indcall_elided
-    /. float_of_int (max 1 s.Lxfi.Stats.s_kernel_indcall_all)
+  let frac (s : Lxfi.Stats.t) =
+    float_of_int s.Lxfi.Stats.kernel_indcall_elided
+    /. float_of_int (max 1 s.Lxfi.Stats.kernel_indcall_all)
   in
   let per (m : measure) c = float_of_int c /. float_of_int m.m_units in
   {
     ws_on_elided_fraction = frac on.m_stats;
-    ws_on_checked = per on on.m_stats.Lxfi.Stats.s_kernel_indcall_checked;
-    ws_off_checked = per off off.m_stats.Lxfi.Stats.s_kernel_indcall_checked;
+    ws_on_checked = per on on.m_stats.Lxfi.Stats.kernel_indcall_checked;
+    ws_off_checked = per off off.m_stats.Lxfi.Stats.kernel_indcall_checked;
   }

@@ -30,7 +30,7 @@ val rx_burst : env -> count:int -> frame_len:int -> int
 type measure = {
   m_cycles_per_unit : float;
   m_guard_cycles_per_unit : float;
-  m_stats : Lxfi.Stats.snapshot;
+  m_stats : Lxfi.Stats.t;
   m_units : int;
 }
 

@@ -225,8 +225,8 @@ let test_stats_move () =
   let ke = Runtime.find_kexport rt "kzalloc_like" in
   ignore (Runtime.call_kexport rt ke [ 16L ]);
   let d = Stats.since rt.Runtime.stats s0 in
-  Alcotest.(check bool) "entry counted" true (d.Stats.s_fn_entry >= 1);
-  Alcotest.(check bool) "annotation counted" true (d.Stats.s_annotation_actions >= 1)
+  Alcotest.(check bool) "entry counted" true (d.Stats.fn_entry >= 1);
+  Alcotest.(check bool) "annotation counted" true (d.Stats.annotation_actions >= 1)
 
 let () =
   Klog.quiet ();

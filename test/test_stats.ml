@@ -1,85 +1,26 @@
-(* Stats snapshot/since round-trip: every mutable counter must survive
-   snapshot -> bump -> since.  A counter missed by [snapshot] or [since]
-   (the bug class this guards against: a field added to [t] but not
-   threaded through the snapshot record) makes the property fail. *)
+(* Stats.all is the one list of guard counters that snapshot, since,
+   pp and the JSON are derived from.  These checks pin it to the
+   record: one row per field, unique names, each row reading and
+   writing its own field, and pp naming every row once.  A counter
+   added to Stats.t without its [all] row fails the first check. *)
 
 open Lxfi
 
-(* One bump thunk per mutable counter, paired with a reader for both the
-   live record and the snapshot.  Adding a counter to Stats.t without
-   extending this list fails the coverage check below. *)
-let counters :
-    (string * (Stats.t -> unit) * (Stats.snapshot -> int)) list =
-  [
-    ( "annotation_actions",
-      (fun t -> t.Stats.annotation_actions <- t.Stats.annotation_actions + 1),
-      fun s -> s.Stats.s_annotation_actions );
-    ( "fn_entry",
-      (fun t -> t.Stats.fn_entry <- t.Stats.fn_entry + 1),
-      fun s -> s.Stats.s_fn_entry );
-    ( "fn_exit",
-      (fun t -> t.Stats.fn_exit <- t.Stats.fn_exit + 1),
-      fun s -> s.Stats.s_fn_exit );
-    ( "mem_write_checks",
-      (fun t -> t.Stats.mem_write_checks <- t.Stats.mem_write_checks + 1),
-      fun s -> s.Stats.s_mem_write_checks );
-    ( "mod_indcall_checks",
-      (fun t -> t.Stats.mod_indcall_checks <- t.Stats.mod_indcall_checks + 1),
-      fun s -> s.Stats.s_mod_indcall_checks );
-    ( "kernel_indcall_all",
-      (fun t -> t.Stats.kernel_indcall_all <- t.Stats.kernel_indcall_all + 1),
-      fun s -> s.Stats.s_kernel_indcall_all );
-    ( "kernel_indcall_checked",
-      (fun t -> t.Stats.kernel_indcall_checked <- t.Stats.kernel_indcall_checked + 1),
-      fun s -> s.Stats.s_kernel_indcall_checked );
-    ( "kernel_indcall_elided",
-      (fun t -> t.Stats.kernel_indcall_elided <- t.Stats.kernel_indcall_elided + 1),
-      fun s -> s.Stats.s_kernel_indcall_elided );
-    ( "caps_granted",
-      (fun t -> t.Stats.caps_granted <- t.Stats.caps_granted + 1),
-      fun s -> s.Stats.s_caps_granted );
-    ( "caps_revoked",
-      (fun t -> t.Stats.caps_revoked <- t.Stats.caps_revoked + 1),
-      fun s -> s.Stats.s_caps_revoked );
-    ( "principal_switches",
-      (fun t -> t.Stats.principal_switches <- t.Stats.principal_switches + 1),
-      fun s -> s.Stats.s_principal_switches );
-    ( "violations",
-      (fun t -> Stats.note_violation t "prop"),
-      fun s -> s.Stats.s_violations );
-    ( "quarantines",
-      (fun t -> t.Stats.quarantines <- t.Stats.quarantines + 1),
-      fun s -> s.Stats.s_quarantines );
-    ( "escalations",
-      (fun t -> t.Stats.escalations <- t.Stats.escalations + 1),
-      fun s -> s.Stats.s_escalations );
-    ( "watchdog_expiries",
-      (fun t -> t.Stats.watchdog_expiries <- t.Stats.watchdog_expiries + 1),
-      fun s -> s.Stats.s_watchdog_expiries );
-    ( "flow_violations",
-      (fun t -> t.Stats.flow_violations <- t.Stats.flow_violations + 1),
-      fun s -> s.Stats.s_flow_violations );
-    ( "caps_dropped",
-      (fun t -> t.Stats.caps_dropped <- t.Stats.caps_dropped + 1),
-      fun s -> s.Stats.s_caps_dropped );
-  ]
-
-let n_counters = List.length counters
+let n_counters = List.length Stats.all
+let names = List.map (fun c -> c.Stats.name) Stats.all
 
 (* A bump plan: for each counter, a baseline count (applied before the
    snapshot) and a delta count (applied after).  [since] must see the
-   delta alone, and the full snapshot must see baseline + delta. *)
+   delta alone, and the live record baseline + delta. *)
 let arb_plan =
   QCheck.make
     ~print:(fun l ->
       String.concat "; "
-        (List.map2
-           (fun (name, _, _) (b, d) -> Printf.sprintf "%s:%d+%d" name b d)
-           counters l))
+        (List.map2 (fun name (b, d) -> Printf.sprintf "%s:%d+%d" name b d) names l))
     QCheck.Gen.(list_repeat n_counters (pair (int_bound 20) (int_bound 20)))
 
 let apply t plan pick =
-  List.iter2 (fun (_, bump, _) bd -> for _ = 1 to pick bd do bump t done) counters plan
+  List.iter2 (fun c bd -> c.Stats.set t (c.Stats.get t + pick bd)) Stats.all plan
 
 let prop_since_roundtrip =
   QCheck.Test.make ~count:200 ~name:"stats since = post - pre over every counter"
@@ -89,39 +30,50 @@ let prop_since_roundtrip =
       let s0 = Stats.snapshot t in
       apply t plan snd;
       let d = Stats.since t s0 in
-      let full = Stats.snapshot t in
       List.for_all2
-        (fun (_, _, read) (base, delta) ->
-          read d = delta && read full = base + delta)
-        counters plan)
+        (fun c (base, delta) ->
+          c.Stats.get d = delta && c.Stats.get t = base + delta && c.Stats.get s0 = base)
+        Stats.all plan)
 
 let prop_snapshot_of_fresh_is_zero =
-  QCheck.Test.make ~count:50 ~name:"stats snapshot of fresh/reset t is all-zero"
+  QCheck.Test.make ~count:50 ~name:"stats snapshot of fresh t is all-zero"
     arb_plan (fun plan ->
       let t = Stats.create () in
-      apply t plan fst;
-      Stats.reset t;
       let s = Stats.snapshot t in
-      List.for_all (fun (_, _, read) -> read s = 0) counters)
+      apply t plan fst;
+      List.for_all (fun c -> c.Stats.get s = 0) Stats.all)
 
-(* Structural coverage: the number of bump thunks above must match the
-   number of mutable int counters in Stats.t, so a newly added counter
-   cannot silently escape the round-trip property.  [pp] prints every
-   counter exactly once; count the "=<int>" groups it emits. *)
+(* Every field of Stats.t is an int, so the record's block size is its
+   field count. *)
 let test_counter_coverage () =
-  let t = Stats.create () in
-  List.iter (fun (_, bump, _) -> bump t) counters;
-  let printed = Fmt.str "%a" Stats.pp t in
-  let fields =
-    (* each counter renders as "name=<digits>"; count '=' signs *)
-    String.fold_left (fun n c -> if c = '=' then n + 1 else n) 0 printed
-  in
-  Alcotest.(check int) "pp field count = covered counters" n_counters fields;
-  (* and every one of them was bumped to 1 by the loop above *)
-  let s = Stats.snapshot t in
+  Alcotest.(check int) "one row per field of Stats.t"
+    (Obj.size (Obj.repr (Stats.create ())))
+    n_counters;
+  Alcotest.(check int) "names are unique" n_counters
+    (List.length (List.sort_uniq compare names))
+
+let test_set_own_counter () =
   List.iter
-    (fun (name, _, read) -> Alcotest.(check int) name 1 (read s))
-    counters
+    (fun c ->
+      let t = Stats.create () in
+      c.Stats.set t 7;
+      List.iter
+        (fun c' ->
+          Alcotest.(check int)
+            (Printf.sprintf "set %s, get %s" c.Stats.name c'.Stats.name)
+            (if c' == c then 7 else 0)
+            (c'.Stats.get t))
+        Stats.all)
+    Stats.all
+
+let test_pp_names () =
+  let printed = Fmt.str "%a" Stats.pp (Stats.create ()) in
+  let fields =
+    Scanf.sscanf printed "guards{%[^}]}%!" Fun.id
+    |> String.split_on_char ';'
+    |> List.map (fun f -> List.hd (String.split_on_char '=' (String.trim f)))
+  in
+  Alcotest.(check (list string)) "every name once, in order" names fields
 
 (* ---- violation-kind exhaustiveness guard ---------------------------
 
@@ -212,7 +164,12 @@ let () =
   Alcotest.run "stats"
     [
       ("roundtrip", qsuite);
-      ("coverage", [ Alcotest.test_case "every counter covered" `Quick test_counter_coverage ]);
+      ( "coverage",
+        [
+          Alcotest.test_case "every counter covered" `Quick test_counter_coverage;
+          Alcotest.test_case "set touches only its own counter" `Quick test_set_own_counter;
+          Alcotest.test_case "pp names every counter once" `Quick test_pp_names;
+        ] );
       ( "kinds",
         [
           Alcotest.test_case "enumeration + name round-trip" `Quick test_kind_enumeration;
