@@ -22,14 +22,14 @@ let create () = { slots = Hashtbl.create 64 }
 exception Unknown_slot of string
 
 type error =
-  | Duplicate of string  (** slot-type name already defined *)
+  | Duplicate of string  (** name already in the registry or runtime *)
   | Parse of { name : string; src : string; err : Parser.error }
       (** the [~annot_src] convenience form failed to parse *)
   | Invalid of { name : string; msg : string }
       (** parsed, but [Ast.validate] rejected it against the params *)
 
 let error_to_string = function
-  | Duplicate name -> Printf.sprintf "duplicate slot type %s" name
+  | Duplicate name -> Printf.sprintf "duplicate declaration %s" name
   | Parse { name; src; err } ->
       Printf.sprintf "%s: %s" name (Parser.error_to_string ~src err)
   | Invalid { name; msg } -> Printf.sprintf "%s: invalid annotation: %s" name msg
@@ -40,32 +40,35 @@ let ok_exn = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Registry.define: %s" (error_to_string e))
 
-(** [define t ~name ~params ~annot] registers an already-parsed slot
-    type; validation against [params] still runs so a slot in the
-    registry is always internally consistent. *)
-let define t ~name ~params ~annot : (slot, error) result =
-  if Hashtbl.mem t.slots name then Error (Duplicate name)
-  else
-    match Ast.validate ~params annot with
-    | Error msg -> Error (Invalid { name; msg })
-    | Ok () ->
-        let s =
-          {
-            sl_name = name;
-            sl_params = params;
-            sl_annot = annot;
-            sl_ahash = Hash.of_annot ~params annot;
-          }
-        in
-        Hashtbl.replace t.slots name s;
-        Ok s
+(** [make ~name ~params ~annot] builds a declaration: validates
+    [annot] against [params] and computes its canonical hash, without
+    touching any registry. *)
+let make ~name ~params ~annot : (slot, error) result =
+  match Ast.validate ~params annot with
+  | Error msg -> Error (Invalid { name; msg })
+  | Ok () ->
+      Ok
+        {
+          sl_name = name;
+          sl_params = params;
+          sl_annot = annot;
+          sl_ahash = Hash.of_annot ~params annot;
+        }
 
-(** Thin convenience that parses [annot_src] first. *)
-let define_src t ~name ~params ~annot_src : (slot, error) result =
+let make_src ~name ~params ~annot_src : (slot, error) result =
   match Parser.parse annot_src with
   | Error err -> Error (Parse { name; src = annot_src; err })
-  | Ok annot -> define t ~name ~params ~annot
+  | Ok annot -> make ~name ~params ~annot
 
+let add t s : (slot, error) result =
+  if Hashtbl.mem t.slots s.sl_name then Error (Duplicate s.sl_name)
+  else begin
+    Hashtbl.replace t.slots s.sl_name s;
+    Ok s
+  end
+
+let define t ~name ~params ~annot = Result.bind (make ~name ~params ~annot) (add t)
+let define_src t ~name ~params ~annot_src = Result.bind (make_src ~name ~params ~annot_src) (add t)
 let define_exn t ~name ~params ~annot_src = ok_exn (define_src t ~name ~params ~annot_src)
 
 let find t name =

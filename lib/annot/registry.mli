@@ -17,7 +17,7 @@ val create : unit -> t
 exception Unknown_slot of string
 
 type error =
-  | Duplicate of string  (** slot-type name already defined *)
+  | Duplicate of string  (** name already defined (slot type or kernel export) *)
   | Parse of { name : string; src : string; err : Parser.error }
       (** the [~annot_src] convenience form failed to parse *)
   | Invalid of { name : string; msg : string }
@@ -28,17 +28,26 @@ val pp_error : Format.formatter -> error -> unit
 
 val ok_exn : ('a, error) result -> 'a
 (** Unwrap, raising [Invalid_argument] with the rendered error — for
-    boot-time registration code where a bad built-in annotation is a
-    programming bug. *)
+    built-in declarations, where a bad annotation is a programming
+    bug. *)
+
+val make_src :
+  name:string -> params:string list -> annot_src:string -> (slot, error) result
+(** Build a declaration without touching any registry: parse
+    [annot_src], validate it against [params] (unknown parameter names,
+    [return] in pre clauses) and compute its canonical hash. *)
+
+val add : t -> slot -> (slot, error) result
+(** Insert a declaration; [Error (Duplicate name)] if the name is
+    already defined. *)
 
 val define : t -> name:string -> params:string list -> annot:Ast.t -> (slot, error) result
-(** Register an already-parsed annotation.  Still validates against
-    [params] (unknown parameter names, [return] in pre clauses) so
+(** Validate and hash an already-parsed annotation, then {!add} it, so
     every slot in the registry is internally consistent. *)
 
 val define_src :
   t -> name:string -> params:string list -> annot_src:string -> (slot, error) result
-(** Convenience wrapper that parses [annot_src] first. *)
+(** {!make_src} then {!add}. *)
 
 val define_exn : t -> name:string -> params:string list -> annot_src:string -> slot
 (** [define_src] + [ok_exn]. *)

@@ -32,11 +32,8 @@ exception Setup_failed of string
 
 type ctx = { sys : Ksys.t; mi : Lxfi.Runtime.module_info; canary : int; kbuf : int }
 
-let define_slots (rt : Lxfi.Runtime.t) =
-  List.iter
-    (fun (name, params, annot_src) ->
-      ignore (Annot.Registry.define_exn rt.Lxfi.Runtime.registry ~name ~params ~annot_src))
-    Gen.slot_defs
+(* Declared once per process; each boot only adds them. *)
+let slot_decls = List.map (fun (name, params, src) -> Ksys.declare name params src) Gen.slot_defs
 
 (* Canary then kbuf: the first two allocations after boot, so their
    addresses depend only on the config, never on the module. *)
@@ -58,7 +55,7 @@ let canary_addr_of config =
    the skew between the two is what the flow automaton detects. *)
 let boot ?flow_of config prog =
   let sys = Ksys.boot config in
-  define_slots sys.Ksys.rt;
+  Ksys.add_slots sys slot_decls;
   let canary, kbuf = alloc_fixtures sys in
   (match flow_of with
   | None -> ()

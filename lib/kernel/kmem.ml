@@ -50,31 +50,24 @@ module Layout = struct
   let is_module_area a = a >= module_base
 end
 
-(** Raised on access to unmapped or null addresses; the kernel substrate
+(** Raised on access to the NULL guard page; the kernel substrate
     catches this at the syscall boundary and runs the oops path, exactly
     where CVE-2010-4258's [do_exit] bug lives. *)
 exception Fault of { addr : int; write : bool }
 
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
-  mutable mapped_pages : int;
-  mutable fault_on_unmapped : bool;
-      (** when false (default), reads of unmapped pages yield zeroes and
-          writes map the page on demand; tests can tighten this *)
+      (** materialised pages; any other page is added zero-filled on its
+          first access *)
   mutable last_idx : int;  (** single-entry page-lookup cache (TLB of one) *)
   mutable last_page : Bytes.t;
 }
 
-let create () =
-  {
-    pages = Hashtbl.create 1024;
-    mapped_pages = 0;
-    fault_on_unmapped = false;
-    last_idx = -1;
-    last_page = Bytes.empty;
-  }
+let create () = { pages = Hashtbl.create 1024; last_idx = -1; last_page = Bytes.empty }
 
-(* Pages are never unmapped, so the cache needs no invalidation. *)
+(* Demand-zero: the first read or write of a page materialises it
+   zero-filled, so nothing maps memory ahead of use.  Pages are never
+   unmapped, so the cache needs no invalidation. *)
 let page_of t ~write addr =
   if Layout.is_null addr || addr < 0 then raise (Fault { addr; write });
   let idx = addr lsr page_shift in
@@ -86,26 +79,11 @@ let page_of t ~write addr =
         t.last_page <- b;
         b
     | None ->
-        if t.fault_on_unmapped then raise (Fault { addr; write })
-        else begin
-          let b = Bytes.make page_size '\000' in
-          Hashtbl.replace t.pages idx b;
-          t.mapped_pages <- t.mapped_pages + 1;
-          t.last_idx <- idx;
-          t.last_page <- b;
-          b
-        end
-
-(** [map t ~addr ~len] eagerly maps (zero-filled) all pages covering
-    [addr, addr+len). *)
-let map t ~addr ~len =
-  let first = addr lsr page_shift and last = (addr + len - 1) lsr page_shift in
-  for idx = first to last do
-    if not (Hashtbl.mem t.pages idx) then begin
-      Hashtbl.replace t.pages idx (Bytes.make page_size '\000');
-      t.mapped_pages <- t.mapped_pages + 1
-    end
-  done
+        let b = Bytes.make page_size '\000' in
+        Hashtbl.replace t.pages idx b;
+        t.last_idx <- idx;
+        t.last_page <- b;
+        b
 
 let read_u8 t addr =
   let b = page_of t ~write:false addr in
@@ -221,5 +199,3 @@ let zero t ~addr ~len =
 let blit t ~src ~dst ~len =
   let tmp = read_bytes t ~addr:src ~len in
   write_bytes t ~addr:dst (Bytes.to_string tmp)
-
-let mapped_pages t = t.mapped_pages

@@ -1,6 +1,8 @@
 (** Simulated 64-bit kernel address space: a sparse, page-granular byte
     store with no protection of its own — as on real x86-64, the kernel
-    is one privilege domain and all isolation is LXFI's. *)
+    is one privilege domain and all isolation is LXFI's.  Pages are
+    demand-zero: nothing maps memory ahead of use, and the first read
+    or write of a page materialises it zero-filled. *)
 
 val page_shift : int
 val page_size : int
@@ -24,15 +26,13 @@ module Layout : sig
 end
 
 exception Fault of { addr : int; write : bool }
-(** Access to the NULL guard page or (when enabled) unmapped memory;
-    caught at the syscall boundary where the oops path runs. *)
+(** Access to the NULL guard page; caught at the syscall boundary where
+    the oops path runs. *)
 
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
-  mutable mapped_pages : int;
-  mutable fault_on_unmapped : bool;
-      (** default [false]: reads of unmapped pages yield zeroes and
-          writes map on demand *)
+      (** materialised pages; any other page is added zero-filled on its
+          first access *)
   mutable last_idx : int;
       (** single-entry page-lookup cache; [-1] when empty.  Pages are
           never unmapped, so the cache never needs invalidation. *)
@@ -40,9 +40,6 @@ type t = {
 }
 
 val create : unit -> t
-
-val map : t -> addr:int -> len:int -> unit
-(** Eagerly map (zero-filled) all pages covering the range. *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
@@ -69,5 +66,3 @@ val zero : t -> addr:int -> len:int -> unit
 
 val blit : t -> src:int -> dst:int -> len:int -> unit
 (** Copy within the address space (memcpy / uaccess paths). *)
-
-val mapped_pages : t -> int

@@ -179,14 +179,7 @@ let set_fs t limit = Task.set_addr_limit t.mem t.types t.current limit
 let user_alloc t len =
   let a = t.user_cursor in
   t.user_cursor <- (t.user_cursor + len + 0xfff) land lnot 0xfff;
-  Kmem.map t.mem ~addr:a ~len;
   a
-
-(** [user_map_at t ~addr ~len] maps user memory at a chosen address (the
-    Econet exploit maps the page its corrupted pointer will land in). *)
-let user_map_at t ~addr ~len =
-  if not (Kmem.Layout.is_user addr) then invalid_arg "user_map_at: not a user address";
-  Kmem.map t.mem ~addr ~len
 
 (** {1 Oops / do_exit path} *)
 
@@ -248,7 +241,6 @@ let disarm_finject t =
 let alloc_module_area t len =
   let a = t.module_cursor in
   t.module_cursor <- (t.module_cursor + len + 0xfff) land lnot 0xfff;
-  Kmem.map t.mem ~addr:a ~len;
   a
 
 (** [alloc_stack t len] reserves a kernel thread stack (the LXFI shadow
@@ -256,5 +248,4 @@ let alloc_module_area t len =
 let alloc_stack t len =
   let a = t.stack_cursor in
   t.stack_cursor <- (t.stack_cursor + len + 0xfff) land lnot 0xfff;
-  Kmem.map t.mem ~addr:a ~len;
   a

@@ -104,7 +104,6 @@ val set_fs : t -> int -> unit
 (** {1 User memory for attack programs} *)
 
 val user_alloc : t -> int -> int
-val user_map_at : t -> addr:int -> len:int -> unit
 
 (** {1 Oops / exit path} *)
 

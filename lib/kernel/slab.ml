@@ -58,7 +58,6 @@ let create mem cycles =
 let fresh_pages t n =
   let addr = t.heap_cursor in
   t.heap_cursor <- t.heap_cursor + (n * Kmem.page_size);
-  Kmem.map t.mem ~addr ~len:(n * Kmem.page_size);
   addr
 
 let class_for t size =

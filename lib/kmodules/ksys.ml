@@ -31,59 +31,69 @@ let sizeof t s = Ktypes.sizeof (types t) s
 
 (** {1 Function-pointer slot types}
 
-    Each [define] gives a slot type its parameter names and annotation.
-    These are the contracts modules inherit through annotation
-    propagation when their functions are stored into the corresponding
-    struct fields. *)
+    Each declaration gives a slot type its parameter names and
+    annotation.  These are the contracts modules inherit through
+    annotation propagation when their functions are stored into the
+    corresponding struct fields.  Like every declaration in this file,
+    they are parsed, validated and hashed once per process; [boot] only
+    adds them to the new system's registry. *)
 
-let register_slot_types (rt : Lxfi.Runtime.t) =
-  let d name params annot_src =
-    ignore (Annot.Registry.define_exn rt.Lxfi.Runtime.registry ~name ~params ~annot_src)
-  in
-  (* PCI: Figure 4 of the paper, verbatim contract. *)
-  d "pci_driver.probe" [ "pcidev" ]
-    "principal(pcidev) pre(copy(ref(struct pci_dev), pcidev)) \
-     post(if (return < 0) transfer(ref(struct pci_dev), pcidev))";
-  d "pci_driver.remove" [ "pcidev" ] "principal(pcidev)";
-  (* Network device ops. NETDEV_TX_BUSY = 16 returns packet ownership
-     to the kernel. *)
-  d "net_device_ops.ndo_start_xmit" [ "skb"; "dev" ]
-    "principal(dev) pre(transfer(skb_caps(skb))) \
-     post(if (return == 16) transfer(skb_caps(skb)))";
-  d "net_device_ops.ndo_open" [ "dev" ] "principal(dev)";
-  d "net_device_ops.ndo_stop" [ "dev" ] "principal(dev)";
-  d "net_device_ops.ndo_set_rx_mode" [ "dev" ] "principal(dev)";
-  d "napi.poll" [ "napi"; "budget" ] "principal(napi)";
-  (* Kernel-internal slots (qdisc, protocol demux): empty contracts —
-     modules never legitimately implement them, and the hash check
-     rejects any module function laundered into them. *)
-  d "qdisc_ops.enqueue" [ "qdisc"; "skb" ] "";
-  d "qdisc_ops.dequeue" [ "qdisc" ] "";
-  d "packet_type.func" [ "skb" ] "";
-  d "ipc_ops.getinfo" [ "seg" ] "";
-  (* Interrupt handlers run as the instance named by dev_id. *)
-  d "irq.handler" [ "irq"; "dev_id" ] "principal(dev_id)";
-  (* Socket layer. The socket address names the instance principal;
-     creation/release also touch module-global state, for which the
-     module code itself switches to the global principal (§3.1). *)
-  d "net_proto_family.create" [ "sock"; "type" ]
-    "principal(sock) pre(copy(write, sock, sizeof(struct socket)))";
-  d "proto_ops.sendmsg" [ "sock"; "buf"; "len"; "flags" ] "principal(sock)";
-  d "proto_ops.recvmsg" [ "sock"; "buf"; "len"; "flags" ] "principal(sock)";
-  d "proto_ops.ioctl" [ "sock"; "cmd"; "arg" ] "principal(sock)";
-  d "proto_ops.bind" [ "sock"; "addr"; "alen" ] "principal(sock)";
-  d "proto_ops.release" [ "sock" ] "principal(sock)";
-  (* Device mapper: the dm_target address names the principal. *)
-  d "target_type.ctr" [ "ti"; "arg" ]
-    "principal(ti) pre(copy(write, ti, sizeof(struct dm_target)))";
-  d "target_type.dtr" [ "ti" ] "principal(ti)";
-  d "target_type.map" [ "ti"; "bio" ]
-    "principal(ti) pre(transfer(bio_caps(bio))) post(transfer(bio_caps(bio)))";
-  (* Sound. *)
-  d "snd_pcm_ops.open" [ "card" ] "principal(card)";
-  d "snd_pcm_ops.close" [ "card" ] "principal(card)";
-  d "snd_pcm_ops.trigger" [ "card"; "cmd" ] "principal(card)";
-  d "snd_pcm_ops.pointer" [ "card" ] "principal(card)"
+let declare name params annot_src =
+  Annot.Registry.ok_exn (Annot.Registry.make_src ~name ~params ~annot_src)
+
+let add_slots t slots =
+  List.iter
+    (fun s -> ignore (Annot.Registry.ok_exn (Annot.Registry.add t.rt.Lxfi.Runtime.registry s)))
+    slots
+
+let slot_types =
+  let d = declare in
+  [
+    (* PCI: Figure 4 of the paper, verbatim contract. *)
+    d "pci_driver.probe" [ "pcidev" ]
+      "principal(pcidev) pre(copy(ref(struct pci_dev), pcidev)) \
+       post(if (return < 0) transfer(ref(struct pci_dev), pcidev))";
+    d "pci_driver.remove" [ "pcidev" ] "principal(pcidev)";
+    (* Network device ops. NETDEV_TX_BUSY = 16 returns packet ownership
+       to the kernel. *)
+    d "net_device_ops.ndo_start_xmit" [ "skb"; "dev" ]
+      "principal(dev) pre(transfer(skb_caps(skb))) \
+       post(if (return == 16) transfer(skb_caps(skb)))";
+    d "net_device_ops.ndo_open" [ "dev" ] "principal(dev)";
+    d "net_device_ops.ndo_stop" [ "dev" ] "principal(dev)";
+    d "net_device_ops.ndo_set_rx_mode" [ "dev" ] "principal(dev)";
+    d "napi.poll" [ "napi"; "budget" ] "principal(napi)";
+    (* Kernel-internal slots (qdisc, protocol demux): empty contracts —
+       modules never legitimately implement them, and the hash check
+       rejects any module function laundered into them. *)
+    d "qdisc_ops.enqueue" [ "qdisc"; "skb" ] "";
+    d "qdisc_ops.dequeue" [ "qdisc" ] "";
+    d "packet_type.func" [ "skb" ] "";
+    d "ipc_ops.getinfo" [ "seg" ] "";
+    (* Interrupt handlers run as the instance named by dev_id. *)
+    d "irq.handler" [ "irq"; "dev_id" ] "principal(dev_id)";
+    (* Socket layer. The socket address names the instance principal;
+       creation/release also touch module-global state, for which the
+       module code itself switches to the global principal (§3.1). *)
+    d "net_proto_family.create" [ "sock"; "type" ]
+      "principal(sock) pre(copy(write, sock, sizeof(struct socket)))";
+    d "proto_ops.sendmsg" [ "sock"; "buf"; "len"; "flags" ] "principal(sock)";
+    d "proto_ops.recvmsg" [ "sock"; "buf"; "len"; "flags" ] "principal(sock)";
+    d "proto_ops.ioctl" [ "sock"; "cmd"; "arg" ] "principal(sock)";
+    d "proto_ops.bind" [ "sock"; "addr"; "alen" ] "principal(sock)";
+    d "proto_ops.release" [ "sock" ] "principal(sock)";
+    (* Device mapper: the dm_target address names the principal. *)
+    d "target_type.ctr" [ "ti"; "arg" ]
+      "principal(ti) pre(copy(write, ti, sizeof(struct dm_target)))";
+    d "target_type.dtr" [ "ti" ] "principal(ti)";
+    d "target_type.map" [ "ti"; "bio" ]
+      "principal(ti) pre(transfer(bio_caps(bio))) post(transfer(bio_caps(bio)))";
+    (* Sound. *)
+    d "snd_pcm_ops.open" [ "card" ] "principal(card)";
+    d "snd_pcm_ops.close" [ "card" ] "principal(card)";
+    d "snd_pcm_ops.trigger" [ "card"; "cmd" ] "principal(card)";
+    d "snd_pcm_ops.pointer" [ "card" ] "principal(card)"
+  ]
 
 (** {1 Capability iterators} *)
 
@@ -187,210 +197,215 @@ let register_iterators (t : t) =
             ]
       | _ -> invalid_arg "snd_card_caps: expected 1 argument")
 
-(** {1 Annotated kernel exports} *)
+(** {1 Annotated kernel exports}
+
+    Each body takes the booted system it runs in, so the list is built
+    once per process and [boot] registers it, in this order, against
+    each new system. *)
 
 let arg n args =
   match List.nth_opt args n with
   | Some v -> Int64.to_int v
   | None -> raise (Kstate.Oops (Printf.sprintf "kernel export: missing argument %d" n))
 
-let register_kexports (t : t) =
-  let rt = t.rt in
-  let kst = t.kst in
-  let d name params annot_src impl =
-    ignore (Lxfi.Runtime.register_kexport_exn rt ~name ~params ~annot_src impl)
-  in
-  (* --- memory --- *)
-  d "kmalloc" [ "size" ] "post(if (return != 0) copy(kmalloc_caps(return)))"
-    (fun args ->
-      let size = arg 0 args in
-      if size <= 0 then 0L
-      else
-        (* An (injected) allocation failure is NULL to the caller, as in
-           the real kernel — modules must handle it. *)
-        match Slab.kmalloc kst.Kstate.slab size with
-        | addr -> Int64.of_int addr
-        | exception Slab.Out_of_memory -> 0L);
-  d "kfree" [ "ptr" ] "pre(transfer(kmalloc_caps(ptr)))" (fun args ->
-      Slab.kfree kst.Kstate.slab (arg 0 args);
-      0L);
-  d "ksize" [ "ptr" ] "" (fun args ->
-      Int64.of_int (Slab.usable_size kst.Kstate.slab (arg 0 args)));
-  (* --- locking: the §1 confused-deputy example; the check annotation
-     is exactly what stops a module from pointing the "lock" at the
-     current process's uid. --- *)
-  d "spin_lock_init" [ "lock" ] "pre(check(write, lock, 4))" (fun args ->
-      Klock.spin_lock_init kst (arg 0 args);
-      0L);
-  d "spin_lock" [ "lock" ] "pre(check(write, lock, 4))" (fun args ->
-      Klock.spin_lock kst (arg 0 args);
-      0L);
-  d "spin_unlock" [ "lock" ] "pre(check(write, lock, 4))" (fun args ->
-      Klock.spin_unlock kst (arg 0 args);
-      0L);
-  (* --- uaccess --- *)
-  d "copy_to_user" [ "dst"; "src"; "len" ] "" (fun args ->
-      let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
-      (* The checked variant honours the task address limit. *)
-      match
-        for i = 0 to len - 1 do
-          Kstate.put_user kst ~addr:(dst + i) ~size:1
-            (Kmem.read kst.Kstate.mem ~addr:(src + i) ~size:1)
-        done
-      with
-      | () -> 0L
-      | exception Kstate.Efault _ -> -14L);
-  d "copy_from_user" [ "dst"; "src"; "len" ] "pre(check(write, dst, len))"
-    (fun args ->
-      let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
-      match
-        for i = 0 to len - 1 do
-          Kmem.write kst.Kstate.mem ~addr:(dst + i) ~size:1
-            (Kstate.get_user kst ~addr:(src + i) ~size:1)
-        done
-      with
-      | () -> 0L
-      | exception Kstate.Efault _ -> -14L);
-  (* The unchecked copy primitive at the heart of CVE-2010-3904: the
-     RDS page-copy path used it with a user-controlled destination and
-     no access_ok check.  Its LXFI annotation demands the caller own
-     WRITE on the destination — which the module does not, for kernel
-     addresses it was never granted. *)
-  d "__copy_to_user_inatomic" [ "dst"; "src"; "len" ] "pre(check(write, dst, len))"
-    (fun args ->
-      let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
-      Kmem.blit kst.Kstate.mem ~src ~dst ~len;
-      0L);
-  d "set_fs" [ "limit" ] "" (fun args ->
-      Kstate.set_fs kst (arg 0 args);
-      0L);
-  d "printk" [ "level" ] "" (fun _ -> 0L);
-  (* detach_pid: exported, powerful, and not imported by any module in
-     the corpus — the pid-hash rootkit of §8.1 tries to reach it
-     through a corrupted function pointer. *)
-  d "detach_pid" [ "task" ] "pre(check(ref(struct task_struct), task))" (fun _args ->
-      Kstate.detach_pid kst kst.Kstate.current;
-      0L);
-  (* --- sk_buffs --- *)
-  d "alloc_skb" [ "len" ] "post(if (return != 0) copy(skb_caps(return)))" (fun args ->
-      Int64.of_int (Skbuff.alloc kst (arg 0 args)));
-  d "build_skb" [ "buf"; "len" ] "post(if (return != 0) copy(skb_caps(return)))"
-    (fun args ->
-      let buf = arg 0 args and len = arg 1 args in
-      let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-      Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-      Int64.of_int skb);
-  d "kfree_skb" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun args ->
-      Skbuff.free kst (arg 0 args);
-      0L);
-  d "skb_put" [ "skb"; "len" ] "pre(check(write, skb, sizeof(struct sk_buff)))"
-    (fun args ->
-      let skb = arg 0 args and len = arg 1 args in
-      Skbuff.set_len kst skb (Skbuff.len kst skb + len);
-      Int64.of_int (Skbuff.data kst skb));
-  (* Guideline 4 field accessors: the kernel mutates the five fields
-     drivers actually need, gated on the strict REF rather than WRITE
-     over the struct. *)
-  d "skb_set_dev" [ "skb"; "dev" ]
-    "pre(check(ref(sk_buff_fields), skb)) pre(check(ref(struct net_device), dev))"
-    (fun args ->
-      Skbuff.set_dev kst (arg 0 args) (arg 1 args);
-      0L);
-  d "skb_set_len" [ "skb"; "len" ] "pre(check(ref(sk_buff_fields), skb))"
-    (fun args ->
-      Skbuff.set_len kst (arg 0 args) (arg 1 args);
-      0L);
-  d "build_skb_strict" [ "buf"; "len" ]
-    "post(if (return != 0) copy(skb_strict_caps(return)))" (fun args ->
-      let buf = arg 0 args and len = arg 1 args in
-      let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-      Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-      Int64.of_int skb);
-  d "netif_rx_strict" [ "skb" ] "pre(transfer(skb_strict_caps(skb)))" (fun args ->
-      Netdev.netif_rx t.net (arg 0 args));
-  (* --- net core --- *)
-  d "netif_rx" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun args ->
-      Netdev.netif_rx t.net (arg 0 args));
-  d "dev_queue_xmit" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun args ->
-      Netdev.dev_queue_xmit t.net (arg 0 args));
-  d "alloc_etherdev" [ "priv" ]
-    "post(if (return != 0) copy(write, return, sizeof(struct net_device))) \
-     post(if (return != 0) copy(ref(struct net_device), return))"
-    (fun _args -> Int64.of_int (Netdev.alloc_netdev t.net ~name:"eth%d"));
-  d "register_netdev" [ "dev" ] "pre(check(ref(struct net_device), dev))" (fun args ->
-      Netdev.register_netdev t.net (arg 0 args));
-  d "netif_napi_add" [ "dev"; "napi"; "weight" ]
-    "pre(check(ref(struct net_device), dev)) \
-     pre(check(write, napi, sizeof(struct napi_struct)))"
-    (fun args ->
-      Netdev.netif_napi_add t.net ~dev:(arg 0 args) ~napi:(arg 1 args)
-        ~weight:(arg 2 args);
-      0L);
-  d "napi_schedule" [ "napi" ] "pre(check(write, napi, sizeof(struct napi_struct)))"
-    (fun args ->
-      Netdev.napi_schedule t.net (arg 0 args);
-      0L);
-  (* --- interrupts ---
-     The handler is a module-supplied callback function pointer passed
-     by value: the module must already hold a CALL capability for it
-     (the callback-argument contract of §2.2). *)
-  d "request_irq" [ "irq"; "handler"; "dev_id" ] "pre(check(call, handler))"
-    (fun args ->
-      Irqchip.request_irq t.irq ~irq:(arg 0 args) ~handler:(arg 1 args)
-        ~dev_id:(arg 2 args));
-  d "free_irq" [ "irq" ] "" (fun args ->
-      Irqchip.free_irq t.irq ~irq:(arg 0 args);
-      0L);
-  (* --- legacy port I/O (Guideline 3: special REF type io_port) --- *)
-  d "outb" [ "port"; "value" ] "pre(check(ref(io_port), port))" (fun args ->
-      Pci.outb t.pci ~port:(arg 0 args) ~value:(arg 1 args);
-      0L);
-  d "inb" [ "port" ] "pre(check(ref(io_port), port))" (fun args ->
-      Int64.of_int (Pci.inb t.pci ~port:(arg 0 args)));
-  (* --- PCI --- *)
-  d "pci_register_driver" [ "drv" ] "pre(check(write, drv, sizeof(struct pci_driver)))"
-    (fun args -> Int64.of_int (Pci.register_driver t.pci (arg 0 args)));
-  d "pci_enable_device" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
-    (fun args -> Pci.pci_enable_device t.pci (arg 0 args));
-  d "pci_disable_device" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
-    (fun args -> Pci.pci_disable_device t.pci (arg 0 args));
-  d "pci_request_regions" [ "pcidev" ]
-    "pre(check(ref(struct pci_dev), pcidev)) post(copy(pci_bar_caps(pcidev)))"
-    (fun _args -> 0L);
-  d "pci_request_ioport" [ "pcidev" ]
-    "pre(check(ref(struct pci_dev), pcidev)) post(copy(ref(io_port), return))"
-    (fun args -> Int64.of_int (Pci.ioport t.pci (arg 0 args)));
-  d "pci_set_drvdata" [ "pcidev"; "data" ] "pre(check(ref(struct pci_dev), pcidev))"
-    (fun args ->
-      Pci.pci_set_drvdata t.pci (arg 0 args) (arg 1 args);
-      0L);
-  d "pci_get_drvdata" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
-    (fun args -> Int64.of_int (Pci.pci_get_drvdata t.pci (arg 0 args)));
-  (* --- sockets --- *)
-  d "sock_register" [ "npf" ]
-    "pre(check(write, npf, sizeof(struct net_proto_family)))" (fun args ->
-      Sockets.sock_register t.sock (arg 0 args));
-  d "sock_unregister" [ "family" ] "" (fun args ->
-      Sockets.sock_unregister t.sock (arg 0 args);
-      0L);
-  (* --- device mapper --- *)
-  d "dm_register_target" [ "tt" ] "pre(check(write, tt, sizeof(struct target_type)))"
-    (fun args ->
-      (* The target name is conveyed out of band at module setup; the
-         kexport validates memory ownership of the ops table. *)
-      ignore (arg 0 args);
-      0L);
-  (* --- sound --- *)
-  d "snd_card_create" [ "dma_bytes" ] "post(copy(snd_card_caps(return)))" (fun args ->
-      Int64.of_int (Sound.snd_card_create t.snd ~name:"card" ~dma_bytes:(arg 0 args)));
-  d "snd_card_register" [ "card" ] "pre(check(ref(struct snd_card), card))"
-    (fun args -> Sound.snd_card_register t.snd (arg 0 args));
-  d "snd_pcm_period_elapsed" [ "card" ] "pre(check(ref(struct snd_card), card))"
-    (fun args -> Sound.snd_pcm_period_elapsed t.snd (arg 0 args))
+let kexports : (Annot.Registry.slot * (t -> int64 list -> int64)) list =
+  let d name params annot_src impl = (declare name params annot_src, impl) in
+  [
+    (* --- memory --- *)
+    d "kmalloc" [ "size" ] "post(if (return != 0) copy(kmalloc_caps(return)))"
+      (fun { kst; _ } args ->
+        let size = arg 0 args in
+        if size <= 0 then 0L
+        else
+          (* An (injected) allocation failure is NULL to the caller, as in
+             the real kernel — modules must handle it. *)
+          match Slab.kmalloc kst.Kstate.slab size with
+          | addr -> Int64.of_int addr
+          | exception Slab.Out_of_memory -> 0L);
+    d "kfree" [ "ptr" ] "pre(transfer(kmalloc_caps(ptr)))" (fun { kst; _ } args ->
+        Slab.kfree kst.Kstate.slab (arg 0 args);
+        0L);
+    d "ksize" [ "ptr" ] "" (fun { kst; _ } args ->
+        Int64.of_int (Slab.usable_size kst.Kstate.slab (arg 0 args)));
+    (* --- locking: the §1 confused-deputy example; the check annotation
+       is exactly what stops a module from pointing the "lock" at the
+       current process's uid. --- *)
+    d "spin_lock_init" [ "lock" ] "pre(check(write, lock, 4))"
+      (fun { kst; _ } args ->
+        Klock.spin_lock_init kst (arg 0 args);
+        0L);
+    d "spin_lock" [ "lock" ] "pre(check(write, lock, 4))" (fun { kst; _ } args ->
+        Klock.spin_lock kst (arg 0 args);
+        0L);
+    d "spin_unlock" [ "lock" ] "pre(check(write, lock, 4))" (fun { kst; _ } args ->
+        Klock.spin_unlock kst (arg 0 args);
+        0L);
+    (* --- uaccess --- *)
+    d "copy_to_user" [ "dst"; "src"; "len" ] "" (fun { kst; _ } args ->
+        let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
+        (* The checked variant honours the task address limit. *)
+        match
+          for i = 0 to len - 1 do
+            Kstate.put_user kst ~addr:(dst + i) ~size:1
+              (Kmem.read kst.Kstate.mem ~addr:(src + i) ~size:1)
+          done
+        with
+        | () -> 0L
+        | exception Kstate.Efault _ -> -14L);
+    d "copy_from_user" [ "dst"; "src"; "len" ] "pre(check(write, dst, len))"
+      (fun { kst; _ } args ->
+        let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
+        match
+          for i = 0 to len - 1 do
+            Kmem.write kst.Kstate.mem ~addr:(dst + i) ~size:1
+              (Kstate.get_user kst ~addr:(src + i) ~size:1)
+          done
+        with
+        | () -> 0L
+        | exception Kstate.Efault _ -> -14L);
+    (* The unchecked copy primitive at the heart of CVE-2010-3904: the
+       RDS page-copy path used it with a user-controlled destination and
+       no access_ok check.  Its LXFI annotation demands the caller own
+       WRITE on the destination — which the module does not, for kernel
+       addresses it was never granted. *)
+    d "__copy_to_user_inatomic" [ "dst"; "src"; "len" ] "pre(check(write, dst, len))"
+      (fun { kst; _ } args ->
+        let dst = arg 0 args and src = arg 1 args and len = arg 2 args in
+        Kmem.blit kst.Kstate.mem ~src ~dst ~len;
+        0L);
+    d "set_fs" [ "limit" ] "" (fun { kst; _ } args ->
+        Kstate.set_fs kst (arg 0 args);
+        0L);
+    d "printk" [ "level" ] "" (fun _ _ -> 0L);
+    (* detach_pid: exported, powerful, and not imported by any module in
+       the corpus — the pid-hash rootkit of §8.1 tries to reach it
+       through a corrupted function pointer. *)
+    d "detach_pid" [ "task" ] "pre(check(ref(struct task_struct), task))"
+      (fun { kst; _ } _args ->
+        Kstate.detach_pid kst kst.Kstate.current;
+        0L);
+    (* --- sk_buffs --- *)
+    d "alloc_skb" [ "len" ] "post(if (return != 0) copy(skb_caps(return)))"
+      (fun { kst; _ } args -> Int64.of_int (Skbuff.alloc kst (arg 0 args)));
+    d "build_skb" [ "buf"; "len" ] "post(if (return != 0) copy(skb_caps(return)))"
+      (fun ({ kst; _ } as t) args ->
+        let buf = arg 0 args and len = arg 1 args in
+        let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
+        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
+        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
+        Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
+        Int64.of_int skb);
+    d "kfree_skb" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun { kst; _ } args ->
+        Skbuff.free kst (arg 0 args);
+        0L);
+    d "skb_put" [ "skb"; "len" ] "pre(check(write, skb, sizeof(struct sk_buff)))"
+      (fun { kst; _ } args ->
+        let skb = arg 0 args and len = arg 1 args in
+        Skbuff.set_len kst skb (Skbuff.len kst skb + len);
+        Int64.of_int (Skbuff.data kst skb));
+    (* Guideline 4 field accessors: the kernel mutates the five fields
+       drivers actually need, gated on the strict REF rather than WRITE
+       over the struct. *)
+    d "skb_set_dev" [ "skb"; "dev" ]
+      "pre(check(ref(sk_buff_fields), skb)) pre(check(ref(struct net_device), dev))"
+      (fun { kst; _ } args ->
+        Skbuff.set_dev kst (arg 0 args) (arg 1 args);
+        0L);
+    d "skb_set_len" [ "skb"; "len" ] "pre(check(ref(sk_buff_fields), skb))"
+      (fun { kst; _ } args ->
+        Skbuff.set_len kst (arg 0 args) (arg 1 args);
+        0L);
+    d "build_skb_strict" [ "buf"; "len" ]
+      "post(if (return != 0) copy(skb_strict_caps(return)))"
+      (fun ({ kst; _ } as t) args ->
+        let buf = arg 0 args and len = arg 1 args in
+        let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
+        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
+        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
+        Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
+        Int64.of_int skb);
+    d "netif_rx_strict" [ "skb" ] "pre(transfer(skb_strict_caps(skb)))" (fun t args ->
+        Netdev.netif_rx t.net (arg 0 args));
+    (* --- net core --- *)
+    d "netif_rx" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun t args ->
+        Netdev.netif_rx t.net (arg 0 args));
+    d "dev_queue_xmit" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun t args ->
+        Netdev.dev_queue_xmit t.net (arg 0 args));
+    d "alloc_etherdev" [ "priv" ]
+      "post(if (return != 0) copy(write, return, sizeof(struct net_device))) \
+       post(if (return != 0) copy(ref(struct net_device), return))"
+      (fun t _args -> Int64.of_int (Netdev.alloc_netdev t.net ~name:"eth%d"));
+    d "register_netdev" [ "dev" ] "pre(check(ref(struct net_device), dev))" (fun t args ->
+        Netdev.register_netdev t.net (arg 0 args));
+    d "netif_napi_add" [ "dev"; "napi"; "weight" ]
+      "pre(check(ref(struct net_device), dev)) \
+       pre(check(write, napi, sizeof(struct napi_struct)))"
+      (fun t args ->
+        Netdev.netif_napi_add t.net ~dev:(arg 0 args) ~napi:(arg 1 args)
+          ~weight:(arg 2 args);
+        0L);
+    d "napi_schedule" [ "napi" ] "pre(check(write, napi, sizeof(struct napi_struct)))"
+      (fun t args ->
+        Netdev.napi_schedule t.net (arg 0 args);
+        0L);
+    (* --- interrupts ---
+       The handler is a module-supplied callback function pointer passed
+       by value: the module must already hold a CALL capability for it
+       (the callback-argument contract of §2.2). *)
+    d "request_irq" [ "irq"; "handler"; "dev_id" ] "pre(check(call, handler))"
+      (fun t args ->
+        Irqchip.request_irq t.irq ~irq:(arg 0 args) ~handler:(arg 1 args)
+          ~dev_id:(arg 2 args));
+    d "free_irq" [ "irq" ] "" (fun t args ->
+        Irqchip.free_irq t.irq ~irq:(arg 0 args);
+        0L);
+    (* --- legacy port I/O (Guideline 3: special REF type io_port) --- *)
+    d "outb" [ "port"; "value" ] "pre(check(ref(io_port), port))" (fun t args ->
+        Pci.outb t.pci ~port:(arg 0 args) ~value:(arg 1 args);
+        0L);
+    d "inb" [ "port" ] "pre(check(ref(io_port), port))" (fun t args ->
+        Int64.of_int (Pci.inb t.pci ~port:(arg 0 args)));
+    (* --- PCI --- *)
+    d "pci_register_driver" [ "drv" ] "pre(check(write, drv, sizeof(struct pci_driver)))"
+      (fun t args -> Int64.of_int (Pci.register_driver t.pci (arg 0 args)));
+    d "pci_enable_device" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
+      (fun t args -> Pci.pci_enable_device t.pci (arg 0 args));
+    d "pci_disable_device" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
+      (fun t args -> Pci.pci_disable_device t.pci (arg 0 args));
+    d "pci_request_regions" [ "pcidev" ]
+      "pre(check(ref(struct pci_dev), pcidev)) post(copy(pci_bar_caps(pcidev)))"
+      (fun _ _args -> 0L);
+    d "pci_request_ioport" [ "pcidev" ]
+      "pre(check(ref(struct pci_dev), pcidev)) post(copy(ref(io_port), return))"
+      (fun t args -> Int64.of_int (Pci.ioport t.pci (arg 0 args)));
+    d "pci_set_drvdata" [ "pcidev"; "data" ] "pre(check(ref(struct pci_dev), pcidev))"
+      (fun t args ->
+        Pci.pci_set_drvdata t.pci (arg 0 args) (arg 1 args);
+        0L);
+    d "pci_get_drvdata" [ "pcidev" ] "pre(check(ref(struct pci_dev), pcidev))"
+      (fun t args -> Int64.of_int (Pci.pci_get_drvdata t.pci (arg 0 args)));
+    (* --- sockets --- *)
+    d "sock_register" [ "npf" ]
+      "pre(check(write, npf, sizeof(struct net_proto_family)))" (fun t args ->
+        Sockets.sock_register t.sock (arg 0 args));
+    d "sock_unregister" [ "family" ] "" (fun t args ->
+        Sockets.sock_unregister t.sock (arg 0 args);
+        0L);
+    (* --- device mapper --- *)
+    d "dm_register_target" [ "tt" ] "pre(check(write, tt, sizeof(struct target_type)))"
+      (fun _ args ->
+        (* The target name is conveyed out of band at module setup; the
+           kexport validates memory ownership of the ops table. *)
+        ignore (arg 0 args);
+        0L);
+    (* --- sound --- *)
+    d "snd_card_create" [ "dma_bytes" ] "post(copy(snd_card_caps(return)))" (fun t args ->
+        Int64.of_int (Sound.snd_card_create t.snd ~name:"card" ~dma_bytes:(arg 0 args)));
+    d "snd_card_register" [ "card" ] "pre(check(ref(struct snd_card), card))"
+      (fun t args -> Sound.snd_card_register t.snd (arg 0 args));
+    d "snd_pcm_period_elapsed" [ "card" ] "pre(check(ref(struct snd_card), card))"
+      (fun t args -> Sound.snd_pcm_period_elapsed t.snd (arg 0 args))
+  ]
 
 (** {1 Boot} *)
 
@@ -418,9 +433,11 @@ let boot (config : Lxfi.Config.t) : t =
       nics = [];
     }
   in
-  register_slot_types rt;
+  add_slots t slot_types;
   register_iterators t;
-  register_kexports t;
+  List.iter
+    (fun (d, impl) -> ignore (Annot.Registry.ok_exn (Lxfi.Runtime.register_kexport rt d (impl t))))
+    kexports;
   Lxfi.Runtime.install rt;
   t
 

@@ -26,10 +26,29 @@ val off : t -> string -> string -> int
 
 val sizeof : t -> string -> int
 
+val declare : string -> string list -> string -> Annot.Registry.slot
+(** {!Annot.Registry.make_src}, raising [Invalid_argument] on a bad
+    built-in annotation.  Build declarations once per process and
+    {!add_slots} them to each booted system. *)
+
+val add_slots : t -> Annot.Registry.slot list -> unit
+(** Add slot types to this system's registry; raises
+    [Invalid_argument] on a name already defined. *)
+
+val slot_types : Annot.Registry.slot list
+(** The corpus's function-pointer slot types, declared (parsed,
+    validated and hashed) once per process. *)
+
+val kexports : (Annot.Registry.slot * (t -> int64 list -> int64)) list
+(** The annotated kernel exports, declared once per process, each with
+    its implementation over the booted system it runs in. *)
+
 val boot : Lxfi.Config.t -> t
 (** Boot everything: kernel state, struct layouts, subsystems, the LXFI
-    runtime with the full annotated API registered and the kernel
-    indirect-call checker installed. *)
+    runtime with {!slot_types}, the capability iterators and
+    {!kexports} registered (in that order, so every export keeps its
+    kernel-text address) and the kernel indirect-call checker
+    installed. *)
 
 val add_nic : t -> vendor:int -> device:int -> int * Nic.t
 (** Plug in a NIC; returns its pci_dev address and hardware model. *)

@@ -215,45 +215,41 @@ let retire_module rt mi =
 
 (** {1 Kernel exports and capability iterators} *)
 
-(** [register_kexport rt ~name ~params ~annot impl] registers an
-    annotated kernel export from an already-parsed annotation; the
-    hash participates in indirect-call matching.  Validation against
-    [params] still runs, so a registered export is always internally
-    consistent ([Error] is {!Annot.Registry.Invalid} otherwise). *)
-let register_kexport rt ~name ~params ~annot impl :
+(** [register_kexport rt decl impl] registers the kernel export
+    declared by [decl] (parsed, validated and hashed once, by
+    {!Annot.Registry.make_src}); the hash participates in
+    indirect-call matching.  A name registered twice is an error, as
+    for slot types: silently replacing an export would swap the
+    contract the kernel enforces. *)
+let register_kexport rt (d : Annot.Registry.slot) impl :
     (kexport, Annot.Registry.error) result =
-  match Annot.Ast.validate ~params annot with
-  | Error msg -> Error (Annot.Registry.Invalid { name; msg })
-  | Ok () ->
-      let addr = Ksym.intern rt.kst.Kstate.sym name in
-      let ke =
-        {
-          ke_name = name;
-          ke_addr = addr;
-          ke_params = params;
-          ke_annot = annot;
-          ke_ahash = Annot.Hash.of_annot ~params annot;
-          ke_impl = impl;
-        }
-      in
-      Hashtbl.replace rt.kexports name ke;
-      Hashtbl.replace rt.kexport_by_addr addr ke;
-      Hashtbl.replace rt.func_ahash_by_addr addr ke.ke_ahash;
-      (* Kernel exports are also raw-callable through the kernel's own
-         dispatch table (stock kernels call them without wrappers). *)
-      Kstate.register_target rt.kst ~name ~addr ~kind:Kstate.Kernel_fn (fun args ->
-          ke.ke_impl args);
-      Ok ke
-
-(** Thin convenience that parses the annotation source first. *)
-let register_kexport_src rt ~name ~params ~annot_src impl :
-    (kexport, Annot.Registry.error) result =
-  match Annot.Parser.parse annot_src with
-  | Error err -> Error (Annot.Registry.Parse { name; src = annot_src; err })
-  | Ok annot -> register_kexport rt ~name ~params ~annot impl
+  let name = d.Annot.Registry.sl_name in
+  if Hashtbl.mem rt.kexports name then Error (Annot.Registry.Duplicate name)
+  else begin
+    let addr = Ksym.intern rt.kst.Kstate.sym name in
+    let ke =
+      {
+        ke_name = name;
+        ke_addr = addr;
+        ke_params = d.Annot.Registry.sl_params;
+        ke_annot = d.Annot.Registry.sl_annot;
+        ke_ahash = d.Annot.Registry.sl_ahash;
+        ke_impl = impl;
+      }
+    in
+    Hashtbl.replace rt.kexports name ke;
+    Hashtbl.replace rt.kexport_by_addr addr ke;
+    Hashtbl.replace rt.func_ahash_by_addr addr ke.ke_ahash;
+    (* Kernel exports are also raw-callable through the kernel's own
+       dispatch table (stock kernels call them without wrappers). *)
+    Kstate.register_target rt.kst ~name ~addr ~kind:Kstate.Kernel_fn impl;
+    Ok ke
+  end
 
 let register_kexport_exn rt ~name ~params ~annot_src impl =
-  Annot.Registry.ok_exn (register_kexport_src rt ~name ~params ~annot_src impl)
+  Annot.Registry.ok_exn
+    (Result.bind (Annot.Registry.make_src ~name ~params ~annot_src) (fun d ->
+         register_kexport rt d impl))
 
 (** [register_flow_graph rt ~module_ g] installs [g] as the flow policy
     the next load of [module_] will enforce, instead of self-extracting

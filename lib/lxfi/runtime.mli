@@ -142,24 +142,11 @@ val retire_module : t -> module_info -> unit
 (** {1 Kernel API surface} *)
 
 val register_kexport :
-  t ->
-  name:string ->
-  params:string list ->
-  annot:Annot.Ast.t ->
-  (int64 list -> int64) ->
-  (kexport, Annot.Registry.error) result
-(** Register an annotated kernel export from an already-parsed
-    annotation.  Validates against [params] and hashes the canonical
-    form; [Error] carries the structured reason. *)
-
-val register_kexport_src :
-  t ->
-  name:string ->
-  params:string list ->
-  annot_src:string ->
-  (int64 list -> int64) ->
-  (kexport, Annot.Registry.error) result
-(** Convenience wrapper that parses [annot_src] first. *)
+  t -> Annot.Registry.slot -> (int64 list -> int64) -> (kexport, Annot.Registry.error) result
+(** Register an annotated kernel export from its declaration (built
+    once by {!Annot.Registry.make_src}; nothing is parsed, validated
+    or hashed here).  [Error (Duplicate name)] if an export of that
+    name is already registered. *)
 
 val register_kexport_exn :
   t ->
@@ -168,9 +155,8 @@ val register_kexport_exn :
   annot_src:string ->
   (int64 list -> int64) ->
   kexport
-(** [register_kexport_src] + {!Annot.Registry.ok_exn} — for boot-time
-    registration where a bad built-in annotation is a programming
-    bug. *)
+(** Declare and register in one step, raising [Invalid_argument] on
+    any error — for tests that add an export to a booted system. *)
 
 val register_flow_graph : t -> module_:string -> Check.Apiflow.graph -> unit
 (** Pin the flow policy the next load of [module_] enforces, instead of

@@ -4,9 +4,10 @@
     the MIR interpreter, the quarantine policy, the slab allocator and
     the fault injector emit typed events, each stamped with the
     simulated cycle clock (split by {!Kcycles} category) and the
-    current principal.  The buffer is a fixed-capacity ring that keeps
-    the {e newest} events; aggregation and export live in
-    {!Trace_profile}.
+    current principal.  The buffer is a bounded ring that keeps the
+    {e newest} events; it starts small and doubles as events arrive,
+    up to its capacity, so a short run never pays for a large bound.
+    Aggregation and export live in {!Trace_profile}.
 
     {2 Zero cost when disabled}
 
@@ -101,7 +102,7 @@ let ev_total e = e.ev_kernel + e.ev_module + e.ev_guard
 
 type t = {
   capacity : int;
-  ring : event array;
+  mutable ring : event array;  (** doubles on demand up to [capacity] *)
   mutable next : int;  (** next write slot *)
   mutable total : int;  (** events ever emitted *)
 }
@@ -113,7 +114,7 @@ let dummy =
 
 let make ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.make: capacity <= 0";
-  { capacity; ring = Array.make capacity dummy; next = 0; total = 0 }
+  { capacity; ring = Array.make (min capacity 256) dummy; next = 0; total = 0 }
 
 (** The single flag every hook site checks.  Reading a [bool ref] is
     the whole disabled-path cost. *)
@@ -152,6 +153,10 @@ let emit kind =
   | None -> ()
   | Some t ->
       let k, m, g = !clock () in
+      (* [next] reaches the array's end only while it is below
+         [capacity]; at [capacity] it wraps to 0 instead. *)
+      if t.next = Array.length t.ring then
+        t.ring <- Array.append t.ring (Array.make (min t.next (t.capacity - t.next)) dummy);
       t.ring.(t.next) <-
         { ev_kernel = k; ev_module = m; ev_guard = g; ev_principal = !principal (); ev_kind = kind };
       t.next <- (t.next + 1) mod t.capacity;

@@ -55,7 +55,8 @@ val default_capacity : int
 
 val make : ?capacity:int -> unit -> t
 (** A fresh ring buffer; [capacity] bounds retained events (the newest
-    win). *)
+    win).  Storage starts small and doubles as events arrive until it
+    reaches [capacity]. *)
 
 val on : bool ref
 (** The enabled flag.  Hook sites check [!Trace.on] and must construct

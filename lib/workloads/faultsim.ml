@@ -91,14 +91,14 @@ let fsim_prog =
           ~export:ok_slot;
       ]
 
-let define_slots (sys : Ksys.t) =
-  let d name params annot_src =
-    ignore (Annot.Registry.define_exn sys.Ksys.rt.Lxfi.Runtime.registry ~name ~params ~annot_src)
-  in
-  d alloc_slot [ "n" ] "";
-  d fill_slot [ "buf"; "n" ] "pre(copy(write, buf, sizeof(struct socket)))";
-  d spin_slot [ "n" ] "";
-  d ok_slot [ "n" ] ""
+(* Declared once per process; each boot only adds them. *)
+let slot_decls =
+  [
+    Ksys.declare alloc_slot [ "n" ] "";
+    Ksys.declare fill_slot [ "buf"; "n" ] "pre(copy(write, buf, sizeof(struct socket)))";
+    Ksys.declare spin_slot [ "n" ] "";
+    Ksys.declare ok_slot [ "n" ] "";
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Bystander workloads: setup returns a [serve] probe whose value must
@@ -154,7 +154,7 @@ let run_cell ?trace_dir ~seed fclass ~workload ~plan =
   in
   let sys = Ksys.boot Lxfi.Config.lxfi_quarantine in
   let rt = sys.Ksys.rt and kst = sys.Ksys.kst in
-  define_slots sys;
+  Ksys.add_slots sys slot_decls;
   let serve = setup sys in
   let mi = fst (Ksys.load sys fsim_prog) in
   let baseline = serve () in

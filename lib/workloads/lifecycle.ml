@@ -65,10 +65,10 @@ let make_prog ~version ~buggy : Mir.Ast.prog =
           ~export:serve_slot;
       ]
 
-let define_slots (sys : Ksys.t) =
-  ignore
-    (Annot.Registry.define_exn sys.Ksys.rt.Lxfi.Runtime.registry ~name:serve_slot
-       ~params:[ "buf"; "n" ] ~annot_src:"pre(copy(write, buf, 64))")
+(* Declared once per process; each boot only adds it. *)
+let serve_decl = Ksys.declare serve_slot [ "buf"; "n" ] "pre(copy(write, buf, 64))"
+
+let define_slots sys = Ksys.add_slots sys [ serve_decl ]
 
 (* ------------------------------------------------------------------ *)
 (* Report rows.                                                        *)

@@ -79,13 +79,34 @@ let test_layout_predicates () =
     (Kmem.Layout.is_module_area Kmem.Layout.module_base);
   Alcotest.(check bool) "user not kernel" false (Kmem.Layout.is_kernel 0x2000)
 
-let test_mapped_page_accounting () =
+(* Nothing maps memory ahead of use: every page reads zero until its
+   first touch, a store straddling two untouched pages materialises
+   both, and the NULL guard faults either way. *)
+let test_demand_zero () =
   let m = t () in
-  let n0 = Kmem.mapped_pages m in
-  Kmem.map m ~addr:0x2_0000_0000 ~len:(3 * Kmem.page_size);
-  Alcotest.(check int) "three pages mapped" (n0 + 3) (Kmem.mapped_pages m);
-  Kmem.map m ~addr:0x2_0000_0000 ~len:Kmem.page_size;
-  Alcotest.(check int) "idempotent" (n0 + 3) (Kmem.mapped_pages m)
+  List.iter
+    (fun (what, addr) ->
+      Alcotest.(check int64) (what ^ " reads zero") 0L (Kmem.read m ~addr ~size:8))
+    [
+      ("heap", Kmem.Layout.kernel_heap_base + 0x1230);
+      ("module area", Kmem.Layout.module_base + 0x40);
+      ("user", Kmem.Layout.user_base + 0x2000);
+    ];
+  let seam = Kmem.Layout.kernel_heap_base + (7 * Kmem.page_size) in
+  Kmem.write m ~addr:(seam - 4) ~size:8 0x0102030405060708L;
+  Alcotest.(check int64) "straddling write reads back" 0x0102030405060708L
+    (Kmem.read m ~addr:(seam - 4) ~size:8);
+  Alcotest.(check int) "high half on the second page" 0x04 (Kmem.read_u8 m seam);
+  Alcotest.(check int64) "bytes around it still zero" 0L
+    (Int64.logor
+       (Kmem.read m ~addr:(seam - 12) ~size:8)
+       (Kmem.read m ~addr:(seam + 4) ~size:8));
+  (match Kmem.read m ~addr:0x10 ~size:8 with
+  | exception Kmem.Fault { write = false; _ } -> ()
+  | _ -> Alcotest.fail "read of the NULL page must fault");
+  match Kmem.write m ~addr:0x10 ~size:8 1L with
+  | exception Kmem.Fault { write = true; _ } -> ()
+  | _ -> Alcotest.fail "write to the NULL page must fault"
 
 let () =
   Alcotest.run "kmem"
@@ -100,6 +121,6 @@ let () =
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
           Alcotest.test_case "layout predicates" `Quick test_layout_predicates;
-          Alcotest.test_case "page accounting" `Quick test_mapped_page_accounting;
+          Alcotest.test_case "demand-zero pages" `Quick test_demand_zero;
         ] );
     ]

@@ -41,7 +41,20 @@ let test_sections_and_initializers () =
   Alcotest.(check int64) "rodata initialised" 9L (Kmem.read_u64 kst.Kstate.mem ro);
   Alcotest.(check bool) "three sections" true
     (sections mi "data" <> None && sections mi "rodata" <> None
-    && sections mi "bss" <> None)
+    && sections mi "bss" <> None);
+  (* nothing maps module memory ahead of use: bss and the module stack
+     read zero from their first touch *)
+  let reads_zero base len =
+    let rec go off =
+      off >= len || (Kmem.read_u64 kst.Kstate.mem (base + off) = 0L && go (off + 8))
+    in
+    go 0
+  in
+  (match sections mi "bss" with
+  | Some (_, base, len) -> Alcotest.(check bool) "bss reads zero" true (reads_zero base len)
+  | None -> Alcotest.fail "no bss section");
+  Alcotest.(check bool) "stack reads zero" true
+    (reads_zero mi.Runtime.mi_stack_base mi.Runtime.mi_stack_len)
 
 let test_initial_capabilities () =
   let _, rt = boot () in

@@ -254,6 +254,49 @@ let test_annotation_effort_table () =
     ((get "dm_zero").Catalog.e_functions_all
     <= List.fold_left (fun m r -> min m r.Catalog.e_functions_all) 99 rows)
 
+(* The corpus is declared once per process and every boot registers
+   the same values, so the declarations must carry no per-boot state:
+   two systems get equal tables, but each keeps its own registry and
+   each export body runs against the system that registered it. *)
+let test_corpus_shared_across_boots () =
+  let open Annot.Registry in
+  let hashed d = Int64.equal d.sl_ahash (Annot.Hash.of_annot ~params:d.sl_params d.sl_annot) in
+  List.iter
+    (fun d -> Alcotest.(check bool) (d.sl_name ^ " hash canonical") true (hashed d))
+    (Ksys.slot_types @ List.map fst Ksys.kexports);
+  let a = Ksys.boot Lxfi.Config.lxfi and b = Ksys.boot Lxfi.Config.lxfi in
+  let rt (sys : Ksys.t) = sys.Ksys.rt in
+  let table sys =
+    Hashtbl.fold
+      (fun _ (ke : Lxfi.Runtime.kexport) acc ->
+        (ke.Lxfi.Runtime.ke_name, ke.ke_addr, ke.ke_params, ke.ke_ahash) :: acc)
+      (rt sys).Lxfi.Runtime.kexports []
+    |> List.sort compare
+  in
+  Alcotest.(check int) "every export registered" (List.length Ksys.kexports)
+    (List.length (table a));
+  Alcotest.(check bool) "kexport tables identical" true (table a = table b);
+  Alcotest.(check bool) "registries identical" true
+    (all (rt a).Lxfi.Runtime.registry = all (rt b).Lxfi.Runtime.registry);
+  (* registered in declaration order: kernel-text addresses ascend *)
+  let addrs =
+    List.map
+      (fun (d, _) -> (Lxfi.Runtime.find_kexport (rt a) d.sl_name).Lxfi.Runtime.ke_addr)
+      Ksys.kexports
+  in
+  Alcotest.(check bool) "addresses follow declaration order" true
+    (List.sort_uniq compare addrs = addrs);
+  ignore (define_exn (rt a).Lxfi.Runtime.registry ~name:"only.a" ~params:[] ~annot_src:"");
+  Alcotest.(check bool) "a slot added to A is absent from B" false
+    (mem (rt b).Lxfi.Runtime.registry "only.a");
+  let a_allocs = a.Ksys.kst.Kstate.slab.Slab.alloc_count in
+  let kmalloc = Lxfi.Runtime.find_kexport (rt b) "kmalloc" in
+  let p = Int64.to_int (Lxfi.Runtime.call_kexport (rt b) kmalloc [ 64L ]) in
+  Alcotest.(check bool) "B's kmalloc allocates in B's slab" true
+    (Slab.is_live b.Ksys.kst.Kstate.slab p);
+  Alcotest.(check bool) "and not in A's" false (Slab.is_live a.Ksys.kst.Kstate.slab p);
+  Alcotest.(check int) "A's slab untouched" a_allocs a.Ksys.kst.Kstate.slab.Slab.alloc_count
+
 let modes name f =
   [
     Alcotest.test_case (name ^ " [stock]") `Quick (f Lxfi.Config.stock);
@@ -284,6 +327,11 @@ let () =
       ( "effort",
         [ Alcotest.test_case "figure 9 accounting" `Quick test_annotation_effort_table ]
       );
+      ( "boot",
+        [
+          Alcotest.test_case "corpus shared across boots" `Quick
+            test_corpus_shared_across_boots;
+        ] );
       ( "contracts",
         [
           Alcotest.test_case "request_irq checks CALL cap" `Quick

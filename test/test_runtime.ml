@@ -38,7 +38,6 @@ let setup ?(config = Config.lxfi) () =
          let size = Int64.to_int (List.nth args 0) in
          let a = !heap in
          heap := !heap + ((size + 15) land lnot 15);
-         Kmem.map kst.Kstate.mem ~addr:a ~len:size;
          Int64.of_int a));
   ignore
     (Runtime.register_kexport_exn rt ~name:"take_buffer" ~params:[ "buf"; "size" ]
@@ -123,6 +122,30 @@ let test_conditional_post_respects_return () =
   ignore (Runtime.call_kexport rt ke [ 64L ]);
   Alcotest.(check int) "no grant on failure return" granted0
     rt.Runtime.stats.Stats.caps_granted
+
+(* A second export of the same name is refused, as a second slot type
+   is: replacing it would silently swap the contract the kernel
+   enforces on every caller. *)
+let test_duplicate_kexport_rejected () =
+  let kst, rt, _ = setup () in
+  let first = Runtime.find_kexport rt "kzalloc_like" in
+  let decl =
+    Annot.Registry.ok_exn
+      (Annot.Registry.make_src ~name:"kzalloc_like" ~params:[ "size" ] ~annot_src:"")
+  in
+  Alcotest.(check bool) "the impostor's contract differs" false
+    (Int64.equal decl.Annot.Registry.sl_ahash first.Runtime.ke_ahash);
+  (match Runtime.register_kexport rt decl (fun _ -> 0L) with
+  | Error (Annot.Registry.Duplicate "kzalloc_like") -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Annot.Registry.error_to_string e)
+  | Ok _ -> Alcotest.fail "a second kzalloc_like must be rejected");
+  let now = Runtime.find_kexport rt "kzalloc_like" in
+  Alcotest.(check bool) "first export kept" true (now == first);
+  Alcotest.(check int64) "ahash unchanged" first.Runtime.ke_ahash now.Runtime.ke_ahash;
+  match Kstate.target_of kst first.Runtime.ke_addr with
+  | Some tg ->
+      Alcotest.(check bool) "raw dispatch runs the first impl" true (tg.Kstate.t_run [ 16L ] <> 0L)
+  | None -> Alcotest.fail "kzalloc_like lost its dispatch entry"
 
 let test_wrapper_principal_selection () =
   let _, rt, mi = setup () in
@@ -245,6 +268,7 @@ let () =
           Alcotest.test_case "transfer checks ownership" `Quick
             test_transfer_requires_ownership;
           Alcotest.test_case "conditional post" `Quick test_conditional_post_respects_return;
+          Alcotest.test_case "duplicate kexport rejected" `Quick test_duplicate_kexport_rejected;
         ] );
       ( "wrappers",
         [

@@ -1,7 +1,8 @@
 (* Trace ring-buffer semantics and fixed-seed determinism.
 
    - wraparound: the ring keeps the NEWEST events, oldest first on read,
-     with [dropped]/[total] accounting exact;
+     with [dropped]/[total] accounting exact, as it grows to its
+     capacity and after it wraps;
    - determinism: driving the same traced workload twice at the same
      seed yields byte-identical reports and Chrome JSON, and the
      per-principal profile reconciles with the cycle clock. *)
@@ -75,6 +76,39 @@ let test_ring_exact_fit () =
            (function Trace.Mod_call s -> s | _ -> "?")
            (kinds_of buf)))
 
+(* The ring against a list model, at capacities large enough that the
+   buffer grows from its initial array to [capacity] before wrapping,
+   with an optional [clear] part-way through. *)
+let prop_ring_model =
+  QCheck.Test.make ~count:200 ~name:"ring = newest-events list model"
+    QCheck.(triple (int_range 1 1000) (int_range 0 3000) (option (int_range 0 3000)))
+    (fun (capacity, emits, clear_at) ->
+      let buf = Trace.make ~capacity () in
+      Trace.attach buf ~clock:(fun () -> (0, 0, 0)) ~principal:(fun () -> "p");
+      Fun.protect ~finally:Trace.detach (fun () ->
+          (* every event emitted since the last clear, newest first *)
+          let model = ref [] in
+          for i = 0 to emits - 1 do
+            if clear_at = Some i then begin
+              Trace.clear buf;
+              model := []
+            end;
+            Trace.emit (Trace.Slab_free i);
+            model := i :: !model
+          done;
+          let total = List.length !model in
+          let kept = List.rev (List.filteri (fun j _ -> j < capacity) !model) in
+          let got =
+            Array.to_list
+              (Array.map
+                 (fun e -> match e.Trace.ev_kind with Trace.Slab_free i -> i | _ -> -1)
+                 (Trace.events buf))
+          in
+          got = kept
+          && Trace.total buf = total
+          && Trace.dropped buf = total - List.length kept
+          && Trace.capacity buf = capacity))
+
 (* Drive the real traced netperf workload twice at the same seed; the
    report (cycle totals, per-principal tables) and the Chrome JSON
    export must be byte-identical, and cycles must reconcile (exit 0). *)
@@ -128,6 +162,7 @@ let () =
           Alcotest.test_case "under capacity" `Quick test_ring_under_capacity;
           Alcotest.test_case "exact fit" `Quick test_ring_exact_fit;
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
+          QCheck_alcotest.to_alcotest prop_ring_model;
         ] );
       ( "determinism",
         [
