@@ -19,7 +19,10 @@
       under binary-rewriting XFI);
     - {e safe-store elision}: stores at constant offsets inside a
       function-local [Alloca] buffer, provably in bounds, need no
-      write guard (this is why MD5 is ~2% vs 27%).
+      write guard (this is why MD5 is ~2% vs 27%).  This relies on
+      every alloca buffer lying in the module stack, which the
+      interpreter guarantees by refusing any alloca size outside
+      [0, stack_len].
 
     Like the paper's rewriter (§7), this one refuses module code it
     cannot analyse: an indirect call buried in a subexpression makes

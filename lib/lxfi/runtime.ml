@@ -189,7 +189,7 @@ let module_named rt name = Hashtbl.find_opt rt.modules name
 let where_of mi =
   match mi.mi_ctx with
   | Some ctx when ctx.Mir.Interp.cur_fn <> "" ->
-      Some (Printf.sprintf "%s@%d" ctx.Mir.Interp.cur_fn ctx.Mir.Interp.steps)
+      Some (Printf.sprintf "%s@%d" ctx.Mir.Interp.cur_fn (Mir.Interp.steps ctx))
   | _ -> None
 
 (** [retire_module rt mi] pulls every kernel-callable address the

@@ -13,7 +13,10 @@
       implementations);
     - the [on_entry]/[on_exit] hooks fire around every function
       activation when [hooks_enabled] (shadow-stack/accounting guards
-      of §4.2/§5).
+      of §4.2/§5);
+    - an [Alloca] never moves the stack pointer outside the module
+      stack, so the buffer it returns really is module stack (the
+      rewriter's safe-store elision relies on this).
 
     Returns inside the interpreter use OCaml's own stack, so return-
     address integrity is structural here; the shadow stack still
@@ -21,58 +24,58 @@
     entry/exit hook cost is what Figure 13's "function entry/exit"
     guards measure.
 
-    For wall-clock speed each function is {e compiled} once, on first
-    activation, into an internal form ({!rfunc}): locals become frame
-    array slots instead of string-keyed hash entries, global/function/
-    import names resolve to addresses at compile time, and direct
-    callees dispatch through a hash table rather than a list scan.
-    Compilation is purely structural (one compiled node per AST node),
-    so step counts, fuel consumption and simulated cycle totals are
-    identical to interpreting the AST directly.
+    Each function is compiled once, on its first activation, into OCaml
+    closures: one closure per AST node, [frame -> int64] for an
+    expression and [frame -> unit] for a statement.  Everything static
+    is resolved while compiling — locals to frame slots, global,
+    function and import names to addresses, load/store widths, and each
+    binop's (operator, width) pair to its own closure — and a direct
+    call site caches its callee after its first call.  Compilation is
+    structural, so every node still costs exactly one step, taken in
+    the order a direct AST interpreter would take it.
 
-    Cycle accounting is batched: each step accumulates into
-    [pending_cycles] and the total is flushed to {!Kcycles} at every
-    observable boundary — external calls, guard callbacks, entry/exit
-    hooks, fuel exhaustion, and interpreter exit — so any code that can
-    observe the cycle clock (wrappers, guards, the quarantine policy's
-    escalation window) sees exactly the value per-step charging would
-    have produced. *)
+    Step accounting is a single counter: a step decrements [fuel] and
+    compares it with zero, nothing else.  The module cycles not yet
+    charged to {!Kcycles} are [mark - fuel], where [mark] is the fuel
+    left at the last flush, and the step count is the steps flushed so
+    far plus that same difference.  Flushes happen at every observable
+    boundary — external calls, guard callbacks, entry/exit hooks, fuel
+    exhaustion, and interpreter exit — so any code that can observe the
+    cycle clock (wrappers, guards, the quarantine policy's escalation
+    window) sees exactly the value per-step charging would have
+    produced. *)
 
 open Kernel_sim
 open Ast
 
-(** A function compiled to the interpreter's internal form: frame slots
-    instead of string-keyed locals, addresses resolved, callees hash-
-    dispatched.  One compiled node per AST node, so fuel/cycle
-    accounting is unchanged. *)
-type rexpr =
-  | Rconst of int64
-  | Rvar of int * string  (** frame slot; name kept for fault reports *)
-  | Raddr of int64  (** resolved [Glob]/[Funcaddr]/[Extaddr] *)
-  | Rfail of exn  (** name that failed to resolve; raises on evaluation *)
-  | Rload of int * rexpr  (** byte size *)
-  | Rbinop of binop * width * rexpr * rexpr
-  | Rcall_direct of string * rexpr array
-  | Rcall_ext of int * rexpr array  (** resolved import address *)
-  | Rcall_ext_fail of exn * rexpr array  (** unresolvable import *)
-  | Rcall_ind of rexpr * rexpr array
+exception Return_value of int64
 
-type rstmt =
-  | Rlet of int * rexpr
-  | Ralloca of int * int  (** slot, 16-byte-aligned size *)
-  | Rstore of int * rexpr * rexpr  (** byte size, address, value *)
-  | Rif of rexpr * rstmt array * rstmt array
-  | Rwhile of rexpr * rstmt array
-  | Rexpr of rexpr
-  | Rreturn of rexpr
-  | Rguard_write of int * rexpr
-  | Rguard_ind of rexpr
+exception Fuel_exhausted of string
+(** Raised (module name) instead of [Kstate.Oops] when [watchdog] is
+    set: the enclosing kernel→module wrapper owns the budget and turns
+    exhaustion into a graceful quarantine instead of a crash. *)
 
-type rfunc = {
-  rf_name : string;
-  rf_param_slots : int array;  (** frame slot of each positional parameter *)
-  rf_nslots : int;
-  rf_body : rstmt array;
+let default_fuel = 50_000_000
+
+(** An activation frame: locals live in [slots]; [bound] distinguishes
+    a never-assigned local (access is an oops) from a zero one. *)
+type frame = { slots : int64 array; bound : bool array }
+
+(** A function compiled to closures. *)
+type fn = {
+  fn_params : int array;  (** frame slot of each positional parameter *)
+  fn_nslots : int;
+  fn_body : frame -> unit;
+}
+
+type engine = {
+  mutable fuel : int;  (** the only counter a step touches *)
+  mutable mark : int;  (** [fuel] at the last flush *)
+  mutable flushed : int;  (** steps charged by earlier flushes *)
+  fns : (string, fn) Hashtbl.t;  (** compile cache, filled lazily *)
+  mutable by_addr : (int, string) Hashtbl.t option;
+      (** text address -> function name, built on first indirect
+          intra-module call *)
 }
 
 type ctx = {
@@ -91,30 +94,13 @@ type ctx = {
   stack_base : int;
   stack_len : int;
   mutable stack_ptr : int;
-  mutable fuel : int;
-  mutable steps : int;
   mutable watchdog : bool;
       (** when set, fuel exhaustion raises [Fuel_exhausted] for the
           runtime to convert into a watchdog violation; otherwise it is
           a plain soft-lockup oops *)
   mutable cur_fn : string;  (** innermost executing function, for fault reports *)
-  mutable pending_cycles : int;
-      (** module cycles accumulated since the last flush (see
-          {!flush_cycles}) *)
-  compiled : (string, rfunc) Hashtbl.t;  (** per-function compile cache *)
-  mutable fn_by_addr : (int, string) Hashtbl.t option;
-      (** text address -> function name, built on first indirect
-          intra-module call *)
+  eng : engine;
 }
-
-exception Return_value of int64
-
-exception Fuel_exhausted of string
-(** Raised (module name) instead of [Kstate.Oops] when [watchdog] is
-    set: the enclosing kernel→module wrapper owns the budget and turns
-    exhaustion into a graceful quarantine instead of a crash. *)
-
-let default_fuel = 50_000_000
 
 let create ~kst ~prog ~global_addr ~func_addr ~ext_addr ~call_ext ~guard_write
     ~guard_indcall ~on_entry ~on_exit ~hooks_enabled ~stack_base ~stack_len =
@@ -133,34 +119,50 @@ let create ~kst ~prog ~global_addr ~func_addr ~ext_addr ~call_ext ~guard_write
     stack_base;
     stack_len;
     stack_ptr = stack_base;
-    fuel = default_fuel;
-    steps = 0;
     watchdog = false;
     cur_fn = "";
-    pending_cycles = 0;
-    compiled = Hashtbl.create 16;
-    fn_by_addr = None;
+    eng =
+      {
+        fuel = default_fuel;
+        mark = default_fuel;
+        flushed = 0;
+        fns = Hashtbl.create 16;
+        by_addr = None;
+      };
   }
+
+let steps ctx = ctx.eng.flushed + (ctx.eng.mark - ctx.eng.fuel)
 
 (** [flush_cycles ctx] charges the batched module cycles to the global
     clock.  Called automatically at every boundary where other code can
     observe {!Kcycles} (external calls, guards, hooks, interpreter
     exit); callers outside the interpreter never need it. *)
 let flush_cycles ctx =
-  if ctx.pending_cycles > 0 then begin
-    Kcycles.charge ctx.kst.Kstate.cycles Kcycles.Module ctx.pending_cycles;
-    ctx.pending_cycles <- 0
+  let eng = ctx.eng in
+  let pending = eng.mark - eng.fuel in
+  if pending > 0 then begin
+    Kcycles.charge ctx.kst.Kstate.cycles Kcycles.Module pending;
+    eng.flushed <- eng.flushed + pending;
+    eng.mark <- eng.fuel
   end
 
-let tick ctx =
-  ctx.steps <- ctx.steps + 1;
-  ctx.pending_cycles <- ctx.pending_cycles + 1;
-  ctx.fuel <- ctx.fuel - 1;
-  if ctx.fuel <= 0 then begin
-    flush_cycles ctx;
-    if ctx.watchdog then raise (Fuel_exhausted ctx.prog.pname)
-    else raise (Kstate.Oops (Printf.sprintf "soft lockup in module %s" ctx.prog.pname))
-  end
+(** [refuel ctx] resets the runaway-loop budget (long benchmarks);
+    cycles still pending stay pending. *)
+let refuel ?(fuel = default_fuel) ctx =
+  let eng = ctx.eng in
+  eng.mark <- fuel + (eng.mark - eng.fuel);
+  eng.fuel <- fuel
+
+let[@inline never] exhausted ctx =
+  flush_cycles ctx;
+  if ctx.watchdog then raise (Fuel_exhausted ctx.prog.pname)
+  else raise (Kstate.Oops (Printf.sprintf "soft lockup in module %s" ctx.prog.pname))
+
+(* One step: the whole per-node cost of the accounting. *)
+let[@inline] tick ctx =
+  let eng = ctx.eng in
+  eng.fuel <- eng.fuel - 1;
+  if eng.fuel <= 0 then exhausted ctx
 
 let truncate w v =
   match w with
@@ -181,6 +183,7 @@ let sign_extend w v =
       Int64.shift_right (Int64.shift_left v sh) sh
 
 let bool_ b = if b then 1L else 0L
+let divide_error () = raise (Kstate.Oops "divide error")
 
 let eval_binop op w a b =
   let arith f = truncate w (f a b) in
@@ -192,10 +195,8 @@ let eval_binop op w a b =
   | Add -> arith Int64.add
   | Sub -> arith Int64.sub
   | Mul -> arith Int64.mul
-  | Udiv ->
-      if b = 0L then raise (Kstate.Oops "divide error") else arith Int64.unsigned_div
-  | Urem ->
-      if b = 0L then raise (Kstate.Oops "divide error") else arith Int64.unsigned_rem
+  | Udiv -> if b = 0L then divide_error () else arith Int64.unsigned_div
+  | Urem -> if b = 0L then divide_error () else arith Int64.unsigned_rem
   | Band -> arith Int64.logand
   | Bor -> arith Int64.logor
   | Bxor -> arith Int64.logxor
@@ -211,12 +212,66 @@ let eval_binop op w a b =
   | Ge -> bool_ (scmp () >= 0)
   | Ult -> bool_ (Int64.unsigned_compare a b < 0)
 
-(** An activation frame: locals live in [slots]; [bound] distinguishes
-    a never-assigned local (access is an oops) from a zero one. *)
-type frame = { slots : int64 array; bound : bool array }
+(* Signed compare of [x] and [y] sign-extended from bit [63 - sh]. *)
+let[@inline] scmp sh x y =
+  Int64.compare
+    (Int64.shift_right (Int64.shift_left x sh) sh)
+    (Int64.shift_right (Int64.shift_left y sh) sh)
+
+(** {!eval_binop} as a closure over its operand closures, with the
+    width's mask and shift amounts resolved up front. *)
+let binop ctx op w (a : frame -> int64) (b : frame -> int64) : frame -> int64 =
+  let m = truncate w (-1L) in
+  let sh = 64 - bits_of_width w in
+  let amt = bits_of_width w - 1 in
+  match op with
+  | Add -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.add x y) m
+  | Sub -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.sub x y) m
+  | Mul -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.mul x y) m
+  | Udiv ->
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        if y = 0L then divide_error () else Int64.logand (Int64.unsigned_div x y) m
+  | Urem ->
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        if y = 0L then divide_error () else Int64.logand (Int64.unsigned_rem x y) m
+  | Band -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logand x y) m
+  | Bor -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logor x y) m
+  | Bxor -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logxor x y) m
+  | Shl ->
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        Int64.logand (Int64.shift_left x (Int64.to_int y land amt)) m
+  | Lshr ->
+      (* The masked operand has no bits above the width, so the shifted
+         result needs no second mask. *)
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        Int64.shift_right_logical (Int64.logand x m) (Int64.to_int y land amt)
+  | Eq -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (Int64.equal x y)
+  | Ne -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (not (Int64.equal x y))
+  | Lt -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y < 0)
+  | Le -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y <= 0)
+  | Gt -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y > 0)
+  | Ge -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y >= 0)
+  | Ult ->
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        bool_ (Int64.unsigned_compare x y < 0)
 
 (* ------------------------------------------------------------------ *)
-(* Compilation: AST -> internal form, once per function.               *)
+(* Compilation: AST -> closures, once per function.                    *)
 
 type slotmap = { stbl : (string, int) Hashtbl.t; mutable snext : int }
 
@@ -229,66 +284,16 @@ let slot_of sm name =
       Hashtbl.replace sm.stbl name i;
       i
 
-let resolve f name = match f name with a -> Raddr (Int64.of_int a) | exception e -> Rfail e
+let oops ctx fmt =
+  Printf.ksprintf (fun m -> raise (Kstate.Oops m)) ("module %s: " ^^ fmt) ctx.prog.pname
 
-let rec compile_expr ctx sm (e : expr) : rexpr =
-  match e with
-  | Const n -> Rconst n
-  | Var name -> Rvar (slot_of sm name, name)
-  | Glob name -> resolve ctx.global_addr name
-  | Funcaddr name -> resolve ctx.func_addr name
-  | Extaddr name -> resolve ctx.ext_addr name
-  | Load (w, ea) -> Rload (bytes_of_width w, compile_expr ctx sm ea)
-  | Binop (op, w, a, b) -> Rbinop (op, w, compile_expr ctx sm a, compile_expr ctx sm b)
-  | Call (callee, args) -> (
-      let rargs = Array.of_list (List.map (compile_expr ctx sm) args) in
-      match callee with
-      | Direct name -> Rcall_direct (name, rargs)
-      | Ext name -> (
-          match ctx.ext_addr name with
-          | a -> Rcall_ext (a, rargs)
-          | exception e -> Rcall_ext_fail (e, rargs))
-      | Indirect te -> Rcall_ind (compile_expr ctx sm te, rargs))
+let unbound ctx name = oops ctx "unbound local %s" name
+let stack_overflow ctx = oops ctx "stack overflow"
 
-let rec compile_stmt ctx sm (s : stmt) : rstmt =
-  match s with
-  | Let (name, e) ->
-      let re = compile_expr ctx sm e in
-      Rlet (slot_of sm name, re)
-  | Alloca (name, n) -> Ralloca (slot_of sm name, (n + 15) land lnot 15)
-  | Store (w, ea, ev) ->
-      Rstore (bytes_of_width w, compile_expr ctx sm ea, compile_expr ctx sm ev)
-  | If (c, t, e) ->
-      Rif (compile_expr ctx sm c, compile_stmts ctx sm t, compile_stmts ctx sm e)
-  | While (c, b) -> Rwhile (compile_expr ctx sm c, compile_stmts ctx sm b)
-  | Expr e -> Rexpr (compile_expr ctx sm e)
-  | Return e -> Rreturn (compile_expr ctx sm e)
-  | Guard (Gwrite (w, ea)) -> Rguard_write (bytes_of_width w, compile_expr ctx sm ea)
-  | Guard (Gindcall ea) -> Rguard_ind (compile_expr ctx sm ea)
-
-and compile_stmts ctx sm stmts = Array.of_list (List.map (compile_stmt ctx sm) stmts)
-
-let compile_func ctx (f : func) : rfunc =
-  let sm = { stbl = Hashtbl.create 16; snext = 0 } in
-  let param_slots = Array.of_list (List.map (slot_of sm) f.params) in
-  let body = compile_stmts ctx sm f.body in
-  { rf_name = f.fname; rf_param_slots = param_slots; rf_nslots = sm.snext; rf_body = body }
-
-let find_rfunc ctx fname =
-  match Hashtbl.find_opt ctx.compiled fname with
-  | Some rf -> Some rf
-  | None -> (
-      match find_func ctx.prog fname with
-      | None -> None
-      | Some f ->
-          let rf = compile_func ctx f in
-          Hashtbl.replace ctx.compiled fname rf;
-          Some rf)
-
-(** Text address -> function name, replacing the per-call list scan of
-    [prog.funcs].  First-match-wins, as the scan was. *)
+(** Text address -> function name.  First-match-wins, as a scan of
+    [prog.funcs] would be. *)
 let addr_index ctx =
-  match ctx.fn_by_addr with
+  match ctx.eng.by_addr with
   | Some t -> t
   | None ->
       let t = Hashtbl.create 16 in
@@ -297,163 +302,252 @@ let addr_index ctx =
           let a = ctx.func_addr f.fname in
           if not (Hashtbl.mem t a) then Hashtbl.replace t a f.fname)
         ctx.prog.funcs;
-      ctx.fn_by_addr <- Some t;
+      ctx.eng.by_addr <- Some t;
       t
 
-(* ------------------------------------------------------------------ *)
-(* Execution.                                                          *)
+(* Frame teardown is unconditional — including the exception path,
+   where a quarantined fault must not leak the faulting frame's alloca
+   space (repeated -EFAULT containment would otherwise manufacture a
+   spurious stack overflow). *)
+let leave ctx name prev_fn saved_sp =
+  ctx.cur_fn <- prev_fn;
+  ctx.stack_ptr <- saved_sp;
+  if ctx.hooks_enabled then begin
+    flush_cycles ctx;
+    ctx.on_exit name
+  end
 
-let unbound ctx name =
-  raise (Kstate.Oops (Printf.sprintf "module %s: unbound local %s" ctx.prog.pname name))
+(* Arguments evaluate left to right, as the AST lists them. *)
+let arg_array args fr =
+  let n = Array.length args in
+  let vs = Array.make n 0L in
+  for i = 0 to n - 1 do
+    vs.(i) <- args.(i) fr
+  done;
+  vs
 
-let rec eval ctx fr (e : rexpr) : int64 =
-  tick ctx;
-  match e with
-  | Rconst n -> n
-  | Rvar (i, name) -> if fr.bound.(i) then fr.slots.(i) else unbound ctx name
-  | Raddr a -> a
-  | Rfail e -> raise e
-  | Rload (size, ea) ->
-      let addr = Int64.to_int (eval ctx fr ea) in
-      Kmem.read ctx.kst.Kstate.mem ~addr ~size
-  | Rbinop (op, w, a, b) ->
-      let va = eval ctx fr a in
-      let vb = eval ctx fr b in
-      eval_binop op w va vb
-  | Rcall_direct (name, rargs) -> invoke ctx name (eval_args ctx fr rargs)
-  | Rcall_ext (addr, rargs) ->
-      let vargs = eval_args ctx fr rargs in
-      flush_cycles ctx;
-      ctx.call_ext addr vargs
-  | Rcall_ext_fail (e, rargs) ->
-      ignore (eval_args ctx fr rargs);
-      raise e
-  | Rcall_ind (te, rargs) ->
-      (* The rewriter places a Gindcall guard immediately before any
-         indirect call; by the time we get here the target is approved
-         (or we are running unguarded stock/xfi code). *)
-      let target = Int64.to_int (eval ctx fr te) in
-      call_address ctx target (eval_args ctx fr rargs)
-
-and eval_args ctx fr rargs =
-  (* Left-to-right, as [List.map eval] evaluated the AST arguments. *)
-  let n = Array.length rargs in
-  let rec go i = if i >= n then [] else let v = eval ctx fr rargs.(i) in v :: go (i + 1) in
+let arg_list args fr =
+  let n = Array.length args in
+  let rec go i =
+    if i >= n then []
+    else
+      let v = args.(i) fr in
+      v :: go (i + 1)
+  in
   go 0
 
-and call_address ctx target vargs =
+let rec expr ctx sm (e : Ast.expr) : frame -> int64 =
+  match e with
+  | Const n -> fun _ -> tick ctx; n
+  | Var name ->
+      let i = slot_of sm name in
+      fun fr -> tick ctx; if fr.bound.(i) then fr.slots.(i) else unbound ctx name
+  | Glob name -> address ctx ctx.global_addr name
+  | Funcaddr name -> address ctx ctx.func_addr name
+  | Extaddr name -> address ctx ctx.ext_addr name
+  | Load (w, a) ->
+      let a = expr ctx sm a in
+      let mem = ctx.kst.Kstate.mem and size = bytes_of_width w in
+      fun fr -> tick ctx; Kmem.read mem ~addr:(Int64.to_int (a fr)) ~size
+  | Binop (op, w, a, b) ->
+      let a = expr ctx sm a in
+      binop ctx op w a (expr ctx sm b)
+  | Call (callee, args) -> (
+      let args = Array.of_list (List.map (expr ctx sm) args) in
+      match callee with
+      | Direct name -> direct_call ctx name args
+      | Ext name -> (
+          match ctx.ext_addr name with
+          | addr ->
+              fun fr ->
+                tick ctx;
+                let vs = arg_list args fr in
+                flush_cycles ctx;
+                ctx.call_ext addr vs
+          | exception exn ->
+              fun fr ->
+                tick ctx;
+                ignore (arg_list args fr);
+                raise exn)
+      | Indirect t ->
+          (* The rewriter places a Gindcall guard immediately before any
+             indirect call; by the time we get here the target is
+             approved (or we are running unguarded stock/xfi code). *)
+          let t = expr ctx sm t in
+          fun fr ->
+            tick ctx;
+            let target = Int64.to_int (t fr) in
+            call_address ctx target (arg_array args fr))
+
+(* A name that does not resolve still costs its step, then raises. *)
+and address ctx resolve name =
+  match resolve name with
+  | a ->
+      let a = Int64.of_int a in
+      fun _ -> tick ctx; a
+  | exception exn -> fun _ -> tick ctx; raise exn
+
+(* The callee is looked up (and checked) when the call first runs, then
+   cached: its compiled form and arity never change afterwards. *)
+and direct_call ctx name args =
+  let cached = ref None in
+  fun fr ->
+    tick ctx;
+    let vs = arg_array args fr in
+    match !cached with
+    | Some f -> enter ctx name f vs
+    | None ->
+        let f = callee ctx name (Array.length vs) in
+        cached := Some f;
+        enter ctx name f vs
+
+and call_address ctx target vs =
   (* Intra-module function addresses run in the interpreter; everything
      else goes out through the external dispatcher. *)
   match Hashtbl.find_opt (addr_index ctx) target with
-  | Some fname -> invoke ctx fname vargs
+  | Some name -> enter ctx name (callee ctx name (Array.length vs)) vs
   | None ->
       flush_cycles ctx;
-      ctx.call_ext target vargs
+      ctx.call_ext target (Array.to_list vs)
 
-and invoke ctx fname vargs =
-  match find_rfunc ctx fname with
-  | None ->
-      raise (Kstate.Oops (Printf.sprintf "module %s: no function %s" ctx.prog.pname fname))
-  | Some rf ->
-      let nparams = Array.length rf.rf_param_slots in
-      let nargs = List.length vargs in
-      if nparams <> nargs then
-        raise
-          (Kstate.Oops
-             (Printf.sprintf "module %s: %s arity mismatch (%d args, want %d)"
-                ctx.prog.pname fname nargs nparams));
-      let fr =
-        { slots = Array.make rf.rf_nslots 0L; bound = Array.make rf.rf_nslots false }
-      in
-      List.iteri
-        (fun i a ->
-          let s = rf.rf_param_slots.(i) in
-          fr.slots.(s) <- a;
-          fr.bound.(s) <- true)
-        vargs;
-      let saved_sp = ctx.stack_ptr in
-      if ctx.hooks_enabled then begin
-        flush_cycles ctx;
-        ctx.on_entry fname
-      end;
-      if !Trace.on then begin
-        flush_cycles ctx;
-        Trace.emit (Trace.Mod_call fname)
-      end;
-      let prev_fn = ctx.cur_fn in
-      ctx.cur_fn <- fname;
-      let finish () =
-        (* Frame teardown is unconditional — including the exception
-           path, where a quarantined fault must not leak the faulting
-           frame's alloca space (repeated -EFAULT containment would
-           otherwise manufacture a spurious stack overflow). *)
-        ctx.cur_fn <- prev_fn;
-        ctx.stack_ptr <- saved_sp;
-        if ctx.hooks_enabled then begin
-          flush_cycles ctx;
-          ctx.on_exit fname
-        end
-      in
-      (match exec_block ctx fr rf.rf_body with
-      | () ->
-          finish ();
-          0L
-      | exception Return_value v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e)
+(** The compiled function [name], checked against a call with [nargs]
+    arguments. *)
+and callee ctx name nargs =
+  let f =
+    match Hashtbl.find_opt ctx.eng.fns name with
+    | Some f -> f
+    | None -> (
+        match find_func ctx.prog name with
+        | None -> oops ctx "no function %s" name
+        | Some fd ->
+            let f = compile ctx fd in
+            Hashtbl.replace ctx.eng.fns name f;
+            f)
+  in
+  let nparams = Array.length f.fn_params in
+  if nparams <> nargs then oops ctx "%s arity mismatch (%d args, want %d)" name nargs nparams;
+  f
 
-and exec_block ctx fr stmts =
-  for i = 0 to Array.length stmts - 1 do
-    exec ctx fr stmts.(i)
-  done
+and enter ctx name f vs =
+  let fr = { slots = Array.make f.fn_nslots 0L; bound = Array.make f.fn_nslots false } in
+  for i = 0 to Array.length vs - 1 do
+    let s = f.fn_params.(i) in
+    fr.slots.(s) <- vs.(i);
+    fr.bound.(s) <- true
+  done;
+  let saved_sp = ctx.stack_ptr in
+  if ctx.hooks_enabled then begin
+    flush_cycles ctx;
+    ctx.on_entry name
+  end;
+  if !Trace.on then begin
+    flush_cycles ctx;
+    Trace.emit (Trace.Mod_call name)
+  end;
+  let prev_fn = ctx.cur_fn in
+  ctx.cur_fn <- name;
+  match f.fn_body fr with
+  | () ->
+      leave ctx name prev_fn saved_sp;
+      0L
+  | exception Return_value v ->
+      leave ctx name prev_fn saved_sp;
+      v
+  | exception e ->
+      leave ctx name prev_fn saved_sp;
+      raise e
 
-and exec ctx fr (s : rstmt) : unit =
-  tick ctx;
+and stmt ctx sm (s : Ast.stmt) : frame -> unit =
   match s with
-  | Rlet (i, e) ->
-      let v = eval ctx fr e in
-      fr.slots.(i) <- v;
-      fr.bound.(i) <- true
-  | Ralloca (i, aligned) ->
-      if ctx.stack_ptr + aligned > ctx.stack_base + ctx.stack_len then
-        raise (Kstate.Oops (Printf.sprintf "module %s: stack overflow" ctx.prog.pname));
-      let addr = ctx.stack_ptr in
-      ctx.stack_ptr <- ctx.stack_ptr + aligned;
-      fr.slots.(i) <- Int64.of_int addr;
-      fr.bound.(i) <- true
-  | Rstore (size, ea, ev) ->
-      let addr = Int64.to_int (eval ctx fr ea) in
-      let value = eval ctx fr ev in
-      Kmem.write ctx.kst.Kstate.mem ~addr ~size value
-  | Rif (c, t, e) ->
-      if eval ctx fr c <> 0L then exec_block ctx fr t else exec_block ctx fr e
-  | Rwhile (c, b) ->
-      while eval ctx fr c <> 0L do
-        exec_block ctx fr b
-      done
-  | Rexpr e -> ignore (eval ctx fr e)
-  | Rreturn e -> raise (Return_value (eval ctx fr e))
-  | Rguard_write (size, ea) ->
-      let addr = Int64.to_int (eval ctx fr ea) in
-      flush_cycles ctx;
-      ctx.guard_write ~addr ~size
-  | Rguard_ind ea ->
-      let target = Int64.to_int (eval ctx fr ea) in
-      flush_cycles ctx;
-      ctx.guard_indcall ~target
+  | Let (name, e) ->
+      let e = expr ctx sm e in
+      let i = slot_of sm name in
+      fun fr ->
+        tick ctx;
+        let v = e fr in
+        fr.slots.(i) <- v;
+        fr.bound.(i) <- true
+  | Alloca (name, n) ->
+      let i = slot_of sm name in
+      (* A size outside [0, stack_len] could only move the stack pointer
+         out of the module stack (or wrap the rounding below), so it is
+         refused before any stack arithmetic. *)
+      if n < 0 || n > ctx.stack_len then fun _ -> tick ctx; stack_overflow ctx
+      else
+        let aligned = (n + 15) land lnot 15 in
+        let top = ctx.stack_base + ctx.stack_len in
+        fun fr ->
+          tick ctx;
+          let addr = ctx.stack_ptr in
+          if addr + aligned > top then stack_overflow ctx;
+          ctx.stack_ptr <- addr + aligned;
+          fr.slots.(i) <- Int64.of_int addr;
+          fr.bound.(i) <- true
+  | Store (w, a, v) ->
+      let a = expr ctx sm a in
+      let v = expr ctx sm v in
+      let mem = ctx.kst.Kstate.mem and size = bytes_of_width w in
+      fun fr ->
+        tick ctx;
+        let addr = Int64.to_int (a fr) in
+        Kmem.write mem ~addr ~size (v fr)
+  | If (c, t, e) ->
+      let c = expr ctx sm c in
+      let t = block ctx sm t in
+      let e = block ctx sm e in
+      fun fr -> tick ctx; if c fr <> 0L then t fr else e fr
+  | While (c, b) ->
+      let c = expr ctx sm c in
+      let b = block ctx sm b in
+      fun fr ->
+        tick ctx;
+        while c fr <> 0L do
+          b fr
+        done
+  | Expr e ->
+      let e = expr ctx sm e in
+      fun fr -> tick ctx; ignore (e fr)
+  | Return e ->
+      let e = expr ctx sm e in
+      fun fr -> tick ctx; raise (Return_value (e fr))
+  | Guard (Gwrite (w, a)) ->
+      let a = expr ctx sm a and size = bytes_of_width w in
+      fun fr ->
+        tick ctx;
+        let addr = Int64.to_int (a fr) in
+        flush_cycles ctx;
+        ctx.guard_write ~addr ~size
+  | Guard (Gindcall a) ->
+      let a = expr ctx sm a in
+      fun fr ->
+        tick ctx;
+        let target = Int64.to_int (a fr) in
+        flush_cycles ctx;
+        ctx.guard_indcall ~target
+
+and block ctx sm stmts =
+  match Array.of_list (List.map (stmt ctx sm) stmts) with
+  | [||] -> fun _ -> ()
+  | [| s |] -> s
+  | ss ->
+      fun fr ->
+        for i = 0 to Array.length ss - 1 do
+          ss.(i) fr
+        done
+
+and compile ctx (f : func) =
+  let sm = { stbl = Hashtbl.create 16; snext = 0 } in
+  let fn_params = Array.of_list (List.map (slot_of sm) f.params) in
+  let fn_body = block ctx sm f.body in
+  { fn_params; fn_nslots = sm.snext; fn_body }
 
 (** [run ctx fname args] invokes module function [fname]. *)
 let run ctx fname args =
-  match invoke ctx fname args with
+  let vs = Array.of_list args in
+  match enter ctx fname (callee ctx fname (Array.length vs)) vs with
   | r ->
       flush_cycles ctx;
       r
   | exception e ->
       flush_cycles ctx;
       raise e
-
-(** [refuel ctx] resets the runaway-loop budget (long benchmarks). *)
-let refuel ?(fuel = default_fuel) ctx = ctx.fuel <- fuel

@@ -5,19 +5,19 @@
     runtime by the loader; absent in stock code); calls to imports
     dispatch through [call_ext]; the entry/exit hooks fire around every
     function activation when [hooks_enabled].  Each evaluated IR node
-    charges one [Kcycles.Module] cycle; charges accumulate in
-    [pending_cycles] and flush to the global clock at every observable
-    boundary (external calls, guards, hooks, interpreter exit).
+    is one step and charges one [Kcycles.Module] cycle; the charges are
+    batched and flush to the global clock at every observable boundary
+    (external calls, guards, hooks, fuel exhaustion, interpreter exit).
 
-    Functions are compiled once, on first activation, into an internal
-    form (array-slot locals, resolved addresses, hash-dispatched
-    callees); compilation is structural, so step counts and cycle
+    Functions are compiled once, on first activation, into closures
+    with names, addresses, frame slots, widths and binop specialisations
+    resolved; compilation is structural, so step counts and cycle
     totals match direct AST interpretation exactly. *)
 
 open Kernel_sim
 
-type rfunc
-(** A function compiled to the interpreter's internal form. *)
+type engine
+(** Compile cache and step accounting. *)
 
 type ctx = {
   kst : Kstate.t;
@@ -34,24 +34,14 @@ type ctx = {
   stack_base : int;
   stack_len : int;
   mutable stack_ptr : int;
-  mutable fuel : int;  (** runaway-loop budget; exhaustion is an Oops *)
-  mutable steps : int;
   mutable watchdog : bool;
       (** raise {!Fuel_exhausted} instead of an Oops on exhaustion (set
           by the LXFI runtime when an entry watchdog budget is active) *)
   mutable cur_fn : string;
       (** innermost executing function ("" outside any activation);
           violation reports use it as the fault location *)
-  mutable pending_cycles : int;
-      (** module cycles accumulated since the last {!flush_cycles} *)
-  compiled : (string, rfunc) Hashtbl.t;
-      (** per-function compile cache, filled lazily *)
-  mutable fn_by_addr : (int, string) Hashtbl.t option;
-      (** text address → function name, built on first indirect
-          intra-module call *)
+  eng : engine;
 }
-
-exception Return_value of int64
 
 exception Fuel_exhausted of string
 (** Fuel ran out under [watchdog] mode; carries the module name.  The
@@ -75,14 +65,17 @@ val create :
   stack_len:int ->
   ctx
 
+val steps : ctx -> int
+(** Steps executed since [create] (fault locations report it). *)
+
 val truncate : Ast.width -> int64 -> int64
 (** Mask a value to a width (arithmetic wraps at the declared width —
     how the CAN BCM overflow is expressed). *)
 
 val eval_binop : Ast.binop -> Ast.width -> int64 -> int64 -> int64
-(** Pure binop semantics; division by zero is a [Kstate.Oops].  Signed
-    compares sign-extend narrow operands; shift amounts wrap at the
-    operation width. *)
+(** Reference binop semantics, which the compiled closures implement;
+    division by zero is a [Kstate.Oops].  Signed compares sign-extend
+    narrow operands; shift amounts wrap at the operation width. *)
 
 val flush_cycles : ctx -> unit
 (** Charge the batched module cycles to the global clock.  The
@@ -97,4 +90,5 @@ val run : ctx -> string -> int64 list -> int64
     exceptional exit. *)
 
 val refuel : ?fuel:int -> ctx -> unit
-(** Reset the runaway-loop budget (long benchmarks). *)
+(** Reset the runaway-loop budget (long benchmarks).  Cycles pending at
+    the call stay pending. *)

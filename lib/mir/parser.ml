@@ -312,6 +312,7 @@ let rec parse_stmt st : stmt =
               ignore (advance st);
               expect_punct st "(";
               let size = Int64.to_int (int_ st) in
+              if size < 0 then fail ~line:st.line "negative alloca size %d" size;
               expect_punct st ")";
               expect_punct st ";";
               Alloca (name, size)

@@ -88,7 +88,16 @@ let test_parse_errors () =
       ("garbage statement", "module m\nimports: \nfunc f() { 123 bad; }");
       ("bad width", "module m\nimports: \nfunc f() { *u13(1) = 2; return 0; }");
       ("unterminated comment", "module m /* oops");
-    ]
+    ];
+  (* a negative alloca would move the stack pointer below the module
+     stack; the error names the line it is on *)
+  match
+    Mir.Parser.parse "module m\nimports: \nfunc f() {\n  b = alloca(-4096);\n  return 0;\n}"
+  with
+  | _ -> Alcotest.fail "negative alloca should be rejected"
+  | exception Mir.Parser.Parse_error { line; msg } ->
+      Alcotest.(check int) "error line" 4 line;
+      Alcotest.(check string) "error message" "negative alloca size -4096" msg
 
 (* qcheck: generated programs survive the round trip *)
 

@@ -466,6 +466,63 @@ let prop_interp_arithmetic =
         (Mir.Interp.eval_binop op Mir.Ast.W64 a b)
         (reference_binop op a b))
 
+(* The compiled engine specialises each (op, width) pair, so every pair
+   goes through [Interp.run] and must agree with [eval_binop], the
+   reference semantics: shift amounts at or past the width, narrow
+   signed compares on values with the width's sign bit set, and
+   [Udiv]/[Urem] by zero (the same oops) included. *)
+let all_binops =
+  Mir.Ast.[ Add; Sub; Mul; Udiv; Urem; Band; Bor; Bxor; Shl; Lshr; Eq; Ne; Lt; Le; Gt; Ge; Ult ]
+
+let all_widths = Mir.Ast.[ W8; W16; W32; W64 ]
+
+let binop_fname op w =
+  Printf.sprintf "%s%d" (Mir.Printer.binop_symbol op) (Mir.Ast.bytes_of_width w)
+
+let binop_ctx =
+  lazy
+    (let funcs =
+       List.concat_map
+         (fun op ->
+           List.map
+             (fun w ->
+               Mir.Builder.func (binop_fname op w) [ "a"; "b" ]
+                 [ Mir.Builder.ret (Mir.Builder.bin op w (Mir.Builder.v "a") (Mir.Builder.v "b")) ])
+             all_widths)
+         all_binops
+     in
+     let prog = Mir.Builder.prog "binops" ~imports:[] ~globals:[] ~funcs in
+     let kst = Kernel_sim.Kstate.boot () in
+     let stack_base = Kernel_sim.Kstate.alloc_module_area kst 4096 in
+     Mir.Interp.create ~kst ~prog ~global_addr:(fun _ -> raise Not_found)
+       ~func_addr:(fun _ -> raise Not_found) ~ext_addr:(fun _ -> raise Not_found)
+       ~call_ext:(fun _ _ -> 0L) ~guard_write:(fun ~addr:_ ~size:_ -> ())
+       ~guard_indcall:(fun ~target:_ -> ()) ~on_entry:ignore ~on_exit:ignore
+       ~hooks_enabled:false ~stack_base ~stack_len:4096)
+
+let gen_operand =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.of_int (int_bound 70) (* shift amounts, at and past every width *);
+        oneofl
+          [ 0L; 1L; 0x7fL; 0x80L; 0xffL; 0x7fffL; 0x8000L; 0xffffL; 0x8000_0000L;
+            0xffff_ffffL; Int64.max_int; Int64.min_int; -1L ];
+        map Int64.of_int int;
+      ])
+
+let arb_width_case =
+  QCheck.make
+    ~print:(fun (op, w, a, b) -> Printf.sprintf "%s %Ld %Ld" (binop_fname op w) a b)
+    QCheck.Gen.(quad (oneofl all_binops) (oneofl all_widths) gen_operand gen_operand)
+
+let prop_compiled_binops =
+  QCheck.Test.make ~count:3000 ~name:"compiled binop = eval_binop at every width"
+    arb_width_case (fun (op, w, a, b) ->
+      let outcome f = match f () with v -> Ok v | exception Kernel_sim.Kstate.Oops m -> Error m in
+      outcome (fun () -> Mir.Interp.run (Lazy.force binop_ctx) (binop_fname op w) [ a; b ])
+      = outcome (fun () -> Mir.Interp.eval_binop op w a b))
+
 let prop_truncation =
   QCheck.Test.make ~count:300 ~name:"width truncation masks correctly"
     (QCheck.make QCheck.Gen.(map Int64.of_int int))
@@ -526,6 +583,7 @@ let () =
             prop_slab_no_overlap;
             prop_revoke_leaves_no_copies;
             prop_interp_arithmetic;
+            prop_compiled_binops;
             prop_truncation;
             prop_faultsim_invariants;
             prop_faultsim_deterministic;

@@ -205,6 +205,57 @@ let test_double_instrumentation_rejected () =
   | exception RW.Rewrite_error _ -> ()
   | _ -> Alcotest.fail "re-instrumenting must fail"
 
+(* Safe-store elision trusts that an alloca buffer lies inside the
+   module stack.  A negative alloca size used to move the stack pointer
+   down by that much, so the next buffer's unguarded store could land on
+   any kernel object below the stack: here, a slab object.  The engine
+   must refuse the size instead, under both isolating configs. *)
+let atk_slot = Kmodules.Ksys.declare "atk.entry" [] ""
+
+let alloca_escape_prog ~down ~off =
+  prog "atk" ~imports:[] ~globals:[]
+    ~funcs:
+      [
+        func "entry" []
+          [
+            alloca "junk" (-down);
+            alloca "buf" 64;
+            store64 (v "buf" +: ii off) (ii 0x4141_4141);
+            ret0;
+          ]
+          ~export:"atk.entry";
+      ]
+
+let boot_with_victim config =
+  let sys = Kmodules.Ksys.boot config in
+  Kmodules.Ksys.add_slots sys [ atk_slot ];
+  let kst = sys.Kmodules.Ksys.kst in
+  let victim = Kernel_sim.Slab.kmalloc kst.Kernel_sim.Kstate.slab 64 in
+  Kernel_sim.Kmem.write_u64 kst.Kernel_sim.Kstate.mem victim 0x5a5aL;
+  (sys, victim)
+
+let test_alloca_cannot_leave_stack config () =
+  (* Where the module stack lands: the layout is deterministic, so a
+     probe load of the same shape finds it. *)
+  let sys, victim = boot_with_victim config in
+  let mi, _ = Kmodules.Ksys.load sys (alloca_escape_prog ~down:0 ~off:0) in
+  let stack_base = mi.Lxfi.Runtime.mi_stack_base in
+  (* alloca rounds its size up to 16 bytes; [off] covers the rest *)
+  let down = stack_base - victim in
+  let moved = (-down + 15) land lnot 15 in
+  let off = victim - (stack_base + moved) in
+  let sys, victim' = boot_with_victim config in
+  let mi, report = Kmodules.Ksys.load sys (alloca_escape_prog ~down ~off) in
+  Alcotest.(check int) "same victim" victim victim';
+  Alcotest.(check int) "same stack" stack_base mi.Lxfi.Runtime.mi_stack_base;
+  Alcotest.(check int) "the store is elided" 1 report.RW.r_write_elided;
+  (match Lxfi.Runtime.invoke_module_function sys.Kmodules.Ksys.rt mi "entry" [] with
+  | _ -> Alcotest.fail "the escaping alloca must not run"
+  | exception Kernel_sim.Kstate.Oops m ->
+      Alcotest.(check string) "refused" "module atk: stack overflow" m);
+  Alcotest.(check int64) "slab object intact" 0x5a5aL
+    (Kernel_sim.Kmem.read_u64 sys.Kmodules.Ksys.kst.Kernel_sim.Kstate.mem victim)
+
 let () =
   Alcotest.run "rewriter"
     [
@@ -213,6 +264,10 @@ let () =
           Alcotest.test_case "store guarded" `Quick test_store_gets_guard;
           Alcotest.test_case "stock untouched" `Quick test_stock_unchanged;
           Alcotest.test_case "safe stores elided" `Quick test_safe_store_elided;
+          Alcotest.test_case "alloca cannot leave the stack [lxfi]" `Quick
+            (test_alloca_cannot_leave_stack Lxfi.Config.lxfi);
+          Alcotest.test_case "alloca cannot leave the stack [xfi]" `Quick
+            (test_alloca_cannot_leave_stack Lxfi.Config.xfi);
           Alcotest.test_case "rebind kills elision" `Quick test_elision_needs_stable_binding;
           Alcotest.test_case "indirect call guarded" `Quick test_indirect_call_guarded;
           Alcotest.test_case "nested indirect rejected" `Quick test_nested_indirect_rejected;
