@@ -19,10 +19,13 @@
       under binary-rewriting XFI);
     - {e safe-store elision}: stores at constant offsets inside a
       function-local [Alloca] buffer, provably in bounds, need no
-      write guard (this is why MD5 is ~2% vs 27%).  This relies on
-      every alloca buffer lying in the module stack, which the
-      interpreter guarantees by refusing any alloca size outside
-      [0, stack_len].
+      write guard (this is why MD5 is ~2% vs 27%).  This is sound
+      only while the variable really holds the buffer: the
+      interpreter keeps every alloca buffer in the module stack (it
+      refuses any size outside [0, stack_len]), and the rewriter elides
+      a store only through a variable that the alloca is the sole
+      binding of — no parameter, [Let] or second [Alloca] of that name
+      anywhere in the function.
 
     Like the paper's rewriter (§7), this one refuses module code it
     cannot analyse: an indirect call buried in a subexpression makes
@@ -181,33 +184,39 @@ let called_directly prog fname =
 
 (** {1 Safe-store analysis} *)
 
-(** Allocas of the current function whose binding is never shadowed by
-    a later [Let] — their buffer base is a known constant for the whole
-    body. *)
-let stable_allocas body =
-  let allocas = Hashtbl.create 8 in
+(** Temporaries the rewriter binds itself are named [tmp_prefix ^ n]. *)
+let tmp_prefix = "__lxfi"
+
+(** [stable_allocas f] maps a local of [f] to its alloca size when that
+    one [Alloca] is the only binding of the name in [f]: not a
+    parameter, bound by no [Let] (before or after the alloca, in any
+    branch or loop) and by no second [Alloca], and not a name the
+    rewriter may bind for a temporary.  Any other binding could leave a
+    different address in the variable when a store through it runs. *)
+let stable_allocas f =
+  let binds = Hashtbl.create 8 in
+  List.iter (fun x -> Hashtbl.add binds x None) f.params;
   let rec scan = function
-    | Alloca (x, n) ->
-        if Hashtbl.mem allocas x then Hashtbl.replace allocas x None
-        else Hashtbl.replace allocas x (Some n)
-    | Let (x, _) -> if Hashtbl.mem allocas x then Hashtbl.replace allocas x None
+    | Alloca (x, n) -> Hashtbl.add binds x (Some n)
+    | Let (x, _) -> Hashtbl.add binds x None
     | If (_, t, e) ->
         List.iter scan t;
         List.iter scan e
     | While (_, b) -> List.iter scan b
     | Store _ | Expr _ | Return _ | Guard _ -> ()
   in
-  List.iter scan body;
-  allocas
+  List.iter scan f.body;
+  fun x ->
+    match Hashtbl.find_all binds x with
+    | [ Some n ] when not (String.starts_with ~prefix:tmp_prefix x) -> Some n
+    | _ -> None
 
 (** A store address provably inside a stable alloca: [buf] or
     [buf + const] with the access in bounds. *)
-let safe_store allocas w addr_expr =
+let safe_store alloca_size w addr_expr =
   let width = bytes_of_width w in
   let check buf off =
-    match Hashtbl.find_opt allocas buf with
-    | Some (Some n) -> off >= 0 && off + width <= n
-    | _ -> false
+    match alloca_size buf with Some n -> off >= 0 && off + width <= n | None -> false
   in
   match addr_expr with
   | Var buf -> check buf 0
@@ -226,7 +235,7 @@ type counters = {
 
 let fresh c =
   c.tmp <- c.tmp + 1;
-  Printf.sprintf "__lxfi%d" c.tmp
+  tmp_prefix ^ string_of_int c.tmp
 
 (** Expressions may not contain indirect calls (they must be hoisted to
     statement position so the guard can precede them). *)
@@ -243,7 +252,7 @@ let rec reject_nested_indcall fname = function
 let check_args_only fname args = List.iter (reject_nested_indcall fname) args
 
 let instrument_func (cfg : Config.t) counters f =
-  let allocas = stable_allocas f.body in
+  let alloca_size = stable_allocas f in
   let rec stmts l = List.concat_map stmt l
   and guard_indirect_call mk te args =
     check_args_only f.fname args;
@@ -268,7 +277,7 @@ let instrument_func (cfg : Config.t) counters f =
     | Store (w, ea, ev) ->
         reject_nested_indcall f.fname ea;
         reject_nested_indcall f.fname ev;
-        if cfg.Config.opt_elide_safe_writes && safe_store allocas w ea then begin
+        if cfg.Config.opt_elide_safe_writes && safe_store alloca_size w ea then begin
           counters.welided <- counters.welided + 1;
           [ Store (w, ea, ev) ]
         end

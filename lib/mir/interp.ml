@@ -15,8 +15,10 @@
       activation when [hooks_enabled] (shadow-stack/accounting guards
       of §4.2/§5);
     - an [Alloca] never moves the stack pointer outside the module
-      stack, so the buffer it returns really is module stack (the
-      rewriter's safe-store elision relies on this).
+      stack, so the buffer it returns really is module stack.  The
+      rewriter's safe-store elision relies on this, and on its own
+      check that the variable holding the buffer is bound by nothing
+      else in the function.
 
     Returns inside the interpreter use OCaml's own stack, so return-
     address integrity is structural here; the shadow stack still
@@ -27,12 +29,12 @@
     Each function is compiled once, on its first activation, into OCaml
     closures: one closure per AST node, [frame -> int64] for an
     expression and [frame -> unit] for a statement.  Everything static
-    is resolved while compiling — locals to frame slots, global,
-    function and import names to addresses, load/store widths, and each
-    binop's (operator, width) pair to its own closure — and a direct
-    call site caches its callee after its first call.  Compilation is
-    structural, so every node still costs exactly one step, taken in
-    the order a direct AST interpreter would take it.
+    is resolved while compiling: locals to frame slots, global,
+    function and import names to addresses, and load/store widths.  A
+    binop node calls {!eval_binop}, and a call looks its callee up by
+    name when it runs.  Compilation is structural, so every node still
+    costs exactly one step, taken in the order a direct AST interpreter
+    would take it.
 
     Step accounting is a single counter: a step decrements [fuel] and
     compares it with zero, nothing else.  The module cycles not yet
@@ -186,89 +188,28 @@ let bool_ b = if b then 1L else 0L
 let divide_error () = raise (Kstate.Oops "divide error")
 
 let eval_binop op w a b =
-  let arith f = truncate w (f a b) in
   (* Shift amounts wrap at the operation width, as on x86; signed
      compares sign-extend both operands to the width first. *)
-  let shift_mask = bits_of_width w - 1 in
-  let scmp () = Int64.compare (sign_extend w a) (sign_extend w b) in
   match op with
-  | Add -> arith Int64.add
-  | Sub -> arith Int64.sub
-  | Mul -> arith Int64.mul
-  | Udiv -> if b = 0L then divide_error () else arith Int64.unsigned_div
-  | Urem -> if b = 0L then divide_error () else arith Int64.unsigned_rem
-  | Band -> arith Int64.logand
-  | Bor -> arith Int64.logor
-  | Bxor -> arith Int64.logxor
-  | Shl -> truncate w (Int64.shift_left a (Int64.to_int b land shift_mask))
+  | Add -> truncate w (Int64.add a b)
+  | Sub -> truncate w (Int64.sub a b)
+  | Mul -> truncate w (Int64.mul a b)
+  | Udiv -> if b = 0L then divide_error () else truncate w (Int64.unsigned_div a b)
+  | Urem -> if b = 0L then divide_error () else truncate w (Int64.unsigned_rem a b)
+  | Band -> truncate w (Int64.logand a b)
+  | Bor -> truncate w (Int64.logor a b)
+  | Bxor -> truncate w (Int64.logxor a b)
+  | Shl -> truncate w (Int64.shift_left a (Int64.to_int b land (bits_of_width w - 1)))
   | Lshr ->
       truncate w
-        (Int64.shift_right_logical (truncate w a) (Int64.to_int b land shift_mask))
+        (Int64.shift_right_logical (truncate w a) (Int64.to_int b land (bits_of_width w - 1)))
   | Eq -> bool_ (Int64.equal a b)
   | Ne -> bool_ (not (Int64.equal a b))
-  | Lt -> bool_ (scmp () < 0)
-  | Le -> bool_ (scmp () <= 0)
-  | Gt -> bool_ (scmp () > 0)
-  | Ge -> bool_ (scmp () >= 0)
+  | Lt -> bool_ (Int64.compare (sign_extend w a) (sign_extend w b) < 0)
+  | Le -> bool_ (Int64.compare (sign_extend w a) (sign_extend w b) <= 0)
+  | Gt -> bool_ (Int64.compare (sign_extend w a) (sign_extend w b) > 0)
+  | Ge -> bool_ (Int64.compare (sign_extend w a) (sign_extend w b) >= 0)
   | Ult -> bool_ (Int64.unsigned_compare a b < 0)
-
-(* Signed compare of [x] and [y] sign-extended from bit [63 - sh]. *)
-let[@inline] scmp sh x y =
-  Int64.compare
-    (Int64.shift_right (Int64.shift_left x sh) sh)
-    (Int64.shift_right (Int64.shift_left y sh) sh)
-
-(** {!eval_binop} as a closure over its operand closures, with the
-    width's mask and shift amounts resolved up front. *)
-let binop ctx op w (a : frame -> int64) (b : frame -> int64) : frame -> int64 =
-  let m = truncate w (-1L) in
-  let sh = 64 - bits_of_width w in
-  let amt = bits_of_width w - 1 in
-  match op with
-  | Add -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.add x y) m
-  | Sub -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.sub x y) m
-  | Mul -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.mul x y) m
-  | Udiv ->
-      fun fr ->
-        tick ctx;
-        let x = a fr in
-        let y = b fr in
-        if y = 0L then divide_error () else Int64.logand (Int64.unsigned_div x y) m
-  | Urem ->
-      fun fr ->
-        tick ctx;
-        let x = a fr in
-        let y = b fr in
-        if y = 0L then divide_error () else Int64.logand (Int64.unsigned_rem x y) m
-  | Band -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logand x y) m
-  | Bor -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logor x y) m
-  | Bxor -> fun fr -> tick ctx; let x = a fr in let y = b fr in Int64.logand (Int64.logxor x y) m
-  | Shl ->
-      fun fr ->
-        tick ctx;
-        let x = a fr in
-        let y = b fr in
-        Int64.logand (Int64.shift_left x (Int64.to_int y land amt)) m
-  | Lshr ->
-      (* The masked operand has no bits above the width, so the shifted
-         result needs no second mask. *)
-      fun fr ->
-        tick ctx;
-        let x = a fr in
-        let y = b fr in
-        Int64.shift_right_logical (Int64.logand x m) (Int64.to_int y land amt)
-  | Eq -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (Int64.equal x y)
-  | Ne -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (not (Int64.equal x y))
-  | Lt -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y < 0)
-  | Le -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y <= 0)
-  | Gt -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y > 0)
-  | Ge -> fun fr -> tick ctx; let x = a fr in let y = b fr in bool_ (scmp sh x y >= 0)
-  | Ult ->
-      fun fr ->
-        tick ctx;
-        let x = a fr in
-        let y = b fr in
-        bool_ (Int64.unsigned_compare x y < 0)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: AST -> closures, once per function.                    *)
@@ -326,16 +267,6 @@ let arg_array args fr =
   done;
   vs
 
-let arg_list args fr =
-  let n = Array.length args in
-  let rec go i =
-    if i >= n then []
-    else
-      let v = args.(i) fr in
-      v :: go (i + 1)
-  in
-  go 0
-
 let rec expr ctx sm (e : Ast.expr) : frame -> int64 =
   match e with
   | Const n -> fun _ -> tick ctx; n
@@ -351,23 +282,31 @@ let rec expr ctx sm (e : Ast.expr) : frame -> int64 =
       fun fr -> tick ctx; Kmem.read mem ~addr:(Int64.to_int (a fr)) ~size
   | Binop (op, w, a, b) ->
       let a = expr ctx sm a in
-      binop ctx op w a (expr ctx sm b)
-  | Call (callee, args) -> (
+      let b = expr ctx sm b in
+      fun fr ->
+        tick ctx;
+        let x = a fr in
+        let y = b fr in
+        eval_binop op w x y
+  | Call (target, args) -> (
       let args = Array.of_list (List.map (expr ctx sm) args) in
-      match callee with
-      | Direct name -> direct_call ctx name args
+      match target with
+      | Direct name ->
+          fun fr ->
+            tick ctx;
+            invoke ctx name (arg_array args fr)
       | Ext name -> (
           match ctx.ext_addr name with
           | addr ->
               fun fr ->
                 tick ctx;
-                let vs = arg_list args fr in
+                let vs = arg_array args fr in
                 flush_cycles ctx;
-                ctx.call_ext addr vs
+                ctx.call_ext addr (Array.to_list vs)
           | exception exn ->
               fun fr ->
                 tick ctx;
-                ignore (arg_list args fr);
+                ignore (arg_array args fr);
                 raise exn)
       | Indirect t ->
           (* The rewriter places a Gindcall guard immediately before any
@@ -387,32 +326,18 @@ and address ctx resolve name =
       fun _ -> tick ctx; a
   | exception exn -> fun _ -> tick ctx; raise exn
 
-(* The callee is looked up (and checked) when the call first runs, then
-   cached: its compiled form and arity never change afterwards. *)
-and direct_call ctx name args =
-  let cached = ref None in
-  fun fr ->
-    tick ctx;
-    let vs = arg_array args fr in
-    match !cached with
-    | Some f -> enter ctx name f vs
-    | None ->
-        let f = callee ctx name (Array.length vs) in
-        cached := Some f;
-        enter ctx name f vs
-
 and call_address ctx target vs =
   (* Intra-module function addresses run in the interpreter; everything
      else goes out through the external dispatcher. *)
   match Hashtbl.find_opt (addr_index ctx) target with
-  | Some name -> enter ctx name (callee ctx name (Array.length vs)) vs
+  | Some name -> invoke ctx name vs
   | None ->
       flush_cycles ctx;
       ctx.call_ext target (Array.to_list vs)
 
-(** The compiled function [name], checked against a call with [nargs]
-    arguments. *)
-and callee ctx name nargs =
+(** Call module function [name]: look it up (compiling it on its first
+    activation), check the arity, and run it. *)
+and invoke ctx name vs =
   let f =
     match Hashtbl.find_opt ctx.eng.fns name with
     | Some f -> f
@@ -425,8 +350,9 @@ and callee ctx name nargs =
             f)
   in
   let nparams = Array.length f.fn_params in
+  let nargs = Array.length vs in
   if nparams <> nargs then oops ctx "%s arity mismatch (%d args, want %d)" name nargs nparams;
-  f
+  enter ctx name f vs
 
 and enter ctx name f vs =
   let fr = { slots = Array.make f.fn_nslots 0L; bound = Array.make f.fn_nslots false } in
@@ -543,8 +469,7 @@ and compile ctx (f : func) =
 
 (** [run ctx fname args] invokes module function [fname]. *)
 let run ctx fname args =
-  let vs = Array.of_list args in
-  match enter ctx fname (callee ctx fname (Array.length vs)) vs with
+  match invoke ctx fname (Array.of_list args) with
   | r ->
       flush_cycles ctx;
       r

@@ -10,9 +10,11 @@
     (external calls, guards, hooks, fuel exhaustion, interpreter exit).
 
     Functions are compiled once, on first activation, into closures
-    with names, addresses, frame slots, widths and binop specialisations
-    resolved; compilation is structural, so step counts and cycle
-    totals match direct AST interpretation exactly. *)
+    with names, addresses, frame slots and widths resolved;
+    compilation is structural, so step counts and cycle totals match
+    direct AST interpretation exactly.  An [Alloca] whose size lies
+    outside [\[0, stack_len\]] is a stack-overflow oops, so an alloca
+    buffer always lies in the module stack. *)
 
 open Kernel_sim
 
@@ -73,9 +75,9 @@ val truncate : Ast.width -> int64 -> int64
     how the CAN BCM overflow is expressed). *)
 
 val eval_binop : Ast.binop -> Ast.width -> int64 -> int64 -> int64
-(** Reference binop semantics, which the compiled closures implement;
-    division by zero is a [Kstate.Oops].  Signed compares sign-extend
-    narrow operands; shift amounts wrap at the operation width. *)
+(** Binop semantics; every binop node calls it.  Division by zero is a
+    [Kstate.Oops].  Signed compares sign-extend narrow operands; shift
+    amounts wrap at the operation width. *)
 
 val flush_cycles : ctx -> unit
 (** Charge the batched module cycles to the global clock.  The

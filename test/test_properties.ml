@@ -457,7 +457,8 @@ let reference_binop op a b =
   | Mir.Ast.Gt -> bool_ (Int64.compare a b > 0)
   | Mir.Ast.Ge -> bool_ (Int64.compare a b >= 0)
   | Mir.Ast.Ult -> bool_ (Int64.unsigned_compare a b < 0)
-  | _ -> assert false
+  | Mir.Ast.Udiv -> Int64.unsigned_div a b
+  | Mir.Ast.Urem -> Int64.unsigned_rem a b
 
 let prop_interp_arithmetic =
   QCheck.Test.make ~count:500 ~name:"interpreter binop = Int64 reference"
@@ -466,11 +467,25 @@ let prop_interp_arithmetic =
         (Mir.Interp.eval_binop op Mir.Ast.W64 a b)
         (reference_binop op a b))
 
-(* The compiled engine specialises each (op, width) pair, so every pair
-   goes through [Interp.run] and must agree with [eval_binop], the
-   reference semantics: shift amounts at or past the width, narrow
-   signed compares on values with the width's sign bit set, and
-   [Udiv]/[Urem] by zero (the same oops) included. *)
+(* Every (op, width) pair runs through [Interp.run] and must agree
+   with the width rules written out here: operands are full 64-bit
+   values; results truncate to the width; shift amounts wrap at it and
+   [Lshr] shifts the truncated operand; signed compares sign-extend
+   from it; [Eq], [Ne] and [Ult] compare all 64 bits; [Udiv]/[Urem] by
+   zero are a divide-error oops. *)
+let reference_binop_at op w a b =
+  let bits = 8 * Mir.Ast.bytes_of_width w in
+  let cut v = if bits = 64 then v else Int64.logand v (Int64.pred (Int64.shift_left 1L bits)) in
+  let sext v = Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits) in
+  let amount = Int64.to_int b land (bits - 1) in
+  match op with
+  | Mir.Ast.(Udiv | Urem) when b = 0L -> raise (Kernel_sim.Kstate.Oops "divide error")
+  | Mir.Ast.Shl -> cut (Int64.shift_left a amount)
+  | Mir.Ast.Lshr -> Int64.shift_right_logical (cut a) amount
+  | Mir.Ast.(Lt | Le | Gt | Ge) -> reference_binop op (sext a) (sext b)
+  | Mir.Ast.(Eq | Ne | Ult) -> reference_binop op a b
+  | _ -> cut (reference_binop op a b)
+
 let all_binops =
   Mir.Ast.[ Add; Sub; Mul; Udiv; Urem; Band; Bor; Bxor; Shl; Lshr; Eq; Ne; Lt; Le; Gt; Ge; Ult ]
 
@@ -517,11 +532,11 @@ let arb_width_case =
     QCheck.Gen.(quad (oneofl all_binops) (oneofl all_widths) gen_operand gen_operand)
 
 let prop_compiled_binops =
-  QCheck.Test.make ~count:3000 ~name:"compiled binop = eval_binop at every width"
+  QCheck.Test.make ~count:3000 ~name:"engine binop = width reference at every width"
     arb_width_case (fun (op, w, a, b) ->
       let outcome f = match f () with v -> Ok v | exception Kernel_sim.Kstate.Oops m -> Error m in
       outcome (fun () -> Mir.Interp.run (Lazy.force binop_ctx) (binop_fname op w) [ a; b ])
-      = outcome (fun () -> Mir.Interp.eval_binop op w a b))
+      = outcome (fun () -> reference_binop_at op w a b))
 
 let prop_truncation =
   QCheck.Test.make ~count:300 ~name:"width truncation masks correctly"

@@ -57,23 +57,42 @@ let test_safe_store_elided () =
   Alcotest.(check int) "two guarded" 2 r.RW.r_write_guards
 
 let test_elision_needs_stable_binding () =
-  (* rebinding the alloca variable kills the bound, so the store must
-     be guarded *)
+  (* The alloca must be the only binding of its variable.  A [Let]
+     after it, before it, in a branch or in a loop, a parameter of the
+     same name, a second alloca, or a name the rewriter uses for its
+     own temporaries each leave another address the store could go
+     through, so the store must be guarded. *)
+  let cases =
+    [
+      ("let after", [], [ alloca "buf" 32; let_ "buf" (v "buf" +: ii 16) ]);
+      ("let before", [], [ let_ "buf" (glob "g"); alloca "buf" 32 ]);
+      ("parameter", [ "buf" ], [ alloca "buf" 32 ]);
+      ("let in a branch", [], [ if_ (ii 0) [ let_ "buf" (glob "g") ] []; alloca "buf" 32 ]);
+      ("let in a loop", [], [ alloca "buf" 32; while_ (ii 0) [ let_ "buf" (glob "g") ] ]);
+      ("two allocas", [], [ alloca "buf" 8; alloca "buf" 32 ]);
+    ]
+  in
+  List.iter
+    (fun (name, params, prefix) ->
+      let p = mk [ func "f" params (prefix @ [ store64 (v "buf") (ii 1); ret0 ]) ] in
+      let _, r = RW.instrument cfg p in
+      Alcotest.(check int) (name ^ ": not elided") 0 r.RW.r_write_elided;
+      Alcotest.(check int) (name ^ ": guarded") 1 r.RW.r_write_guards)
+    cases;
   let p =
     mk
       [
         func "f" []
           [
-            alloca "buf" 32;
-            let_ "buf" (v "buf" +: ii 16);
-            store64 (v "buf") (ii 1);
+            alloca "__lxfi1" 32;
+            store64 (glob "g") (ii 1) (* its guard rebinds __lxfi1 to &g *);
+            store64 (v "__lxfi1") (ii 2);
             ret0;
           ];
       ]
   in
   let _, r = RW.instrument cfg p in
-  Alcotest.(check int) "no elision after rebind" 0 r.RW.r_write_elided;
-  Alcotest.(check int) "guarded" 1 r.RW.r_write_guards
+  Alcotest.(check int) "temporary name: not elided" 0 r.RW.r_write_elided
 
 let test_indirect_call_guarded () =
   let p =
@@ -256,6 +275,37 @@ let test_alloca_cannot_leave_stack config () =
   Alcotest.(check int64) "slab object intact" 0x5a5aL
     (Kernel_sim.Kmem.read_u64 sys.Kmodules.Ksys.kst.Kernel_sim.Kstate.mem victim)
 
+(* The same slab object, reached by storing through the alloca's
+   variable before the alloca binds it: once through a [Let], once
+   through a parameter of the same name.  Neither store may be elided,
+   so the guard stops both. *)
+let store_victim = store64 (v "buf") (ii 0x4141_4141)
+let atk_prog funcs = prog "atk" ~imports:[] ~globals:[] ~funcs
+let atk_entry body = func "entry" [] body ~export:"atk.entry"
+
+let rebound_by_let victim =
+  atk_prog [ atk_entry [ let_ "buf" (ii victim); store_victim; alloca "buf" 64; ret0 ] ]
+
+let rebound_by_param victim =
+  atk_prog
+    [
+      func "poke" [ "buf" ] [ store_victim; alloca "buf" 64; ret0 ];
+      atk_entry [ expr (call "poke" [ ii victim ]); ret0 ];
+    ]
+
+let test_rebound_alloca_guarded config () =
+  List.iter
+    (fun (name, attack) ->
+      let sys, victim = boot_with_victim config in
+      let mi, report = Kmodules.Ksys.load sys (attack victim) in
+      Alcotest.(check int) (name ^ ": not elided") 0 report.RW.r_write_elided;
+      (match Lxfi.Runtime.invoke_module_function sys.Kmodules.Ksys.rt mi "entry" [] with
+      | _ -> Alcotest.fail (name ^ ": the store must be refused")
+      | exception Lxfi.Violation.Violation _ -> ());
+      Alcotest.(check int64) (name ^ ": slab object intact") 0x5a5aL
+        (Kernel_sim.Kmem.read_u64 sys.Kmodules.Ksys.kst.Kernel_sim.Kstate.mem victim))
+    [ ("let", rebound_by_let); ("parameter", rebound_by_param) ]
+
 let () =
   Alcotest.run "rewriter"
     [
@@ -269,6 +319,10 @@ let () =
           Alcotest.test_case "alloca cannot leave the stack [xfi]" `Quick
             (test_alloca_cannot_leave_stack Lxfi.Config.xfi);
           Alcotest.test_case "rebind kills elision" `Quick test_elision_needs_stable_binding;
+          Alcotest.test_case "rebound alloca variable guarded [lxfi]" `Quick
+            (test_rebound_alloca_guarded Lxfi.Config.lxfi);
+          Alcotest.test_case "rebound alloca variable guarded [xfi]" `Quick
+            (test_rebound_alloca_guarded Lxfi.Config.xfi);
           Alcotest.test_case "indirect call guarded" `Quick test_indirect_call_guarded;
           Alcotest.test_case "nested indirect rejected" `Quick test_nested_indirect_rejected;
           Alcotest.test_case "double instrumentation rejected" `Quick
