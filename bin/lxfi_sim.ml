@@ -1,21 +1,21 @@
 (* lxfi_sim — command-line driver for the LXFI reproduction.
 
+     lxfi_sim paper [SECTION...]             the paper's evaluation tables
+     lxfi_sim reference                      enforcement-neutrality JSON
      lxfi_sim exploit [NAME] [--mode MODE]   run CVE exploits
-     lxfi_sim netperf [--pkts N]             Figure 12 rows
-     lxfi_sim micro [--no-opt]               Figure 11 rows
-     lxfi_sim modules                        corpus + annotation effort
      lxfi_sim annotations                    the annotated kernel API
+     lxfi_sim state                          principal and capability state
      lxfi_sim dump MODULE [--mode MODE]      instrumented MIR of a module
      lxfi_sim faultsim [--seed N]            fault-injection campaign
      lxfi_sim lifecycle [--seed N]           hot-upgrade + repair/replay campaign
      lxfi_sim fuzz [--seed N] [--runs K]     adversarial differential fuzzing
      lxfi_sim trace WORKLOAD [--seed N]      event trace + principal profile
+     lxfi_sim runmod FILE [--entry F]        load and run a textual MIR module
      lxfi_sim check [MODULE|--all] [--json F] static annotation + capflow check
 *)
 
 open Cmdliner
 open Kmodules
-module R = Workloads.Report
 
 let mode_conv =
   let parse = function
@@ -32,6 +32,15 @@ let mode_arg =
     value
     & opt (some mode_conv) None
     & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Enforcement mode: stock, xfi or lxfi.")
+
+(* Trace.make refuses a capacity below 1, so --limit rejects it here. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Fmt.int)
 
 (* ---- exploit ---- *)
 
@@ -77,93 +86,43 @@ let exploit_cmd =
     (Cmd.info "exploit" ~doc:"Run the CVE exploit reproductions (Figure 8).")
     Term.(const run $ name_arg $ mode_arg)
 
-(* ---- netperf ---- *)
+(* ---- paper ---- *)
 
-let netperf_cmd =
-  let pkts =
-    Arg.(value & opt int 4000 & info [ "pkts" ] ~doc:"Packets per measurement.")
+let paper_cmd =
+  let sections =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (name, _) -> (name, name)) Paper.sections)) []
+      & info [] ~docv:"SECTION"
+          ~doc:"Section to print: fig7 to fig13, guards, ablation, captable, \
+                rewrite or overheads; all if omitted.")
   in
-  let run pkts =
+  let run names =
     Kernel_sim.Klog.quiet ();
-    let rows = Workloads.Netperf_sim.figure12 ~pkts () in
-    R.table ~title:"netperf (Figure 12)"
-      ~header:[ "Test"; "stock"; "LXFI"; "cpu"; "cpu(LXFI)" ]
-      (List.map
-         (fun (r : Workloads.Netperf_sim.row) ->
-           let fmt v =
-             if r.Workloads.Netperf_sim.r_unit = "Mbit/s" then Printf.sprintf "%.0f Mbit/s" v
-             else if v >= 1e6 then Printf.sprintf "%.2fM/s" (v /. 1e6)
-             else Printf.sprintf "%.1fK/s" (v /. 1e3)
-           in
-           [
-             r.Workloads.Netperf_sim.r_test;
-             fmt r.Workloads.Netperf_sim.r_stock;
-             fmt r.Workloads.Netperf_sim.r_lxfi;
-             R.pct r.Workloads.Netperf_sim.r_stock_cpu;
-             R.pct r.Workloads.Netperf_sim.r_lxfi_cpu;
-           ])
-         rows)
+    Paper.print names
   in
   Cmd.v
-    (Cmd.info "netperf" ~doc:"Run the netperf simulation (Figure 12).")
-    Term.(const run $ pkts)
+    (Cmd.info "paper"
+       ~doc:"Print the paper's evaluation tables (Figures 7-13, the ablations \
+             and per-module overheads) with the paper's values alongside.  \
+             guards and captable are host timings; every other section is \
+             deterministic.  fig7 counts this source tree, so run it from the \
+             source root.")
+    Term.(term_result' (const run $ sections))
 
-(* ---- micro ---- *)
+(* ---- reference ---- *)
 
-let micro_cmd =
-  let noopt =
-    Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable rewriter optimizations.")
-  in
-  let run noopt =
-    Kernel_sim.Klog.quiet ();
-    let config =
-      if noopt then
-        {
-          Lxfi.Config.lxfi with
-          Lxfi.Config.opt_elide_safe_writes = false;
-          opt_inline_trivial = false;
-        }
-      else Lxfi.Config.lxfi
-    in
-    R.table ~title:"SFI microbenchmarks (Figure 11)"
-      ~header:[ "Benchmark"; "dCode"; "slowdown" ]
-      (List.map
-         (fun (r : Workloads.Microbench.result) ->
-           [
-             r.Workloads.Microbench.b_name;
-             Printf.sprintf "%.2fx" r.Workloads.Microbench.b_code_ratio;
-             R.pct1 r.Workloads.Microbench.b_slowdown;
-           ])
-         (Workloads.Microbench.all ~config_lxfi:config ()))
-  in
-  Cmd.v
-    (Cmd.info "micro" ~doc:"Run the SFI microbenchmarks (Figure 11).")
-    Term.(const run $ noopt)
-
-(* ---- modules ---- *)
-
-let modules_cmd =
+let reference_cmd =
   let run () =
     Kernel_sim.Klog.quiet ();
-    let sys = Ksys.boot Lxfi.Config.lxfi in
-    let rows, total_fn, total_fp = Catalog.annotation_effort sys in
-    R.table ~title:"module corpus and annotation effort (Figure 9)"
-      ~header:[ "Category"; "Module"; "#fn"; "uniq"; "#fptr"; "uniq" ]
-      (List.map
-         (fun (r : Catalog.effort_row) ->
-           [
-             r.Catalog.e_category;
-             r.Catalog.e_module;
-             string_of_int r.Catalog.e_functions_all;
-             string_of_int r.Catalog.e_functions_unique;
-             string_of_int r.Catalog.e_fptrs_all;
-             string_of_int r.Catalog.e_fptrs_unique;
-           ])
-         rows
-      @ [ [ ""; "Total (distinct)"; string_of_int total_fn; ""; string_of_int total_fp; "" ] ])
+    print_string (Paper.reference ())
   in
   Cmd.v
-    (Cmd.info "modules" ~doc:"List the ten-module corpus and annotation effort.")
+    (Cmd.info "reference"
+       ~doc:"Print the enforcement-neutrality reference: the Figure 13 guard \
+             counters and simulated cycles plus the faultsim seed-42 outcomes, \
+             as JSON.  dune runtest diffs it against \
+             test/reference/guard_reference.json.")
     Term.(const run $ const ())
 
 (* ---- annotations ---- *)
@@ -273,18 +232,20 @@ let faultsim_cmd =
   in
   let run seed trace_dir =
     Kernel_sim.Klog.quiet ();
-    (match trace_dir with
-    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-    | _ -> ());
-    let rows, breaches = Workloads.Faultsim.run ?trace_dir ~seed () in
-    exit (Workloads.Faultsim.print ~seed rows breaches)
+    (* a trace directory that cannot be created or written is a CLI error *)
+    match
+      Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) trace_dir;
+      Workloads.Faultsim.run ?trace_dir ~seed ()
+    with
+    | exception Sys_error e -> Error e
+    | rows, breaches -> exit (Workloads.Faultsim.print ~seed rows breaches)
   in
   Cmd.v
     (Cmd.info "faultsim"
        ~doc:"Run the deterministic fault-injection campaign against the \
              quarantine policy (alloc-fail, drop-grant, corrupt-slot, \
              watchdog x netperf, can, rds).")
-    Term.(const run $ seed $ trace_dir)
+    Term.(term_result' (const run $ seed $ trace_dir))
 
 (* ---- lifecycle ---- *)
 
@@ -402,7 +363,7 @@ let trace_cmd =
   in
   let limit =
     Arg.(
-      value & opt int Trace.default_capacity
+      value & opt positive Trace.default_capacity
       & info [ "limit" ] ~docv:"N"
           ~doc:"Ring-buffer capacity: retain at most $(docv) events (newest win).")
   in
@@ -560,10 +521,9 @@ let () =
              ~doc:"LXFI (SOSP 2011) reproduction: SFI with API integrity and \
                    multi-principal kernel modules.")
           [
+            paper_cmd;
+            reference_cmd;
             exploit_cmd;
-            netperf_cmd;
-            micro_cmd;
-            modules_cmd;
             annotations_cmd;
             state_cmd;
             dump_cmd;

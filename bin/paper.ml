@@ -1,86 +1,39 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§8) from this reproduction.
+(* The paper's evaluation (§8): every table of Figures 7-13, the
+   ablations and the per-module extension, and the enforcement-neutrality
+   reference.  `lxfi_sim paper [SECTION...]` prints the tables and
+   `lxfi_sim reference` the reference.  Paper values are printed
+   alongside; EXPERIMENTS.md records the comparison run by run.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- fig12   -- one section
-
-   Sections: fig7 fig8 fig9 fig10 fig11 fig12 fig13 guards ablation
-   captable rewrite overheads faultsim lifecycle; "netperf" is an
-   alias for fig12+fig13.
-   Paper reference values are printed alongside; EXPERIMENTS.md records
-   the comparison run-by-run.
-
-   Flags:
-     --json              also write BENCH_<section>.json per section
-                         (wall-clock seconds + the section's data,
-                         including simulated cycles and guard counters
-                         where the section measures them)
-     --check FILE        enforcement-neutrality check: recompute the
-                         deterministic guard counters (fig13 + faultsim)
-                         and compare byte-for-byte against FILE; exit 1
-                         on mismatch.  Runs instead of the sections.
-     --write-ref FILE    regenerate FILE for --check
-     --trace             additionally run a traced netperf op mix:
-                         prints the per-principal profile and writes
-                         TRACE_netperf.json (Chrome trace-event format) *)
+   Every section is a deterministic function of the simulation except
+   two: `guards` and `captable` time primitives on this host with
+   bechamel. *)
 
 open Kmodules
 open Workloads
 module R = Report
 
-let json_mode = ref false
-let check_file = ref None
-let write_ref_file = ref None
-let trace_mode = ref false
-
-let cli_sections =
-  let rec strip = function
-    | [] -> []
-    | "--json" :: rest ->
-        json_mode := true;
-        strip rest
-    | "--trace" :: rest ->
-        trace_mode := true;
-        strip rest
-    | "--check" :: file :: rest ->
-        check_file := Some file;
-        strip rest
-    | "--write-ref" :: file :: rest ->
-        write_ref_file := Some file;
-        strip rest
-    | arg :: rest -> arg :: strip rest
-  in
-  let named = strip (Array.to_list Sys.argv |> List.tl) in
-  (* "netperf" = the end-to-end netperf pipeline, fig12 + fig13 *)
-  List.concat_map (function "netperf" -> [ "fig12"; "fig13" ] | s -> [ s ]) named
-
-let section_wanted name = cli_sections = [] || List.mem name cli_sections
-
 (* ------------------------------------------------------------------ *)
 (* Figure 7: components and lines of code.                             *)
 (* ------------------------------------------------------------------ *)
 
-let count_loc dir =
-  let rec files d =
-    if Sys.is_directory d then
-      Sys.readdir d |> Array.to_list
-      |> List.concat_map (fun f -> files (Filename.concat d f))
-    else if Filename.check_suffix d ".ml" || Filename.check_suffix d ".mli" then [ d ]
+(* fig7 run outside the source root must refuse, not print zero lines. *)
+exception Outside_source_root of string
+
+(* Lines of the .ml and .mli files under [path]. *)
+let count_loc path =
+  let rec files p =
+    if Sys.is_directory p then
+      Sys.readdir p |> Array.to_list
+      |> List.concat_map (fun f -> files (Filename.concat p f))
+    else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli" then [ p ]
     else []
   in
-  List.fold_left
-    (fun acc f ->
-      let ic = open_in f in
-      let n = ref 0 in
-      (try
-         while true do
-           ignore (input_line ic);
-           incr n
-         done
-       with End_of_file -> close_in ic);
-      acc + !n)
-    0
-    (try files dir with Sys_error _ -> [])
+  match files path with
+  | exception Sys_error e -> raise (Outside_source_root e)
+  | files ->
+      List.fold_left
+        (fun acc f -> acc + List.length (In_channel.with_open_text f In_channel.input_lines))
+        0 files
 
 let fig7 () =
   let components =
@@ -197,22 +150,18 @@ let fig10 () =
 (* ------------------------------------------------------------------ *)
 
 let fig11 () =
-  let paper = [ ("hotlist", "1.14x", "0%"); ("lld", "1.12x", "11%"); ("MD5", "1.15x", "2%") ] in
+  let paper =
+    [ ("hotlist", [ "1.14x"; "0%" ]); ("lld", [ "1.12x"; "11%" ]); ("MD5", [ "1.15x"; "2%" ]) ]
+  in
   let rows =
     List.map
       (fun (r : Microbench.result) ->
-        let p_sz, p_sd =
-          match List.assoc_opt r.Microbench.b_name (List.map (fun (a, b, c) -> (a, (b, c))) paper) with
-          | Some (b, c) -> (b, c)
-          | None -> ("-", "-")
-        in
         [
           r.Microbench.b_name;
           Printf.sprintf "%.2fx" r.Microbench.b_code_ratio;
           R.pct1 r.Microbench.b_slowdown;
-          p_sz;
-          p_sd;
-        ])
+        ]
+        @ Option.value ~default:[ "-"; "-" ] (List.assoc_opt r.Microbench.b_name paper))
       (Microbench.all ())
   in
   R.table
@@ -265,21 +214,7 @@ let fig12 () =
   in
   R.table ~title:"Figure 12: netperf with stock and LXFI-isolated e1000"
     ~header:[ "Test"; "stock"; "LXFI"; "cpu"; "cpu(LXFI)"; "paper" ]
-    rows;
-  Some
-    (Bench_json.List
-       (List.map
-          (fun (r : Netperf_sim.row) ->
-            Bench_json.Obj
-              [
-                ("test", Bench_json.Str r.Netperf_sim.r_test);
-                ("unit", Bench_json.Str r.Netperf_sim.r_unit);
-                ("stock", Bench_json.Float r.Netperf_sim.r_stock);
-                ("lxfi", Bench_json.Float r.Netperf_sim.r_lxfi);
-                ("stock_cpu", Bench_json.Float r.Netperf_sim.r_stock_cpu);
-                ("lxfi_cpu", Bench_json.Float r.Netperf_sim.r_lxfi_cpu);
-              ])
-          data))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Figure 13 + guard primitive timing (bechamel).                      *)
@@ -380,23 +315,7 @@ let fig13 () =
           cycles/pkt, of which %.0f guard cycles)"
          m.Netperf_sim.m_cycles_per_unit m.Netperf_sim.m_guard_cycles_per_unit)
     ~header:[ "Guard type"; "per packet"; "paper" ]
-    rows;
-  Some
-    (Bench_json.Obj
-       [
-         ( "guards_per_packet",
-           Bench_json.List
-             (List.map
-                (fun (g : Netperf_sim.guard_row) ->
-                  Bench_json.Obj
-                    [
-                      ("type", Bench_json.Str g.Netperf_sim.g_type);
-                      ("per_packet", Bench_json.Float g.Netperf_sim.g_per_packet);
-                      ("paper", Bench_json.Float g.Netperf_sim.g_paper_per_packet);
-                    ])
-                guards) );
-         ("measure", Bench_json.of_measure m);
-       ])
+    rows
 
 let guards_section () =
   let timings = guard_primitive_timings () in
@@ -406,14 +325,7 @@ let guards_section () =
       "Guard primitives measured on this host with bechamel (the paper's \
        'time per guard' column measured 14-124 ns on an i3-550)"
     ~header:[ "Primitive"; "ns/op" ]
-    rows;
-  Some
-    (Bench_json.List
-       (List.map
-          (fun (name, ns) ->
-            Bench_json.Obj
-              [ ("primitive", Bench_json.Str name); ("host_ns", Bench_json.Float ns) ])
-          timings))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablations.                                                          *)
@@ -523,15 +435,7 @@ let captable_ablation () =
       [ "page-masked hash table"; Printf.sprintf "%.0f" hashed_ns; Printf.sprintf "%.1f ns" (hashed_ns /. 64.) ];
       [ "linear interval list"; Printf.sprintf "%.0f" linear_ns; Printf.sprintf "%.1f ns" (linear_ns /. 64.) ];
       [ "speedup"; Printf.sprintf "%.1fx" (linear_ns /. Float.max 1. hashed_ns); "" ];
-    ];
-  Some
-    (Bench_json.Obj
-       [
-         ("live_ranges", Bench_json.Int n);
-         ("probes_per_op", Bench_json.Int 64);
-         ("hashed_host_ns", Bench_json.Float hashed_ns);
-         ("linear_host_ns", Bench_json.Float linear_ns);
-       ])
+    ]
 
 (* Extension: per-module isolation overhead — the paper benchmarks
    only e1000; this table gives one representative workload per module
@@ -554,54 +458,7 @@ let module_overheads () =
     ~title:
       "Extension: per-module isolation overhead (simulated cycles per        operation; the paper measures only e1000)"
     ~header:[ "Module"; "Operation"; "stock"; "LXFI"; "overhead" ]
-    rows;
-  Some
-    (Bench_json.List
-       (List.map
-          (fun (r : Module_bench.row) ->
-            Bench_json.Obj
-              [
-                ("module", Bench_json.Str r.Module_bench.mb_module);
-                ("op", Bench_json.Str r.Module_bench.mb_op);
-                ("stock_cycles", Bench_json.Float r.Module_bench.mb_stock_cycles);
-                ("lxfi_cycles", Bench_json.Float r.Module_bench.mb_lxfi_cycles);
-                ("overhead", Bench_json.Float r.Module_bench.mb_overhead);
-              ])
-          data))
-
-(* Robustness: the deterministic fault-injection campaign against the
-   quarantine policy (see lib/workloads/faultsim.ml and EXPERIMENTS.md,
-   "faultsim").  Seed fixed so the bench output is reproducible. *)
-let faultsim_section () =
-  let rows, breaches = Faultsim.run ~seed:42 () in
-  ignore (Faultsim.print ~seed:42 rows breaches : int);
-  if !json_mode then Some (Faultsim.to_json rows breaches) else None
-
-(* Robustness: the live-lifecycle campaign — hot upgrades under
-   traffic plus quarantine→repair→replay (lib/workloads/lifecycle.ml;
-   EXPERIMENTS.md, "lifecycle").  Seed fixed for reproducibility.  Not
-   part of the enforcement reference: the campaign exercises the
-   upgrade/repair paths only, so its counters are gated separately by
-   the CI lifecycle job's run-twice cmp. *)
-let lifecycle_section () =
-  let rows, breaches = Lifecycle.run ~seed:1 () in
-  ignore (Lifecycle.print ~seed:1 rows breaches : int);
-  if !json_mode then Some (Lifecycle.to_json ~seed:1 rows breaches) else None
-
-(* Event tracing (--trace): one traced netperf op mix; the profile goes
-   to stdout, the Chrome trace-event JSON next to the bench JSON. *)
-let trace_section () =
-  let out = "TRACE_netperf.json" in
-  let rc = Trace_run.run ~seed:1 ~workload:"netperf" ~out Fmt.stdout in
-  Some
-    (Bench_json.Obj
-       [
-         ("workload", Bench_json.Str "netperf");
-         ("seed", Bench_json.Int 1);
-         ("ops", Bench_json.Int Trace_run.ops);
-         ("chrome_trace", Bench_json.Str out);
-         ("cycles_reconciled", Bench_json.Bool (rc = 0));
-       ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Enforcement-neutrality reference.                                    *)
@@ -611,11 +468,12 @@ let trace_section () =
    (guard counters, simulated cycles, faultsim outcomes — no host
    timing), so the serialized form must be byte-identical run to run
    and commit to commit unless enforcement semantics actually change.
-   CI regenerates it and compares against the committed copy. *)
-let enforcement_reference () =
+   `dune runtest` diffs it against test/reference/guard_reference.json. *)
+let reference () =
   let guards, m = Netperf_sim.figure13 () in
   let rows, breaches = Faultsim.run ~seed:42 () in
-  Bench_json.Obj
+  Bench_json.to_string
+    (Bench_json.Obj
     [
       ( "fig13",
         Bench_json.Obj
@@ -633,89 +491,36 @@ let enforcement_reference () =
             ("measure", Bench_json.of_measure m);
           ] );
       ("faultsim", Faultsim.to_json rows breaches);
-    ]
-
-let reference_string () = Bench_json.to_string (enforcement_reference ()) ^ "\n"
-
-let check_reference file =
-  let expected =
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let actual = reference_string () in
-  if String.equal actual expected then begin
-    Printf.printf "guard reference OK (%s)\n" file;
-    0
-  end
-  else begin
-    Printf.printf
-      "guard reference MISMATCH against %s — enforcement semantics changed.\n\
-       Recorded counters differ from this build's; if the change is intended,\n\
-       regenerate with: bench/main.exe --write-ref %s\n\
-       --- expected ---\n%s--- actual ---\n%s"
-      file file expected actual;
-    1
-  end
+    ])
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  Kernel_sim.Klog.quiet ();
-  (match !write_ref_file with
-  | Some file ->
-      let oc = open_out_bin file in
-      output_string oc (reference_string ());
-      close_out oc;
-      Printf.printf "wrote %s\n" file;
-      exit 0
-  | None -> ());
-  (match !check_file with Some file -> exit (check_reference file) | None -> ());
-  let plain f () =
-    f ();
-    None
-  in
-  let sections =
-    [
-      ("fig7", plain fig7);
-      ("fig8", plain fig8);
-      ("fig9", plain fig9);
-      ("fig10", plain fig10);
-      ("fig11", plain fig11);
-      ("fig12", fig12);
-      ("fig13", fig13);
-      ("guards", guards_section);
-      ("ablation", plain ablation);
-      ("captable", captable_ablation);
-      ("rewrite", plain rewrite_table);
-      ("overheads", module_overheads);
-      ("faultsim", faultsim_section);
-      ("lifecycle", lifecycle_section);
-    ]
-    @ if !trace_mode then [ ("trace", trace_section) ] else []
-  in
-  List.iter
-    (fun (name, f) ->
-      if name = "trace" || section_wanted name then begin
-        (* Monotonic clock for the wall field: gettimeofday jumps under
-           NTP adjustment, which poisoned BENCH_*.json comparisons. *)
-        let t0 = Monotonic_clock.now () in
-        let data = f () in
-        let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
-        match data with
-        | Some d when !json_mode ->
-            let file = "BENCH_" ^ name ^ ".json" in
-            Bench_json.write_file file
-              (Bench_json.Obj
-                 [
-                   ("section", Bench_json.Str name);
-                   ("wall_seconds", Bench_json.Float wall);
-                   ("data", d);
-                 ]);
-            Printf.printf "[json] wrote %s\n" file
-        | _ -> ()
-      end)
-    sections;
-  print_endline ""
+let sections =
+  [
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("guards", guards_section);
+    ("ablation", ablation);
+    ("captable", captable_ablation);
+    ("rewrite", rewrite_table);
+    ("overheads", module_overheads);
+  ]
+
+(* Prints the named sections in the order of [sections]; all of them
+   when [names] is empty. *)
+let print names =
+  match
+    List.iter (fun (name, f) -> if names = [] || List.mem name names then f ()) sections
+  with
+  | () ->
+      print_newline ();
+      Ok ()
+  | exception Outside_source_root e ->
+      Error (e ^ " (fig7 counts this source tree: run it from the source root)")
+

@@ -1,7 +1,7 @@
-(** Machine-readable benchmark output.
+(** Machine-readable reports.
 
-    Each bench section serializes to a [BENCH_<section>.json] file so
-    runs can be diffed, plotted, and regression-checked by CI without
+    [lxfi_sim reference] and every [--json] report serialize through it,
+    so runs can be diffed, plotted, and regression-checked without
     scraping the text tables.  The emitter is a deliberately small
     hand-rolled JSON printer (no JSON library in the dependency
     cone) — output is standard JSON: objects, arrays, strings with

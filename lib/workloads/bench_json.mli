@@ -1,5 +1,5 @@
-(** Machine-readable benchmark output: a minimal JSON emitter for the
-    [BENCH_<section>.json] files written by [bench/main.exe --json].
+(** Machine-readable reports: a minimal JSON emitter for [lxfi_sim
+    reference] and the [--json] reports of the lxfi_sim subcommands.
     Output is standard JSON; [nan]/[inf] floats become [null]. *)
 
 type t =

@@ -49,7 +49,7 @@ val run : ?trace_dir:string -> seed:int -> unit -> row list * string list
 
 val to_json : row list -> string list -> Bench_json.t
 (** Byte-stable JSON rendering of a {!run} result (simulated quantities
-    only); also the [faultsim] part of the bench enforcement reference. *)
+    only); also the [faultsim] part of [lxfi_sim reference]. *)
 
 val print : seed:int -> row list -> string list -> int
 (** Print the report table of a {!run} result; 0 when every invariant

@@ -1,5 +1,5 @@
-(** Fixed-width table formatting shared by the benchmark harness and
-    the CLI. *)
+(** Fixed-width table formatting shared by [lxfi_sim paper] and the
+    other subcommands. *)
 
 let rule width = String.make width '-'
 
