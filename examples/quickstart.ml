@@ -84,7 +84,7 @@ let () =
   say "  the module passes &current->uid to spin_lock_init, hoping the";
   say "  kernel will write 0 (root) there on its behalf.";
   let kst = sys.Ksys.kst in
-  let uid_addr = Task.field_addr kst.Kstate.types kst.Kstate.current "uid" in
+  let uid_addr = Task.field_addr kst.Kstate.current "uid" in
   let emi, _ = Ksys.load sys (evil_module ~uid_addr) in
   (match Lxfi.Runtime.invoke_module_function sys.Ksys.rt emi "evil_op" [ 0L ] with
   | _ -> say "  !!! the attack went through (this should not happen under LXFI)"
@@ -98,7 +98,7 @@ let () =
     (Annot.Registry.define_exn sys.Ksys.rt.Lxfi.Runtime.registry ~name:"bench.entry"
        ~params:[ "n" ] ~annot_src:"");
   let kst = sys.Ksys.kst in
-  let uid_addr = Task.field_addr kst.Kstate.types kst.Kstate.current "uid" in
+  let uid_addr = Task.field_addr kst.Kstate.current "uid" in
   let emi, _ = Ksys.load sys (evil_module ~uid_addr) in
   ignore (Lxfi.Runtime.invoke_module_function sys.Ksys.rt emi "evil_op" [ 0L ]);
   say "  current uid is now %d — root. That is why modules need API integrity."

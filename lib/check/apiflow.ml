@@ -26,6 +26,7 @@
 
 open Mir.Ast
 module SSet = Set.Make (String)
+module SMap = Map.Make (String)
 
 module PSet = Set.Make (struct
   type t = string * string
@@ -231,16 +232,24 @@ type graph = {
   g_nodes : string list;  (** kexports the module can call, sorted *)
   g_start : string list;  (** calls that may begin an activation, sorted *)
   g_edges : (string * string) list;  (** sorted may-follow pairs *)
+  g_first : SSet.t;  (** [g_start]: the successors of the start position *)
+  g_next : SSet.t SMap.t;
+      (** [g_edges] as a lookup: each edge source's successors *)
+  g_node_set : SSet.t;  (** [g_nodes] *)
 }
 
 (** [permits g ~pos k] — may the module call kexport [k] from automaton
-    position [pos] ([None] = start)? *)
+    position [pos] ([None] = start)?  Two balanced-tree lookups ordered
+    by [String.compare]: the position's successor set, then [k] in it. *)
 let permits g ~pos k =
   match pos with
-  | None -> List.mem k g.g_start
-  | Some p -> List.mem (p, k) g.g_edges
+  | None -> SSet.mem k g.g_first
+  | Some p -> (
+      match SMap.find_opt p g.g_next with
+      | Some next -> SSet.mem k next
+      | None -> false)
 
-let has_node g k = List.mem k g.g_nodes
+let has_node g k = SSet.mem k g.g_node_set
 
 (** [extract env prog] — the flow graph of [prog], with kexports
     identified through [env].  Deterministic: pure set computations,
@@ -289,11 +298,24 @@ let extract (env : Env.t) (prog : prog) : graph =
         List.fold_left (stmt_sites is_kexport) acc fn.body)
       SSet.empty prog.funcs
   in
+  (* [edges] as a lookup, built as [edges] is: the boundary edges
+     [lasts × firsts], then the within-function pairs. *)
+  let next =
+    PSet.fold
+      (fun (a, b) m ->
+        let succ = Option.value (SMap.find_opt a m) ~default:SSet.empty in
+        SMap.add a (SSet.add b succ) m)
+      pairs
+      (SSet.fold (fun a m -> SMap.add a firsts m) lasts SMap.empty)
+  in
   {
     g_module = prog.pname;
     g_nodes = SSet.elements nodes;
     g_start = SSet.elements firsts;
     g_edges = PSet.elements edges;
+    g_first = firsts;
+    g_next = next;
+    g_node_set = nodes;
   }
 
 (** Byte-stable rendering, one line per fact. *)

@@ -8,35 +8,44 @@
     modules provide a layered block device abstraction that can be
     instantiated for a particular block device"). *)
 
-let tt_struct = "target_type"
-let ti_struct = "dm_target"
-let bio_struct = "bio"
+let tt_layout =
+  Ktypes.layout "target_type"
+    [
+      ("ctr", 8, Ktypes.Funcptr "target_type.ctr");
+      ("dtr", 8, Ktypes.Funcptr "target_type.dtr");
+      ("map", 8, Ktypes.Funcptr "target_type.map");
+    ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types tt_struct
-       [
-         ("ctr", 8, Ktypes.Funcptr "target_type.ctr");
-         ("dtr", 8, Ktypes.Funcptr "target_type.dtr");
-         ("map", 8, Ktypes.Funcptr "target_type.map");
-       ]);
-  ignore
-    (Ktypes.define types ti_struct
-       [
-         ("private", 8, Ktypes.Pointer);
-         ("begin", 8, Ktypes.Scalar);
-         ("len", 8, Ktypes.Scalar);
-         ("error", 4, Ktypes.Scalar);
-       ]);
-  ignore
-    (Ktypes.define types bio_struct
-       [
-         ("sector", 8, Ktypes.Scalar);
-         ("data", 8, Ktypes.Pointer);
-         ("size", 4, Ktypes.Scalar);
-         ("rw", 4, Ktypes.Scalar);  (* 0 read, 1 write *)
-         ("status", 4, Ktypes.Scalar);
-       ])
+let ti_layout =
+  Ktypes.layout "dm_target"
+    [
+      ("private", 8, Ktypes.Pointer);
+      ("begin", 8, Ktypes.Scalar);
+      ("len", 8, Ktypes.Scalar);
+      ("error", 4, Ktypes.Scalar);
+    ]
+
+let bio_layout =
+  Ktypes.layout "bio"
+    [
+      ("sector", 8, Ktypes.Scalar);
+      ("data", 8, Ktypes.Pointer);
+      ("size", 4, Ktypes.Scalar);
+      ("rw", 4, Ktypes.Scalar);  (* 0 read, 1 write *)
+      ("status", 4, Ktypes.Scalar);
+    ]
+
+let layouts = [ tt_layout; ti_layout; bio_layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
+
+let tt_ctr = Ktypes.offset_of tt_layout "ctr"
+let tt_dtr = Ktypes.offset_of tt_layout "dtr"
+let tt_map = Ktypes.offset_of tt_layout "map"
+let ti_len = Ktypes.offset_of ti_layout "len"
+let b_sector = Ktypes.offset_of bio_layout "sector"
+let b_data = Ktypes.offset_of bio_layout "data"
+let b_size = Ktypes.offset_of bio_layout "size"
+let b_rw = Ktypes.offset_of bio_layout "rw"
 
 (* dm map return codes *)
 let dm_mapio_submitted = 0L
@@ -51,10 +60,6 @@ type t = {
 }
 
 let create kst = { kst; targets = Hashtbl.create 8; mapped = []; backing_io = 0 }
-
-let ttoff t f = Ktypes.offset t.kst.Kstate.types tt_struct f
-let tioff t f = Ktypes.offset t.kst.Kstate.types ti_struct f
-let boff t f = Ktypes.offset t.kst.Kstate.types bio_struct f
 
 (** [register_target t ~name ~tt] — exported to dm modules. *)
 let register_target t ~name ~tt =
@@ -76,9 +81,9 @@ let dm_create t ~target ~name ~len ~arg =
   | None -> Error "no such target"
   | Some tt ->
       Kcycles.charge kst.cycles Kcycles.Kernel 150;
-      let ti = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types ti_struct) in
-      Kmem.write_u64 kst.mem (ti + tioff t "len") (Int64.of_int len);
-      let slot = tt + ttoff t "ctr" in
+      let ti = Slab.kmalloc kst.slab ti_layout.Ktypes.s_size in
+      Kmem.write_u64 kst.mem (ti + ti_len) (Int64.of_int len);
+      let slot = tt + tt_ctr in
       let ret =
         Kstate.call_ptr kst ~slot ~ftype:"target_type.ctr"
           [ Int64.of_int ti; Int64.of_int arg ]
@@ -93,23 +98,26 @@ let dm_destroy t ~name =
   match List.find_opt (fun (n, _, _) -> n = name) t.mapped with
   | None -> ()
   | Some (_, ti, tt) ->
-      let slot = tt + ttoff t "dtr" in
+      let slot = tt + tt_dtr in
       ignore (Kstate.call_ptr t.kst ~slot ~ftype:"target_type.dtr" [ Int64.of_int ti ]);
       t.mapped <- List.filter (fun (n, _, _) -> n <> name) t.mapped
 
 (** [alloc_bio t ~sector ~size ~rw] allocates a bio with a data buffer. *)
 let alloc_bio t ~sector ~size ~rw =
   let kst = t.kst in
-  let bio = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types bio_struct) in
+  let bio = Slab.kmalloc kst.slab bio_layout.Ktypes.s_size in
   let data = Slab.kmalloc kst.slab (max size 1) in
-  Kmem.write_u64 kst.mem (bio + boff t "sector") (Int64.of_int sector);
-  Kmem.write_ptr kst.mem (bio + boff t "data") data;
-  Kmem.write_u32 kst.mem (bio + boff t "size") size;
-  Kmem.write_u32 kst.mem (bio + boff t "rw") rw;
+  Kmem.write_u64 kst.mem (bio + b_sector) (Int64.of_int sector);
+  Kmem.write_ptr kst.mem (bio + b_data) data;
+  Kmem.write_u32 kst.mem (bio + b_size) size;
+  Kmem.write_u32 kst.mem (bio + b_rw) rw;
   bio
 
+let bio_data t bio = Kmem.read_ptr t.kst.mem (bio + b_data)
+let bio_size t bio = Kmem.read_u32 t.kst.mem (bio + b_size)
+
 let free_bio t bio =
-  let data = Kmem.read_ptr t.kst.mem (bio + boff t "data") in
+  let data = bio_data t bio in
   if data <> 0 && Slab.is_live t.kst.slab data then Slab.kfree t.kst.slab data;
   Slab.kfree t.kst.slab bio
 
@@ -122,7 +130,7 @@ let submit_bio t ~name bio =
   | None -> Error "no such mapped device"
   | Some (_, ti, tt) ->
       Kcycles.charge kst.cycles Kcycles.Kernel 120;
-      let slot = tt + ttoff t "map" in
+      let slot = tt + tt_map in
       let ret =
         Kstate.call_ptr kst ~slot ~ftype:"target_type.map"
           [ Int64.of_int ti; Int64.of_int bio ]

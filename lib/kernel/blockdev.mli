@@ -3,10 +3,15 @@
     module memory; each mapped device is a natural instance principal
     (§3.1). *)
 
-val tt_struct : string
-val ti_struct : string
-val bio_struct : string
+val tt_layout : Ktypes.strct
+val ti_layout : Ktypes.strct
+val bio_layout : Ktypes.strct
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
 
 val dm_mapio_submitted : int64
 val dm_mapio_remapped : int64
@@ -31,6 +36,12 @@ val dm_create :
 val dm_destroy : t -> name:string -> unit
 val alloc_bio : t -> sector:int -> size:int -> rw:int -> int
 val free_bio : t -> int -> unit
+
+val bio_data : t -> int -> int
+(** A bio's payload buffer. *)
+
+val bio_size : t -> int -> int
+(** A bio's payload length in bytes. *)
 
 val submit_bio : t -> name:string -> int -> (int64, string) result
 (** Route a bio through the named device's map slot; REMAPPED/SUBMITTED

@@ -86,7 +86,7 @@ let boot () =
     }
   in
   (* init task (pid 1, root). *)
-  let init = Task.create mem slab types ~pid:1 ~uid:0 ~comm:"init" in
+  let init = Task.create mem slab ~pid:1 ~uid:0 ~comm:"init" in
   t.next_pid <- 2;
   Hashtbl.replace t.run_queue 1 init;
   Hashtbl.replace t.pid_hash 1 init;
@@ -129,7 +129,7 @@ let call_ptr t ~slot ~ftype args =
 let spawn_task t ~uid ~comm =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let task = Task.create t.mem t.slab t.types ~pid ~uid ~comm in
+  let task = Task.create t.mem t.slab ~pid ~uid ~comm in
   Hashtbl.replace t.run_queue pid task;
   Hashtbl.replace t.pid_hash pid task;
   task
@@ -137,7 +137,7 @@ let spawn_task t ~uid ~comm =
 (** Switch the current task (our "scheduler"). *)
 let switch_to t task = t.current <- task
 
-let current_uid t = Task.uid t.mem t.types t.current
+let current_uid t = Task.uid t.mem t.current
 
 (** [ps t] is what the [ps] command would show: tasks reachable through
     the pid hash.  A rootkit that detaches a task from the pid hash hides
@@ -159,18 +159,18 @@ exception Efault of int
     usual access check: the target must be a user address unless the
     current task's address limit is KERNEL_DS. *)
 let put_user t ~addr ~size v =
-  let limit = Task.addr_limit t.mem t.types t.current in
+  let limit = Task.addr_limit t.mem t.current in
   if Kmem.Layout.is_user addr || limit = Task.kernel_ds then
     Kmem.write t.mem ~addr ~size v
   else raise (Efault addr)
 
 let get_user t ~addr ~size =
-  let limit = Task.addr_limit t.mem t.types t.current in
+  let limit = Task.addr_limit t.mem t.current in
   if Kmem.Layout.is_user addr || limit = Task.kernel_ds then
     Kmem.read t.mem ~addr ~size
   else raise (Efault addr)
 
-let set_fs t limit = Task.set_addr_limit t.mem t.types t.current limit
+let set_fs t limit = Task.set_addr_limit t.mem t.current limit
 
 (** {1 User memory for attack programs} *)
 
@@ -190,7 +190,7 @@ let user_alloc t len =
     path, so it can hit kernel memory. *)
 let do_exit t =
   let task = t.current in
-  let tid = Task.clear_child_tid t.mem t.types task in
+  let tid = Task.clear_child_tid t.mem task in
   (if tid <> 0 then begin
      if t.cve_2010_4258_fixed then set_fs t Task.user_ds;
      try put_user t ~addr:tid ~size:4 0L with Efault _ -> ()

@@ -12,7 +12,13 @@
     - module code (MIR) and kernel substrate agree on field offsets;
     - function-pointer-typed fields carry the name of their slot type,
       which the kernel rewriter uses to look up the expected annotation
-      hash at indirect call sites (paper §4.1). *)
+      hash at indirect call sites (paper §4.1).
+
+    A layout itself is a pure value ([layout]): each kernel subsystem
+    builds its layouts once per process and binds the offsets its
+    accessors use from them, as a C compiler fixes [offsetof]; each boot
+    only [add]s those values to its registry, for the names that arrive
+    at run time. *)
 
 type field_kind =
   | Scalar  (** plain integer data *)
@@ -37,12 +43,10 @@ let create () = { structs = Hashtbl.create 64 }
 exception Unknown_struct of string
 exception Unknown_field of string * string
 
-(** [define t name fields] registers a struct whose fields are laid out in
-    declaration order with natural alignment for their size.  Returns the
-    completed layout.  Raises [Invalid_argument] on duplicate names. *)
-let define t name (specs : (string * int * field_kind) list) : strct =
-  if Hashtbl.mem t.structs name then
-    invalid_arg (Printf.sprintf "Ktypes.define: duplicate struct %s" name);
+(** [layout name specs] lays out a struct whose fields come in
+    declaration order with natural alignment for their size.  Pure: the
+    kernel subsystems build their layouts once per process, as values. *)
+let layout name (specs : (string * int * field_kind) list) : strct =
   let align off sz =
     let a = if sz >= 8 then 8 else if sz >= 4 then 4 else if sz >= 2 then 2 else 1 in
     (off + a - 1) land lnot (a - 1)
@@ -56,9 +60,30 @@ let define t name (specs : (string * int * field_kind) list) : strct =
       ([], 0) specs
   in
   let size = align size 8 in
-  let s = { s_name = name; s_size = max size 8; s_fields = List.rev fields } in
-  Hashtbl.replace t.structs name s;
+  { s_name = name; s_size = max size 8; s_fields = List.rev fields }
+
+(** [add t s] registers the layout [s] under its name.  Raises
+    [Invalid_argument] on duplicate names. *)
+let add t s =
+  if Hashtbl.mem t.structs s.s_name then
+    invalid_arg (Printf.sprintf "Ktypes.define: duplicate struct %s" s.s_name);
+  Hashtbl.replace t.structs s.s_name s
+
+(** [define t name specs] lays out and registers a struct; returns the
+    layout. *)
+let define t name specs =
+  let s = layout name specs in
+  add t s;
   s
+
+(** The field [fname] of the layout [s]. *)
+let field_of s fname =
+  match List.find_opt (fun f -> String.equal f.f_name fname) s.s_fields with
+  | Some f -> f
+  | None -> raise (Unknown_field (s.s_name, fname))
+
+(** Byte offset of [fname] within the layout [s]. *)
+let offset_of s fname = (field_of s fname).f_offset
 
 let find t name =
   match Hashtbl.find_opt t.structs name with
@@ -68,11 +93,7 @@ let find t name =
 let mem t name = Hashtbl.mem t.structs name
 let sizeof t name = (find t name).s_size
 
-let field t sname fname =
-  let s = find t sname in
-  match List.find_opt (fun f -> f.f_name = fname) s.s_fields with
-  | Some f -> f
-  | None -> raise (Unknown_field (sname, fname))
+let field t sname fname = field_of (find t sname) fname
 
 (** Byte offset of [fname] within [sname]. *)
 let offset t sname fname = (field t sname fname).f_offset

@@ -18,9 +18,19 @@ val create : unit -> t
 exception Unknown_struct of string
 exception Unknown_field of string * string
 
+val layout : string -> (string * int * field_kind) list -> strct
+(** Lay out a struct: fields in order, with natural alignment.  Pure;
+    the kernel subsystems hold their layouts as per-process values. *)
+
+val add : t -> strct -> unit
+(** Register a layout under its name.  Raises [Invalid_argument] on
+    duplicates. *)
+
 val define : t -> string -> (string * int * field_kind) list -> strct
-(** Register a struct; fields are laid out in order with natural
-    alignment.  Raises [Invalid_argument] on duplicates. *)
+(** [layout] then [add]; returns the layout. *)
+
+val offset_of : strct -> string -> int
+(** Byte offset of a field of a layout; raises [Unknown_field]. *)
 
 val find : t -> string -> strct
 val mem : t -> string -> bool

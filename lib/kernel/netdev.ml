@@ -7,50 +7,68 @@
     NAPI [poll] callback through those module-written pointers — the
     exact indirect-call sites the LXFI kernel rewriter must guard. *)
 
-let dev_struct = "net_device"
-let ops_struct = "net_device_ops"
-let napi_struct = "napi_struct"
-let qdisc_struct = "qdisc"
+let qdisc_layout =
+  Ktypes.layout "qdisc"
+    [
+      ("enqueue", 8, Ktypes.Funcptr "qdisc_ops.enqueue");
+      ("dequeue", 8, Ktypes.Funcptr "qdisc_ops.dequeue");
+      ("skb", 8, Ktypes.Pointer);
+      ("qlen", 4, Ktypes.Scalar);
+    ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types qdisc_struct
-       [
-         ("enqueue", 8, Ktypes.Funcptr "qdisc_ops.enqueue");
-         ("dequeue", 8, Ktypes.Funcptr "qdisc_ops.dequeue");
-         ("skb", 8, Ktypes.Pointer);
-         ("qlen", 4, Ktypes.Scalar);
-       ]);
-  ignore
-    (Ktypes.define types ops_struct
-       [
-         ("ndo_open", 8, Ktypes.Funcptr "net_device_ops.ndo_open");
-         ("ndo_stop", 8, Ktypes.Funcptr "net_device_ops.ndo_stop");
-         ("ndo_start_xmit", 8, Ktypes.Funcptr "net_device_ops.ndo_start_xmit");
-         ("ndo_set_rx_mode", 8, Ktypes.Funcptr "net_device_ops.ndo_set_rx_mode");
-       ]);
-  ignore
-    (Ktypes.define types dev_struct
-       [
-         ("dev_ops", 8, Ktypes.Pointer);
-         ("qdisc", 8, Ktypes.Pointer);
-         ("priv", 8, Ktypes.Pointer);
-         ("mtu", 4, Ktypes.Scalar);
-         ("flags", 4, Ktypes.Scalar);
-         ("tx_packets", 8, Ktypes.Scalar);
-         ("tx_bytes", 8, Ktypes.Scalar);
-         ("rx_packets", 8, Ktypes.Scalar);
-         ("rx_bytes", 8, Ktypes.Scalar);
-         ("name", 16, Ktypes.Scalar);
-       ]);
-  ignore
-    (Ktypes.define types napi_struct
-       [
-         ("dev", 8, Ktypes.Pointer);
-         ("poll", 8, Ktypes.Funcptr "napi.poll");
-         ("weight", 4, Ktypes.Scalar);
-         ("scheduled", 4, Ktypes.Scalar);
-       ])
+let ops_layout =
+  Ktypes.layout "net_device_ops"
+    [
+      ("ndo_open", 8, Ktypes.Funcptr "net_device_ops.ndo_open");
+      ("ndo_stop", 8, Ktypes.Funcptr "net_device_ops.ndo_stop");
+      ("ndo_start_xmit", 8, Ktypes.Funcptr "net_device_ops.ndo_start_xmit");
+      ("ndo_set_rx_mode", 8, Ktypes.Funcptr "net_device_ops.ndo_set_rx_mode");
+    ]
+
+let dev_layout =
+  Ktypes.layout "net_device"
+    [
+      ("dev_ops", 8, Ktypes.Pointer);
+      ("qdisc", 8, Ktypes.Pointer);
+      ("priv", 8, Ktypes.Pointer);
+      ("mtu", 4, Ktypes.Scalar);
+      ("flags", 4, Ktypes.Scalar);
+      ("tx_packets", 8, Ktypes.Scalar);
+      ("tx_bytes", 8, Ktypes.Scalar);
+      ("rx_packets", 8, Ktypes.Scalar);
+      ("rx_bytes", 8, Ktypes.Scalar);
+      ("name", 16, Ktypes.Scalar);
+    ]
+
+let napi_layout =
+  Ktypes.layout "napi_struct"
+    [
+      ("dev", 8, Ktypes.Pointer);
+      ("poll", 8, Ktypes.Funcptr "napi.poll");
+      ("weight", 4, Ktypes.Scalar);
+      ("scheduled", 4, Ktypes.Scalar);
+    ]
+
+let layouts = [ qdisc_layout; ops_layout; dev_layout; napi_layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
+
+let q_enqueue = Ktypes.offset_of qdisc_layout "enqueue"
+let q_dequeue = Ktypes.offset_of qdisc_layout "dequeue"
+let q_skb = Ktypes.offset_of qdisc_layout "skb"
+let q_qlen = Ktypes.offset_of qdisc_layout "qlen"
+let ops_start_xmit = Ktypes.offset_of ops_layout "ndo_start_xmit"
+let d_dev_ops = Ktypes.offset_of dev_layout "dev_ops"
+let d_qdisc = Ktypes.offset_of dev_layout "qdisc"
+let d_mtu = Ktypes.offset_of dev_layout "mtu"
+let d_tx_packets = Ktypes.offset_of dev_layout "tx_packets"
+let d_tx_bytes = Ktypes.offset_of dev_layout "tx_bytes"
+let d_rx_packets = Ktypes.offset_of dev_layout "rx_packets"
+let d_rx_bytes = Ktypes.offset_of dev_layout "rx_bytes"
+let d_name = Ktypes.offset_of dev_layout "name"
+let n_dev = Ktypes.offset_of napi_layout "dev"
+let n_poll = Ktypes.offset_of napi_layout "poll"
+let n_weight = Ktypes.offset_of napi_layout "weight"
+let n_scheduled = Ktypes.offset_of napi_layout "scheduled"
 
 (* netdev_tx_t values *)
 let netdev_tx_ok = 0L
@@ -67,8 +85,6 @@ type t = {
   ptype_slot : int;  (** kernel-memory slot holding the L3 receive handler *)
 }
 
-let qoff_ types f = Ktypes.offset types qdisc_struct f
-
 let create kst =
   (* The default packet scheduler: kernel functions stored in kernel
      memory as function pointers and invoked indirectly by
@@ -80,9 +96,9 @@ let create kst =
         | [ qdisc; skb ] ->
             let q = Int64.to_int qdisc in
             Kcycles.charge kst.Kstate.cycles Kcycles.Kernel 18;
-            Kmem.write_ptr kst.Kstate.mem (q + qoff_ kst.Kstate.types "skb")
+            Kmem.write_ptr kst.Kstate.mem (q + q_skb)
               (Int64.to_int skb);
-            Kmem.write_u32 kst.Kstate.mem (q + qoff_ kst.Kstate.types "qlen") 1;
+            Kmem.write_u32 kst.Kstate.mem (q + q_qlen) 1;
             0L
         | _ -> raise (Kstate.Oops "pfifo_fast_enqueue: bad arity"))
   in
@@ -92,8 +108,8 @@ let create kst =
         | [ qdisc ] ->
             let q = Int64.to_int qdisc in
             Kcycles.charge kst.Kstate.cycles Kcycles.Kernel 18;
-            let skb = Kmem.read_ptr kst.Kstate.mem (q + qoff_ kst.Kstate.types "skb") in
-            Kmem.write_u32 kst.Kstate.mem (q + qoff_ kst.Kstate.types "qlen") 0;
+            let skb = Kmem.read_ptr kst.Kstate.mem (q + q_skb) in
+            Kmem.write_u32 kst.Kstate.mem (q + q_qlen) 0;
             Int64.of_int skb
         | _ -> raise (Kstate.Oops "pfifo_fast_dequeue: bad arity"))
   in
@@ -117,27 +133,22 @@ let create kst =
     ptype_slot;
   }
 
-let doff t f = Ktypes.offset t.kst.Kstate.types dev_struct f
-let oops_off t f = Ktypes.offset t.kst.Kstate.types ops_struct f
-let noff t f = Ktypes.offset t.kst.Kstate.types napi_struct f
-let qoff t f = qoff_ t.kst.Kstate.types f
-
 (** [alloc_netdev t ~name] allocates and minimally initialises a
     [net_device]; exported to modules as [alloc_etherdev]. *)
 let alloc_netdev t ~name =
   let kst = t.kst in
   Kcycles.charge kst.cycles Kcycles.Kernel 80;
-  let dev = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types dev_struct) in
-  Kmem.write_u32 kst.mem (dev + doff t "mtu") 1500;
-  Kmem.write_bytes kst.mem ~addr:(dev + doff t "name")
+  let dev = Slab.kmalloc kst.slab dev_layout.Ktypes.s_size in
+  Kmem.write_u32 kst.mem (dev + d_mtu) 1500;
+  Kmem.write_bytes kst.mem ~addr:(dev + d_name)
     (let n = if String.length name > 15 then String.sub name 0 15 else name in
      n ^ "\000");
   (* Attach the default qdisc: a kernel-memory object whose function
      pointers point at core-kernel code. *)
-  let q = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types qdisc_struct) in
-  Kmem.write_ptr kst.mem (q + qoff t "enqueue") t.pfifo_enqueue_addr;
-  Kmem.write_ptr kst.mem (q + qoff t "dequeue") t.pfifo_dequeue_addr;
-  Kmem.write_ptr kst.mem (dev + doff t "qdisc") q;
+  let q = Slab.kmalloc kst.slab qdisc_layout.Ktypes.s_size in
+  Kmem.write_ptr kst.mem (q + q_enqueue) t.pfifo_enqueue_addr;
+  Kmem.write_ptr kst.mem (q + q_dequeue) t.pfifo_dequeue_addr;
+  Kmem.write_ptr kst.mem (dev + d_qdisc) q;
   dev
 
 let register_netdev t dev =
@@ -146,7 +157,7 @@ let register_netdev t dev =
   0L
 
 let dev_name t dev =
-  let b = Kmem.read_bytes t.kst.mem ~addr:(dev + doff t "name") ~len:16 in
+  let b = Kmem.read_bytes t.kst.mem ~addr:(dev + d_name) ~len:16 in
   let s = Bytes.to_string b in
   match String.index_opt s '\000' with Some i -> String.sub s 0 i | None -> s
 
@@ -158,13 +169,13 @@ let dev_name t dev =
     memory" property the writer-set check needs. *)
 let netif_napi_add t ~dev ~napi ~weight =
   Kcycles.charge t.kst.cycles Kcycles.Kernel 30;
-  Kmem.write_ptr t.kst.mem (napi + noff t "dev") dev;
-  Kmem.write_u32 t.kst.mem (napi + noff t "weight") weight;
+  Kmem.write_ptr t.kst.mem (napi + n_dev) dev;
+  Kmem.write_u32 t.kst.mem (napi + n_weight) weight;
   t.napis <- napi :: t.napis
 
 let napi_schedule t napi =
   Kcycles.charge t.kst.cycles Kcycles.Kernel 12;
-  Kmem.write_u32 t.kst.mem (napi + noff t "scheduled") 1
+  Kmem.write_u32 t.kst.mem (napi + n_scheduled) 1
 
 (** [dev_queue_xmit t skb] — core-kernel transmit path: charges the
     qdisc/stack cost and invokes the driver's [ndo_start_xmit] through
@@ -177,23 +188,23 @@ let dev_queue_xmit t skb =
   (* Packet scheduler: two kernel indirect calls through kernel-owned
      slots (writer-set fast path applies), then the driver's
      ndo_start_xmit through the module-owned ops slot. *)
-  let q = Kmem.read_ptr kst.mem (dev + doff t "qdisc") in
+  let q = Kmem.read_ptr kst.mem (dev + d_qdisc) in
   ignore
-    (Kstate.call_ptr kst ~slot:(q + qoff t "enqueue") ~ftype:"qdisc_ops.enqueue"
+    (Kstate.call_ptr kst ~slot:(q + q_enqueue) ~ftype:"qdisc_ops.enqueue"
        [ Int64.of_int q; Int64.of_int skb ]);
   let skb' =
-    Kstate.call_ptr kst ~slot:(q + qoff t "dequeue") ~ftype:"qdisc_ops.dequeue"
+    Kstate.call_ptr kst ~slot:(q + q_dequeue) ~ftype:"qdisc_ops.dequeue"
       [ Int64.of_int q ]
   in
   let skb = Int64.to_int skb' in
-  let ops = Kmem.read_ptr kst.mem (dev + doff t "dev_ops") in
-  let slot = ops + oops_off t "ndo_start_xmit" in
+  let ops = Kmem.read_ptr kst.mem (dev + d_dev_ops) in
+  let slot = ops + ops_start_xmit in
   let ret =
     Kstate.call_ptr kst ~slot ~ftype:"net_device_ops.ndo_start_xmit"
       [ Int64.of_int skb; Int64.of_int dev ]
   in
   if ret = netdev_tx_ok then begin
-    let tx_p = dev + doff t "tx_packets" and tx_b = dev + doff t "tx_bytes" in
+    let tx_p = dev + d_tx_packets and tx_b = dev + d_tx_bytes in
     Kmem.write_u64 kst.mem tx_p (Int64.add (Kmem.read_u64 kst.mem tx_p) 1L);
     Kmem.write_u64 kst.mem tx_b
       (Int64.add (Kmem.read_u64 kst.mem tx_b) (Int64.of_int (Skbuff.len kst skb)))
@@ -214,7 +225,7 @@ let netif_rx t skb =
   t.rx_delivered_bytes <- t.rx_delivered_bytes + Skbuff.len kst skb;
   let dev = Skbuff.dev kst skb in
   if dev <> 0 then begin
-    let rx_p = dev + doff t "rx_packets" and rx_b = dev + doff t "rx_bytes" in
+    let rx_p = dev + d_rx_packets and rx_b = dev + d_rx_bytes in
     Kmem.write_u64 kst.mem rx_p (Int64.add (Kmem.read_u64 kst.mem rx_p) 1L);
     Kmem.write_u64 kst.mem rx_b
       (Int64.add (Kmem.read_u64 kst.mem rx_b) (Int64.of_int (Skbuff.len kst skb)))
@@ -230,10 +241,10 @@ let poll_scheduled t ~budget =
   let total = ref 0 in
   List.iter
     (fun napi ->
-      if Kmem.read_u32 kst.mem (napi + noff t "scheduled") = 1 then begin
-        Kmem.write_u32 kst.mem (napi + noff t "scheduled") 0;
+      if Kmem.read_u32 kst.mem (napi + n_scheduled) = 1 then begin
+        Kmem.write_u32 kst.mem (napi + n_scheduled) 0;
         Kcycles.charge kst.cycles Kcycles.Kernel 50;
-        let slot = napi + noff t "poll" in
+        let slot = napi + n_poll in
         let done_ =
           Kstate.call_ptr kst ~slot ~ftype:"napi.poll"
             [ Int64.of_int napi; Int64.of_int budget ]
@@ -244,5 +255,5 @@ let poll_scheduled t ~budget =
   !total
 
 let stats t dev =
-  let r f = Int64.to_int (Kmem.read_u64 t.kst.mem (dev + doff t f)) in
-  (r "tx_packets", r "tx_bytes", r "rx_packets", r "rx_bytes")
+  let r off = Int64.to_int (Kmem.read_u64 t.kst.mem (dev + off)) in
+  (r d_tx_packets, r d_tx_bytes, r d_rx_packets, r d_rx_bytes)

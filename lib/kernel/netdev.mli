@@ -7,11 +7,16 @@
     protocol-handler slot — the sites the writer-set fast path
     elides. *)
 
-val dev_struct : string
-val ops_struct : string
-val napi_struct : string
-val qdisc_struct : string
+val qdisc_layout : Ktypes.strct
+val ops_layout : Ktypes.strct
+val dev_layout : Ktypes.strct
+val napi_layout : Ktypes.strct
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
 
 val netdev_tx_ok : int64
 val netdev_tx_busy : int64

@@ -7,31 +7,44 @@
     [pre(copy(ref(struct pci_dev), pcidev))] annotations on that slot
     type define which REF capability the module principal receives. *)
 
-let dev_struct = "pci_dev"
-let drv_struct = "pci_driver"
+let dev_layout =
+  Ktypes.layout "pci_dev"
+    [
+      ("vendor", 4, Ktypes.Scalar);
+      ("device", 4, Ktypes.Scalar);
+      ("irq", 4, Ktypes.Scalar);
+      ("enabled", 4, Ktypes.Scalar);
+      ("bar0", 8, Ktypes.Pointer);
+      ("bar0_len", 4, Ktypes.Scalar);
+      ("ioport", 4, Ktypes.Scalar);
+      ("claimed", 4, Ktypes.Scalar);
+      ("drvdata", 8, Ktypes.Pointer);
+    ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types dev_struct
-       [
-         ("vendor", 4, Ktypes.Scalar);
-         ("device", 4, Ktypes.Scalar);
-         ("irq", 4, Ktypes.Scalar);
-         ("enabled", 4, Ktypes.Scalar);
-         ("bar0", 8, Ktypes.Pointer);
-         ("bar0_len", 4, Ktypes.Scalar);
-         ("ioport", 4, Ktypes.Scalar);
-         ("claimed", 4, Ktypes.Scalar);
-         ("drvdata", 8, Ktypes.Pointer);
-       ]);
-  ignore
-    (Ktypes.define types drv_struct
-       [
-         ("vendor", 4, Ktypes.Scalar);
-         ("device", 4, Ktypes.Scalar);
-         ("probe", 8, Ktypes.Funcptr "pci_driver.probe");
-         ("remove", 8, Ktypes.Funcptr "pci_driver.remove");
-       ])
+let drv_layout =
+  Ktypes.layout "pci_driver"
+    [
+      ("vendor", 4, Ktypes.Scalar);
+      ("device", 4, Ktypes.Scalar);
+      ("probe", 8, Ktypes.Funcptr "pci_driver.probe");
+      ("remove", 8, Ktypes.Funcptr "pci_driver.remove");
+    ]
+
+let layouts = [ dev_layout; drv_layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
+
+let d_vendor = Ktypes.offset_of dev_layout "vendor"
+let d_device = Ktypes.offset_of dev_layout "device"
+let d_irq = Ktypes.offset_of dev_layout "irq"
+let d_enabled = Ktypes.offset_of dev_layout "enabled"
+let d_bar0 = Ktypes.offset_of dev_layout "bar0"
+let d_bar0_len = Ktypes.offset_of dev_layout "bar0_len"
+let d_ioport = Ktypes.offset_of dev_layout "ioport"
+let d_claimed = Ktypes.offset_of dev_layout "claimed"
+let d_drvdata = Ktypes.offset_of dev_layout "drvdata"
+let drv_vendor = Ktypes.offset_of drv_layout "vendor"
+let drv_device = Ktypes.offset_of drv_layout "device"
+let drv_probe = Ktypes.offset_of drv_layout "probe"
 
 type t = {
   kst : Kstate.t;
@@ -40,28 +53,26 @@ type t = {
 }
 
 let create kst = { kst; devices = []; io_space = Hashtbl.create 32 }
-let doff t f = Ktypes.offset t.kst.Kstate.types dev_struct f
-let droff t f = Ktypes.offset t.kst.Kstate.types drv_struct f
 
 (** [add_device t ~vendor ~device ~bar_len] models hot-plugging hardware:
     allocates the [pci_dev] and maps an MMIO BAR of [bar_len] bytes.
     Returns the pci_dev address. *)
 let add_device t ~vendor ~device ~bar_len =
   let kst = t.kst in
-  let dev = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types dev_struct) in
+  let dev = Slab.kmalloc kst.slab dev_layout.Ktypes.s_size in
   let bar = Kstate.alloc_module_area kst bar_len in
-  Kmem.write_u32 kst.mem (dev + doff t "vendor") vendor;
-  Kmem.write_u32 kst.mem (dev + doff t "device") device;
-  Kmem.write_u32 kst.mem (dev + doff t "irq") (40 + List.length t.devices);
-  Kmem.write_ptr kst.mem (dev + doff t "bar0") bar;
-  Kmem.write_u32 kst.mem (dev + doff t "bar0_len") bar_len;
-  Kmem.write_u32 kst.mem (dev + doff t "ioport") (0xc000 + (0x40 * List.length t.devices));
+  Kmem.write_u32 kst.mem (dev + d_vendor) vendor;
+  Kmem.write_u32 kst.mem (dev + d_device) device;
+  Kmem.write_u32 kst.mem (dev + d_irq) (40 + List.length t.devices);
+  Kmem.write_ptr kst.mem (dev + d_bar0) bar;
+  Kmem.write_u32 kst.mem (dev + d_bar0_len) bar_len;
+  Kmem.write_u32 kst.mem (dev + d_ioport) (0xc000 + (0x40 * List.length t.devices));
   t.devices <- dev :: t.devices;
   dev
 
-let bar0 t dev = Kmem.read_ptr t.kst.mem (dev + doff t "bar0")
-let bar0_len t dev = Kmem.read_u32 t.kst.mem (dev + doff t "bar0_len")
-let is_enabled t dev = Kmem.read_u32 t.kst.mem (dev + doff t "enabled") = 1
+let bar0 t dev = Kmem.read_ptr t.kst.mem (dev + d_bar0)
+let bar0_len t dev = Kmem.read_u32 t.kst.mem (dev + d_bar0_len)
+let is_enabled t dev = Kmem.read_u32 t.kst.mem (dev + d_enabled) = 1
 
 (** [register_driver t drv] — for every matching unclaimed device, the
     bus calls the driver's [probe] through the module-memory slot.
@@ -69,21 +80,21 @@ let is_enabled t dev = Kmem.read_u32 t.kst.mem (dev + doff t "enabled") = 1
 let register_driver t drv =
   let kst = t.kst in
   Kcycles.charge kst.cycles Kcycles.Kernel 100;
-  let want_v = Kmem.read_u32 kst.mem (drv + droff t "vendor") in
-  let want_d = Kmem.read_u32 kst.mem (drv + droff t "device") in
+  let want_v = Kmem.read_u32 kst.mem (drv + drv_vendor) in
+  let want_d = Kmem.read_u32 kst.mem (drv + drv_device) in
   let bound = ref 0 in
   List.iter
     (fun dev ->
-      let v = Kmem.read_u32 kst.mem (dev + doff t "vendor") in
-      let d = Kmem.read_u32 kst.mem (dev + doff t "device") in
-      let claimed = Kmem.read_u32 kst.mem (dev + doff t "claimed") in
+      let v = Kmem.read_u32 kst.mem (dev + d_vendor) in
+      let d = Kmem.read_u32 kst.mem (dev + d_device) in
+      let claimed = Kmem.read_u32 kst.mem (dev + d_claimed) in
       if v = want_v && d = want_d && claimed = 0 then begin
-        let slot = drv + droff t "probe" in
+        let slot = drv + drv_probe in
         let ret =
           Kstate.call_ptr kst ~slot ~ftype:"pci_driver.probe" [ Int64.of_int dev ]
         in
         if ret = 0L then begin
-          Kmem.write_u32 kst.mem (dev + doff t "claimed") 1;
+          Kmem.write_u32 kst.mem (dev + d_claimed) 1;
           incr bound
         end
       end)
@@ -95,17 +106,17 @@ let register_driver t drv =
 
 let pci_enable_device t dev =
   Kcycles.charge t.kst.cycles Kcycles.Kernel 200;
-  Kmem.write_u32 t.kst.mem (dev + doff t "enabled") 1;
+  Kmem.write_u32 t.kst.mem (dev + d_enabled) 1;
   0L
 
 let pci_disable_device t dev =
-  Kmem.write_u32 t.kst.mem (dev + doff t "enabled") 0;
+  Kmem.write_u32 t.kst.mem (dev + d_enabled) 0;
   0L
 
-let pci_set_drvdata t dev data = Kmem.write_ptr t.kst.mem (dev + doff t "drvdata") data
-let pci_get_drvdata t dev = Kmem.read_ptr t.kst.mem (dev + doff t "drvdata")
-let ioport t dev = Kmem.read_u32 t.kst.mem (dev + doff t "ioport")
-let irq t dev = Kmem.read_u32 t.kst.mem (dev + doff t "irq")
+let pci_set_drvdata t dev data = Kmem.write_ptr t.kst.mem (dev + d_drvdata) data
+let pci_get_drvdata t dev = Kmem.read_ptr t.kst.mem (dev + d_drvdata)
+let ioport t dev = Kmem.read_u32 t.kst.mem (dev + d_ioport)
+let irq t dev = Kmem.read_u32 t.kst.mem (dev + d_irq)
 
 (** Legacy port I/O (Guideline 3 of the paper: modules need a REF of the
     special [io_port] type for the port argument). *)

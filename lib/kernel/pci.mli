@@ -3,9 +3,14 @@
     handshake), MMIO BARs, and legacy I/O ports (the special-REF
     resource of Guideline 3). *)
 
-val dev_struct : string
-val drv_struct : string
+val dev_layout : Ktypes.strct
+val drv_layout : Ktypes.strct
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
 
 type t = {
   kst : Kstate.t;

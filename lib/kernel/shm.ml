@@ -10,12 +10,14 @@
     16-byte slab class as the overflowed buffer, so the adjacency the
     exploit needs arises exactly as on the real SLUB allocator. *)
 
-let shm_struct = "shmid_kernel"
+let layout =
+  Ktypes.layout "shmid_kernel"
+    [ ("magic", 8, Ktypes.Scalar); ("ipc_op", 8, Ktypes.Funcptr "ipc_ops.getinfo") ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types shm_struct
-       [ ("magic", 8, Ktypes.Scalar); ("ipc_op", 8, Ktypes.Funcptr "ipc_ops.getinfo") ])
+let layouts = [ layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
+
+let ipc_op = Ktypes.offset_of layout "ipc_op"
 
 let magic = 0x53484d4bL (* "SHMK" *)
 
@@ -34,16 +36,14 @@ let create kst =
   in
   { kst; segments = []; next_id = 1; default_op }
 
-let ipc_off t = Ktypes.offset t.kst.Kstate.types shm_struct "ipc_op"
-
 (** [sys_shmget t] allocates a segment descriptor from the slab and
     returns its id. *)
 let sys_shmget t =
   let kst = t.kst in
   Kcycles.charge kst.cycles Kcycles.Kernel 150;
-  let seg = Slab.kmalloc kst.Kstate.slab (Ktypes.sizeof kst.Kstate.types shm_struct) in
+  let seg = Slab.kmalloc kst.Kstate.slab layout.Ktypes.s_size in
   Kmem.write_u64 kst.Kstate.mem seg magic;
-  Kmem.write_ptr kst.Kstate.mem (seg + ipc_off t) t.default_op;
+  Kmem.write_ptr kst.Kstate.mem (seg + ipc_op) t.default_op;
   let id = t.next_id in
   t.next_id <- id + 1;
   t.segments <- (id, seg) :: t.segments;
@@ -59,5 +59,5 @@ let sys_shmctl t ~id =
   match List.assoc_opt id t.segments with
   | None -> -22L
   | Some seg ->
-      let slot = seg + ipc_off t in
+      let slot = seg + ipc_op in
       Kstate.call_ptr kst ~slot ~ftype:"ipc_ops.getinfo" [ Int64.of_int seg ]

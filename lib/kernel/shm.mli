@@ -3,8 +3,15 @@
     function pointer that [shmctl] follows, and they land adjacent to
     the module's overflowed buffer in the 16-byte class. *)
 
-val shm_struct : string
+val layout : Ktypes.strct
+(** [struct shmid_kernel], laid out once per process. *)
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
+
 val magic : int64
 
 type t = {

@@ -7,47 +7,61 @@
     ([skb_caps], Figure 4) covering both the struct and
     [skb->data .. skb->data+skb->len). *)
 
-let struct_name = "sk_buff"
+let layout =
+  Ktypes.layout "sk_buff"
+    [
+      ("next", 8, Ktypes.Pointer);
+      ("dev", 8, Ktypes.Pointer);
+      ("head", 8, Ktypes.Pointer);
+      ("data", 8, Ktypes.Pointer);
+      ("len", 4, Ktypes.Scalar);
+      ("truesize", 4, Ktypes.Scalar);
+      ("protocol", 4, Ktypes.Scalar);
+      ("priority", 4, Ktypes.Scalar);
+    ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types struct_name
-       [
-         ("next", 8, Ktypes.Pointer);
-         ("dev", 8, Ktypes.Pointer);
-         ("head", 8, Ktypes.Pointer);
-         ("data", 8, Ktypes.Pointer);
-         ("len", 4, Ktypes.Scalar);
-         ("truesize", 4, Ktypes.Scalar);
-         ("protocol", 4, Ktypes.Scalar);
-         ("priority", 4, Ktypes.Scalar);
-       ])
+let layouts = [ layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
 
-let off (kst : Kstate.t) f = Ktypes.offset kst.types struct_name f
-let sizeof (kst : Kstate.t) = Ktypes.sizeof kst.types struct_name
+let size = layout.Ktypes.s_size
+let off_dev = Ktypes.offset_of layout "dev"
+let off_head = Ktypes.offset_of layout "head"
+let off_data = Ktypes.offset_of layout "data"
+let off_len = Ktypes.offset_of layout "len"
+let off_truesize = Ktypes.offset_of layout "truesize"
+
+let init (kst : Kstate.t) skb ~buf ~len =
+  Kmem.write_ptr kst.mem (skb + off_head) buf;
+  Kmem.write_ptr kst.mem (skb + off_data) buf;
+  Kmem.write_u32 kst.mem (skb + off_len) len
+
+(** [build kst ~buf ~len] wraps an existing [len]-byte buffer in a
+    fresh sk_buff and returns the struct address. *)
+let build (kst : Kstate.t) ~buf ~len =
+  let skb = Slab.kmalloc kst.slab size in
+  init kst skb ~buf ~len;
+  skb
 
 (** [alloc kst len] allocates an sk_buff with a [len]-byte payload buffer
     and returns the struct address. *)
 let alloc (kst : Kstate.t) len =
   Kcycles.charge kst.cycles Kcycles.Kernel 35;
-  let skb = Slab.kmalloc kst.slab (sizeof kst) in
+  let skb = Slab.kmalloc kst.slab size in
   let buf = Slab.kmalloc kst.slab (max len 1) in
-  Kmem.write_ptr kst.mem (skb + off kst "head") buf;
-  Kmem.write_ptr kst.mem (skb + off kst "data") buf;
-  Kmem.write_u32 kst.mem (skb + off kst "len") len;
-  Kmem.write_u32 kst.mem (skb + off kst "truesize") (Slab.usable_size kst.slab buf);
+  init kst skb ~buf ~len;
+  Kmem.write_u32 kst.mem (skb + off_truesize) (Slab.usable_size kst.slab buf);
   skb
 
-let data (kst : Kstate.t) skb = Kmem.read_ptr kst.mem (skb + off kst "data")
-let len (kst : Kstate.t) skb = Kmem.read_u32 kst.mem (skb + off kst "len")
-let set_len (kst : Kstate.t) skb v = Kmem.write_u32 kst.mem (skb + off kst "len") v
-let dev (kst : Kstate.t) skb = Kmem.read_ptr kst.mem (skb + off kst "dev")
-let set_dev (kst : Kstate.t) skb d = Kmem.write_ptr kst.mem (skb + off kst "dev") d
+let data (kst : Kstate.t) skb = Kmem.read_ptr kst.mem (skb + off_data)
+let len (kst : Kstate.t) skb = Kmem.read_u32 kst.mem (skb + off_len)
+let set_len (kst : Kstate.t) skb v = Kmem.write_u32 kst.mem (skb + off_len) v
+let dev (kst : Kstate.t) skb = Kmem.read_ptr kst.mem (skb + off_dev)
+let set_dev (kst : Kstate.t) skb d = Kmem.write_ptr kst.mem (skb + off_dev) d
 
-let set_data (kst : Kstate.t) skb p = Kmem.write_ptr kst.mem (skb + off kst "data") p
+let set_data (kst : Kstate.t) skb p = Kmem.write_ptr kst.mem (skb + off_data) p
 
 let free (kst : Kstate.t) skb =
   Kcycles.charge kst.cycles Kcycles.Kernel 22;
-  let head = Kmem.read_ptr kst.mem (skb + off kst "head") in
+  let head = Kmem.read_ptr kst.mem (skb + off_head) in
   if head <> 0 && Slab.is_live kst.slab head then Slab.kfree kst.slab head;
   Slab.kfree kst.slab skb

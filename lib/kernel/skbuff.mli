@@ -3,10 +3,18 @@
     capability set is expressed by the [skb_caps] iterator (paper
     Figure 4). *)
 
-val struct_name : string
+val layout : Ktypes.strct
+(** [struct sk_buff], laid out once per process. *)
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
-val off : Kstate.t -> string -> int
-val sizeof : Kstate.t -> int
+(** Add {!layouts} to a booted system's registry. *)
+
+val build : Kstate.t -> buf:int -> len:int -> int
+(** Wrap an existing buffer of the given length in a fresh sk_buff;
+    returns the struct address. *)
 
 val alloc : Kstate.t -> int -> int
 (** Allocate an sk_buff with a payload buffer of the given length;

@@ -9,31 +9,44 @@
     Econet privilege-escalation exploits end with exactly such an
     invocation of a corrupted [proto_ops.ioctl]. *)
 
-let socket_struct = "socket"
-let ops_struct = "proto_ops"
-let npf_struct = "net_proto_family"
+let ops_layout =
+  Ktypes.layout "proto_ops"
+    [
+      ("release", 8, Ktypes.Funcptr "proto_ops.release");
+      ("bind", 8, Ktypes.Funcptr "proto_ops.bind");
+      ("ioctl", 8, Ktypes.Funcptr "proto_ops.ioctl");
+      ("sendmsg", 8, Ktypes.Funcptr "proto_ops.sendmsg");
+      ("recvmsg", 8, Ktypes.Funcptr "proto_ops.recvmsg");
+    ]
 
-let define_layout types =
-  ignore
-    (Ktypes.define types ops_struct
-       [
-         ("release", 8, Ktypes.Funcptr "proto_ops.release");
-         ("bind", 8, Ktypes.Funcptr "proto_ops.bind");
-         ("ioctl", 8, Ktypes.Funcptr "proto_ops.ioctl");
-         ("sendmsg", 8, Ktypes.Funcptr "proto_ops.sendmsg");
-         ("recvmsg", 8, Ktypes.Funcptr "proto_ops.recvmsg");
-       ]);
-  ignore
-    (Ktypes.define types npf_struct
-       [ ("family", 4, Ktypes.Scalar); ("create", 8, Ktypes.Funcptr "net_proto_family.create") ]);
-  ignore
-    (Ktypes.define types socket_struct
-       [
-         ("state", 4, Ktypes.Scalar);
-         ("type", 4, Ktypes.Scalar);
-         ("ops", 8, Ktypes.Pointer);
-         ("sk", 8, Ktypes.Pointer);
-       ])
+let npf_layout =
+  Ktypes.layout "net_proto_family"
+    [ ("family", 4, Ktypes.Scalar); ("create", 8, Ktypes.Funcptr "net_proto_family.create") ]
+
+let socket_layout =
+  Ktypes.layout "socket"
+    [
+      ("state", 4, Ktypes.Scalar);
+      ("type", 4, Ktypes.Scalar);
+      ("ops", 8, Ktypes.Pointer);
+      ("sk", 8, Ktypes.Pointer);
+    ]
+
+let layouts = [ ops_layout; npf_layout; socket_layout ]
+let define_layout types = List.iter (Ktypes.add types) layouts
+
+let s_type = Ktypes.offset_of socket_layout "type"
+let s_ops = Ktypes.offset_of socket_layout "ops"
+let npf_family = Ktypes.offset_of npf_layout "family"
+let npf_create = Ktypes.offset_of npf_layout "create"
+
+(* A proto_ops operation: its slot offset and its slot-type name. *)
+let proto_op name = (Ktypes.offset_of ops_layout name, "proto_ops." ^ name)
+let op_release = proto_op "release"
+let op_bind = proto_op "bind"
+let op_ioctl = proto_op "ioctl"
+let op_sendmsg = proto_op "sendmsg"
+let op_recvmsg = proto_op "recvmsg"
 
 (* Address families used by the module corpus. *)
 let af_rds = 21
@@ -49,13 +62,9 @@ type t = {
 
 let create kst = { kst; families = Hashtbl.create 8; fds = Hashtbl.create 16; next_fd = 3 }
 
-let soff t f = Ktypes.offset t.kst.Kstate.types socket_struct f
-let opoff t f = Ktypes.offset t.kst.Kstate.types ops_struct f
-let npoff t f = Ktypes.offset t.kst.Kstate.types npf_struct f
-
 (** [sock_register t npf] — exported to protocol modules. *)
 let sock_register t npf =
-  let fam = Kmem.read_u32 t.kst.mem (npf + npoff t "family") in
+  let fam = Kmem.read_u32 t.kst.mem (npf + npf_family) in
   if Hashtbl.mem t.families fam then -17L (* -EEXIST *)
   else begin
     Hashtbl.replace t.families fam npf;
@@ -78,9 +87,9 @@ let sys_socket t ~family ~typ =
   match Hashtbl.find_opt t.families family with
   | None -> -97 (* -EAFNOSUPPORT *)
   | Some npf ->
-      let sock = Slab.kmalloc kst.slab (Ktypes.sizeof kst.types socket_struct) in
-      Kmem.write_u32 kst.mem (sock + soff t "type") typ;
-      let slot = npf + npoff t "create" in
+      let sock = Slab.kmalloc kst.slab socket_layout.Ktypes.s_size in
+      Kmem.write_u32 kst.mem (sock + s_type) typ;
+      let slot = npf + npf_create in
       let ret =
         Kstate.call_ptr kst ~slot ~ftype:"net_proto_family.create"
           [ Int64.of_int sock; Int64.of_int typ ]
@@ -93,20 +102,18 @@ let sys_socket t ~family ~typ =
         fd
       end
 
-let op_call t ~fd ~op ~ftype args =
+let op_call t ~fd (off, ftype) args =
   let kst = t.kst in
   Kcycles.charge kst.cycles Kcycles.Kernel 90 (* fd lookup, sockfd_lookup, copy msghdr *);
   let sock = sock_of_fd t fd in
-  let ops = Kmem.read_ptr kst.mem (sock + soff t "ops") in
+  let ops = Kmem.read_ptr kst.mem (sock + s_ops) in
   if ops = 0 then raise (Kstate.Oops "socket without ops");
-  let slot = ops + opoff t op in
-  Kstate.call_ptr kst ~slot ~ftype (Int64.of_int sock :: args)
+  Kstate.call_ptr kst ~slot:(ops + off) ~ftype (Int64.of_int sock :: args)
 
 (** [sys_sendmsg t ~fd ~buf ~len ~flags] — user buffer address and
     length travel to the module's sendmsg. *)
 let sys_sendmsg t ~fd ~buf ~len ~flags =
-  op_call t ~fd ~op:"sendmsg" ~ftype:"proto_ops.sendmsg"
-    [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
+  op_call t ~fd op_sendmsg [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
 
 (** [sys_sendpage t ~fd ...] — the sendfile/sendpage path: the kernel
     temporarily raises the address limit to KERNEL_DS around the
@@ -116,28 +123,24 @@ let sys_sendmsg t ~fd ~buf ~len ~flags =
 let sys_sendpage t ~fd ~buf ~len ~flags =
   Kstate.set_fs t.kst Task.kernel_ds;
   let r =
-    op_call t ~fd ~op:"sendmsg" ~ftype:"proto_ops.sendmsg"
-      [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
+    op_call t ~fd op_sendmsg [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
   in
   Kstate.set_fs t.kst Task.user_ds;
   r
 
 let sys_recvmsg t ~fd ~buf ~len ~flags =
-  op_call t ~fd ~op:"recvmsg" ~ftype:"proto_ops.recvmsg"
-    [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
+  op_call t ~fd op_recvmsg [ Int64.of_int buf; Int64.of_int len; Int64.of_int flags ]
 
 let sys_ioctl t ~fd ~cmd ~arg =
-  op_call t ~fd ~op:"ioctl" ~ftype:"proto_ops.ioctl"
-    [ Int64.of_int cmd; Int64.of_int arg ]
+  op_call t ~fd op_ioctl [ Int64.of_int cmd; Int64.of_int arg ]
 
 let sys_bind t ~fd ~addr ~alen =
-  op_call t ~fd ~op:"bind" ~ftype:"proto_ops.bind"
-    [ Int64.of_int addr; Int64.of_int alen ]
+  op_call t ~fd op_bind [ Int64.of_int addr; Int64.of_int alen ]
 
 let sys_close t ~fd =
   (match Hashtbl.find_opt t.fds fd with
   | Some _ ->
-      let r = op_call t ~fd ~op:"release" ~ftype:"proto_ops.release" [] in
+      let r = op_call t ~fd op_release [] in
       ignore r;
       Hashtbl.remove t.fds fd
   | None -> ());

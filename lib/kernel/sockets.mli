@@ -5,10 +5,15 @@
     through those slots — the RDS and Econet exploits end at exactly
     such an invocation of a corrupted [proto_ops.ioctl]. *)
 
-val socket_struct : string
-val ops_struct : string
-val npf_struct : string
+val ops_layout : Ktypes.strct
+val npf_layout : Ktypes.strct
+val socket_layout : Ktypes.strct
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
 
 val af_rds : int
 val af_can : int

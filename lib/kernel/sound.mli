@@ -3,9 +3,14 @@
     playback by calling trigger/pointer through those slots while the
     module fills the DMA area with guarded stores. *)
 
-val card_struct : string
-val ops_struct : string
+val ops_layout : Ktypes.strct
+val card_layout : Ktypes.strct
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
+(** Add {!layouts} to a booted system's registry. *)
 
 val trigger_start : int64
 val trigger_stop : int64

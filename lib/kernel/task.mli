@@ -5,8 +5,6 @@
 
 type t = { addr : int; pid : int }
 
-val struct_name : string
-
 val user_ds : int
 (** Normal address limit: uaccess only reaches user memory. *)
 
@@ -14,20 +12,27 @@ val kernel_ds : int
 (** Raised address limit (set_fs(KERNEL_DS)): uaccess reaches kernel
     memory — the context CVE-2010-4258 abuses. *)
 
+val layout : Ktypes.strct
+(** [struct task_struct], laid out once per process. *)
+
+val layouts : Ktypes.strct list
+(** Every layout of this subsystem, in registration order. *)
+
 val define_layout : Ktypes.t -> unit
-(** Register the task_struct layout (called at kernel boot). *)
+(** Add {!layouts} to a booted system's registry (called at kernel
+    boot). *)
 
-val field_addr : Ktypes.t -> t -> string -> int
-(** Address of a named field — e.g. [field_addr types t "uid"] is what
-    an exploit aims its arbitrary write at. *)
+val field_addr : t -> string -> int
+(** Address of a named field — e.g. [field_addr t "uid"] is what an
+    exploit aims its arbitrary write at. *)
 
-val create : Kmem.t -> Slab.t -> Ktypes.t -> pid:int -> uid:int -> comm:string -> t
-val uid : Kmem.t -> Ktypes.t -> t -> int
-val euid : Kmem.t -> Ktypes.t -> t -> int
-val set_uid : Kmem.t -> Ktypes.t -> t -> int -> unit
-val addr_limit : Kmem.t -> Ktypes.t -> t -> int
-val set_addr_limit : Kmem.t -> Ktypes.t -> t -> int -> unit
-val clear_child_tid : Kmem.t -> Ktypes.t -> t -> int
-val set_clear_child_tid : Kmem.t -> Ktypes.t -> t -> int -> unit
-val comm : Kmem.t -> Ktypes.t -> t -> string
-val is_root : Kmem.t -> Ktypes.t -> t -> bool
+val create : Kmem.t -> Slab.t -> pid:int -> uid:int -> comm:string -> t
+val uid : Kmem.t -> t -> int
+val euid : Kmem.t -> t -> int
+val set_uid : Kmem.t -> t -> int -> unit
+val addr_limit : Kmem.t -> t -> int
+val set_addr_limit : Kmem.t -> t -> int -> unit
+val clear_child_tid : Kmem.t -> t -> int
+val set_clear_child_tid : Kmem.t -> t -> int -> unit
+val comm : Kmem.t -> t -> string
+val is_root : Kmem.t -> t -> bool

@@ -125,7 +125,7 @@ let register_iterators (t : t) =
           else begin
             let data = Skbuff.data t.kst skb in
             let len = Skbuff.len t.kst skb in
-            Lxfi.Capability.Cwrite { base = skb; size = sizeof t "sk_buff" }
+            Lxfi.Capability.Cwrite { base = skb; size = Skbuff.layout.Ktypes.s_size }
             :: (if data <> 0 && len > 0 then
                   [ Lxfi.Capability.Cwrite { base = data; size = len } ]
                 else [])
@@ -168,9 +168,9 @@ let register_iterators (t : t) =
           let bio = Int64.to_int bio in
           if bio = 0 then []
           else begin
-            let data = Kmem.read_ptr (mem t) (bio + off t "bio" "data") in
-            let size = Kmem.read_u32 (mem t) (bio + off t "bio" "size") in
-            Lxfi.Capability.Cwrite { base = bio; size = sizeof t "bio" }
+            let data = Blockdev.bio_data t.blk bio in
+            let size = Blockdev.bio_size t.blk bio in
+            Lxfi.Capability.Cwrite { base = bio; size = Blockdev.bio_layout.Ktypes.s_size }
             :: (if data <> 0 && size > 0 then
                   [ Lxfi.Capability.Cwrite { base = data; size } ]
                 else [])
@@ -187,7 +187,8 @@ let register_iterators (t : t) =
           if card = 0 then []
           else
             [
-              Lxfi.Capability.Cwrite { base = card; size = sizeof t "snd_card" };
+              Lxfi.Capability.Cwrite
+                { base = card; size = Sound.card_layout.Ktypes.s_size };
               Lxfi.Capability.Cwrite
                 {
                   base = Sound.dma_area t.snd card;
@@ -288,13 +289,8 @@ let kexports : (Annot.Registry.slot * (t -> int64 list -> int64)) list =
     d "alloc_skb" [ "len" ] "post(if (return != 0) copy(skb_caps(return)))"
       (fun { kst; _ } args -> Int64.of_int (Skbuff.alloc kst (arg 0 args)));
     d "build_skb" [ "buf"; "len" ] "post(if (return != 0) copy(skb_caps(return)))"
-      (fun ({ kst; _ } as t) args ->
-        let buf = arg 0 args and len = arg 1 args in
-        let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-        Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-        Int64.of_int skb);
+      (fun { kst; _ } args ->
+        Int64.of_int (Skbuff.build kst ~buf:(arg 0 args) ~len:(arg 1 args)));
     d "kfree_skb" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun { kst; _ } args ->
         Skbuff.free kst (arg 0 args);
         0L);
@@ -317,13 +313,8 @@ let kexports : (Annot.Registry.slot * (t -> int64 list -> int64)) list =
         0L);
     d "build_skb_strict" [ "buf"; "len" ]
       "post(if (return != 0) copy(skb_strict_caps(return)))"
-      (fun ({ kst; _ } as t) args ->
-        let buf = arg 0 args and len = arg 1 args in
-        let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-        Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-        Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-        Int64.of_int skb);
+      (fun { kst; _ } args ->
+        Int64.of_int (Skbuff.build kst ~buf:(arg 0 args) ~len:(arg 1 args)));
     d "netif_rx_strict" [ "skb" ] "pre(transfer(skb_strict_caps(skb)))" (fun t args ->
         Netdev.netif_rx t.net (arg 0 args));
     (* --- net core --- *)
@@ -466,7 +457,7 @@ let as_user t ?(comm = "attacker") f =
   | v ->
       let escalated =
         Hashtbl.mem t.kst.Kstate.run_queue task.Task.pid
-        && Task.is_root t.kst.Kstate.mem t.kst.Kstate.types task
+        && Task.is_root t.kst.Kstate.mem task
       in
       restore ();
       (v, escalated)

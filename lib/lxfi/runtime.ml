@@ -387,14 +387,28 @@ type direction =
 
 type eval_env = { params : string list; args : int64 list; ret : int64 option }
 
+(* The argument bound to parameter [p], walking parameters and
+   arguments together.  Both crossings check that the counts agree
+   before any annotation runs ([check_arity]). *)
+let rec arg_of p params args =
+  match (params, args) with
+  | q :: params, v :: args -> if String.equal q p then v else arg_of p params args
+  | _ -> invalid_arg (Printf.sprintf "annotation references unknown parameter %s" p)
+
+(** [check_arity ~module_ ~fname params args] raises [Kstate.Oops], in
+    the MIR engine's words, unless there is one argument per declared
+    parameter. *)
+let check_arity ~module_ ~fname params args =
+  if List.compare_lengths params args <> 0 then
+    raise
+      (Kstate.Oops
+         (Printf.sprintf "module %s: %s arity mismatch (%d args, want %d)" module_ fname
+            (List.length args) (List.length params)))
+
 let rec eval_cexpr rt env (e : Annot.Ast.cexpr) : int64 =
   match e with
   | Annot.Ast.Cint n -> n
-  | Annot.Ast.Cparam p -> (
-      match List.assoc_opt p (List.combine env.params env.args) with
-      | Some v -> v
-      | None ->
-          invalid_arg (Printf.sprintf "annotation references unknown parameter %s" p))
+  | Annot.Ast.Cparam p -> arg_of p env.params env.args
   | Annot.Ast.Creturn -> (
       match env.ret with
       | Some v -> v
@@ -535,6 +549,7 @@ let call_kexport rt (ke : kexport) args =
           (* Kernel code calling a kernel export: no boundary. *)
           ke.ke_impl args
       | Some mp ->
+          check_arity ~module_:mp.Principal.owner ~fname:ke.ke_name ke.ke_params args;
           let mi =
             match Hashtbl.find_opt rt.modules mp.Principal.owner with
             | Some mi -> mi
@@ -634,6 +649,7 @@ let invoke_module_function rt mi fname args =
               "kernel invoked unannotated module function %s" fname
           else run_mir rt mi fname args
       | Some slot ->
+          check_arity ~module_:mi.mi_name ~fname slot.Annot.Registry.sl_params args;
           (match mi.mi_dead with
           | Some reason ->
               Violation.raise_ ~kind:Violation.Principal_denied ~module_:mi.mi_name

@@ -333,6 +333,58 @@ let prop_flow_soundness =
             s.Fuzz.Harness.s_outcomes);
       true)
 
+(* The prebuilt lookup behind [permits] and [has_node] answers exactly
+   what membership in the rendered lists does, over every name a graph
+   mentions plus one it does not, on the catalog's graphs and on each
+   generated case's graph and its flow-reorder mutant's audited
+   counterpart ([Mutate.benign_of]). *)
+let lookup_agrees_with_lists (g : Check.Apiflow.graph) =
+  let open Check.Apiflow in
+  let mem x = List.exists (String.equal x) in
+  let names =
+    "no_such_kexport"
+    :: (g.g_nodes @ g.g_start @ List.concat_map (fun (a, b) -> [ a; b ]) g.g_edges)
+  in
+  let fail fmt = QCheck.Test.fail_reportf ("module %s: " ^^ fmt) g.g_module in
+  List.iter
+    (fun k ->
+      if has_node g k <> mem k g.g_nodes then fail "has_node %s disagrees" k;
+      if permits g ~pos:None k <> mem k g.g_start then fail "start -> %s disagrees" k;
+      List.iter
+        (fun p ->
+          let listed =
+            List.exists (fun (a, b) -> String.equal a p && String.equal b k) g.g_edges
+          in
+          if permits g ~pos:(Some p) k <> listed then fail "%s -> %s disagrees" p k)
+        names)
+    names
+
+let catalog_graphs =
+  lazy
+    (Kernel_sim.Klog.quiet ();
+     let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+     let env = Lxfi.Loader.check_env sys.Kmodules.Ksys.rt in
+     List.map
+       (fun (spec : Kmodules.Mod_common.spec) ->
+         Check.Apiflow.extract env (spec.Kmodules.Mod_common.make sys))
+       Kmodules.Catalog.all)
+
+let prop_flow_lookup =
+  QCheck.Test.make ~count:50 ~name:"flow lookup equals list membership"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand (Fuzz.Rng.create ~seed)) in
+      let prog = case.Fuzz.Gen.c_prog in
+      let mutant = Fuzz.Mutate.apply ~canary_addr:0x1000 Fuzz.Mutate.Flow_reorder prog in
+      let env = flow_env () in
+      List.iter lookup_agrees_with_lists
+        (Lazy.force catalog_graphs
+        @ [
+            Check.Apiflow.extract env prog;
+            Check.Apiflow.extract env (Fuzz.Mutate.benign_of mutant.Fuzz.Mutate.m_prog);
+          ]);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Catalog acceptance                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +465,7 @@ let () =
           Alcotest.test_case "graph shape" `Quick test_flow_graph_shape;
           Alcotest.test_case "undefined callee" `Quick test_flow_undefined_callee;
           QCheck_alcotest.to_alcotest prop_flow_soundness;
+          QCheck_alcotest.to_alcotest prop_flow_lookup;
         ] );
       ( "acceptance",
         [

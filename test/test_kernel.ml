@@ -11,11 +11,11 @@ let boot = Kstate.boot
 let test_task_lifecycle () =
   let kst = boot () in
   let t = Kstate.spawn_task kst ~uid:1000 ~comm:"worker" in
-  Alcotest.(check int) "uid stored" 1000 (Task.uid kst.Kstate.mem kst.Kstate.types t);
-  Alcotest.(check string) "comm stored" "worker" (Task.comm kst.Kstate.mem kst.Kstate.types t);
-  Alcotest.(check bool) "not root" false (Task.is_root kst.Kstate.mem kst.Kstate.types t);
-  Task.set_uid kst.Kstate.mem kst.Kstate.types t 0;
-  Alcotest.(check bool) "escalated" true (Task.is_root kst.Kstate.mem kst.Kstate.types t);
+  Alcotest.(check int) "uid stored" 1000 (Task.uid kst.Kstate.mem t);
+  Alcotest.(check string) "comm stored" "worker" (Task.comm kst.Kstate.mem t);
+  Alcotest.(check bool) "not root" false (Task.is_root kst.Kstate.mem t);
+  Task.set_uid kst.Kstate.mem t 0;
+  Alcotest.(check bool) "escalated" true (Task.is_root kst.Kstate.mem t);
   Alcotest.(check bool) "in ps" true (List.mem t.Task.pid (Kstate.ps kst));
   Alcotest.(check bool) "scheduled" true (List.mem t.Task.pid (Kstate.scheduled kst))
 
@@ -24,9 +24,9 @@ let test_uid_is_memory () =
      target *)
   let kst = boot () in
   let t = Kstate.spawn_task kst ~uid:1000 ~comm:"victim" in
-  let uid_addr = Task.field_addr kst.Kstate.types t "uid" in
+  let uid_addr = Task.field_addr t "uid" in
   Kmem.write_u32 kst.Kstate.mem uid_addr 0;
-  Alcotest.(check int) "direct write changed uid" 0 (Task.uid kst.Kstate.mem kst.Kstate.types t)
+  Alcotest.(check int) "direct write changed uid" 0 (Task.uid kst.Kstate.mem t)
 
 let test_detach_pid_hides () =
   let kst = boot () in
@@ -58,7 +58,7 @@ let test_do_exit_vulnerable_vs_fixed () =
     Kmem.write_u64 kst.Kstate.mem victim_slot 0xffffffffffffffffL;
     let t = Kstate.spawn_task kst ~uid:1000 ~comm:"dying" in
     Kstate.switch_to kst t;
-    Task.set_clear_child_tid kst.Kstate.mem kst.Kstate.types t victim_slot;
+    Task.set_clear_child_tid kst.Kstate.mem t victim_slot;
     Kstate.set_fs kst Task.kernel_ds (* the stale limit *);
     Kstate.do_exit kst;
     Kmem.read kst.Kstate.mem ~addr:victim_slot ~size:4

@@ -69,6 +69,45 @@ let test_kernel_structs_present () =
     (Ktypes.offset kst.Kstate.types "sk_buff" "data"
      <> Ktypes.offset kst.Kstate.types "sk_buff" "len")
 
+(* Every struct a boot registers is physically the value its subsystem
+   laid out once per process, and the registry still refuses a second
+   registration of any of them. *)
+let test_booted_layouts_are_values () =
+  let subsystem_layouts =
+    List.concat
+      [
+        Task.layouts;
+        Skbuff.layouts;
+        Netdev.layouts;
+        Pci.layouts;
+        Sockets.layouts;
+        Blockdev.layouts;
+        Sound.layouts;
+        Shm.layouts;
+      ]
+  in
+  let types = Kmodules.Ksys.types (Kmodules.Ksys.boot Lxfi.Config.lxfi) in
+  let booted = Ktypes.all types in
+  Alcotest.(check int) "one booted struct per layout" (List.length subsystem_layouts)
+    (List.length booted);
+  List.iter
+    (fun (s : Ktypes.strct) ->
+      match
+        List.find_opt
+          (fun (l : Ktypes.strct) -> String.equal l.Ktypes.s_name s.Ktypes.s_name)
+          subsystem_layouts
+      with
+      | Some l ->
+          Alcotest.(check bool) (s.Ktypes.s_name ^ " is the layout value") true (l == s)
+      | None -> Alcotest.failf "booted struct %s has no subsystem layout" s.Ktypes.s_name)
+    booted;
+  List.iter
+    (fun (l : Ktypes.strct) ->
+      Alcotest.check_raises ("second add of " ^ l.Ktypes.s_name)
+        (Invalid_argument ("Ktypes.define: duplicate struct " ^ l.Ktypes.s_name))
+        (fun () -> Ktypes.add types l))
+    subsystem_layouts
+
 let () =
   Alcotest.run "ktypes"
     [
@@ -79,5 +118,7 @@ let () =
           Alcotest.test_case "duplicates rejected" `Quick test_duplicate_rejected;
           Alcotest.test_case "unknown lookups" `Quick test_unknown_lookups;
           Alcotest.test_case "kernel structs" `Quick test_kernel_structs_present;
+          Alcotest.test_case "booted layouts are the subsystems' values" `Quick
+            test_booted_layouts_are_values;
         ] );
     ]

@@ -61,7 +61,7 @@ let test_sendpage_restores_limit_on_success () =
   let u = Kstate.user_alloc kst 16 in
   ignore (Sockets.sys_sendpage sys.Ksys.sock ~fd ~buf:u ~len:8 ~flags:0);
   Alcotest.(check int) "address limit back to USER_DS" Task.user_ds
-    (Task.addr_limit kst.Kstate.mem kst.Kstate.types kst.Kstate.current)
+    (Task.addr_limit kst.Kstate.mem kst.Kstate.current)
 
 let test_sendpage_leaks_limit_on_oops () =
   (* the CVE-2010-4258 precondition: an oops inside sendpage leaves
@@ -75,7 +75,7 @@ let test_sendpage_leaks_limit_on_oops () =
   | exception Kmem.Fault _ -> ()
   | _ -> Alcotest.fail "expected the NULL dereference");
   Alcotest.(check int) "stale KERNEL_DS" Task.kernel_ds
-    (Task.addr_limit kst.Kstate.mem kst.Kstate.types kst.Kstate.current);
+    (Task.addr_limit kst.Kstate.mem kst.Kstate.current);
   Kstate.set_fs kst Task.user_ds
 
 let test_socket_principals_isolated () =

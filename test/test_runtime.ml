@@ -251,6 +251,38 @@ let test_stats_move () =
   Alcotest.(check bool) "entry counted" true (d.Stats.fn_entry >= 1);
   Alcotest.(check bool) "annotation counted" true (d.Stats.annotation_actions >= 1)
 
+(* A crossing whose argument count differs from the declared parameters
+   oopses the way the MIR engine reports a bad direct call, before the
+   wrapper moves any counter or runs any annotation action. *)
+let expect_arity_oops rt msg f =
+  let s0 = Stats.snapshot rt.Runtime.stats in
+  (match f () with
+  | _ -> Alcotest.fail "expected an arity oops"
+  | exception Kstate.Oops m -> Alcotest.(check string) "oops message" msg m);
+  List.iter
+    (fun (c : Stats.counter) ->
+      Alcotest.(check int) (c.Stats.name ^ " unmoved") 0
+        (c.Stats.get (Stats.since rt.Runtime.stats s0)))
+    Stats.all
+
+let test_kexport_arity_mismatch () =
+  let _, rt, mi = setup () in
+  rt.Runtime.current <- Some mi.Runtime.mi_shared;
+  let ke = Runtime.find_kexport rt "kzalloc_like" in
+  expect_arity_oops rt "module probe_mod: kzalloc_like arity mismatch (2 args, want 1)"
+    (fun () -> Runtime.call_kexport rt ke [ 16L; 16L ]);
+  match rt.Runtime.current with
+  | Some p when p == mi.Runtime.mi_shared -> ()
+  | _ -> Alcotest.fail "the caller must stay current"
+
+let test_module_function_arity_mismatch () =
+  let _, rt, mi = setup () in
+  expect_arity_oops rt "module probe_mod: entry arity mismatch (0 args, want 1)"
+    (fun () -> Runtime.invoke_module_function rt mi "entry" []);
+  Alcotest.(check bool) "no instance principal created" true
+    (Hashtbl.length mi.Runtime.mi_aliases = 0);
+  Alcotest.(check bool) "current still the kernel" true (rt.Runtime.current = None)
+
 let () =
   Klog.quiet ();
   Alcotest.run "runtime"
@@ -279,6 +311,10 @@ let () =
           Alcotest.test_case "writers_of" `Quick test_writers_of;
           Alcotest.test_case "inspect capture" `Quick test_inspect_capture;
           Alcotest.test_case "current_module" `Quick test_current_module;
+          Alcotest.test_case "kexport arity mismatch oopses" `Quick
+            test_kexport_arity_mismatch;
+          Alcotest.test_case "module function arity mismatch oopses" `Quick
+            test_module_function_arity_mismatch;
         ] );
       ( "kernel ind-call",
         [
