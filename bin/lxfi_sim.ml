@@ -378,8 +378,6 @@ let trace_cmd =
              JSON export.")
     Term.(const run $ workload_arg $ seed $ out $ limit)
 
-(* ---- runmod ---- *)
-
 (* ---- check ---- *)
 
 let check_cmd =
@@ -435,6 +433,8 @@ let check_cmd =
           without loading any module.")
     Term.(const run $ module_arg $ all_arg $ json_arg $ broken_arg)
 
+(* ---- runmod ---- *)
+
 let runmod_cmd =
   let file_arg =
     Arg.(
@@ -463,10 +463,17 @@ let runmod_cmd =
         exit 1
     | Ok prog -> (
         let sys = Ksys.boot config in
+        (* cli.entry takes the --entry function's parameters, so the
+           crossing's arity check accepts the arguments it is given *)
+        let entry_params =
+          match Option.bind entry (Mir.Ast.find_func prog) with
+          | Some f -> f.Mir.Ast.params
+          | None -> []
+        in
         if not (Annot.Registry.mem sys.Ksys.rt.Lxfi.Runtime.registry "cli.entry") then
           ignore
             (Annot.Registry.define_exn sys.Ksys.rt.Lxfi.Runtime.registry ~name:"cli.entry"
-               ~params:[] ~annot_src:"");
+               ~params:entry_params ~annot_src:"");
         (* the fuzz slot types too, so corpus repros load standalone *)
         List.iter
           (fun (name, params, annot_src) ->
@@ -493,6 +500,9 @@ let runmod_cmd =
                   Fmt.pr "%s: %a@." what Lxfi.Violation.pp v;
                   ignore a
               | exception Kernel_sim.Kstate.Oops m -> Fmt.pr "%s: kernel oops: %s@." what m
+              | exception Kernel_sim.Slab.Bad_free addr ->
+                  (* the stock kernel frees whatever pointer it is handed *)
+                  Fmt.pr "%s: kernel oops: bad free of 0x%x@." what addr
               | exception Kernel_sim.Kmem.Fault { addr; write } ->
                   Fmt.pr "%s: fault (%s 0x%x)@." what (if write then "write" else "read") addr
             in

@@ -99,7 +99,15 @@ type clean_sig = {
 }
 
 let hex b =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (Bytes.to_seq b))))
+  let digits = "0123456789abcdef" in
+  let out = Bytes.create (2 * Bytes.length b) in
+  Bytes.iteri
+    (fun i c ->
+      let v = Char.code c in
+      Bytes.set out (2 * i) digits.[v lsr 4];
+      Bytes.set out ((2 * i) + 1) digits.[v land 15])
+    b;
+  Bytes.unsafe_to_string out
 
 let clean_drive ctx inputs =
   List.concat_map

@@ -56,14 +56,14 @@ end
 exception Fault of { addr : int; write : bool }
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Inttbl.t;
       (** materialised pages; any other page is added zero-filled on its
           first access *)
   mutable last_idx : int;  (** single-entry page-lookup cache (TLB of one) *)
   mutable last_page : Bytes.t;
 }
 
-let create () = { pages = Hashtbl.create 1024; last_idx = -1; last_page = Bytes.empty }
+let create () = { pages = Inttbl.create 1024; last_idx = -1; last_page = Bytes.empty }
 
 (* Demand-zero: the first read or write of a page materialises it
    zero-filled, so nothing maps memory ahead of use.  Pages are never
@@ -73,17 +73,18 @@ let page_of t ~write addr =
   let idx = addr lsr page_shift in
   if idx = t.last_idx then t.last_page
   else
-    match Hashtbl.find_opt t.pages idx with
-    | Some b ->
-        t.last_idx <- idx;
-        t.last_page <- b;
-        b
-    | None ->
-        let b = Bytes.make page_size '\000' in
-        Hashtbl.replace t.pages idx b;
-        t.last_idx <- idx;
-        t.last_page <- b;
-        b
+    let b =
+      (* a page is absent only until its first access *)
+      match Inttbl.find t.pages idx with
+      | b -> b
+      | exception Not_found ->
+          let b = Bytes.make page_size '\000' in
+          Inttbl.replace t.pages idx b;
+          b
+    in
+    t.last_idx <- idx;
+    t.last_page <- b;
+    b
 
 let read_u8 t addr =
   let b = page_of t ~write:false addr in

@@ -30,7 +30,7 @@ exception Fault of { addr : int; write : bool }
     the oops path runs. *)
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Inttbl.t;
       (** materialised pages; any other page is added zero-filled on its
           first access *)
   mutable last_idx : int;

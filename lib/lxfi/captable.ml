@@ -1,7 +1,8 @@
 (** Per-principal capability tables (§5, "Capability table").
 
-    One table per capability type.  CALL and REF tables are ordinary
-    hash tables keyed by target address / (type, address).
+    One table per capability type.  WRITE page slots and CALL targets
+    live in int-keyed tables ({!Kernel_sim.Inttbl}); REF capabilities
+    in an ordinary hash table keyed by (type, address).
 
     WRITE capabilities are identified by an address {e range}, and the
     hot check ("does some capability cover [addr, addr+size)?") must be
@@ -10,6 +11,8 @@
     bits of the address, so a lookup only consults the one bucket for
     the queried address's page.  (The paper chose this over a balanced
     tree because kernel-module objects rarely exceed a page.) *)
+
+module Inttbl = Kernel_sim.Inttbl
 
 let slot_shift = 12
 
@@ -26,23 +29,29 @@ let big_range_pages = 64
 type wentry = { base : int; size : int }
 
 type t = {
-  writes : (int, wentry list) Hashtbl.t;  (** page slot -> covering entries *)
+  writes : wentry list Inttbl.t;  (** page slot -> covering entries *)
   mutable big : wentry list;  (** oversized ranges, checked linearly *)
-  calls : (int, unit) Hashtbl.t;
+  calls : unit Inttbl.t;
   refs : (string * int, unit) Hashtbl.t;
-  mutable last_hit : wentry option;
-      (** last covering WRITE range (guard-write fast path); sound
-          because adding capabilities never shrinks a range, so the
-          cache only needs dropping on revoke/clear *)
+  mutable last_hit : wentry;
+      (** last covering WRITE range (guard-write fast path), or
+          [no_hit]; sound because adding capabilities never shrinks a
+          range, so the cache only needs dropping when a revocation
+          could remove it (it intersects the revoked range) or on
+          clear *)
 }
+
+(* The empty cache.  Compared physically: no (addr, size) query may
+   match it, whatever its fields. *)
+let no_hit = { base = 0; size = 0 }
 
 let create () =
   {
-    writes = Hashtbl.create 32;
+    writes = Inttbl.create 32;
     big = [];
-    calls = Hashtbl.create 16;
+    calls = Inttbl.create 16;
     refs = Hashtbl.create 16;
-    last_hit = None;
+    last_hit = no_hit;
   }
 
 let slots_of ~base ~size =
@@ -53,122 +62,136 @@ let is_big ~base ~size =
   let first, last = slots_of ~base ~size in
   last - first >= big_range_pages
 
+(* The entries hashed into page slot [s].  An absent slot is common
+   (most principals hold nothing on a given page, many nothing hashed
+   at all), so this asks [find_opt], whose only allocation is the
+   option around a present slot, rather than [find], whose [Not_found]
+   costs several times that. *)
+let slot t s =
+  if Inttbl.length t.writes = 0 then []
+  else match Inttbl.find_opt t.writes s with Some l -> l | None -> []
+
+let same_range e ~base ~size = e.base = base && e.size = size
+
+let rec mem_range ~base ~size = function
+  | [] -> false
+  | e :: rest -> same_range e ~base ~size || mem_range ~base ~size rest
+
 (** {1 WRITE} *)
 
 let add_write t ~base ~size =
   if size <= 0 then invalid_arg "Captable.add_write: size <= 0";
   let e = { base; size } in
   if is_big ~base ~size then begin
-    if not (List.exists (fun x -> x.base = base && x.size = size) t.big) then
-      t.big <- e :: t.big
+    if not (mem_range ~base ~size t.big) then t.big <- e :: t.big
   end
   else begin
     let first, last = slots_of ~base ~size in
     for s = first to last do
-      let cur = Option.value ~default:[] (Hashtbl.find_opt t.writes s) in
+      let cur = slot t s in
       (* Idempotent: an identical entry is not duplicated. *)
-      if not (List.exists (fun x -> x.base = base && x.size = size) cur) then
-        Hashtbl.replace t.writes s (e :: cur)
+      if not (mem_range ~base ~size cur) then Inttbl.replace t.writes s (e :: cur)
     done
   end
 
 let covers e ~addr ~size = e.base <= addr && addr + size <= e.base + e.size
 
+(* The first entry of [l] covering [addr, addr+size), or [no_hit]. *)
+let rec covering ~addr ~size = function
+  | [] -> no_hit
+  | e :: rest -> if covers e ~addr ~size then e else covering ~addr ~size rest
+
 (** [has_write_uncached t ~addr ~size] — the cache-free covering-range
     query (reference semantics; the property suite checks the cached
     path against it). *)
 let has_write_uncached t ~addr ~size =
-  (match Hashtbl.find_opt t.writes (addr lsr slot_shift) with
-  | None -> false
-  | Some entries -> List.exists (fun e -> covers e ~addr ~size) entries)
+  List.exists (fun e -> covers e ~addr ~size) (slot t (addr lsr slot_shift))
   || List.exists (fun e -> covers e ~addr ~size) t.big
 
 (** [has_write t ~addr ~size] — is [addr, addr+size) covered by a single
     WRITE capability?  Consults the last covering range first: guarded
     module stores cluster heavily (the same skb / stack buffer written
-    field by field), so this hits far more often than the bucket scan. *)
+    field by field), so this hits far more often than the bucket scan,
+    which allocates no closure and no option of its own. *)
 let has_write t ~addr ~size =
-  match t.last_hit with
-  | Some e when covers e ~addr ~size -> true
-  | _ ->
-      let find = List.find_opt (fun e -> covers e ~addr ~size) in
-      let hit =
-        match
-          match Hashtbl.find_opt t.writes (addr lsr slot_shift) with
-          | None -> None
-          | Some entries -> find entries
-        with
-        | Some _ as r -> r
-        | None -> find t.big
-      in
-      (match hit with
-      | Some _ ->
-          t.last_hit <- hit;
-          true
-      | None -> false)
-
-(** [find_write_covering t ~addr] — the covering entry for a single
-    address, if any (used to answer "who wrote this slot"). *)
-let find_write_covering t ~addr =
-  let hit =
-    match Hashtbl.find_opt t.writes (addr lsr slot_shift) with
-    | None -> None
-    | Some entries -> List.find_opt (fun e -> covers e ~addr ~size:1) entries
-  in
-  match hit with
-  | Some _ as r -> r
-  | None -> List.find_opt (fun e -> covers e ~addr ~size:1) t.big
+  let e = t.last_hit in
+  if e != no_hit && covers e ~addr ~size then true
+  else
+    let e = covering ~addr ~size (slot t (addr lsr slot_shift)) in
+    let e = if e == no_hit then covering ~addr ~size t.big else e in
+    if e == no_hit then false
+    else begin
+      t.last_hit <- e;
+      true
+    end
 
 let intersects e ~base ~size = e.base < base + size && base < e.base + e.size
+
+(* The first entry of [l] intersecting [base, base+size), or [no_hit]. *)
+let rec intersecting ~base ~size = function
+  | [] -> no_hit
+  | e :: rest -> if intersects e ~base ~size then e else intersecting ~base ~size rest
+
+let contained e ~base ~size = e.base >= base && e.base + e.size <= base + size
+
+let rec any_contained ~base ~size = function
+  | [] -> false
+  | e :: rest -> contained e ~base ~size || any_contained ~base ~size rest
+
+(* [l] without the entries of [v]'s range; shares the tail after the
+   last one. *)
+let rec without v l =
+  match l with
+  | [] -> l
+  | e :: rest ->
+      let rest' = without v rest in
+      if same_range e ~base:v.base ~size:v.size then rest'
+      else if rest' == rest then l
+      else e :: rest'
+
+(* Remove [v] from every slot its range covers. *)
+let remove_entry t v =
+  let vf, vl = slots_of ~base:v.base ~size:v.size in
+  for s = vf to vl do
+    match without v (slot t s) with
+    | [] -> Inttbl.remove t.writes s
+    | kept -> Inttbl.replace t.writes s kept
+  done
 
 (** [remove_write_intersecting t ~base ~size] removes every WRITE entry
     that overlaps [base, base+size); returns how many distinct entries
     were removed.  Used by transfer actions, which revoke from {e all}
-    principals so that no copies survive (§3.3). *)
+    principals so that no copies survive (§3.3).  A table holding
+    nothing in the range is only probed, never rebuilt, and keeps its
+    cached range unless that range intersects the revoked one (only
+    intersecting entries are ever removed). *)
 let remove_write_intersecting t ~base ~size =
-  t.last_hit <- None;
-  (* Collect victims from the overlapped slots, then delete each victim
-     from all slots its own range covers. *)
-  let first, last = slots_of ~base ~size in
-  let victims = ref [] in
-  for s = first to last do
-    match Hashtbl.find_opt t.writes s with
-    | None -> ()
-    | Some entries ->
-        List.iter
-          (fun e ->
-            if intersects e ~base ~size
-               && not (List.exists (fun v -> v.base = e.base && v.size = e.size) !victims)
-            then victims := e :: !victims)
-          entries
+  if t.last_hit != no_hit && intersects t.last_hit ~base ~size then t.last_hit <- no_hit;
+  (* An entry leaves all its slots at once, so none is counted twice. *)
+  let hashed = ref 0 in
+  for s = base lsr slot_shift to (base + size - 1) lsr slot_shift do
+    let v = ref (intersecting ~base ~size (slot t s)) in
+    while !v != no_hit do
+      remove_entry t !v;
+      incr hashed;
+      v := intersecting ~base ~size (slot t s)
+    done
   done;
-  List.iter
-    (fun v ->
-      let vf, vl = slots_of ~base:v.base ~size:v.size in
-      for s = vf to vl do
-        match Hashtbl.find_opt t.writes s with
-        | None -> ()
-        | Some entries ->
-            let kept =
-              List.filter (fun e -> not (e.base = v.base && e.size = v.size)) entries
-            in
-            if kept = [] then Hashtbl.remove t.writes s
-            else Hashtbl.replace t.writes s kept
-      done)
-    !victims;
   (* A big (blanket) range is only revoked when the revocation range
      contains it entirely: a transfer of one small object must not
      strip a module's user-space window. *)
-  let contained e = e.base >= base && e.base + e.size <= base + size in
-  let nbig = List.length (List.filter contained t.big) in
-  t.big <- List.filter (fun e -> not (contained e)) t.big;
-  List.length !victims + nbig
+  if any_contained ~base ~size t.big then begin
+    let gone, kept = List.partition (fun e -> contained e ~base ~size) t.big in
+    t.big <- kept;
+    !hashed + List.length gone
+  end
+  else !hashed
 
 (** Distinct WRITE entries (each range counted once). *)
 let fold_writes t f acc =
   let seen = Hashtbl.create 16 in
   let acc =
-    Hashtbl.fold
+    Inttbl.fold
       (fun _ entries acc ->
         List.fold_left
           (fun acc e ->
@@ -186,11 +209,13 @@ let write_count t = fold_writes t (fun n ~base:_ ~size:_ -> n + 1) 0
 
 (** {1 CALL} *)
 
-let add_call t ~target = Hashtbl.replace t.calls target ()
-let has_call t ~target = Hashtbl.mem t.calls target
-let remove_call t ~target = Hashtbl.remove t.calls target
-let call_count t = Hashtbl.length t.calls
-let fold_calls t f acc = Hashtbl.fold (fun target () acc -> f acc ~target) t.calls acc
+let add_call t ~target = Inttbl.replace t.calls target ()
+let has_call t ~target = Inttbl.mem t.calls target
+let remove_call t ~target = Inttbl.remove t.calls target
+let call_count t = Inttbl.length t.calls
+
+let fold_calls t f acc =
+  Inttbl.fold (fun target () acc -> f acc ~target) t.calls acc
 
 (** {1 REF} *)
 
@@ -205,10 +230,10 @@ let fold_refs t f acc =
 (** [clear t] drops every capability of every type — the quarantine
     revocation primitive. *)
 let clear t =
-  t.last_hit <- None;
-  Hashtbl.reset t.writes;
+  t.last_hit <- no_hit;
+  Inttbl.reset t.writes;
   t.big <- [];
-  Hashtbl.reset t.calls;
+  Inttbl.reset t.calls;
   Hashtbl.reset t.refs
 
 let pp ppf t =

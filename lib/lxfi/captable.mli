@@ -7,18 +7,8 @@
     lookup.  Ranges covering many pages (in practice only the blanket
     user-space window) are kept on a short linear list instead. *)
 
-type wentry = { base : int; size : int }
-(** A WRITE capability's range. *)
-
-type t = {
-  writes : (int, wentry list) Hashtbl.t;  (** page slot -> covering entries *)
-  mutable big : wentry list;  (** oversized ranges, checked linearly *)
-  calls : (int, unit) Hashtbl.t;
-  refs : (string * int, unit) Hashtbl.t;
-  mutable last_hit : wentry option;
-      (** last covering WRITE range (guard-write fast path); dropped on
-          any revoke/clear *)
-}
+type t
+(** One principal's WRITE, CALL and REF capabilities. *)
 
 val slot_shift : int
 (** Low bits masked when hashing WRITE ranges (12 = page granularity). *)
@@ -43,15 +33,13 @@ val has_write_uncached : t -> addr:int -> size:int -> bool
 (** The cache-free covering-range query — reference semantics for the
     cached fast path (exercised differentially by the property suite). *)
 
-val find_write_covering : t -> addr:int -> wentry option
-(** The entry covering the single address [addr], if any (used to
-    answer "who wrote this function-pointer slot"). *)
-
 val remove_write_intersecting : t -> base:int -> size:int -> int
 (** Remove every WRITE entry overlapping [base, base+size) — transfer
     semantics (§3.3).  A blanket ("big") range is only removed when the
     revocation range contains it entirely.  Returns the number of
-    distinct entries removed. *)
+    distinct entries removed.  A table with nothing to remove is only
+    probed, and keeps its cached covering range unless that range
+    intersects [base, base+size). *)
 
 val fold_writes : t -> ('a -> base:int -> size:int -> 'a) -> 'a -> 'a
 (** Fold over distinct WRITE entries (each range visited once). *)

@@ -294,14 +294,15 @@ let all_principals rt =
     instance principals see the shared principal's capabilities; the
     global principal sees everything the module holds. *)
 let principal_has rt (p : Principal.t) (c : Capability.t) : bool =
-  let table_has (tbl : Captable.t) =
+  (* closed over nothing, so no closure is allocated per check *)
+  let table_has (tbl : Captable.t) (c : Capability.t) =
     match c with
     | Capability.Cwrite { base; size } -> Captable.has_write tbl ~addr:base ~size
     | Capability.Cref { rtype; addr } -> Captable.has_ref tbl ~rtype ~addr
     | Capability.Ccall { target } -> Captable.has_call tbl ~target
   in
   if p.Principal.quarantined <> None then false
-  else if table_has p.Principal.caps then true
+  else if table_has p.Principal.caps c then true
   else
     match Hashtbl.find_opt rt.modules p.Principal.owner with
     | None -> false
@@ -310,11 +311,11 @@ let principal_has rt (p : Principal.t) (c : Capability.t) : bool =
         | Principal.Shared -> false
         | Principal.Instance ->
             mi.mi_shared.Principal.quarantined = None
-            && table_has mi.mi_shared.Principal.caps
+            && table_has mi.mi_shared.Principal.caps c
         | Principal.Global ->
             List.exists
               (fun (q : Principal.t) ->
-                q.Principal.quarantined = None && table_has q.Principal.caps)
+                q.Principal.quarantined = None && table_has q.Principal.caps c)
               mi.mi_principals)
 
 (** [has_write_covering rt p ~addr ~size] — like [principal_has] for a
@@ -356,14 +357,16 @@ let grant ?(ctx = "") rt (p : Principal.t) (c : Capability.t) =
 let revoke_from_all ?(ctx = "") rt (c : Capability.t) =
   rt.stats.Stats.caps_revoked <- rt.stats.Stats.caps_revoked + 1;
   if !Trace.on then Trace.emit (Trace.Cap (Trace.Revoke, Capability.to_string c, ctx));
-  List.iter
-    (fun (p : Principal.t) ->
-      match c with
-      | Capability.Cwrite { base; size } ->
-          ignore (Captable.remove_write_intersecting p.Principal.caps ~base ~size)
-      | Capability.Cref { rtype; addr } -> Captable.remove_ref p.Principal.caps ~rtype ~addr
-      | Capability.Ccall { target } -> Captable.remove_call p.Principal.caps ~target)
-    (all_principals rt)
+  let revoke (p : Principal.t) =
+    match c with
+    | Capability.Cwrite { base; size } ->
+        ignore (Captable.remove_write_intersecting p.Principal.caps ~base ~size)
+    | Capability.Cref { rtype; addr } -> Captable.remove_ref p.Principal.caps ~rtype ~addr
+    | Capability.Ccall { target } -> Captable.remove_call p.Principal.caps ~target
+  in
+  (* Each principal loses only its own copies, so the walk's order is
+     immaterial and no principal list is built. *)
+  Hashtbl.iter (fun _ mi -> List.iter revoke mi.mi_principals) rt.modules
 
 (** {1 Principal management} *)
 
@@ -770,13 +773,11 @@ let guard_indcall rt mi ~target =
     list, as in the paper). *)
 let writers_of rt ~addr =
   List.filter
-    (fun (p : Principal.t) ->
-      Captable.has_write p.Principal.caps ~addr ~size:1
-      ||
-      match Captable.find_write_covering p.Principal.caps ~addr with
-      | Some _ -> true
-      | None -> false)
+    (fun (p : Principal.t) -> Captable.has_write p.Principal.caps ~addr ~size:1)
     (all_principals rt)
+
+(* Where the writers of a slot stand on CALL for the slot's target. *)
+type writers_call = No_writer | Every_writer_holds_call | Some_writer_lacks_call
 
 (** The checking dispatcher installed as [Kstate.indcall] under LXFI.
     Implements [lxfi_check_indcall(pptr, ahash)]:
@@ -784,7 +785,8 @@ let writers_of rt ~addr =
     1. writer-set fast path: if no principal could have written the
        slot, skip the capability check entirely;
     2. otherwise every writer principal must hold a CALL capability for
-       the target;
+       the target — decided in one pass over the principals; the
+       ordered writer list is built only to name a writer lacking it;
     3. the target function's annotation hash must match the slot
        type's. *)
 let kernel_indirect_call rt ~slot ~ftype args =
@@ -814,22 +816,38 @@ let kernel_indirect_call rt ~slot ~ftype args =
     charge rt Cost.kernel_indcall_check;
     if !Trace.on then Trace.emit (Trace.Guard Trace.Gkindcall_checked);
     let target = Kmem.read_ptr rt.kst.Kstate.mem slot in
-    let writers = writers_of rt ~addr:slot in
-    match writers with
-    | [] ->
+    let call = Capability.Ccall { target } in
+    (* One pass over every principal, building no list. *)
+    let verdict =
+      Hashtbl.fold
+        (fun _ mi verdict ->
+          List.fold_left
+            (fun verdict (p : Principal.t) ->
+              match verdict with
+              | Some_writer_lacks_call -> verdict
+              | No_writer | Every_writer_holds_call ->
+                  if not (Captable.has_write p.Principal.caps ~addr:slot ~size:1) then verdict
+                  else if principal_has rt p call then Every_writer_holds_call
+                  else Some_writer_lacks_call)
+            verdict mi.mi_principals)
+        rt.modules No_writer
+    in
+    match verdict with
+    | No_writer ->
         (* Writer-set false positive: the line was marked but no
            principal actually holds WRITE on the slot — benign. *)
         dispatch ()
-    | _ ->
-        List.iter
-          (fun (p : Principal.t) ->
-            if not (principal_has rt p (Capability.Ccall { target })) then
-              Violation.raise_ ~principal:p ~kind:Violation.Call_denied
-                ~module_:p.Principal.owner
-                "kernel indirect call via slot 0x%x (%s): writer %s lacks CALL for %s"
-                slot ftype (Principal.describe p)
-                (Fmt.str "%a" (Ksym.pp_addr rt.kst.Kstate.sym) target))
-          writers;
+    | Some_writer_lacks_call ->
+        (* Name the first writer lacking CALL in [writers_of] order;
+           only this path builds that list. *)
+        let p =
+          List.find (fun p -> not (principal_has rt p call)) (writers_of rt ~addr:slot)
+        in
+        Violation.raise_ ~principal:p ~kind:Violation.Call_denied ~module_:p.Principal.owner
+          "kernel indirect call via slot 0x%x (%s): writer %s lacks CALL for %s" slot ftype
+          (Principal.describe p)
+          (Fmt.str "%a" (Ksym.pp_addr rt.kst.Kstate.sym) target)
+    | Every_writer_holds_call ->
         (let slot_hash =
            match Annot.Registry.find_opt rt.registry ftype with
            | Some s -> s.Annot.Registry.sl_ahash

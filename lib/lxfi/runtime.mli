@@ -184,6 +184,9 @@ val find_kexport : t -> string -> kexport
 (** {1 Capabilities and principals} *)
 
 val all_principals : t -> Principal.t list
+(** Every principal of every loaded module, module by module, each
+    module's in its [mi_principals] order.  This order decides which
+    writer a denied kernel indirect call names. *)
 
 val principal_has : t -> Principal.t -> Capability.t -> bool
 (** Ownership with the implicit-access rules of §3.1: instances see the

@@ -392,7 +392,7 @@ let observe ~trace ?fuel ?(watchdog = false) side (drive : drive) =
     Array.to_list (Trace.events buf) |> List.map (Format.asprintf "%a" Trace.pp_event)
   in
   let pages =
-    Hashtbl.fold (fun idx b acc -> (idx, Bytes.to_string b) :: acc) w.kst.Kstate.mem.Kmem.pages []
+    Inttbl.fold (fun idx b acc -> (idx, Bytes.to_string b) :: acc) w.kst.Kstate.mem.Kmem.pages []
     |> List.sort compare
   in
   (calls, Buffer.contents w.log, events, side.idle (), pages)

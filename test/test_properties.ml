@@ -425,6 +425,89 @@ let prop_revoke_leaves_no_copies =
         principals)
 
 (* ------------------------------------------------------------------ *)
+(* A kernel indirect call through a slot with several writers: it       *)
+(* dispatches exactly when every writer holds CALL for the target, and  *)
+(* otherwise names the first writer lacking CALL in all_principals      *)
+(* order, with the same violation text.                                 *)
+(* ------------------------------------------------------------------ *)
+
+let prop_indcall_several_writers =
+  QCheck.Test.make ~count:300 ~name:"indirect call with several writers = ordered reference"
+    (QCheck.make
+       ~print:(fun roles ->
+         String.concat "; "
+           (List.map
+              (fun (w, c, q) -> Printf.sprintf "write=%b call=%b quarantined=%b" w c q)
+              roles))
+       QCheck.Gen.(list_repeat 5 (triple bool bool (frequency [ (3, return false); (1, return true) ]))))
+    (fun roles ->
+      let open Lxfi in
+      let kst = Kernel_sim.Kstate.boot () in
+      let rt = Runtime.create ~kst ~config:Config.lxfi in
+      Runtime.install rt;
+      let load name =
+        fst
+          (Loader.load rt
+             (Mir.Builder.prog name ~imports:[] ~globals:[]
+                ~funcs:[ Mir.Builder.func "module_init" [] [ Mir.Builder.ret0 ] ]))
+      in
+      let a = load "a" and b = load "b" in
+      (* the shared, global and two instance principals of one module,
+         and another module's shared principal *)
+      let principals =
+        [
+          a.Runtime.mi_shared;
+          a.Runtime.mi_global;
+          Runtime.find_or_create_instance rt a ~name_ptr:0x9000;
+          Runtime.find_or_create_instance rt a ~name_ptr:0xa000;
+          b.Runtime.mi_shared;
+        ]
+      in
+      let slot = 0x2_0FFF_0000 and ftype = "probe.slot" in
+      let target = Kernel_sim.Kstate.register_kernel_fn kst "probe_target" (fun _ -> 7L) in
+      Kernel_sim.Kmem.write_ptr kst.Kernel_sim.Kstate.mem slot target;
+      List.iter2
+        (fun (p : Principal.t) (w, c, _) ->
+          if w then Runtime.grant rt p (Capability.Cwrite { base = slot; size = 8 });
+          if c then Runtime.grant rt p (Capability.Ccall { target }))
+        principals roles;
+      List.iter2
+        (fun (p : Principal.t) (_, _, q) -> if q then p.Principal.quarantined <- Some "probe")
+        principals roles;
+      let expected =
+        let writers =
+          List.filter
+            (fun (p : Principal.t) ->
+              Captable.has_write_uncached p.Principal.caps ~addr:slot ~size:1)
+            (Runtime.all_principals rt)
+        in
+        match
+          List.find_opt
+            (fun p -> not (Runtime.principal_has rt p (Capability.Ccall { target })))
+            writers
+        with
+        | None -> Ok 7L
+        | Some p ->
+            Error
+              ( Violation.Call_denied,
+                Some p.Principal.id,
+                Printf.sprintf
+                  "kernel indirect call via slot 0x%x (%s): writer %s lacks CALL for %s" slot
+                  ftype (Principal.describe p)
+                  (Fmt.str "%a" (Kernel_sim.Ksym.pp_addr kst.Kernel_sim.Kstate.sym) target) )
+      in
+      let actual =
+        match Runtime.kernel_indirect_call rt ~slot ~ftype [] with
+        | r -> Ok r
+        | exception Violation.Violation v ->
+            Error
+              ( v.Violation.v_kind,
+                Option.map (fun (p : Principal.t) -> p.Principal.id) v.Violation.v_principal,
+                v.Violation.v_detail )
+      in
+      actual = expected)
+
+(* ------------------------------------------------------------------ *)
 (* Interpreter arithmetic matches Int64 reference semantics.            *)
 (* ------------------------------------------------------------------ *)
 
@@ -597,6 +680,7 @@ let () =
             prop_kmem_matches_bytes;
             prop_slab_no_overlap;
             prop_revoke_leaves_no_copies;
+            prop_indcall_several_writers;
             prop_interp_arithmetic;
             prop_compiled_binops;
             prop_truncation;
