@@ -1,4 +1,5 @@
-(** The three capability types of §3.2.
+(** The three capability types of §3.2, defined as {!Trace.cap} so
+    trace events carry the values.
 
     - [Cwrite (ptr, size)] — may write any values to
       [ptr, ptr+size) and pass interior addresses to kernel routines
@@ -7,18 +8,9 @@
       [t] (object ownership without write access).
     - [Ccall a] — may call or jump to address [a]. *)
 
-type t =
+type t = Trace.cap =
   | Cwrite of { base : int; size : int }
   | Cref of { rtype : string; addr : int }
   | Ccall of { target : int }
 
-let write ~base ~size = Cwrite { base; size }
-let ref_ ~rtype ~addr = Cref { rtype; addr }
-let call ~target = Ccall { target }
-
-let pp ppf = function
-  | Cwrite { base; size } -> Fmt.pf ppf "WRITE(0x%x,+%d)" base size
-  | Cref { rtype; addr } -> Fmt.pf ppf "REF(%s,0x%x)" rtype addr
-  | Ccall { target } -> Fmt.pf ppf "CALL(0x%x)" target
-
-let to_string c = Fmt.str "%a" pp c
+let to_string c = Fmt.str "%a" Trace.pp_cap c

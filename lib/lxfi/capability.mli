@@ -1,6 +1,6 @@
-(** The three capability types of paper §3.2. *)
+(** The three capability types of paper §3.2; the type is {!Trace.cap}. *)
 
-type t =
+type t = Trace.cap =
   | Cwrite of { base : int; size : int }
       (** may write any values to [base, base+size) and pass interior
           addresses to kernel routines that require writable memory *)
@@ -11,8 +11,4 @@ type t =
           (Guideline 3) *)
   | Ccall of { target : int }  (** may call or jump to [target] *)
 
-val write : base:int -> size:int -> t
-val ref_ : rtype:string -> addr:int -> t
-val call : target:int -> t
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+val to_string : t -> string  (** {!Trace.pp_cap}'s text *)

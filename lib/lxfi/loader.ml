@@ -508,17 +508,13 @@ let surface_yields rt (s : surface) shape =
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (** Does the shadow stack hold a wrapper frame of this module — i.e. is
     a kernel→module entry (or one of its nested crossings) still in
     flight? *)
 let in_flight (rt : Runtime.t) (mi : Runtime.module_info) =
   let prefix = mi.Runtime.mi_name ^ ":" in
   List.exists
-    (fun (f : Shadow_stack.frame) -> has_prefix ~prefix f.Shadow_stack.wrapper)
+    (fun (f : Shadow_stack.frame) -> String.starts_with ~prefix f.Shadow_stack.wrapper)
     rt.Runtime.sstack.Shadow_stack.frames
 
 type upgrade_report = {

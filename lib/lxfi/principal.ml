@@ -18,6 +18,7 @@ type t = {
   kind : kind;
   owner : string;  (** module name *)
   primary_name : int;  (** 0 for shared/global; the first name pointer otherwise *)
+  label : string;  (** {!describe}'s text, from the three fields above *)
   caps : Captable.t;
   mutable quarantined : string option;
       (** quarantine reason; a quarantined principal holds no
@@ -35,13 +36,13 @@ let counter = ref 0
 
 let make ~kind ~owner ~primary_name =
   incr counter;
-  { id = !counter; kind; owner; primary_name; caps = Captable.create ();
+  let label =
+    match kind with
+    | Shared -> owner ^ "/shared"
+    | Global -> owner ^ "/global"
+    | Instance -> Printf.sprintf "%s/instance(0x%x)" owner primary_name
+  in
+  { id = !counter; kind; owner; primary_name; label; caps = Captable.create ();
     quarantined = None; flow_pos = None; flow_depth = 0 }
 
-let describe t =
-  match t.kind with
-  | Shared -> Printf.sprintf "%s/shared" t.owner
-  | Global -> Printf.sprintf "%s/global" t.owner
-  | Instance -> Printf.sprintf "%s/instance(0x%x)" t.owner t.primary_name
-
-let pp ppf t = Fmt.string ppf (describe t)
+let describe t = t.label

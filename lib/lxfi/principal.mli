@@ -16,6 +16,7 @@ type t = {
   kind : kind;
   owner : string;  (** module name *)
   primary_name : int;  (** 0 for shared/global; first name pointer otherwise *)
+  label : string;  (** {!describe}'s text, rendered once by {!make} *)
   caps : Captable.t;
   mutable quarantined : string option;
       (** quarantine reason; a quarantined principal holds no
@@ -32,6 +33,5 @@ val make : kind:kind -> owner:string -> primary_name:int -> t
 (** Allocate a principal with an empty capability table. *)
 
 val describe : t -> string
-(** ["mod/shared"], ["mod/global"] or ["mod/instance(0x...)"]. *)
-
-val pp : Format.formatter -> t -> unit
+(** ["mod/shared"], ["mod/global"] or ["mod/instance(0x...)"]: the
+    [label] field, so every call returns the same string. *)

@@ -42,10 +42,6 @@ type incident = {
 
 type t = { mutable incidents : incident list  (** newest first *) }
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (** The faulting window: every retained trace event from the last
     kernel→module entry into [mi] onward.  When no entry span of the
     module is retained (or no buffer is attached), the whole retained
@@ -57,7 +53,7 @@ let window_of (buf : Trace.t) (mi : Runtime.module_info) : Trace.event array =
   Array.iteri
     (fun i (e : Trace.event) ->
       match e.Trace.ev_kind with
-      | Trace.Span_begin (Trace.K2m, w) when has_prefix ~prefix w -> start := i
+      | Trace.Span_begin (Trace.K2m, w) when String.starts_with ~prefix w -> start := i
       | _ -> ())
     evs;
   Array.sub evs !start (Array.length evs - !start)

@@ -128,8 +128,8 @@ let charge rt n = Kcycles.charge rt.kst.Kstate.cycles Kcycles.Guard n
 (** [attach_trace rt buf] wires the {!Trace} subsystem to this runtime:
     events are stamped from the simulated cycle clock and the current
     principal.  Tracing stays zero-cost when unattached — every hook
-    site below checks [!Trace.on] before constructing anything, and
-    emitting never charges cycles. *)
+    site below checks [!Trace.on] before constructing anything — and
+    formats no text when attached; emitting never charges cycles. *)
 let attach_trace rt buf =
   Trace.attach buf
     ~clock:(fun () ->
@@ -328,8 +328,7 @@ let grant ?(ctx = "") rt (p : Principal.t) (c : Capability.t) =
     match rt.kst.Kstate.finject with
     | Some fi when Finject.fires fi Finject.Drop_grant ->
         rt.stats.Stats.caps_dropped <- rt.stats.Stats.caps_dropped + 1;
-        if !Trace.on then
-          Trace.emit (Trace.Cap (Trace.Dropped, Capability.to_string c, ctx));
+        if !Trace.on then Trace.emit (Trace.Cap (Trace.Dropped, c, ctx));
         Klog.debug "finject: dropped grant of %s to %s" (Capability.to_string c)
           (Principal.describe p);
         true
@@ -337,7 +336,7 @@ let grant ?(ctx = "") rt (p : Principal.t) (c : Capability.t) =
   in
   if not dropped then begin
     rt.stats.Stats.caps_granted <- rt.stats.Stats.caps_granted + 1;
-    if !Trace.on then Trace.emit (Trace.Cap (Trace.Grant, Capability.to_string c, ctx));
+    if !Trace.on then Trace.emit (Trace.Cap (Trace.Grant, c, ctx));
     match c with
     | Capability.Cwrite { base; size } ->
         Captable.add_write p.Principal.caps ~base ~size;
@@ -356,7 +355,7 @@ let grant ?(ctx = "") rt (p : Principal.t) (c : Capability.t) =
     object reuse. *)
 let revoke_from_all ?(ctx = "") rt (c : Capability.t) =
   rt.stats.Stats.caps_revoked <- rt.stats.Stats.caps_revoked + 1;
-  if !Trace.on then Trace.emit (Trace.Cap (Trace.Revoke, Capability.to_string c, ctx));
+  if !Trace.on then Trace.emit (Trace.Cap (Trace.Revoke, c, ctx));
   let revoke (p : Principal.t) =
     match c with
     | Capability.Cwrite { base; size } ->

@@ -9,7 +9,7 @@
     up to its capacity, so a short run never pays for a large bound.
     Aggregation and export live in {!Trace_profile}.
 
-    {2 Zero cost when disabled}
+    {2 Zero cost when disabled, cheap when on}
 
     Tracing is off by default.  Every hook site is guarded by a single
     flag check — [if !Trace.on then ...] — and constructs nothing (no
@@ -17,7 +17,10 @@
     with tracing compiled in but disabled runs the exact same
     instruction stream it would without the hooks (see DESIGN.md,
     "Tracing").  Guard counters and simulated cycle totals are byte
-    identical either way: emitting an event never charges cycles.
+    identical either way: emitting an event never charges cycles.  When
+    on, hook sites pass values they already hold (a {!cap}, a
+    principal's description rendered once) and format no text; text is
+    rendered on read, by {!pp_event} and {!Trace_profile}.
 
     {2 Layering}
 
@@ -25,7 +28,8 @@
     so it cannot read the cycle clock or the current principal itself.
     Both are supplied as provider callbacks by {!attach} — the LXFI
     runtime installs providers that read its own state
-    ([Lxfi.Runtime.attach_trace]).
+    ([Lxfi.Runtime.attach_trace]).  So is the capability type of §3.2:
+    [Lxfi.Capability.t] is {!cap}, whose one printer is {!pp_cap}.
 
     {2 Determinism}
 
@@ -65,6 +69,16 @@ let guard_index = function
     module→kernel crossing is an annotated kexport call. *)
 type span = K2m | M2k
 
+type cap =
+  | Cwrite of { base : int; size : int }
+  | Cref of { rtype : string; addr : int }
+  | Ccall of { target : int }
+
+let pp_cap ppf = function
+  | Cwrite { base; size } -> Fmt.pf ppf "WRITE(0x%x,+%d)" base size
+  | Cref { rtype; addr } -> Fmt.pf ppf "REF(%s,0x%x)" rtype addr
+  | Ccall { target } -> Fmt.pf ppf "CALL(0x%x)" target
+
 type cap_op =
   | Grant
   | Revoke
@@ -77,7 +91,7 @@ let cap_op_name = function
 
 type kind =
   | Guard of guard
-  | Cap of cap_op * string * string
+  | Cap of cap_op * cap * string
       (** operation, capability, annotation context (e.g. "copy(post)") *)
   | Switch of string  (** principal switch; payload = new principal *)
   | Span_begin of span * string  (** wrapper entered *)
@@ -180,7 +194,7 @@ let events t =
 let kind_label = function
   | Guard g -> "guard:" ^ guard_name g
   | Cap (op, cap, ctx) ->
-      Printf.sprintf "cap-%s %s%s" (cap_op_name op) cap
+      Fmt.str "cap-%s %a%s" (cap_op_name op) pp_cap cap
         (if ctx = "" then "" else " [" ^ ctx ^ "]")
   | Switch p -> "switch -> " ^ p
   | Span_begin (K2m, w) -> "enter " ^ w

@@ -3,8 +3,8 @@
     Hook points across the simulation emit typed events stamped with
     the simulated cycle clock and the current principal.  Off by
     default; every hook site costs a single [!on] check when disabled.
-    See {!Trace_profile} for aggregation, text reports and Chrome
-    trace-event export. *)
+    When on, hook sites pass values they already hold and format no
+    text; {!pp_event} and {!Trace_profile} render it on read. *)
 
 type guard =
   | Gentry
@@ -14,19 +14,26 @@ type guard =
   | Gkindcall_checked
   | Gkindcall_elided
 
-val guard_name : guard -> string
 val guard_count : int
 val guard_index : guard -> int
 
 type span = K2m  (** kernel→module entry point *) | M2k  (** module→kernel export *)
 
-type cap_op = Grant | Revoke | Dropped
+(** The capability types of §3.2; [Lxfi.Capability.t] is this type. *)
+type cap =
+  | Cwrite of { base : int; size : int }
+  | Cref of { rtype : string; addr : int }
+  | Ccall of { target : int }
 
-val cap_op_name : cap_op -> string
+val pp_cap : Format.formatter -> cap -> unit
+(** [WRITE(0x..,+n)], [REF(type,0x..)] or [CALL(0x..)]: the one
+    capability printer. *)
+
+type cap_op = Grant | Revoke | Dropped
 
 type kind =
   | Guard of guard
-  | Cap of cap_op * string * string  (** op, capability, annotation context *)
+  | Cap of cap_op * cap * string  (** op, capability, annotation context *)
   | Switch of string
   | Span_begin of span * string
   | Span_end of span * string
@@ -90,5 +97,4 @@ val clear : t -> unit
 val events : t -> event array
 (** Retained events, oldest first. *)
 
-val kind_label : kind -> string
 val pp_event : Format.formatter -> event -> unit

@@ -222,8 +222,6 @@ let report ppf (t : t) =
     (attributed_cycles t)
     (if attributed_cycles t = t.pr_total_cycles then "reconciled" else "MISMATCH")
 
-let report_string t = Fmt.str "%a" report t
-
 (** {1 Chrome trace-event JSON}
 
     Loadable in chrome://tracing / Perfetto: wrapper spans become

@@ -15,9 +15,6 @@ type principal_stat = {
   mutable ps_violations : int;
 }
 
-val ps_total : principal_stat -> int
-(** Cycles attributed to the principal, all categories. *)
-
 type entry_stat = {
   es_wrapper : string;
   mutable es_calls : int;
@@ -45,12 +42,9 @@ val attributed_cycles : t -> int
     was supplied to {!aggregate}. *)
 
 val report : Format.formatter -> t -> unit
-val report_string : t -> string
-
-val to_chrome_json : Trace.t -> string
-(** Chrome trace-event JSON (chrome://tracing / Perfetto): wrapper
-    spans as "X" complete events, violations / quarantines /
-    escalations / injected faults as instants, one track per
-    principal.  Deterministic for a fixed input. *)
 
 val write_chrome_json : string -> Trace.t -> unit
+(** Write Chrome trace-event JSON (chrome://tracing / Perfetto) to a
+    file: wrapper spans as "X" complete events, violations /
+    quarantines / escalations / injected faults as instants, one track
+    per principal.  Deterministic for a fixed input. *)

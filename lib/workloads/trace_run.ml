@@ -6,11 +6,13 @@
     traffic), then prints the per-principal / per-entry-point profile
     and optionally writes a Chrome trace-event JSON.
 
-    Everything the trace records is simulated (cycle stamps, simulated
-    addresses, principal descriptions) and the op mix derives from the
+    Everything the trace records is simulated (cycle stamps, capability
+    values, principal descriptions) and the op mix derives from the
     seed through the {!Kernel_sim.Finject} splitmix stream, so the
     output — report and JSON alike — is byte-identical across runs for
-    a fixed seed.  CI diffs two runs to pin exactly that. *)
+    a fixed seed.  CI diffs two runs to pin exactly that.  The run
+    formats no text while it traces: the profile and the JSON are
+    rendered from the retained events afterwards. *)
 
 open Kernel_sim
 open Kmodules

@@ -77,16 +77,15 @@ let () =
   let kinds =
     List.concat_map (fun (_, evs) -> List.map (fun e -> e.Trace.ev_kind) (Array.to_list evs)) runs
   in
-  let cap_text = function Trace.Cap (_, c, _) -> c | _ -> "" in
   let wants =
     [
       ("Guard", function Trace.Guard _ -> true | _ -> false);
       ("Cap Grant", function Trace.Cap (Trace.Grant, _, _) -> true | _ -> false);
       ("Cap Revoke", function Trace.Cap (Trace.Revoke, _, _) -> true | _ -> false);
       ("Cap Dropped", function Trace.Cap (Trace.Dropped, _, _) -> true | _ -> false);
-      ("WRITE payload", fun k -> String.starts_with ~prefix:"WRITE(" (cap_text k));
-      ("REF payload", fun k -> String.starts_with ~prefix:"REF(" (cap_text k));
-      ("CALL payload", fun k -> String.starts_with ~prefix:"CALL(" (cap_text k));
+      ("WRITE payload", function Trace.Cap (_, Trace.Cwrite _, _) -> true | _ -> false);
+      ("REF payload", function Trace.Cap (_, Trace.Cref _, _) -> true | _ -> false);
+      ("CALL payload", function Trace.Cap (_, Trace.Ccall _, _) -> true | _ -> false);
       ("Switch", function Trace.Switch _ -> true | _ -> false);
       ("Span_begin", function Trace.Span_begin _ -> true | _ -> false);
       ("Span_end", function Trace.Span_end _ -> true | _ -> false);

@@ -127,7 +127,14 @@ let test_describe () =
   let a = Runtime.find_or_create_instance rt mi ~name_ptr:0x9000 in
   Alcotest.(check string) "shared name" "m/shared" (Principal.describe mi.Runtime.mi_shared);
   Alcotest.(check string) "global name" "m/global" (Principal.describe mi.Runtime.mi_global);
-  Alcotest.(check string) "instance name" "m/instance(0x9000)" (Principal.describe a)
+  Alcotest.(check string) "instance name" "m/instance(0x9000)" (Principal.describe a);
+  (* rendered once by [Principal.make]: every call returns that string *)
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Principal.describe p ^ " is one string") true
+        (Principal.describe p == Principal.describe p))
+    [ mi.Runtime.mi_shared; mi.Runtime.mi_global; a ]
 
 let () =
   Klog.quiet ();

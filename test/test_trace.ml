@@ -3,6 +3,9 @@
    - wraparound: the ring keeps the NEWEST events, oldest first on read,
      with [dropped]/[total] accounting exact, as it grows to its
      capacity and after it wraps;
+   - values, not text: a capability event carries the capability value
+     and the running principal's one description string, and renders
+     only when printed;
    - determinism: driving the same traced workload twice at the same
      seed yields byte-identical reports and Chrome JSON, and the
      per-principal profile reconciles with the cycle clock. *)
@@ -109,6 +112,59 @@ let prop_ring_model =
           && Trace.dropped buf = total - List.length kept
           && Trace.capacity buf = capacity))
 
+(* [Runtime.grant] and [Runtime.revoke_from_all] on each capability
+   type, with a module principal running. *)
+let test_cap_events_carry_values () =
+  let open Lxfi in
+  let kst = Kernel_sim.Kstate.boot () in
+  let rt = Runtime.create ~kst ~config:Config.lxfi in
+  Runtime.install rt;
+  let prog = Mir.Builder.(prog "m" ~imports:[] ~globals:[] ~funcs:[ func "f" [] [ ret0 ] ]) in
+  let mi = fst (Loader.load rt prog) in
+  let p = mi.Runtime.mi_shared in
+  let buf = Trace.make () in
+  Runtime.attach_trace rt buf;
+  rt.Runtime.current <- Some p;
+  let caps =
+    [
+      (Capability.Cwrite { base = 0x1000; size = 64 }, "WRITE(0x1000,+64)");
+      (Capability.Cref { rtype = "net_device"; addr = 0x2000 }, "REF(net_device,0x2000)");
+      (Capability.Ccall { target = 0x3000 }, "CALL(0x3000)");
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      rt.Runtime.current <- None;
+      Trace.detach ())
+    (fun () ->
+      List.iter
+        (fun (c, _) ->
+          Runtime.grant ~ctx:"copy(pre)" rt p c;
+          Runtime.revoke_from_all ~ctx:"transfer(pre)" rt c)
+        caps);
+  let expected =
+    List.concat_map
+      (fun (c, text) ->
+        [
+          (Trace.Cap (Trace.Grant, c, "copy(pre)"), "cap-grant " ^ text ^ " [copy(pre)]");
+          (Trace.Cap (Trace.Revoke, c, "transfer(pre)"), "cap-revoke " ^ text ^ " [transfer(pre)]");
+        ])
+      caps
+  in
+  let evs = Trace.events buf in
+  Alcotest.(check int) "one event per operation" (List.length expected) (Array.length evs);
+  List.iteri
+    (fun i (kind, text) ->
+      let e = evs.(i) in
+      Alcotest.(check bool) (text ^ ": payload") true (e.Trace.ev_kind = kind);
+      Alcotest.(check bool)
+        (text ^ ": the principal's description") true
+        (e.Trace.ev_principal == Principal.describe p);
+      Alcotest.(check string) "pp_event"
+        (Printf.sprintf "[%10d] %-28s %s" (Trace.ev_total e) "m/shared" text)
+        (Fmt.str "%a" Trace.pp_event e))
+    expected
+
 (* Drive the real traced netperf workload twice at the same seed; the
    report (cycle totals, per-principal tables) and the Chrome JSON
    export must be byte-identical, and cycles must reconcile (exit 0). *)
@@ -163,6 +219,11 @@ let () =
           Alcotest.test_case "exact fit" `Quick test_ring_exact_fit;
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
           QCheck_alcotest.to_alcotest prop_ring_model;
+        ] );
+      ( "events",
+        [
+          Alcotest.test_case "cap events carry values" `Quick
+            test_cap_events_carry_values;
         ] );
       ( "determinism",
         [
