@@ -33,7 +33,8 @@ let mode_arg =
     & opt (some mode_conv) None
     & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"Enforcement mode: stock, xfi or lxfi.")
 
-(* Trace.make refuses a capacity below 1, so --limit rejects it here. *)
+(* Counts that must be at least 1: --limit (Trace.make refuses a smaller
+   capacity), and fuzz's --runs and --mutants. *)
 let positive =
   let parse s =
     match int_of_string_opt s with
@@ -55,7 +56,7 @@ let exploit_cmd =
     Kernel_sim.Klog.quiet ();
     let selected =
       match name with
-      | None -> Exploits.Pid_rootkit.all
+      | None -> Ok Exploits.Pid_rootkit.all
       | Some n -> (
           match
             List.find_opt
@@ -63,28 +64,26 @@ let exploit_cmd =
                 String.lowercase_ascii e.Exploits.Exploit.name = String.lowercase_ascii n)
               Exploits.Pid_rootkit.all
           with
-          | Some e -> [ e ]
-          | None ->
-              Fmt.epr "unknown exploit %s@." n;
-              exit 1)
+          | Some e -> Ok [ e ]
+          | None -> Error ("unknown exploit " ^ n))
     in
     let modes =
       match mode with
       | Some m -> [ m ]
       | None -> [ Lxfi.Config.stock; Lxfi.Config.xfi; Lxfi.Config.lxfi ]
     in
-    List.iter
-      (fun e ->
-        List.iter
-          (fun m ->
-            let r = Exploits.Exploit.run_in_mode e m in
-            Fmt.pr "%a@." Exploits.Exploit.pp_result r)
-          modes)
+    Result.map
+      (List.iter (fun e ->
+           List.iter
+             (fun m ->
+               let r = Exploits.Exploit.run_in_mode e m in
+               Fmt.pr "%a@." Exploits.Exploit.pp_result r)
+             modes))
       selected
   in
   Cmd.v
     (Cmd.info "exploit" ~doc:"Run the CVE exploit reproductions (Figure 8).")
-    Term.(const run $ name_arg $ mode_arg)
+    Term.(term_result' (const run $ name_arg $ mode_arg))
 
 (* ---- paper ---- *)
 
@@ -197,22 +196,22 @@ let dump_cmd =
   let run name mode =
     Kernel_sim.Klog.quiet ();
     let config = Option.value ~default:Lxfi.Config.lxfi mode in
-    let sys = Ksys.boot config in
     match Catalog.find name with
     | None ->
-        Fmt.epr "unknown module %s (try: %s)@." name
-          (String.concat ", " (List.map (fun s -> s.Mod_common.name) Catalog.all));
-        exit 1
+        Error
+          (Printf.sprintf "unknown module %s (try: %s)" name
+             (String.concat ", " (List.map (fun s -> s.Mod_common.name) Catalog.all)))
     | Some spec ->
-        let prog = spec.Mod_common.make sys in
+        let prog = spec.Mod_common.make (Ksys.boot config) in
         let prog, report = Lxfi.Rewriter.instrument config prog in
-        Fmt.pr "/* %s, %s mode: %a */@.@.%a@." name
-          (Lxfi.Config.mode_name config.Lxfi.Config.mode)
-          Lxfi.Rewriter.pp_report report Mir.Printer.pp_prog prog
+        Ok
+          (Fmt.pr "/* %s, %s mode: %a */@.@.%a@." name
+             (Lxfi.Config.mode_name config.Lxfi.Config.mode)
+             Lxfi.Rewriter.pp_report report Mir.Printer.pp_prog prog)
   in
   Cmd.v
     (Cmd.info "dump" ~doc:"Print a module's (instrumented) MIR.")
-    Term.(const run $ name_arg $ mode_arg)
+    Term.(term_result' (const run $ name_arg $ mode_arg))
 
 (* ---- faultsim ---- *)
 
@@ -292,12 +291,12 @@ let fuzz_cmd =
   in
   let runs =
     Arg.(
-      value & opt int 100
+      value & opt positive 100
       & info [ "r"; "runs" ] ~docv:"N" ~doc:"Generated clean cases per campaign.")
   in
   let mutants =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "m"; "mutants" ] ~docv:"M"
           ~doc:"Attack mutants derived from each clean case (classes rotate so \
                 every class gets equal coverage).")
@@ -325,9 +324,7 @@ let fuzz_cmd =
     Kernel_sim.Klog.quiet ();
     if exemplars then
       match out with
-      | None ->
-          Fmt.epr "--exemplars requires --out DIR@.";
-          exit 2
+      | None -> Error "--exemplars requires --out DIR"
       | Some dir -> exit (Workloads.Fuzz_run.print_exemplars ~seed ~out:dir ())
     else exit (Workloads.Fuzz_run.print ~mutants_per_case:mutants ?out ?json ~seed ~runs ())
   in
@@ -338,7 +335,7 @@ let fuzz_cmd =
              mutant detection by violation class, static/runtime consistency, \
              trace reconciliation), with failing cases minimized to \
              replayable MIR repros.")
-    Term.(const run $ seed $ runs $ mutants $ out $ json $ exemplars)
+    Term.(term_result' (const run $ seed $ runs $ mutants $ out $ json $ exemplars))
 
 (* ---- trace ---- *)
 
@@ -409,29 +406,30 @@ let check_cmd =
   let run module_name all json broken =
     Kernel_sim.Klog.quiet ();
     let report =
-      if broken then Workloads.Check_run.broken_demo ()
-      else if all || module_name = None then Workloads.Check_run.check_catalog ()
+      if broken then Ok (Workloads.Check_run.broken_demo ())
+      else if all || module_name = None then Ok (Workloads.Check_run.check_catalog ())
       else
         match Workloads.Check_run.check_catalog ?only:module_name () with
-        | r -> r
-        | exception Invalid_argument m ->
-            Fmt.epr "%s@." m;
-            exit 2
+        | r -> Ok r
+        | exception Invalid_argument m -> Error m
     in
-    Fmt.pr "%a" Workloads.Check_run.pp report;
-    (match json with
-    | Some file ->
-        Workloads.Bench_json.write_file file (Workloads.Check_run.to_json report);
-        Fmt.pr "wrote %s@." file
-    | None -> ());
-    if Workloads.Check_run.has_errors report then exit 1
+    Result.map
+      (fun report ->
+        Fmt.pr "%a" Workloads.Check_run.pp report;
+        (match json with
+        | Some file ->
+            Workloads.Bench_json.write_file file (Workloads.Check_run.to_json report);
+            Fmt.pr "wrote %s@." file
+        | None -> ());
+        if Workloads.Check_run.has_errors report then exit 1)
+      report
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Statically check annotations and capability flow (lint + dataflow) \
           without loading any module.")
-    Term.(const run $ module_arg $ all_arg $ json_arg $ broken_arg)
+    Term.(term_result' (const run $ module_arg $ all_arg $ json_arg $ broken_arg))
 
 (* ---- runmod ---- *)
 

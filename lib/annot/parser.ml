@@ -349,6 +349,3 @@ let parse (s : string) : (t, error) result =
     in
     Ok (clauses [])
   with Parse_error e -> Error e
-
-let parse_exn s =
-  match parse s with Ok t -> t | Error e -> invalid_arg (error_to_string ~src:s e)

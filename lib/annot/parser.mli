@@ -25,6 +25,3 @@ val error_to_string : ?src:string -> error -> string
 val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> (Ast.t, error) result
-
-val parse_exn : string -> Ast.t
-(** Raises [Invalid_argument] with the rendered parse error. *)

@@ -154,36 +154,22 @@ let sum_func ctx (fn : func) : summary =
   let f = flow_stmts ctx fn.body in
   match opt_alt f.fall f.exits with Some s -> s | None -> empty_sum
 
-(* --- address-taken sets, for indirect-call summaries --- *)
+(* --- syntactic facts over every expression of a program --- *)
 
-let rec expr_taken (own, kex) (e : expr) =
-  match e with
-  | Const _ | Var _ | Glob _ -> (own, kex)
-  | Funcaddr f -> (SSet.add f own, kex)
-  | Extaddr x -> (own, SSet.add x kex)
-  | Load (_, a) -> expr_taken (own, kex) a
-  | Binop (_, _, a, b) -> expr_taken (expr_taken (own, kex) a) b
-  | Call (c, args) ->
-      let acc =
-        match c with Indirect t -> expr_taken (own, kex) t | _ -> (own, kex)
-      in
-      List.fold_left expr_taken acc args
+let fold_prog f acc (prog : prog) =
+  List.fold_left (fun acc (fn : func) -> fold_stmts f acc fn.body) acc prog.funcs
 
-let rec stmt_taken acc = function
-  | Let (_, e) | Expr e | Return e -> expr_taken acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) -> expr_taken (expr_taken acc a) v
-  | If (c, t, f) ->
-      List.fold_left stmt_taken
-        (List.fold_left stmt_taken (expr_taken acc c) t)
-        f
-  | While (c, b) -> List.fold_left stmt_taken (expr_taken acc c) b
-
+(** Address-taken sets, for indirect-call summaries: own functions and
+    imports whose address the program takes in code or in a global
+    initialiser. *)
 let address_taken (prog : prog) : SSet.t * SSet.t =
   let acc =
-    List.fold_left
-      (fun acc (f : func) -> List.fold_left stmt_taken acc f.body)
-      (SSet.empty, SSet.empty) prog.funcs
+    fold_prog
+      (fun ((own, kex) as acc) -> function
+        | Funcaddr f -> (SSet.add f own, kex)
+        | Extaddr x -> (own, SSet.add x kex)
+        | _ -> acc)
+      (SSet.empty, SSet.empty) prog
   in
   List.fold_left
     (fun acc (g : glob) ->
@@ -195,35 +181,6 @@ let address_taken (prog : prog) : SSet.t * SSet.t =
           | Iword _ -> (own, kex))
         acc g.ginit)
     acc prog.globals
-
-(* --- syntactic kexport call sites (graph node set) --- *)
-
-let rec expr_sites is_kexport acc = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
-  | Load (_, a) -> expr_sites is_kexport acc a
-  | Binop (_, _, a, b) -> expr_sites is_kexport (expr_sites is_kexport acc a) b
-  | Call (c, args) ->
-      let acc =
-        match c with
-        | Ext name when is_kexport name -> SSet.add name acc
-        | Indirect t -> expr_sites is_kexport acc t
-        | _ -> acc
-      in
-      List.fold_left (expr_sites is_kexport) acc args
-
-let rec stmt_sites is_kexport acc = function
-  | Let (_, e) | Expr e | Return e -> expr_sites is_kexport acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) ->
-      expr_sites is_kexport (expr_sites is_kexport acc a) v
-  | If (c, t, f) ->
-      List.fold_left (stmt_sites is_kexport)
-        (List.fold_left (stmt_sites is_kexport)
-           (expr_sites is_kexport acc c)
-           t)
-        f
-  | While (c, b) ->
-      List.fold_left (stmt_sites is_kexport) (expr_sites is_kexport acc c) b
 
 (* --- the graph --- *)
 
@@ -293,10 +250,11 @@ let extract (env : Env.t) (prog : prog) : graph =
   in
   let edges = cross lasts firsts pairs in
   let nodes =
-    List.fold_left
-      (fun acc (fn : func) ->
-        List.fold_left (stmt_sites is_kexport) acc fn.body)
-      SSet.empty prog.funcs
+    fold_prog
+      (fun acc -> function
+        | Call (Ext name, _) when is_kexport name -> SSet.add name acc
+        | _ -> acc)
+      SSet.empty prog
   in
   (* [edges] as a lookup, built as [edges] is: the boundary edges
      [lasts × firsts], then the within-function pairs. *)
@@ -329,42 +287,20 @@ let render (g : graph) : string = String.concat "\n" (render_lines g) ^ "\n"
 
 (* --- checker facade integration --- *)
 
-(** Direct calls to functions the program does not define: the loader
-    would build a context whose execution oopses, and the flow summary
-    for the callee is vacuous — a genuine extraction failure. *)
-let rec expr_undef prog acc = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
-  | Load (_, a) -> expr_undef prog acc a
-  | Binop (_, _, a, b) -> expr_undef prog (expr_undef prog acc a) b
-  | Call (c, args) ->
-      let acc =
-        match c with
-        | Direct f when find_func prog f = None -> SSet.add f acc
-        | Indirect t -> expr_undef prog acc t
-        | _ -> acc
-      in
-      List.fold_left (expr_undef prog) acc args
-
-let rec stmt_undef prog acc = function
-  | Let (_, e) | Expr e | Return e -> expr_undef prog acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) -> expr_undef prog (expr_undef prog acc a) v
-  | If (c, t, f) ->
-      List.fold_left (stmt_undef prog)
-        (List.fold_left (stmt_undef prog) (expr_undef prog acc c) t)
-        f
-  | While (c, b) ->
-      List.fold_left (stmt_undef prog) (expr_undef prog acc c) b
-
 (** [check_module env prog] — flow-graph findings for one module: an
     error per direct call to an undefined function (extraction cannot
     summarise the callee), and one info finding stating the extracted
     graph's size, so [lxfi_sim check] reports surface the pass ran. *)
 let check_module (env : Env.t) (prog : prog) : Finding.t list =
+  (* Direct calls to functions the program does not define: the loader
+     would build a context whose execution oopses, and the flow summary
+     for the callee is vacuous — a genuine extraction failure. *)
   let undef =
-    List.fold_left
-      (fun acc (fn : func) -> List.fold_left (stmt_undef prog) acc fn.body)
-      SSet.empty prog.funcs
+    fold_prog
+      (fun acc -> function
+        | Call (Direct f, _) when find_func prog f = None -> SSet.add f acc
+        | _ -> acc)
+      SSet.empty prog
   in
   let errors =
     List.map

@@ -291,24 +291,6 @@ let rec walk_stmt w st = function
 
 and walk_stmts w st stmts = List.fold_left (walk_stmt w) st stmts
 
-let rec expr_vars acc = function
-  | Const _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
-  | Var v -> v :: acc
-  | Load (_, a) -> expr_vars acc a
-  | Binop (_, _, a, b) -> expr_vars (expr_vars acc a) b
-  | Call (c, args) ->
-      let acc = match c with Indirect e -> expr_vars acc e | _ -> acc in
-      List.fold_left expr_vars acc args
-
-let rec stmt_vars acc = function
-  | Let (_, e) | Expr e | Return e -> expr_vars acc e
-  | Alloca _ -> acc
-  | Store (_, a, v) -> expr_vars (expr_vars acc a) v
-  | If (c, t, f) ->
-      List.fold_left stmt_vars (List.fold_left stmt_vars (expr_vars acc c) t) f
-  | While (c, b) -> List.fold_left stmt_vars (expr_vars acc c) b
-  | Guard (Gwrite (_, e)) | Guard (Gindcall e) -> expr_vars acc e
-
 (* --- one entry point --- *)
 
 let check_entry env ~mname (fn : func) (slot : Annot.Registry.slot) : Finding.t list
@@ -342,7 +324,7 @@ let check_entry env ~mname (fn : func) (slot : Annot.Registry.slot) : Finding.t 
   in
   ignore (walk_stmts w init fn.body);
   (* over-privilege: granted but never used on any path *)
-  let used = List.fold_left stmt_vars [] fn.body in
+  let used = fold_stmts (fun acc -> function Var v -> v :: acc | _ -> acc) [] fn.body in
   Array.iteri
     (fun i granted ->
       if granted && i < Array.length fparams && not (List.mem fparams.(i) used)

@@ -50,8 +50,6 @@ let name = function
   | Stale_cap_after_upgrade -> "stale-capability-after-upgrade"
   | Flow_reorder -> "flow-reorder"
 
-let of_name s = List.find_opt (fun c -> name c = s) all
-
 let expected_kind = function
   | Store_oob | Use_after_transfer | Over_grant | Uncovered_param_store
   | Stale_cap_after_upgrade ->

@@ -23,7 +23,6 @@ type mclass =
 
 val all : mclass list
 val name : mclass -> string
-val of_name : string -> mclass option
 
 val expected_kind : mclass -> Lxfi.Violation.kind
 (** The violation class the guard family must report. *)

@@ -76,13 +76,6 @@ let arm t site plan =
   c.c_plan <- Some plan;
   c.c_seen <- 0
 
-let disarm t site = (counter_of t site).c_plan <- None
-
-let disarm_all t =
-  disarm t Alloc_fail;
-  disarm t Drop_grant;
-  disarm t Corrupt_slot
-
 (** [fires t site] — called by the instrumented operation at each
     eligible event; true means "inject the fault here". *)
 let fires t site =
@@ -102,14 +95,8 @@ let fires t site =
       end;
       hit
 
-let seen t site = (counter_of t site).c_seen
 let fired t site = (counter_of t site).c_fired
 
 (** A recognisably-wild kernel address for slot corruption: inside the
     heap region but never a callable target. *)
 let garbage_addr t = 0x2_0BAD_0000 + (pick t 256 * 16)
-
-let pp ppf t =
-  Fmt.pf ppf "finject{seed=%Ld; alloc=%d/%d; grant=%d/%d; slot=%d/%d}" t.seed
-    t.alloc.c_fired t.alloc.c_seen t.grant.c_fired t.grant.c_seen t.slot.c_fired
-    t.slot.c_seen

@@ -23,15 +23,9 @@ val arm : t -> site -> plan -> unit
 (** Start injecting at a site; resets its event counter so [Nth n]
     counts from this moment. *)
 
-val disarm : t -> site -> unit
-val disarm_all : t -> unit
-
 val fires : t -> site -> bool
 (** Called by the instrumented operation at each eligible event; [true]
     means "inject the fault here".  Counts the event either way. *)
-
-val seen : t -> site -> int
-(** Eligible events observed at a site since it was last armed. *)
 
 val fired : t -> site -> int
 (** Faults actually injected at a site since [create]. *)
@@ -44,5 +38,3 @@ val pick : t -> int -> int
 
 val garbage_addr : t -> int
 (** A recognisably-wild kernel address for slot corruption. *)
-
-val pp : Format.formatter -> t -> unit

@@ -46,7 +46,3 @@ let since t s =
     module_ = t.module_ - s.module_;
     guard = t.guard - s.guard;
   }
-
-let pp ppf t =
-  Fmt.pf ppf "cycles{kernel=%d; module=%d; guard=%d; total=%d}" t.kernel
-    t.module_ t.guard (total t)

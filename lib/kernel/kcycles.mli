@@ -22,5 +22,3 @@ val snapshot : t -> t
 
 val since : t -> t -> t
 (** Per-category deltas since the snapshot, as a fresh value. *)
-
-val pp : Format.formatter -> t -> unit

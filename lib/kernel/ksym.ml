@@ -47,7 +47,6 @@ let addr_of t name =
   | Some a -> a
   | None -> raise (Unknown_symbol name)
 
-let addr_of_opt t name = Hashtbl.find_opt t.by_name name
 let name_of t addr = Hashtbl.find_opt t.by_addr addr
 
 let pp_addr t ppf addr =

@@ -22,7 +22,6 @@ val register_at : t -> string -> int -> unit
     payloads). *)
 
 val addr_of : t -> string -> int
-val addr_of_opt : t -> string -> int option
 val name_of : t -> int -> string option
 
 val pp_addr : t -> Format.formatter -> int -> unit

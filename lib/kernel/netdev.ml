@@ -72,7 +72,6 @@ let n_scheduled = Ktypes.offset_of napi_layout "scheduled"
 
 (* netdev_tx_t values *)
 let netdev_tx_ok = 0L
-let netdev_tx_busy = 16L
 
 type t = {
   kst : Kstate.t;

@@ -19,7 +19,6 @@ val define_layout : Ktypes.t -> unit
 (** Add {!layouts} to a booted system's registry. *)
 
 val netdev_tx_ok : int64
-val netdev_tx_busy : int64
 
 type t = {
   kst : Kstate.t;

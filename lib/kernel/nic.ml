@@ -16,8 +16,6 @@
 
 let ring_entries = 64
 let desc_size = 16
-let reg_ctrl = 0x00
-let reg_status = 0x08
 let reg_tdh = 0x10
 let reg_tdt = 0x18
 let reg_rdh = 0x20

@@ -5,8 +5,6 @@
 
 val ring_entries : int
 val desc_size : int
-val reg_ctrl : int
-val reg_status : int
 
 (** Register offsets: TDH/TDT are the tx head (device-owned) and tail
     (driver-written); RDH/RDT the rx head (driver) and tail (device). *)

@@ -58,8 +58,6 @@ let set_len (kst : Kstate.t) skb v = Kmem.write_u32 kst.mem (skb + off_len) v
 let dev (kst : Kstate.t) skb = Kmem.read_ptr kst.mem (skb + off_dev)
 let set_dev (kst : Kstate.t) skb d = Kmem.write_ptr kst.mem (skb + off_dev) d
 
-let set_data (kst : Kstate.t) skb p = Kmem.write_ptr kst.mem (skb + off_data) p
-
 let free (kst : Kstate.t) skb =
   Kcycles.charge kst.cycles Kcycles.Kernel 22;
   let head = Kmem.read_ptr kst.mem (skb + off_head) in

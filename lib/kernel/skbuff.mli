@@ -25,7 +25,6 @@ val len : Kstate.t -> int -> int
 val set_len : Kstate.t -> int -> int -> unit
 val dev : Kstate.t -> int -> int
 val set_dev : Kstate.t -> int -> int -> unit
-val set_data : Kstate.t -> int -> int -> unit
 
 val free : Kstate.t -> int -> unit
 (** Free the struct and (if live) its payload buffer. *)

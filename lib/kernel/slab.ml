@@ -133,7 +133,3 @@ let is_live t addr = Hashtbl.mem t.live addr
 let live_objects t = Hashtbl.length t.live
 let allocations t = t.alloc_count
 let frees t = t.free_count
-
-(** Direct page allocation for non-slab consumers (module sections,
-    thread stacks, DMA rings). *)
-let alloc_pages t n = fresh_pages t n

@@ -50,6 +50,3 @@ val is_live : t -> int -> bool
 val live_objects : t -> int
 val allocations : t -> int
 val frees : t -> int
-
-val alloc_pages : t -> int -> int
-(** Whole pages for non-slab consumers (module sections, stacks). *)

@@ -440,8 +440,6 @@ let add_nic t ~vendor ~device =
   t.nics <- (dev, nic) :: t.nics;
   (dev, nic)
 
-let nic_of t dev = List.assoc dev t.nics
-
 (** [load t prog] — convenience: rewrite + load a module. *)
 let load t prog = Lxfi.Loader.load t.rt prog
 

@@ -53,8 +53,6 @@ val boot : Lxfi.Config.t -> t
 val add_nic : t -> vendor:int -> device:int -> int * Nic.t
 (** Plug in a NIC; returns its pci_dev address and hardware model. *)
 
-val nic_of : t -> int -> Nic.t
-
 val load : t -> Mir.Ast.prog -> Lxfi.Runtime.module_info * Lxfi.Rewriter.report
 (** Rewrite + load a module under the booted runtime. *)
 

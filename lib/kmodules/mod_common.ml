@@ -42,8 +42,3 @@ let gaddr (mi : Lxfi.Runtime.module_info) name =
   match Hashtbl.find_opt mi.Lxfi.Runtime.mi_globals name with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "module %s: no global %s" mi.Lxfi.Runtime.mi_name name)
-
-let faddr (mi : Lxfi.Runtime.module_info) name =
-  match Hashtbl.find_opt mi.Lxfi.Runtime.mi_func_addr name with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "module %s: no function %s" mi.Lxfi.Runtime.mi_name name)

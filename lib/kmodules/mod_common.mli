@@ -26,5 +26,3 @@ val install : Ksys.t -> spec -> handle
 
 val gaddr : Lxfi.Runtime.module_info -> string -> int
 (** Address of a module global after load. *)
-
-val faddr : Lxfi.Runtime.module_info -> string -> int

@@ -235,7 +235,3 @@ let clear t =
   t.big <- [];
   Inttbl.reset t.calls;
   Hashtbl.reset t.refs
-
-let pp ppf t =
-  Fmt.pf ppf "captable{write=%d; call=%d; ref=%d}" (write_count t) (call_count t)
-    (ref_count t)

@@ -68,5 +68,3 @@ val fold_refs : t -> ('a -> rtype:string -> addr:int -> 'a) -> 'a -> 'a
 val clear : t -> unit
 (** Drop every capability of every type — the quarantine revocation
     primitive. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,10 +29,6 @@ type t = {
   quarantine : bool;
       (** contain violations by quarantining the faulting principal and
           returning -EFAULT instead of letting the violation propagate *)
-  escalate_threshold : int;
-      (** quarantine mode: violations within [escalate_window] before the
-          whole module is unloaded *)
-  escalate_window : int;  (** escalation window, in simulated cycles *)
   watchdog_fuel : int option;
       (** per-entry interpreter fuel budget; exhaustion becomes a
           [Watchdog_expired] violation instead of a soft-lockup oops *)
@@ -40,11 +36,6 @@ type t = {
       (** refuse to load a module with error-severity static-checker
           findings (annotation lint + capability-flow); off by default —
           the checker is load-time only and must not perturb benchmarks *)
-  flow_integrity : bool;
-      (** enforce syscall-flow integrity: advance a per-principal flow
-          automaton at kexport calls within kernel-entered activations
-          and raise [Flow_violation] on an off-graph transition
-          (Lxfi mode only) *)
 }
 
 let lxfi =
@@ -54,11 +45,8 @@ let lxfi =
     opt_elide_safe_writes = true;
     opt_inline_trivial = true;
     quarantine = false;
-    escalate_threshold = 3;
-    escalate_window = 1_000_000;
     watchdog_fuel = None;
     strict_check = false;
-    flow_integrity = true;
   }
 
 let stock = { lxfi with mode = Stock }
@@ -67,11 +55,3 @@ let xfi = { lxfi with mode = Xfi }
 let lxfi_quarantine = { lxfi with quarantine = true; watchdog_fuel = Some 1_000_000 }
 
 let mode_name = function Stock -> "stock" | Xfi -> "xfi" | Lxfi -> "lxfi"
-
-let pp ppf t =
-  Fmt.pf ppf "%s(ws=%b,elide=%b,inline=%b%s%s)" (mode_name t.mode) t.writer_set_tracking
-    t.opt_elide_safe_writes t.opt_inline_trivial
-    (if t.quarantine then Printf.sprintf ",quarantine=%d/%dcyc" t.escalate_threshold t.escalate_window
-     else "")
-    ((match t.watchdog_fuel with Some n -> Printf.sprintf ",watchdog=%d" n | None -> "")
-    ^ if t.strict_check then ",strict" else "")

@@ -7,7 +7,10 @@ type mode =
       (** memory safety + module-side CFI only (the XFI-style ablation):
           no API-integrity annotations, no principals, no kernel-side
           indirect-call interposition *)
-  | Lxfi  (** the full system of the paper *)
+  | Lxfi
+      (** the full system of the paper, plus syscall-flow integrity: an
+          off-graph kexport call within a kernel-entered activation
+          raises [Flow_violation] *)
 
 type t = {
   mode : mode;
@@ -23,10 +26,6 @@ type t = {
       (** contain violations by quarantining the faulting principal and
           returning -EFAULT, instead of letting the violation propagate
           (the paper panics; see DESIGN.md "Recovery semantics") *)
-  escalate_threshold : int;
-      (** quarantine mode: violations within [escalate_window] before
-          the whole module is unloaded *)
-  escalate_window : int;  (** escalation window, in simulated cycles *)
   watchdog_fuel : int option;
       (** per-entry interpreter fuel budget; exhaustion becomes a
           [Watchdog_expired] violation instead of a soft-lockup oops *)
@@ -34,11 +33,6 @@ type t = {
       (** refuse to load a module with error-severity static-checker
           findings; off in every preset (the checker is load-time only
           and must not perturb benchmarks) *)
-  flow_integrity : bool;
-      (** enforce syscall-flow integrity (Lxfi mode only): an
-          off-graph kexport call within a kernel-entered activation
-          raises [Flow_violation]; on in every preset — a faithfully
-          executed module can never leave its own may-follow graph *)
 }
 
 val lxfi : t
@@ -52,4 +46,3 @@ val lxfi_quarantine : t
     a per-entry watchdog budget. *)
 
 val mode_name : mode -> string
-val pp : Format.formatter -> t -> unit

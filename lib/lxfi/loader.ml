@@ -110,10 +110,7 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
      false positives; a registered graph is how skew between audited
      code and loaded binary becomes detectable. *)
   let flow =
-    if
-      rt.Runtime.config.Config.mode = Config.Lxfi
-      && rt.Runtime.config.Config.flow_integrity
-    then
+    if rt.Runtime.config.Config.mode = Config.Lxfi then
       Some
         (match Hashtbl.find_opt rt.Runtime.flow_graphs prog.Mir.Ast.pname with
         | Some g -> g

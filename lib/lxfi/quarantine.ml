@@ -65,23 +65,25 @@ let escalate (rt : Runtime.t) (mi : Runtime.module_info) ~reason =
       rt.Runtime.quarantine_log <- d :: rt.Runtime.quarantine_log;
       Klog.diag d
 
+(** Repeat offenders: [escalate_threshold] contained violations of one
+    module within [escalate_window] simulated cycles retire it. *)
+let escalate_threshold = 3
+
+let escalate_window = 1_000_000
+
 (** Record a contained violation against [mi] and escalate once
     [escalate_threshold] violations land within [escalate_window]
     simulated cycles. *)
 let note_and_maybe_escalate (rt : Runtime.t) (mi : Runtime.module_info) =
   let now = Kcycles.total rt.Runtime.kst.Kstate.cycles in
-  let window = rt.Runtime.config.Config.escalate_window in
   mi.Runtime.mi_recent_violations <-
-    now :: List.filter (fun t -> now - t <= window) mi.Runtime.mi_recent_violations;
-  if
-    List.length mi.Runtime.mi_recent_violations
-    >= rt.Runtime.config.Config.escalate_threshold
-  then
+    now :: List.filter (fun t -> now - t <= escalate_window) mi.Runtime.mi_recent_violations;
+  if List.length mi.Runtime.mi_recent_violations >= escalate_threshold then
     escalate rt mi
       ~reason:
         (Printf.sprintf "%d violations within %d cycles"
            (List.length mi.Runtime.mi_recent_violations)
-           window)
+           escalate_window)
 
 (** The module to charge a violation to: the named module if loaded,
     else the faulting principal's owner. *)
@@ -120,8 +122,7 @@ let handle (rt : Runtime.t) (v : Violation.info) =
         | _ -> []
       in
       mi.Runtime.mi_recent_kinds <-
-        take rt.Runtime.config.Config.escalate_threshold
-          (v.Violation.v_kind :: mi.Runtime.mi_recent_kinds);
+        take escalate_threshold (v.Violation.v_kind :: mi.Runtime.mi_recent_kinds);
       note_and_maybe_escalate rt mi
   | None -> ()
 

@@ -5,8 +5,8 @@
     offending principal loses every capability and can no longer enter,
     the shadow stack unwinds to the kernel frame, and the kernel caller
     receives {!efault} — sibling instances and other modules keep
-    running.  Repeat offenders within [Config.escalate_window] cycles
-    are escalated to whole-module retirement.  See DESIGN.md, "Recovery
+    running.  Three violations of one module within a million simulated
+    cycles escalate to whole-module retirement.  See DESIGN.md, "Recovery
     semantics". *)
 
 val efault : int64

@@ -63,38 +63,20 @@ let empty_report =
 (** {1 Trivial-function inlining} *)
 
 (** A function is trivial when its body is a single [Return] of an
-    expression with no calls, and each parameter occurs at most once
-    (so substituting argument expressions cannot duplicate effects). *)
-let rec expr_has_call = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> false
-  | Load (_, e) -> expr_has_call e
-  | Binop (_, _, a, b) -> expr_has_call a || expr_has_call b
-  | Call _ -> true
-
-let rec count_var name = function
-  | Var x -> if x = name then 1 else 0
-  | Const _ | Glob _ | Funcaddr _ | Extaddr _ -> 0
-  | Load (_, e) -> count_var name e
-  | Binop (_, _, a, b) -> count_var name a + count_var name b
-  | Call (c, args) ->
-      let n = match c with Indirect e -> count_var name e | _ -> 0 in
-      List.fold_left (fun acc e -> acc + count_var name e) n args
-
+    expression of at most 12 nodes with no calls, and each parameter
+    occurs at most once (so substituting argument expressions cannot
+    duplicate effects). *)
 let trivial_body f =
   match f.body with
-  | [ Return e ] when (not (expr_has_call e)) && expr_size e <= 12
-                      && List.for_all (fun p -> count_var p e <= 1) f.params ->
-      Some e
+  | [ Return e ] ->
+      let nodes = fold_expr (fun acc x -> x :: acc) [] e in
+      let uses p = List.length (List.filter (fun x -> x = Var p) nodes) in
+      if List.length nodes <= 12
+         && (not (List.exists (function Call _ -> true | _ -> false) nodes))
+         && List.for_all (fun p -> uses p <= 1) f.params
+      then Some e
+      else None
   | _ -> None
-
-let rec subst map = function
-  | Var x as e -> ( match List.assoc_opt x map with Some r -> r | None -> e)
-  | (Const _ | Glob _ | Funcaddr _ | Extaddr _) as e -> e
-  | Load (w, e) -> Load (w, subst map e)
-  | Binop (op, w, a, b) -> Binop (op, w, subst map a, subst map b)
-  | Call (c, args) ->
-      let c = match c with Indirect e -> Indirect (subst map e) | c -> c in
-      Call (c, List.map (subst map) args)
 
 (** One inlining pass over the whole program; [inlined] counts replaced
     call sites and [inlined_names] records which functions were
@@ -108,79 +90,40 @@ let inline_pass prog inlined inlined_names =
   in
   if candidates = [] then prog
   else begin
-    let rec rewrite_expr e =
-      match e with
-      | Call (Direct name, args) -> (
-          let args = List.map rewrite_expr args in
+    let inline = function
+      | Call (Direct name, args) as e -> (
           match List.assoc_opt name candidates with
           | Some (params, body) when List.length params = List.length args ->
               incr inlined;
               Hashtbl.replace inlined_names name ();
-              subst (List.combine params args) body
-          | _ -> Call (Direct name, args))
-      | Call (c, args) ->
-          let c = match c with Indirect t -> Indirect (rewrite_expr t) | c -> c in
-          Call (c, List.map rewrite_expr args)
-      | Load (w, e) -> Load (w, rewrite_expr e)
-      | Binop (op, w, a, b) -> Binop (op, w, rewrite_expr a, rewrite_expr b)
-      | (Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _) as e -> e
+              let actuals = List.combine params args in
+              map_expr
+                (function Var x as v -> Option.value (List.assoc_opt x actuals) ~default:v | e -> e)
+                body
+          | _ -> e)
+      | e -> e
     in
-    let rec rewrite_stmt = function
-      | Let (x, e) -> Let (x, rewrite_expr e)
-      | Alloca _ as s -> s
-      | Store (w, a, v) -> Store (w, rewrite_expr a, rewrite_expr v)
-      | If (c, t, e) -> If (rewrite_expr c, List.map rewrite_stmt t, List.map rewrite_stmt e)
-      | While (c, b) -> While (rewrite_expr c, List.map rewrite_stmt b)
-      | Expr e -> Expr (rewrite_expr e)
-      | Return e -> Return (rewrite_expr e)
-      | Guard _ as s -> s
-    in
-    { prog with funcs = List.map (fun f -> { f with body = List.map rewrite_stmt f.body }) prog.funcs }
+    let inline_func f = { f with body = List.map (map_stmt inline) f.body } in
+    { prog with funcs = List.map inline_func prog.funcs }
   end
 
-(** Is [fname]'s address taken anywhere (stored in globals or used as a
-    [Funcaddr] expression)?  Address-taken functions must survive
-    inlining. *)
-let address_taken prog fname =
-  let rec in_expr = function
-    | Funcaddr f -> f = fname
-    | Const _ | Var _ | Glob _ | Extaddr _ -> false
-    | Load (_, e) -> in_expr e
-    | Binop (_, _, a, b) -> in_expr a || in_expr b
-    | Call (c, args) ->
-        (match c with Indirect e -> in_expr e | _ -> false)
-        || List.exists in_expr args
-  in
-  let rec in_stmt = function
-    | Let (_, e) | Expr e | Return e -> in_expr e
-    | Alloca _ | Guard _ -> false
-    | Store (_, a, v) -> in_expr a || in_expr v
-    | If (c, t, e) -> in_expr c || List.exists in_stmt t || List.exists in_stmt e
-    | While (c, b) -> in_expr c || List.exists in_stmt b
-  in
-  List.exists
-    (fun g -> List.exists (function Ifunc (_, f) -> f = fname | _ -> false) g.ginit)
-    prog.globals
-  || List.exists (fun f -> List.exists in_stmt f.body) prog.funcs
-
-let called_directly prog fname =
-  let rec in_expr = function
-    | Call (Direct f, args) -> f = fname || List.exists in_expr args
-    | Call (c, args) ->
-        (match c with Indirect e -> in_expr e | _ -> false)
-        || List.exists in_expr args
-    | Load (_, e) -> in_expr e
-    | Binop (_, _, a, b) -> in_expr a || in_expr b
-    | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> false
-  in
-  let rec in_stmt = function
-    | Let (_, e) | Expr e | Return e -> in_expr e
-    | Alloca _ | Guard _ -> false
-    | Store (_, a, v) -> in_expr a || in_expr v
-    | If (c, t, e) -> in_expr c || List.exists in_stmt t || List.exists in_stmt e
-    | While (c, b) -> in_expr c || List.exists in_stmt b
-  in
-  List.exists (fun f -> f.fname <> fname && List.exists in_stmt f.body) prog.funcs
+(** Functions [prog] still refers to: by address (a global initialiser
+    or a [Funcaddr] expression) or by a direct call from another
+    function.  Inlined leaves outside this list are dead. *)
+let referenced prog =
+  List.fold_left
+    (fun acc f ->
+      fold_stmts
+        (fun acc -> function
+          | Funcaddr g -> g :: acc
+          | Call (Direct g, _) when g <> f.fname -> g :: acc
+          | _ -> acc)
+        acc f.body)
+    (List.concat_map
+       (fun g ->
+         List.filter_map (function Ifunc (_, f) -> Some f | Iword _ | Iext _ -> None) g.ginit)
+       prog.globals)
+    prog.funcs
 
 (** {1 Safe-store analysis} *)
 
@@ -237,46 +180,36 @@ let fresh c =
   c.tmp <- c.tmp + 1;
   tmp_prefix ^ string_of_int c.tmp
 
-(** Expressions may not contain indirect calls (they must be hoisted to
-    statement position so the guard can precede them). *)
-let rec reject_nested_indcall fname = function
-  | Call (Indirect _, _) ->
-      fail "function %s: indirect call in subexpression; hoist it to a statement" fname
-  | Call (_, args) -> List.iter (reject_nested_indcall fname) args
-  | Load (_, e) -> reject_nested_indcall fname e
-  | Binop (_, _, a, b) ->
-      reject_nested_indcall fname a;
-      reject_nested_indcall fname b
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> ()
-
-let check_args_only fname args = List.iter (reject_nested_indcall fname) args
-
 let instrument_func (cfg : Config.t) counters f =
   let alloca_size = stable_allocas f in
+  (* Expressions may not contain indirect calls (they must be hoisted to
+     statement position so the guard can precede them). *)
+  let flat e =
+    fold_expr
+      (fun () -> function
+        | Call (Indirect _, _) ->
+            fail "function %s: indirect call in subexpression; hoist it to a statement" f.fname
+        | _ -> ())
+      () e
+  in
   let rec stmts l = List.concat_map stmt l
   and guard_indirect_call mk te args =
-    check_args_only f.fname args;
+    List.iter flat (te :: args);
     let t = fresh counters in
     counters.iguards <- counters.iguards + 1;
     [ Let (t, te); Guard (Gindcall (Var t)); mk (Call (Indirect (Var t), args)) ]
   and stmt s =
     match s with
-    | Let (x, Call (Indirect te, args)) ->
-        reject_nested_indcall f.fname te;
-        guard_indirect_call (fun call -> Let (x, call)) te args
-    | Expr (Call (Indirect te, args)) ->
-        reject_nested_indcall f.fname te;
-        guard_indirect_call (fun call -> Expr call) te args
-    | Return (Call (Indirect te, args)) ->
-        reject_nested_indcall f.fname te;
-        guard_indirect_call (fun call -> Return call) te args
-    | Let (_, e) as s ->
-        reject_nested_indcall f.fname e;
+    | Let (x, Call (Indirect te, args)) -> guard_indirect_call (fun call -> Let (x, call)) te args
+    | Expr (Call (Indirect te, args)) -> guard_indirect_call (fun call -> Expr call) te args
+    | Return (Call (Indirect te, args)) -> guard_indirect_call (fun call -> Return call) te args
+    | Let (_, e) | Expr e | Return e ->
+        flat e;
         [ s ]
-    | Alloca _ as s -> [ s ]
+    | Alloca _ -> [ s ]
     | Store (w, ea, ev) ->
-        reject_nested_indcall f.fname ea;
-        reject_nested_indcall f.fname ev;
+        flat ea;
+        flat ev;
         if cfg.Config.opt_elide_safe_writes && safe_store alloca_size w ea then begin
           counters.welided <- counters.welided + 1;
           [ Store (w, ea, ev) ]
@@ -287,17 +220,11 @@ let instrument_func (cfg : Config.t) counters f =
           [ Let (t, ea); Guard (Gwrite (w, Var t)); Store (w, Var t, ev) ]
         end
     | If (c, th, el) ->
-        reject_nested_indcall f.fname c;
+        flat c;
         [ If (c, stmts th, stmts el) ]
     | While (c, b) ->
-        reject_nested_indcall f.fname c;
+        flat c;
         [ While (c, stmts b) ]
-    | Expr e ->
-        reject_nested_indcall f.fname e;
-        [ Expr e ]
-    | Return e ->
-        reject_nested_indcall f.fname e;
-        [ Return e ]
     | Guard _ -> fail "function %s: already instrumented" f.fname
   in
   { f with body = stmts f.body }
@@ -316,11 +243,13 @@ let inline_program prog inlined =
   let p = fixpoint prog 4 in
   (* Drop only leaves that were actually inlined away and are no longer
      referenced; entry points keep their definitions. *)
-  let keep f =
-    (not (Hashtbl.mem inlined_names f.fname))
-    || f.export <> None || address_taken p f.fname || called_directly p f.fname
-  in
-  { p with funcs = List.filter keep p.funcs }
+  if Hashtbl.length inlined_names = 0 then p
+  else
+    let refs = referenced p in
+    let keep f =
+      (not (Hashtbl.mem inlined_names f.fname)) || f.export <> None || List.mem f.fname refs
+    in
+    { p with funcs = List.filter keep p.funcs }
 
 let instrument (cfg : Config.t) prog : prog * report =
   let orig = prog_size prog in

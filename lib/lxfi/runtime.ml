@@ -64,9 +64,9 @@ type module_info = {
           the quarantine dispatcher so a faulting entry can be replayed
           against a repaired instance *)
   mutable mi_flow : Check.Apiflow.graph option;
-      (** enforced kernel-API flow graph (set by the loader under
-          [flow_integrity]: a registered policy graph if one exists,
-          else self-extracted from the pristine MIR) *)
+      (** enforced kernel-API flow graph (set by the loader in Lxfi
+          mode: a registered policy graph if one exists, else
+          self-extracted from the pristine MIR) *)
 }
 
 (** The capability shapes an iterator can yield — static metadata used
@@ -563,10 +563,7 @@ let call_kexport rt (ke : kexport) args =
              harness calls carry no flow state; checked before
              [entry_guard] so a flow violation perturbs no other
              counter and charges no cycles. *)
-          (if
-             rt.config.Config.mode = Config.Lxfi
-             && rt.config.Config.flow_integrity
-             && Shadow_stack.depth rt.sstack > 0
+          (if rt.config.Config.mode = Config.Lxfi && Shadow_stack.depth rt.sstack > 0
            then
              match mi.mi_flow with
              | None -> ()
@@ -691,8 +688,7 @@ let invoke_module_function rt mi fname args =
                   reason
             | None -> ());
             rt.last_callee <- Some callee;
-            if rt.config.Config.mode = Config.Lxfi && rt.config.Config.flow_integrity
-            then begin
+            if rt.config.Config.mode = Config.Lxfi then begin
               flow_saved :=
                 Some (callee, callee.Principal.flow_pos, callee.Principal.flow_depth);
               if callee.Principal.flow_depth > 0 then

@@ -53,9 +53,9 @@ type module_info = {
       (** innermost kernel→module entry (function, args), recorded by
           the quarantine dispatcher for replay after repair *)
   mutable mi_flow : Check.Apiflow.graph option;
-      (** enforced kernel-API flow graph (set by the loader under
-          [flow_integrity]: a registered policy graph if one exists,
-          else self-extracted from the pristine MIR) *)
+      (** enforced kernel-API flow graph (set by the loader in Lxfi
+          mode: a registered policy graph if one exists, else
+          self-extracted from the pristine MIR) *)
 }
 (** Everything the runtime knows about one loaded module. *)
 

@@ -111,30 +111,72 @@ let find_func prog name = List.find_opt (fun f -> f.fname = name) prog.funcs
 
 let find_global prog name = List.find_opt (fun g -> g.gname = name) prog.globals
 
-(** Structural size of a program or function in IR nodes — the "code
-    size" metric used by the Figure 11 reproduction (Δ code size under
-    instrumentation). *)
-let rec expr_size = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> 1
-  | Load (_, e) -> 1 + expr_size e
-  | Binop (_, _, a, b) -> 1 + expr_size a + expr_size b
+(** {1 Traversal}
+
+    The one place that says which constructors hold subexpressions.
+    Every fold visits a node before its operands and operands left to
+    right, an indirect callee before its arguments.  A statement comes
+    before its own expressions, and those before its nested bodies
+    (then-branch before else-branch).  Guard operands are expressions
+    like any other: the engine evaluates them. *)
+
+let rec fold_expr f acc e =
+  let acc = f acc e in
+  match e with
+  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
+  | Load (_, a) -> fold_expr f acc a
+  | Binop (_, _, a, b) -> fold_expr f (fold_expr f acc a) b
   | Call (c, args) ->
-      let csz = match c with Indirect e -> 1 + expr_size e | _ -> 1 in
-      csz + List.fold_left (fun acc e -> acc + expr_size e) 0 args
+      let acc = match c with Indirect t -> fold_expr f acc t | Direct _ | Ext _ -> acc in
+      List.fold_left (fold_expr f) acc args
 
-let rec stmt_size = function
-  | Let (_, e) -> 1 + expr_size e
-  | Alloca _ -> 1
-  | Store (_, a, v) -> 1 + expr_size a + expr_size v
-  | If (c, t, e) -> 1 + expr_size c + stmts_size t + stmts_size e
-  | While (c, b) -> 1 + expr_size c + stmts_size b
-  | Expr e -> expr_size e
-  | Return e -> 1 + expr_size e
-  | Guard (Gwrite (_, e)) -> 2 + expr_size e
-  | Guard (Gindcall e) -> 2 + expr_size e
+let rec fold_stmts ?(stmt = fun acc _ -> acc) f acc l =
+  List.fold_left
+    (fun acc s ->
+      let acc = stmt acc s in
+      match s with
+      | Let (_, e) | Expr e | Return e | Guard (Gwrite (_, e) | Gindcall e) -> fold_expr f acc e
+      | Alloca _ -> acc
+      | Store (_, a, v) -> fold_expr f (fold_expr f acc a) v
+      | If (c, t, e) -> fold_stmts ~stmt f (fold_stmts ~stmt f (fold_expr f acc c) t) e
+      | While (c, b) -> fold_stmts ~stmt f (fold_expr f acc c) b)
+    acc l
 
-and stmts_size l = List.fold_left (fun acc s -> acc + stmt_size s) 0 l
+let rec map_expr f e =
+  f
+    (match e with
+    | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> e
+    | Load (w, a) -> Load (w, map_expr f a)
+    | Binop (op, w, a, b) ->
+        let a = map_expr f a in
+        Binop (op, w, a, map_expr f b)
+    | Call (c, args) ->
+        let c = match c with Indirect t -> Indirect (map_expr f t) | Direct _ | Ext _ -> c in
+        Call (c, List.map (map_expr f) args))
 
-let func_size f = 2 + stmts_size f.body
+let rec map_stmt f s =
+  match s with
+  | Let (x, e) -> Let (x, map_expr f e)
+  | Alloca _ -> s
+  | Store (w, a, v) ->
+      let a = map_expr f a in
+      Store (w, a, map_expr f v)
+  | If (c, t, e) ->
+      let c = map_expr f c in
+      let t = List.map (map_stmt f) t in
+      If (c, t, List.map (map_stmt f) e)
+  | While (c, b) ->
+      let c = map_expr f c in
+      While (c, List.map (map_stmt f) b)
+  | Expr e -> Expr (map_expr f e)
+  | Return e -> Return (map_expr f e)
+  | Guard (Gwrite (w, e)) -> Guard (Gwrite (w, map_expr f e))
+  | Guard (Gindcall e) -> Guard (Gindcall (map_expr f e))
 
-let prog_size p = List.fold_left (fun acc f -> acc + func_size f) 0 p.funcs
+(** Structural size in IR nodes — the "code size" metric used by the
+    Figure 11 reproduction (Δ code size under instrumentation): one per
+    expression node and per statement, but none for an [Expr] wrapper,
+    two for a guard and two per function. *)
+let prog_size p =
+  let stmt n = function Expr _ -> n | Guard _ -> n + 2 | _ -> n + 1 in
+  List.fold_left (fun n f -> fold_stmts ~stmt (fun n _ -> n + 1) (n + 2) f.body) 0 p.funcs

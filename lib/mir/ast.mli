@@ -99,11 +99,32 @@ type prog = {
 val find_func : prog -> string -> func option
 val find_global : prog -> string -> glob option
 
+(** {1 Traversal}
+
+    The one place that says which constructors hold subexpressions.
+    Every fold visits a node before its operands and operands left to
+    right, an indirect callee before its arguments.  A statement comes
+    before its own expressions, and those before its nested [If] and
+    [While] bodies (then-branch before else-branch).  Guard operands are
+    visited like any other expression, because the engine evaluates
+    them. *)
+
+val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** [fold_expr f acc e] folds [f] over every node of [e], [e] first. *)
+
+val fold_stmts : ?stmt:('a -> stmt -> 'a) -> ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
+(** [fold_stmts ~stmt f acc l] folds [stmt] over every statement of [l]
+    and its nested bodies, and [f] over every node of every expression
+    they hold. *)
+
+val map_expr : (expr -> expr) -> expr -> expr
+(** [map_expr f e] rebuilds [e] bottom-up: [f] sees each node after its
+    operands have been mapped, and its result is not traversed again. *)
+
+val map_stmt : (expr -> expr) -> stmt -> stmt
+(** [map_stmt f s] applies [map_expr f] to every expression of [s] and
+    of its nested bodies. *)
+
+val prog_size : prog -> int
 (** Structural code-size metric in IR nodes (the Figure 11 Δcode
     basis). *)
-
-val expr_size : expr -> int
-val stmt_size : stmt -> int
-val stmts_size : stmt list -> int
-val func_size : func -> int
-val prog_size : prog -> int

@@ -26,7 +26,6 @@ type row = {
 }
 
 let measure_cycles sys f ~ops =
-  (match Lxfi.Runtime.current_module sys.Ksys.rt with _ -> ());
   Hashtbl.iter
     (fun _ (mi : Lxfi.Runtime.module_info) ->
       Option.iter Mir.Interp.refuel mi.Lxfi.Runtime.mi_ctx)

@@ -304,8 +304,19 @@ let test_flow_undefined_callee () =
   Alcotest.(check bool) "flow-extraction error" true (has_rule "flow-extraction" fs);
   Alcotest.(check bool) "is an error" true (List.exists F.is_error fs)
 
+(* The node set is syntactic: a kernel-export call counts wherever it
+   sits ([Positions.all]). *)
+let test_flow_node_every_position () =
+  let open Mir.Builder in
+  List.iter
+    (fun (name, at) ->
+      let p = Positions.prog_of (at (call_ext "kmalloc" [ ii 8 ])) in
+      let g = Check.Apiflow.extract (flow_env ()) p in
+      Alcotest.(check bool) name true (List.mem "kmalloc" g.Check.Apiflow.g_nodes))
+    Positions.all
+
 (* Extraction soundness on the fuzzer's well-behaved modules: the
-   loader self-extracts this graph under [flow_integrity] and the
+   loader self-extracts this graph in Lxfi mode and the
    runtime automaton checks every kernel-API call against it, so any
    false rejection surfaces as a violation outcome in the clean drive.
    Determinism: two independent extractions render byte-identically. *)
@@ -464,6 +475,7 @@ let () =
         [
           Alcotest.test_case "graph shape" `Quick test_flow_graph_shape;
           Alcotest.test_case "undefined callee" `Quick test_flow_undefined_callee;
+          Alcotest.test_case "node at every position" `Quick test_flow_node_every_position;
           QCheck_alcotest.to_alcotest prop_flow_soundness;
           QCheck_alcotest.to_alcotest prop_flow_lookup;
         ] );

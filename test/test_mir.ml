@@ -241,6 +241,90 @@ let test_code_size_metric () =
   Alcotest.(check bool) "size is monotone" true
     (Mir.Ast.prog_size bigger > Mir.Ast.prog_size small)
 
+(* The traversal's visit order, over a body that uses every expression
+   and statement constructor.  Folds go node first, operands left to
+   right, an indirect callee before its arguments, a statement before its
+   expressions and those before its nested bodies; guard operands are
+   visited.  [map_stmt] sees each node after its operands. *)
+let test_traversal_order () =
+  let open Mir.Ast in
+  let label = function
+    | Const n -> Int64.to_string n
+    | Var x -> x
+    | Glob g -> "&" ^ g
+    | Funcaddr f -> "@" ^ f
+    | Extaddr x -> "ext " ^ x
+    | Load _ -> "load"
+    | Binop _ -> "binop"
+    | Call (Direct f, _) -> "call " ^ f
+    | Call (Ext f, _) -> "ext call " ^ f
+    | Call (Indirect _, _) -> "icall"
+  in
+  let stmt_label = function
+    | Let (x, _) -> "let " ^ x
+    | Alloca (x, _) -> "alloca " ^ x
+    | Store _ -> "store"
+    | If _ -> "if"
+    | While _ -> "while"
+    | Expr _ -> "expr"
+    | Return _ -> "return"
+    | Guard (Gwrite _) -> "gwrite"
+    | Guard (Gindcall _) -> "gindcall"
+  in
+  let body =
+    [
+      alloca "b" 16;
+      let_ "x" (load64 (glob "g") +: v "y");
+      store64 (v "b") (fn "f");
+      if_ (v "x")
+        [ expr (call "h" [ ii 1; ext "kfree" ]) ]
+        [ Guard (Gwrite (W64, v "b")) ];
+      while_ (ii 0) [ Guard (Gindcall (v "t")) ];
+      ret (call_ind (v "t") [ call_ext "kfree" [ ii 2 ] ]);
+    ]
+  in
+  let folded =
+    fold_stmts
+      ~stmt:(fun acc s -> stmt_label s :: acc)
+      (fun acc e -> label e :: acc)
+      [] body
+  in
+  Alcotest.(check (list string)) "fold_stmts order"
+    [
+      "alloca b";
+      "let x"; "binop"; "load"; "&g"; "y";
+      "store"; "b"; "@f";
+      "if"; "x"; "expr"; "call h"; "1"; "ext kfree"; "gwrite"; "b";
+      "while"; "0"; "gindcall"; "t";
+      "return"; "icall"; "t"; "ext call kfree"; "2";
+    ]
+    (List.rev folded);
+  let mapped = ref [] in
+  let body' = List.map (map_stmt (fun e -> mapped := label e :: !mapped; e)) body in
+  Alcotest.(check (list string)) "map_stmt order"
+    [
+      "&g"; "load"; "y"; "binop";
+      "b"; "@f";
+      "x"; "1"; "ext kfree"; "call h"; "b";
+      "0"; "t";
+      "t"; "2"; "ext call kfree"; "icall";
+    ]
+    (List.rev !mapped);
+  Alcotest.(check bool) "map_stmt keeps the body" true (body' = body)
+
+(* [map_stmt Fun.id] rebuilds every catalog module's bodies unchanged. *)
+let test_map_identity () =
+  let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+  List.iter
+    (fun (spec : Kmodules.Mod_common.spec) ->
+      List.iter
+        (fun (f : Mir.Ast.func) ->
+          if List.map (Mir.Ast.map_stmt Fun.id) f.Mir.Ast.body <> f.Mir.Ast.body then
+            Alcotest.failf "%s/%s: map_stmt Fun.id changed the body"
+              spec.Kmodules.Mod_common.name f.Mir.Ast.fname)
+        (spec.Kmodules.Mod_common.make sys).Mir.Ast.funcs)
+    Kmodules.Catalog.all
+
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -279,6 +363,8 @@ let () =
       ( "tools",
         [
           Alcotest.test_case "code size metric" `Quick test_code_size_metric;
+          Alcotest.test_case "traversal order" `Quick test_traversal_order;
+          Alcotest.test_case "map_stmt identity on the catalog" `Quick test_map_identity;
           Alcotest.test_case "printer" `Quick test_printer_smoke;
         ] );
     ]

@@ -125,6 +125,20 @@ let test_nested_indirect_rejected () =
   | exception RW.Rewrite_error _ -> ()
   | _ -> Alcotest.fail "expected rewrite error"
 
+(* The same refusal at every expression position ([Positions.all]).
+   Each case's control, with a constant in the hole, is accepted, so the
+   refusal comes from the nested call alone. *)
+let test_nested_indirect_every_position () =
+  List.iter
+    (fun (name, at) ->
+      (match RW.instrument cfg (Positions.prog_of (at (call_ind (load64 (glob "g")) []))) with
+      | exception RW.Rewrite_error _ -> ()
+      | _ -> Alcotest.failf "%s: nested indirect call accepted" name);
+      match RW.instrument cfg (Positions.prog_of (at (ii 0))) with
+      | _ -> ()
+      | exception RW.Rewrite_error e -> Alcotest.failf "%s: control refused: %s" name e)
+    Positions.all
+
 let test_trivial_inlining () =
   let p =
     mk
@@ -325,6 +339,8 @@ let () =
             (test_rebound_alloca_guarded Lxfi.Config.xfi);
           Alcotest.test_case "indirect call guarded" `Quick test_indirect_call_guarded;
           Alcotest.test_case "nested indirect rejected" `Quick test_nested_indirect_rejected;
+          Alcotest.test_case "nested indirect rejected at every position" `Quick
+            test_nested_indirect_every_position;
           Alcotest.test_case "double instrumentation rejected" `Quick
             test_double_instrumentation_rejected;
         ] );
