@@ -43,6 +43,23 @@ let positive =
   in
   Arg.conv (parse, Fmt.int)
 
+let seed_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "s"; "seed" ] ~docv:"SEED"
+        ~doc:"Seed; the same seed reproduces the same output byte for byte.")
+
+let json_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Also write a machine-readable (byte-stable) report to $(docv).")
+
+(* Runs [f], which writes reports, traces or repros, and exits with the
+   status it returns.  A path it cannot write is a CLI error (exit 124),
+   not an uncaught exception (exit 125). *)
+let writing f = match f () with rc -> exit rc | exception Sys_error e -> Error e
+
 (* ---- exploit ---- *)
 
 let exploit_cmd =
@@ -53,7 +70,6 @@ let exploit_cmd =
           ~doc:"Exploit to run (CAN_BCM, Econet, RDS, RDS(w), Rootkit, ...); all if omitted.")
   in
   let run name mode =
-    Kernel_sim.Klog.quiet ();
     let selected =
       match name with
       | None -> Ok Exploits.Pid_rootkit.all
@@ -96,10 +112,6 @@ let paper_cmd =
           ~doc:"Section to print: fig7 to fig13, guards, ablation, captable, \
                 rewrite or overheads; all if omitted.")
   in
-  let run names =
-    Kernel_sim.Klog.quiet ();
-    Paper.print names
-  in
   Cmd.v
     (Cmd.info "paper"
        ~doc:"Print the paper's evaluation tables (Figures 7-13, the ablations \
@@ -107,15 +119,12 @@ let paper_cmd =
              guards and captable are host timings; every other section is \
              deterministic.  fig7 counts this source tree, so run it from the \
              source root.")
-    Term.(term_result' (const run $ sections))
+    Term.(term_result' (const Paper.print $ sections))
 
 (* ---- reference ---- *)
 
 let reference_cmd =
-  let run () =
-    Kernel_sim.Klog.quiet ();
-    print_string (Paper.reference ())
-  in
+  let run () = print_string (Paper.reference ()) in
   Cmd.v
     (Cmd.info "reference"
        ~doc:"Print the enforcement-neutrality reference: the Figure 13 guard \
@@ -128,7 +137,6 @@ let reference_cmd =
 
 let annotations_cmd =
   let run () =
-    Kernel_sim.Klog.quiet ();
     let sys = Ksys.boot Lxfi.Config.lxfi in
     let rt = sys.Ksys.rt in
     Fmt.pr "== function-pointer slot types ==@.";
@@ -158,7 +166,6 @@ let annotations_cmd =
 
 let state_cmd =
   let run () =
-    Kernel_sim.Klog.quiet ();
     (* boot a representative system, run some traffic, dump LXFI state *)
     let sys = Ksys.boot Lxfi.Config.lxfi in
     let pcidev, nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
@@ -194,7 +201,6 @@ let dump_cmd =
       & info [] ~docv:"MODULE" ~doc:"Module name (e.g. e1000, rds, can_bcm).")
   in
   let run name mode =
-    Kernel_sim.Klog.quiet ();
     let config = Option.value ~default:Lxfi.Config.lxfi mode in
     match Catalog.find name with
     | None ->
@@ -216,12 +222,6 @@ let dump_cmd =
 (* ---- faultsim ---- *)
 
 let faultsim_cmd =
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "s"; "seed" ] ~docv:"SEED"
-          ~doc:"Campaign seed; the same seed reproduces the exact same report.")
-  in
   let trace_dir =
     Arg.(
       value & opt (some string) None
@@ -230,47 +230,31 @@ let faultsim_cmd =
                 into $(docv) (one file per cell).")
   in
   let run seed trace_dir =
-    Kernel_sim.Klog.quiet ();
-    (* a trace directory that cannot be created or written is a CLI error *)
-    match
-      Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) trace_dir;
-      Workloads.Faultsim.run ?trace_dir ~seed ()
-    with
-    | exception Sys_error e -> Error e
-    | rows, breaches -> exit (Workloads.Faultsim.print ~seed rows breaches)
+    writing (fun () ->
+        Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) trace_dir;
+        let rows, breaches = Workloads.Faultsim.run ?trace_dir ~seed () in
+        Workloads.Faultsim.print ~seed rows breaches)
   in
   Cmd.v
     (Cmd.info "faultsim"
        ~doc:"Run the deterministic fault-injection campaign against the \
              quarantine policy (alloc-fail, drop-grant, corrupt-slot, \
              watchdog x netperf, can, rds).")
-    Term.(term_result' (const run $ seed $ trace_dir))
+    Term.(term_result' (const run $ seed_arg 42 $ trace_dir))
 
 (* ---- lifecycle ---- *)
 
 let lifecycle_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "s"; "seed" ] ~docv:"SEED"
-          ~doc:"Campaign seed; the same seed reproduces the exact same report.")
-  in
-  let json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write a machine-readable (byte-stable) report to $(docv).")
-  in
   let run seed json =
-    Kernel_sim.Klog.quiet ();
-    let rows, breaches = Workloads.Lifecycle.run ~seed () in
-    let rc = Workloads.Lifecycle.print ~seed rows breaches in
-    Option.iter
-      (fun file ->
-        Workloads.Bench_json.write_file file
-          (Workloads.Lifecycle.to_json ~seed rows breaches))
-      json;
-    exit rc
+    writing (fun () ->
+        let rows, breaches = Workloads.Lifecycle.run ~seed () in
+        let rc = Workloads.Lifecycle.print ~seed rows breaches in
+        Option.iter
+          (fun file ->
+            Workloads.Bench_json.write_file file
+              (Workloads.Lifecycle.to_json ~seed rows breaches))
+          json;
+        rc)
   in
   Cmd.v
     (Cmd.info "lifecycle"
@@ -278,17 +262,11 @@ let lifecycle_cmd =
              netperf/can/rds traffic plus quarantine->repair->replay recovery \
              cycles, asserting the liveness, violation-free-swap, counter \
              reconciliation and recovery-replay oracles.")
-    Term.(const run $ seed $ json)
+    Term.(term_result' (const run $ seed_arg 1 $ json_arg))
 
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "s"; "seed" ] ~docv:"SEED"
-          ~doc:"Campaign seed; the same seed yields a byte-identical report.")
-  in
   let runs =
     Arg.(
       value & opt positive 100
@@ -307,11 +285,6 @@ let fuzz_cmd =
       & info [ "o"; "out" ] ~docv:"DIR"
           ~doc:"Write minimized .mir repros for any divergence into $(docv).")
   in
-  let json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write a machine-readable report to $(docv).")
-  in
   let exemplars =
     Arg.(
       value & flag
@@ -321,12 +294,11 @@ let fuzz_cmd =
                 this is how test/corpus is generated.")
   in
   let run seed runs mutants out json exemplars =
-    Kernel_sim.Klog.quiet ();
-    if exemplars then
-      match out with
-      | None -> Error "--exemplars requires --out DIR"
-      | Some dir -> exit (Workloads.Fuzz_run.print_exemplars ~seed ~out:dir ())
-    else exit (Workloads.Fuzz_run.print ~mutants_per_case:mutants ?out ?json ~seed ~runs ())
+    match (exemplars, out) with
+    | true, None -> Error "--exemplars requires --out DIR"
+    | true, Some dir -> writing (Workloads.Fuzz_run.print_exemplars ~seed ~out:dir)
+    | false, _ ->
+        writing (Workloads.Fuzz_run.print ~mutants_per_case:mutants ?out ?json ~seed ~runs)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -335,7 +307,7 @@ let fuzz_cmd =
              mutant detection by violation class, static/runtime consistency, \
              trace reconciliation), with failing cases minimized to \
              replayable MIR repros.")
-    Term.(term_result' (const run $ seed $ runs $ mutants $ out $ json $ exemplars))
+    Term.(term_result' (const run $ seed_arg 1 $ runs $ mutants $ out $ json_arg $ exemplars))
 
 (* ---- trace ---- *)
 
@@ -345,12 +317,6 @@ let trace_cmd =
       required
       & pos 0 (some (enum (List.map (fun w -> (w, w)) Workloads.Trace_run.workload_names))) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload to trace: netperf, can or rds.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "s"; "seed" ] ~docv:"SEED"
-          ~doc:"Op-mix seed; the same seed yields byte-identical output.")
   in
   let out =
     Arg.(
@@ -365,15 +331,14 @@ let trace_cmd =
           ~doc:"Ring-buffer capacity: retain at most $(docv) events (newest win).")
   in
   let run workload seed out limit =
-    Kernel_sim.Klog.quiet ();
-    exit (Workloads.Trace_run.run ~seed ~limit ?out ~workload Fmt.stdout)
+    writing (fun () -> Workloads.Trace_run.run ~seed ~limit ?out ~workload Fmt.stdout)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Trace a workload run: per-principal and per-entry-point profile \
              (cycles by category, guards by type), optional Chrome trace-event \
              JSON export.")
-    Term.(const run $ workload_arg $ seed $ out $ limit)
+    Term.(term_result' (const run $ workload_arg $ seed_arg 1 $ out $ limit))
 
 (* ---- check ---- *)
 
@@ -391,11 +356,6 @@ let check_cmd =
           ~doc:"Check the whole API surface (slot registry + kernel exports) \
                 and every catalog module.")
   in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write a machine-readable report to $(docv).")
-  in
   let broken_arg =
     Arg.(
       value & flag
@@ -404,7 +364,6 @@ let check_cmd =
                 demonstrates what the checker rejects).")
   in
   let run module_name all json broken =
-    Kernel_sim.Klog.quiet ();
     let report =
       if broken then Ok (Workloads.Check_run.broken_demo ())
       else if all || module_name = None then Ok (Workloads.Check_run.check_catalog ())
@@ -413,16 +372,15 @@ let check_cmd =
         | r -> Ok r
         | exception Invalid_argument m -> Error m
     in
-    Result.map
-      (fun report ->
-        Fmt.pr "%a" Workloads.Check_run.pp report;
-        (match json with
-        | Some file ->
-            Workloads.Bench_json.write_file file (Workloads.Check_run.to_json report);
-            Fmt.pr "wrote %s@." file
-        | None -> ());
-        if Workloads.Check_run.has_errors report then exit 1)
-      report
+    Result.bind report (fun report ->
+        writing (fun () ->
+            Fmt.pr "%a" Workloads.Check_run.pp report;
+            Option.iter
+              (fun file ->
+                Workloads.Bench_json.write_file file (Workloads.Check_run.to_json report);
+                Fmt.pr "wrote %s@." file)
+              json;
+            if Workloads.Check_run.has_errors report then 1 else 0))
   in
   Cmd.v
     (Cmd.info "check"
@@ -452,7 +410,6 @@ let runmod_cmd =
       & info [ "a"; "args" ] ~docv:"INTS" ~doc:"Comma-separated integer arguments.")
   in
   let run file entry args mode =
-    Kernel_sim.Klog.quiet ();
     let config = Option.value ~default:Lxfi.Config.lxfi mode in
     let src = In_channel.with_open_text file In_channel.input_all in
     match Mir.Parser.parse_result src with
@@ -521,6 +478,7 @@ let runmod_cmd =
     Term.(const run $ file_arg $ entry_arg $ args_arg $ mode_arg)
 
 let () =
+  Kernel_sim.Klog.quiet ();
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

@@ -19,9 +19,6 @@ val to_string : t -> string
 val write_file : string -> t -> unit
 (** Write [to_string] plus a trailing newline to a file. *)
 
-val of_stats : Lxfi.Stats.t -> t
-(** Every guard counter, named and ordered as {!Lxfi.Stats.all}. *)
-
 val of_measure : Netperf_sim.measure -> t
 (** Simulated cycles per unit, guard-cycle share, and guard counters of
     one netperf measurement. *)

@@ -100,36 +100,8 @@ let slot_decls =
     Ksys.declare ok_slot [ "n" ] "";
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Bystander workloads: setup returns a [serve] probe whose value must
-   be unchanged after the campaign cell's faults. *)
-
-let wl_netperf (sys : Ksys.t) =
-  let pcidev, nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
-  let _ = Mod_common.install sys E1000.spec in
-  let dev = Pci.pci_get_drvdata sys.Ksys.pci pcidev in
-  fun () ->
-    let skb = Skbuff.alloc sys.Ksys.kst 64 in
-    Skbuff.set_dev sys.Ksys.kst skb dev;
-    let r = Netdev.dev_queue_xmit sys.Ksys.net skb in
-    ignore (Nic.drain_tx nic);
-    r
-
-let wl_can (sys : Ksys.t) =
-  let _ = Mod_common.install sys Can.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_can ~typ:3 in
-  ignore (Sockets.sys_bind sys.Ksys.sock ~fd ~addr:0 ~alen:0);
-  let u = Kstate.user_alloc sys.Ksys.kst 16 in
-  fun () -> Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:16 ~flags:0
-
-let wl_rds (sys : Ksys.t) =
-  let _ = Mod_common.install sys Rds.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_rds ~typ:2 in
-  let u = Kstate.user_alloc sys.Ksys.kst 64 in
-  fun () -> Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:32 ~flags:0
-
-let workloads = [ ("netperf", wl_netperf); ("can", wl_can); ("rds", wl_rds) ]
-let workload_names = List.map fst workloads
+let workloads = Cell.bystanders
+let workload_names = Cell.names
 
 (* ------------------------------------------------------------------ *)
 (* One campaign cell.                                                  *)
@@ -147,15 +119,10 @@ let plan_label = function
     post-fault probes — is traced into a small ring (newest events win)
     and written as Chrome trace-event JSON into the directory. *)
 let run_cell ?trace_dir ~seed fclass ~workload ~plan =
-  let setup =
-    match List.assoc_opt workload workloads with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "faultsim: unknown workload %s" workload)
-  in
   let sys = Ksys.boot Lxfi.Config.lxfi_quarantine in
   let rt = sys.Ksys.rt and kst = sys.Ksys.kst in
   Ksys.add_slots sys slot_decls;
-  let serve = setup sys in
+  let serve = Cell.bystander workload sys in
   let mi = fst (Ksys.load sys fsim_prog) in
   let baseline = serve () in
   let q0 = rt.Lxfi.Runtime.stats.Lxfi.Stats.quarantines in
@@ -246,46 +213,25 @@ let run_cell ?trace_dir ~seed fclass ~workload ~plan =
            (plan_label plan))
         b);
   (* ---- invariants ---- *)
-  let breaches = ref [] in
-  let breach fmt =
-    Printf.ksprintf
-      (fun s ->
-        breaches :=
-          Printf.sprintf "%s/%s/%s: %s" (class_name fclass) workload (plan_label plan) s
-          :: !breaches)
-      fmt
+  let cell =
+    Cell.create (Printf.sprintf "%s/%s/%s" (class_name fclass) workload (plan_label plan))
   in
-  let depth = Lxfi.Shadow_stack.depth rt.Lxfi.Runtime.sstack in
-  if depth <> 0 then breach "shadow stack depth %d after campaign" depth;
-  (match rt.Lxfi.Runtime.current with
-  | None -> ()
-  | Some p -> breach "current principal is %s, not kernel" (Lxfi.Principal.describe p));
+  let bystander_ok = Cell.contained cell rt ~workload ~serve ~baseline in
   List.iter
     (fun (p : Lxfi.Principal.t) ->
-      let caps =
-        Lxfi.Captable.write_count p.Lxfi.Principal.caps
-        + Lxfi.Captable.call_count p.Lxfi.Principal.caps
-        + Lxfi.Captable.ref_count p.Lxfi.Principal.caps
-      in
-      if p.Lxfi.Principal.quarantined <> None && caps <> 0 then
-        breach "quarantined %s still holds %d capabilities"
-          (Lxfi.Principal.describe p) caps;
       if p.Lxfi.Principal.owner <> "fsim" then
         Hashtbl.iter
           (fun fname addr ->
             if Lxfi.Captable.has_call p.Lxfi.Principal.caps ~target:addr then
-              breach "capability leak: %s holds CALL for fsim.%s"
+              Cell.breach cell "capability leak: %s holds CALL for fsim.%s"
                 (Lxfi.Principal.describe p) fname)
           mi.Lxfi.Runtime.mi_func_addr)
     (Lxfi.Runtime.all_principals rt);
-  let after = serve () in
-  let bystander_ok = Int64.equal after baseline in
-  if not bystander_ok then
-    breach "bystander %s stopped serving (%Ld, was %Ld)" workload after baseline;
   let quarantines = rt.Lxfi.Runtime.stats.Lxfi.Stats.quarantines - q0 in
   let escalations = rt.Lxfi.Runtime.stats.Lxfi.Stats.escalations - e0 in
   if !fired > 0 && quarantines = 0 then
-    breach "%d faults injected but nothing was quarantined" !fired;
+    Cell.breach cell "%d faults injected but nothing was quarantined" !fired;
+  let breaches = Cell.breaches cell in
   ( {
       fs_class = class_name fclass;
       fs_workload = workload;
@@ -295,9 +241,9 @@ let run_cell ?trace_dir ~seed fclass ~workload ~plan =
       fs_escalations = escalations;
       fs_efaults = !efaults;
       fs_bystander_ok = bystander_ok;
-      fs_invariants_ok = !breaches = [];
+      fs_invariants_ok = breaches = [];
     },
-    List.rev !breaches )
+    breaches )
 
 (* ------------------------------------------------------------------ *)
 (* The full campaign.                                                  *)
@@ -329,16 +275,11 @@ let run ?trace_dir ~seed () =
           workload_names)
       classes
   in
-  let idx = ref 0 in
-  let results =
-    List.map
-      (fun (fclass, workload, plan) ->
-        incr idx;
-        run_cell ?trace_dir ~seed:(seed + (7919 * !idx)) fclass ~workload ~plan)
+  let rows, breaches =
+    Cell.run ~seed
+      (fun ~seed (fclass, workload, plan) -> run_cell ?trace_dir ~seed fclass ~workload ~plan)
       cells
   in
-  let rows = List.map fst results in
-  let breaches = List.concat_map snd results in
   (* Campaign-level acceptance: at least one quarantine per fault
      class (the deterministic Nth cells guarantee it). *)
   let class_breaches =
@@ -414,12 +355,5 @@ let print ~seed rows breaches =
            (if r.fs_invariants_ok then "ok" else "BREACH");
          ])
        rows);
-  print_endline "";
-  (match breaches with
-  | [] ->
-      Printf.printf "%d cells, all invariants held (shadow stack, principal, caps, traffic)\n"
-        (List.length rows)
-  | bs ->
-      Printf.printf "%d invariant breaches:\n" (List.length bs);
-      List.iter (fun b -> Printf.printf "  %s\n" b) bs);
-  if breaches = [] then 0 else 1
+  Cell.verdict ~held:"invariants held (shadow stack, principal, caps, traffic)"
+    ~cells:(List.length rows) breaches

@@ -11,6 +11,7 @@ type fault_class = Alloc_fail | Drop_grant | Corrupt_slot | Watchdog
 
 val classes : fault_class list
 val class_name : fault_class -> string
+(** Exported for the property tests' counterexample printer. *)
 
 type row = {
   fs_class : string;
@@ -25,11 +26,10 @@ type row = {
 }
 
 val workloads : (string * (Kmodules.Ksys.t -> unit -> int64)) list
-(** Bystander workload setups: each boots its module(s) into the given
-    system and returns a [serve] probe whose value must be unchanged
-    after a campaign cell's faults.  Shared with {!Lifecycle}. *)
+(** {!Cell.bystanders}, under the name the host benchmark uses. *)
 
 val workload_names : string list
+(** {!Cell.names}, likewise. *)
 
 val run_cell :
   ?trace_dir:string ->

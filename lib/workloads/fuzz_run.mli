@@ -5,6 +5,7 @@
     with the same seed are byte-identical. *)
 
 val json_of_report : Fuzz.Campaign.report -> Bench_json.t
+(** The [--json] report; exported for the determinism regression test. *)
 
 val print :
   ?mutants_per_case:int ->

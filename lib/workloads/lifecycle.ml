@@ -1,7 +1,7 @@
 (** Live module lifecycle campaign (`lxfi_sim lifecycle`).
 
-    One cell per bystander workload (netperf / can / rds traffic, as in
-    {!Faultsim}), each running a long request stream against a target
+    One cell per bystander workload (netperf / can / rds traffic, from
+    {!Cell}), each running a long request stream against a target
     module [lcmod] whose lifecycle is exercised {e while serving}:
 
     - {b hot upgrades} ([Loader.upgrade]): at seed-derived rounds the
@@ -121,19 +121,14 @@ let read_glob (sys : Ksys.t) (mi : Lxfi.Runtime.module_info) name =
     at seed-derived rounds, and return the cell row plus any invariant
     breaches. *)
 let run_cell ~seed ~workload =
-  let setup =
-    match List.assoc_opt workload Faultsim.workloads with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "lifecycle: unknown workload %s" workload)
-  in
   let sys = Ksys.boot Lxfi.Config.lxfi_quarantine in
   let rt = sys.Ksys.rt and kst = sys.Ksys.kst in
   define_slots sys;
   let rep = Lxfi.Repair.arm rt in
   let tbuf = Trace.make ~capacity:8192 () in
   Lxfi.Runtime.attach_trace rt tbuf;
-  let serve_bystander = setup sys in
-  let baseline = serve_bystander () in
+  let serve = Cell.bystander workload sys in
+  let baseline = serve () in
   let version = ref 1 in
   let mi = ref (fst (Ksys.load sys (make_prog ~version:1 ~buggy:true))) in
   ignore (Lxfi.Loader.init_call rt !mi "module_init" []);
@@ -151,12 +146,8 @@ let run_cell ~seed ~workload =
   and efaults = ref 0
   and dropped = ref 0 in
   let upgrades = ref [] and repairs = ref [] in
-  let breaches = ref [] in
-  let breach fmt =
-    Printf.ksprintf
-      (fun s -> breaches := Printf.sprintf "%s: %s" workload s :: !breaches)
-      fmt
-  in
+  let cell = Cell.create workload in
+  let breach fmt = Cell.breach cell fmt in
   let q0 = rt.Lxfi.Runtime.stats.Lxfi.Stats.quarantines in
   let e0 = rt.Lxfi.Runtime.stats.Lxfi.Stats.escalations in
 
@@ -258,7 +249,7 @@ let run_cell ~seed ~workload =
     if Int64.equal ret Lxfi.Quarantine.efault then incr efaults
     else if Int64.compare ret 0L > 0 then incr served
     else incr dropped;
-    ignore (serve_bystander ());
+    ignore (serve ());
     (* An escalation during this round left an incident behind: run the
        repair→replay cycle before the next request lands. *)
     if List.length (Lxfi.Repair.incidents rep) > List.length !repairs then
@@ -276,28 +267,8 @@ let run_cell ~seed ~workload =
     breach "only %d upgrades ran (wanted >= 3)" (List.length !upgrades);
   if List.length !repairs < 2 then
     breach "only %d repair cycles ran (wanted >= 2)" (List.length !repairs);
-  let depth = Lxfi.Shadow_stack.depth rt.Lxfi.Runtime.sstack in
-  if depth <> 0 then breach "shadow stack depth %d after campaign" depth;
-  (match rt.Lxfi.Runtime.current with
-  | None -> ()
-  | Some p -> breach "current principal is %s, not kernel" (Lxfi.Principal.describe p));
-  List.iter
-    (fun (p : Lxfi.Principal.t) ->
-      if p.Lxfi.Principal.quarantined <> None then begin
-        let caps =
-          Lxfi.Captable.write_count p.Lxfi.Principal.caps
-          + Lxfi.Captable.call_count p.Lxfi.Principal.caps
-          + Lxfi.Captable.ref_count p.Lxfi.Principal.caps
-        in
-        if caps <> 0 then
-          breach "quarantined %s still holds %d capabilities"
-            (Lxfi.Principal.describe p) caps
-      end)
-    (Lxfi.Runtime.all_principals rt);
-  let after = serve_bystander () in
-  let bystander_ok = Int64.equal after baseline in
-  if not bystander_ok then
-    breach "bystander %s stopped serving (%Ld, was %Ld)" workload after baseline;
+  let bystander_ok = Cell.contained cell rt ~workload ~serve ~baseline in
+  let breaches = Cell.breaches cell in
   ( {
       lc_workload = workload;
       lc_requests = !requests;
@@ -310,9 +281,9 @@ let run_cell ~seed ~workload =
       lc_quarantines = rt.Lxfi.Runtime.stats.Lxfi.Stats.quarantines - q0;
       lc_final_version = !version;
       lc_bystander_ok = bystander_ok;
-      lc_invariants_ok = !breaches = [];
+      lc_invariants_ok = breaches = [];
     },
-    List.rev !breaches )
+    breaches )
 
 (* ------------------------------------------------------------------ *)
 (* The full campaign.                                                  *)
@@ -320,19 +291,8 @@ let run_cell ~seed ~workload =
 (** [run ~seed] — one cell per bystander workload at derived seeds;
     rows sorted by workload, breaches empty = pass. *)
 let run ~seed () =
-  let idx = ref 0 in
-  let results =
-    List.map
-      (fun workload ->
-        incr idx;
-        run_cell ~seed:(seed + (7919 * !idx)) ~workload)
-      Faultsim.workload_names
-  in
-  let rows =
-    List.map fst results
-    |> List.sort (fun a b -> compare a.lc_workload b.lc_workload)
-  in
-  (rows, List.concat_map snd results)
+  let rows, breaches = Cell.run ~seed (fun ~seed workload -> run_cell ~seed ~workload) Cell.names in
+  (List.sort (fun a b -> compare a.lc_workload b.lc_workload) rows, breaches)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
@@ -431,14 +391,8 @@ let print ~seed rows breaches =
             r.lc_workload p.rp_round p.rp_kind p.rp_window p.rp_reproduced p.rp_clean)
         r.lc_repairs)
     rows;
-  print_endline "";
-  (match breaches with
-  | [] ->
-      Printf.printf
-        "%d cells, all lifecycle invariants held (liveness, violation-free swaps, \
-         counter reconciliation, recovery oracle)\n"
-        (List.length rows)
-  | bs ->
-      Printf.printf "%d invariant breaches:\n" (List.length bs);
-      List.iter (fun b -> Printf.printf "  %s\n" b) bs);
-  if breaches = [] then 0 else 1
+  Cell.verdict
+    ~held:
+      "lifecycle invariants held (liveness, violation-free swaps, counter \
+       reconciliation, recovery oracle)"
+    ~cells:(List.length rows) breaches

@@ -3,10 +3,7 @@
     slowdown (the Figure 11 columns).  The harness also asserts the
     instrumented run computes the same result as stock. *)
 
-val bench_slot : string
-(** Trivial slot type the benchmarks export their entries through. *)
-
-val define_bench_slot : Lxfi.Runtime.t -> unit
+(** The three programs, exported for the parser and printer tests. *)
 
 val hotlist_prog : Mir.Ast.prog
 val lld_prog : Mir.Ast.prog

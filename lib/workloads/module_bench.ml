@@ -74,24 +74,19 @@ let sound_workload config ~ops =
 
 let can_workload config ~ops =
   let sys = Ksys.boot config in
-  let _ = Mod_common.install sys Can.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_can ~typ:3 in
-  ignore (Sockets.sys_bind sys.Ksys.sock ~fd ~addr:0 ~alen:0);
-  let u = Kstate.user_alloc sys.Ksys.kst 16 in
+  let send = Cell.can sys in
   measure_cycles sys ~ops (fun () ->
       for _ = 1 to ops do
-        ignore (Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:16 ~flags:0)
+        ignore (send ())
       done)
 
 let rds_workload config ~ops =
   let sys = Ksys.boot config in
-  let _ = Mod_common.install sys Rds.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_rds ~typ:2 in
-  let u = Kstate.user_alloc sys.Ksys.kst 64 in
+  let fd, send = Cell.rds sys in
   let out = Kstate.user_alloc sys.Ksys.kst 64 in
   measure_cycles sys ~ops (fun () ->
       for _ = 1 to ops do
-        ignore (Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:32 ~flags:0);
+        ignore (send ~len:32);
         ignore (Sockets.sys_recvmsg sys.Ksys.sock ~fd ~buf:out ~len:64 ~flags:0)
       done)
 

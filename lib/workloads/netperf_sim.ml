@@ -65,8 +65,7 @@ type env = {
   irq : int;  (** the adapter's interrupt line *)
 }
 
-let setup (config : Lxfi.Config.t) : env =
-  let sys = Ksys.boot config in
+let attach (sys : Ksys.t) : env =
   let pcidev, nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
   let _h = Mod_common.install sys E1000.spec in
   let dev = Pci.pci_get_drvdata sys.Ksys.pci pcidev in
@@ -77,6 +76,8 @@ let setup (config : Lxfi.Config.t) : env =
     napi = E1000.napi_addr sys ~pcidev;
     irq = Pci.irq sys.Ksys.pci pcidev;
   }
+
+let setup config = attach (Ksys.boot config)
 
 (** {1 Packet paths} *)
 

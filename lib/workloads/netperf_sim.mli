@@ -13,8 +13,11 @@ type env = {
   irq : int;
 }
 
+val attach : Kmodules.Ksys.t -> env
+(** One NIC and the e1000 module, added to a booted system. *)
+
 val setup : Lxfi.Config.t -> env
-(** Boot + one NIC + the e1000 module. *)
+(** [attach] on a fresh boot. *)
 
 (** {1 Packet paths} — exposed for the trace workload driver. *)
 
@@ -33,12 +36,6 @@ type measure = {
   m_stats : Lxfi.Stats.t;
   m_units : int;
 }
-
-val measure_udp_tx : env -> pkts:int -> measure
-val measure_udp_rx : env -> pkts:int -> measure
-val measure_tcp_tx : env -> msgs:int -> msg_len:int -> measure
-val measure_tcp_rx : env -> pkts:int -> measure
-val measure_rr : env -> txns:int -> tcp:bool -> measure
 
 type row = {
   r_test : string;

@@ -21,57 +21,46 @@ open Kmodules
     profile, small enough that a trace run stays well under a second. *)
 let ops = 1200
 
-let boot_netperf () =
-  let env = Netperf_sim.setup Lxfi.Config.lxfi in
-  let step rng i =
-    (match Finject.pick rng 4 with
-    | 0 | 1 -> Netperf_sim.udp_send env ~len:(32 + Finject.pick rng 96)
-    | 2 -> Netperf_sim.tcp_send env ~msg_len:(512 + Finject.pick rng 2048)
-    | _ ->
-        ignore (Netperf_sim.rx_burst env ~count:(1 + Finject.pick rng 8) ~frame_len:64));
-    if i mod 16 = 0 then Netperf_sim.drain env
-  in
-  (env.Netperf_sim.sys, step)
+(* Each set-up returns the step that drives operation [i]. *)
+let workloads =
+  [
+    ( "netperf",
+      fun sys ->
+        let env = Netperf_sim.attach sys in
+        fun rng i ->
+          (match Finject.pick rng 4 with
+          | 0 | 1 -> Netperf_sim.udp_send env ~len:(32 + Finject.pick rng 96)
+          | 2 -> Netperf_sim.tcp_send env ~msg_len:(512 + Finject.pick rng 2048)
+          | _ ->
+              ignore (Netperf_sim.rx_burst env ~count:(1 + Finject.pick rng 8) ~frame_len:64));
+          if i mod 16 = 0 then Netperf_sim.drain env );
+    ( "can",
+      fun sys ->
+        let send = Cell.can sys in
+        fun _rng _i -> ignore (send ()) );
+    ( "rds",
+      fun sys ->
+        let _, send = Cell.rds sys in
+        fun rng _i -> ignore (send ~len:(16 + (8 * Finject.pick rng 3))) );
+  ]
 
-let boot_can () =
-  let sys = Ksys.boot Lxfi.Config.lxfi in
-  let _ = Mod_common.install sys Can.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_can ~typ:3 in
-  ignore (Sockets.sys_bind sys.Ksys.sock ~fd ~addr:0 ~alen:0);
-  let u = Kstate.user_alloc sys.Ksys.kst 16 in
-  let step _rng _i = ignore (Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:16 ~flags:0) in
-  (sys, step)
-
-let boot_rds () =
-  let sys = Ksys.boot Lxfi.Config.lxfi in
-  let _ = Mod_common.install sys Rds.spec in
-  let fd = Sockets.sys_socket sys.Ksys.sock ~family:Sockets.af_rds ~typ:2 in
-  let u = Kstate.user_alloc sys.Ksys.kst 64 in
-  let step rng _i =
-    ignore
-      (Sockets.sys_sendmsg sys.Ksys.sock ~fd ~buf:u ~len:(16 + (8 * Finject.pick rng 3))
-         ~flags:0)
-  in
-  (sys, step)
-
-let workload_names = [ "netperf"; "can"; "rds" ]
+let workload_names = List.map fst workloads
 
 (** [run ~workload ppf] — trace a workload run and print the profile to
     [ppf].  [limit] caps retained events (ring capacity); [out] writes
     the Chrome trace-event JSON.  Returns 0 when the per-principal
     cycle totals reconcile with the {!Kcycles} clock, 1 otherwise. *)
 let run ?(seed = 1) ?(limit = Trace.default_capacity) ?out ~workload ppf =
-  let boot =
-    match workload with
-    | "netperf" -> boot_netperf
-    | "can" -> boot_can
-    | "rds" -> boot_rds
-    | w ->
+  let setup =
+    match List.assoc_opt workload workloads with
+    | Some setup -> setup
+    | None ->
         invalid_arg
-          (Printf.sprintf "trace: unknown workload %s (expected %s)" w
+          (Printf.sprintf "trace: unknown workload %s (expected %s)" workload
              (String.concat "|" workload_names))
   in
-  let sys, step = boot () in
+  let sys = Ksys.boot Lxfi.Config.lxfi in
+  let step = setup sys in
   let rt = sys.Ksys.rt in
   let buf = Trace.make ~capacity:limit () in
   let rng = Finject.create ~seed in

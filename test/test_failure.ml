@@ -313,6 +313,44 @@ let test_oops_inside_syscall_inside_wrapper () =
   Alcotest.(check int64) "normal sendmsg works" 8L
     (Sockets.sys_sendmsg sys.Ksys.sock ~fd:fd2 ~buf:u ~len:8 ~flags:0)
 
+(* The containment checks every faultsim and lifecycle cell ends with
+   (Workloads.Cell.contained): a clean system passes, and each fault,
+   set up alone, yields exactly its own breach. *)
+let test_cell_checks_name_each_breach () =
+  let run fault =
+    let sys = boot () in
+    let rt = sys.Ksys.rt in
+    let p = (load sys crashy).Lxfi.Runtime.mi_shared in
+    (* the bystander probe reads 1 until a fault changes it *)
+    let probe = ref 1L in
+    let serve () = !probe in
+    let baseline = serve () in
+    fault rt p probe;
+    let cell = Workloads.Cell.create "cell" in
+    let serving = Workloads.Cell.contained cell rt ~workload:"can" ~serve ~baseline in
+    (Workloads.Cell.breaches cell, serving)
+  in
+  let case name fault expected =
+    Alcotest.(check (pair (list string) bool)) name expected (run fault)
+  in
+  case "clean" (fun _ _ _ -> ()) ([], true);
+  case "frame left pushed"
+    (fun rt _ _ ->
+      ignore
+        (Lxfi.Shadow_stack.push rt.Lxfi.Runtime.sstack ~wrapper:"leak" ~saved_principal:None))
+    ([ "cell: shadow stack depth 1 after campaign" ], true);
+  case "principal left current"
+    (fun rt p _ -> rt.Lxfi.Runtime.current <- Some p)
+    ([ "cell: current principal is crashy/shared, not kernel" ], true);
+  case "quarantined principal keeps a capability"
+    (fun rt p _ ->
+      Lxfi.Quarantine.quarantine_principal rt p ~reason:"test";
+      Lxfi.Captable.add_call p.Lxfi.Principal.caps ~target:0x1000)
+    ([ "cell: quarantined crashy/shared still holds 1 capabilities" ], true);
+  case "bystander probe changed"
+    (fun _ _ probe -> probe := -14L)
+    ([ "cell: bystander can stopped serving (-14, was 1)" ], false)
+
 let () =
   Klog.quiet ();
   Alcotest.run "failure"
@@ -343,5 +381,10 @@ let () =
             test_quarantine_spares_sibling_instance;
           Alcotest.test_case "re-entry restores stack pointer" `Quick
             test_quarantined_reentry_restores_stack;
+        ] );
+      ( "campaign cell",
+        [
+          Alcotest.test_case "containment checks name each breach" `Quick
+            test_cell_checks_name_each_breach;
         ] );
     ]
