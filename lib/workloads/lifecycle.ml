@@ -291,7 +291,9 @@ let run_cell ~seed ~workload =
 (** [run ~seed] — one cell per bystander workload at derived seeds;
     rows sorted by workload, breaches empty = pass. *)
 let run ~seed () =
-  let rows, breaches = Cell.run ~seed (fun ~seed workload -> run_cell ~seed ~workload) Cell.names in
+  let rows, breaches =
+    Cell.run ~seed (fun ~seed workload -> run_cell ~seed ~workload) Cell.names
+  in
   (List.sort (fun a b -> compare a.lc_workload b.lc_workload) rows, breaches)
 
 (* ------------------------------------------------------------------ *)
