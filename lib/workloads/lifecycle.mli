@@ -1,10 +1,10 @@
 (** Live module lifecycle campaign (`lxfi_sim lifecycle`): hot upgrades
-    under traffic and quarantine→repair→replay recovery, against the
-    same bystander workloads as {!Faultsim} ({!Cell.bystanders}).  Oracles per cell: no
-    request dropped without [-EFAULT], every swap violation-free with
-    reconciled guard counters and carried module state, every captured
-    incident reproduced by replay on the unrepaired version and served
-    cleanly by the repaired one.  Deterministic under a fixed seed. *)
+    under traffic and quarantine→repair→replay recovery, beside the
+    bystanders of {!Cell}.  Oracles per cell: no request dropped
+    without [-EFAULT], every swap violation-free with reconciled guard
+    counters and carried module state, every captured incident
+    reproduced by replay on the unrepaired version and served cleanly
+    by the repaired one.  Deterministic under a fixed seed. *)
 
 val make_prog : version:int -> buggy:bool -> Mir.Ast.prog
 (** Version [version] of the [lcmod] target.  The buggy variant writes
