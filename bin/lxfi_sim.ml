@@ -57,8 +57,21 @@ let json_arg =
 
 (* Runs [f], which writes reports, traces or repros, and exits with the
    status it returns.  A path it cannot write is a CLI error (exit 124),
-   not an uncaught exception (exit 125). *)
-let writing f = match f () with rc -> exit rc | exception Sys_error e -> Error e
+   not an uncaught exception (exit 125), and [files] and [dirs], the
+   outputs it will write, fail before it runs: each file is created,
+   and each directory must exist or have a parent to be made in. *)
+let writing ?(files = []) ?(dirs = []) f =
+  let can_make dir =
+    if not (Sys.file_exists dir || Sys.file_exists (Filename.dirname dir)) then
+      raise (Sys_error (dir ^ ": No such file or directory"))
+  in
+  match
+    List.iter (fun file -> close_out (open_out file)) files;
+    List.iter can_make dirs;
+    f ()
+  with
+  | rc -> exit rc
+  | exception Sys_error e -> Error e
 
 (* ---- exploit ---- *)
 
@@ -168,22 +181,19 @@ let state_cmd =
   let run () =
     (* boot a representative system, run some traffic, dump LXFI state *)
     let sys = Ksys.boot Lxfi.Config.lxfi in
-    let pcidev, nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
-    List.iter
-      (fun spec -> ignore (Mod_common.install sys spec))
-      [ E1000.spec; Rds.spec; Dm_crypt.spec ];
+    let net = Workloads.Netperf_sim.attach sys in
+    List.iter (fun spec -> ignore (Mod_common.install sys spec)) [ Rds.spec; Dm_crypt.spec ];
     ignore
       (Result.get_ok
          (Kernel_sim.Blockdev.dm_create sys.Ksys.blk ~target:"crypt" ~name:"c0"
             ~len:1024 ~arg:7));
     ignore (Kernel_sim.Sockets.sys_socket sys.Ksys.sock ~family:Kernel_sim.Sockets.af_rds ~typ:2);
-    let dev = Kernel_sim.Pci.pci_get_drvdata sys.Ksys.pci pcidev in
     for _ = 1 to 4 do
       let skb = Kernel_sim.Skbuff.alloc sys.Ksys.kst 64 in
-      Kernel_sim.Skbuff.set_dev sys.Ksys.kst skb dev;
+      Kernel_sim.Skbuff.set_dev sys.Ksys.kst skb net.Workloads.Netperf_sim.dev;
       ignore (Kernel_sim.Netdev.dev_queue_xmit sys.Ksys.net skb)
     done;
-    ignore (Kernel_sim.Nic.drain_tx nic);
+    Workloads.Netperf_sim.drain net;
     print_string (Lxfi.Inspect.to_string sys.Ksys.rt)
   in
   Cmd.v
@@ -246,7 +256,7 @@ let faultsim_cmd =
 
 let lifecycle_cmd =
   let run seed json =
-    writing (fun () ->
+    writing ~files:(Option.to_list json) (fun () ->
         let rows, breaches = Workloads.Lifecycle.run ~seed () in
         let rc = Workloads.Lifecycle.print ~seed rows breaches in
         Option.iter
@@ -296,9 +306,10 @@ let fuzz_cmd =
   let run seed runs mutants out json exemplars =
     match (exemplars, out) with
     | true, None -> Error "--exemplars requires --out DIR"
-    | true, Some dir -> writing (Workloads.Fuzz_run.print_exemplars ~seed ~out:dir)
+    | true, Some dir -> writing ~dirs:[ dir ] (Workloads.Fuzz_run.print_exemplars ~seed ~out:dir)
     | false, _ ->
-        writing (Workloads.Fuzz_run.print ~mutants_per_case:mutants ?out ?json ~seed ~runs)
+        writing ~files:(Option.to_list json) ~dirs:(Option.to_list out)
+          (Workloads.Fuzz_run.print ~mutants_per_case:mutants ?out ?json ~seed ~runs)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -331,7 +342,8 @@ let trace_cmd =
           ~doc:"Ring-buffer capacity: retain at most $(docv) events (newest win).")
   in
   let run workload seed out limit =
-    writing (fun () -> Workloads.Trace_run.run ~seed ~limit ?out ~workload Fmt.stdout)
+    writing ~files:(Option.to_list out) (fun () ->
+        Workloads.Trace_run.run ~seed ~limit ?out ~workload Fmt.stdout)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -373,7 +385,7 @@ let check_cmd =
         | exception Invalid_argument m -> Error m
     in
     Result.bind report (fun report ->
-        writing (fun () ->
+        writing ~files:(Option.to_list json) (fun () ->
             Fmt.pr "%a" Workloads.Check_run.pp report;
             Option.iter
               (fun file ->

@@ -238,11 +238,10 @@ let measure_ns ~name f =
 (* Host-measured cost of the actual runtime guard implementations,
    playing the role of the paper's "time per guard" column. *)
 let guard_primitive_timings () =
-  let sys = Ksys.boot Lxfi.Config.lxfi in
-  let pcidev, _nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
-  let h = Mod_common.install sys E1000.spec in
+  let net = Netperf_sim.attach (Ksys.boot Lxfi.Config.lxfi) in
+  let sys = net.Netperf_sim.sys in
   let rt = sys.Ksys.rt in
-  let mi = h.Mod_common.mi in
+  let mi = net.Netperf_sim.e1000.Mod_common.mi in
   let kst = sys.Ksys.kst in
   rt.Lxfi.Runtime.current <- Some mi.Lxfi.Runtime.mi_shared;
   (* a module-owned word to aim checks at: inside the module stack,
@@ -252,7 +251,7 @@ let guard_primitive_timings () =
   let xmit_slot =
     ops + Kernel_sim.Ktypes.offset kst.Kernel_sim.Kstate.types "net_device_ops" "ndo_start_xmit"
   in
-  let dev = Kernel_sim.Pci.pci_get_drvdata sys.Ksys.pci pcidev in
+  let dev = net.Netperf_sim.dev in
   let qdisc =
     Kernel_sim.Kmem.read_ptr kst.Kernel_sim.Kstate.mem
       (dev + Kernel_sim.Ktypes.offset kst.Kernel_sim.Kstate.types "net_device" "qdisc")

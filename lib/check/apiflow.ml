@@ -212,7 +212,7 @@ let has_node g k = SSet.mem k g.g_node_set
     identified through [env].  Deterministic: pure set computations,
     rendered as sorted lists. *)
 let extract (env : Env.t) (prog : prog) : graph =
-  let is_kexport name = Env.find_kexport env name <> None in
+  let is_kexport name = env.Env.kexport name <> None in
   let tbl : (string, summary) Hashtbl.t = Hashtbl.create 16 in
   let fsum f =
     match Hashtbl.find_opt tbl f with Some s -> s | None -> empty_sum
@@ -290,8 +290,10 @@ let render (g : graph) : string = String.concat "\n" (render_lines g) ^ "\n"
 (** [check_module env prog] — flow-graph findings for one module: an
     error per direct call to an undefined function (extraction cannot
     summarise the callee), and one info finding stating the extracted
-    graph's size, so [lxfi_sim check] reports surface the pass ran. *)
-let check_module (env : Env.t) (prog : prog) : Finding.t list =
+    graph's size, so [lxfi_sim check] reports surface the pass ran.
+    [graph], when given, is [prog]'s graph already extracted under
+    [env] (a linked image's), so it is not extracted again. *)
+let check_module ?graph (env : Env.t) (prog : prog) : Finding.t list =
   (* Direct calls to functions the program does not define: the loader
      would build a context whose execution oopses, and the flow summary
      for the callee is vacuous — a genuine extraction failure. *)
@@ -312,7 +314,7 @@ let check_module (env : Env.t) (prog : prog) : Finding.t list =
           f)
       (SSet.elements undef)
   in
-  let g = extract env prog in
+  let g = match graph with Some g -> g | None -> extract env prog in
   let info =
     (* Modules that call no kernel export have a vacuous graph; stay
        silent so kexport-free fixtures keep checking finding-free. *)

@@ -2,8 +2,8 @@
     MIR that relates what each kernel-callable entry point {e does}
     with what its slot-type annotation {e grants}.
 
-    For every entry (a function bound to a slot type, mirroring the
-    loader's annotation propagation of §4.2) the pass tracks which
+    For every entry (a function bound to a slot type by the loader's
+    annotation propagation of §4.2, {!propagate}) the pass tracks which
     pointer values derive from the entry's annotated parameters —
     parameter-rooted pointer arithmetic keeps the root; anything
     loaded, returned from a call, or taken from a global is [Rother]
@@ -27,9 +27,8 @@
       wider grant than the code needs;
     - ["param-arity"] (warning): entry and slot type disagree on
       parameter count, so positional annotation coverage is partial;
-    - propagation errors the loader would also refuse (unknown slot
-      type, conflicting annotations, unknown function in an ops
-      table) as ["propagation"] errors.
+    - the refusals of the annotation propagation it shares with the
+      loader ({!propagate}) as ["propagation"] errors.
 
     The analysis is intraprocedural by design: stores inside helper
     functions reached by direct call run under the same principal but
@@ -243,7 +242,7 @@ let rec check_expr w st e : state =
       let st = List.fold_left (check_expr w) st args in
       match callee with
       | Ext name -> (
-          match Env.find_kexport w.env name with
+          match w.env.Env.kexport name with
           | None -> st
           | Some k ->
               List.fold_left
@@ -336,80 +335,69 @@ let check_entry env ~mname (fn : func) (slot : Annot.Registry.slot) : Finding.t 
     cover.granted_write;
   List.rev w.acc
 
-(* --- annotation propagation, mirroring Loader.load (§4.2) --- *)
+(* --- annotation propagation (§4.2), shared with the loader --- *)
 
-let entries env (prog : prog) : (func * Annot.Registry.slot) list * Finding.t list =
-  let findings = ref [] in
-  let bad ~where fmt =
-    Format.kasprintf
-      (fun msg ->
-        findings :=
-          Finding.make ~rule:"propagation" ~location:where ~source:"check.capflow"
-            Diag.Error "%s" msg
-          :: !findings)
-      fmt
+(** [propagate env prog]: a function declared with an export slot type,
+    or stored into a typed function-pointer field of a struct-typed
+    global, receives that slot type (§4.2).  Returns every binding
+    (function, slot, the (struct, offset) it was stored at), exports
+    first, and every refusal as (location, message). *)
+let propagate env (prog : prog) =
+  let bindings = ref [] and refusals = ref [] in
+  let refuse where fmt =
+    Format.kasprintf (fun msg -> refusals := (where, msg) :: !refusals) fmt
   in
-  let tbl : (string, Annot.Registry.slot) Hashtbl.t = Hashtbl.create 8 in
-  let propagate ~where fname slot_name =
+  let bind ~where ?field fname slot_name =
     match Annot.Registry.find_opt env.Env.registry slot_name with
-    | None ->
-        bad ~where "function %s bound to unknown slot type %s (load would fail)"
-          fname slot_name
+    | None -> refuse where "function %s bound to unknown slot type %s" fname slot_name
     | Some slot -> (
-        match Hashtbl.find_opt tbl fname with
-        | Some prev when prev.Annot.Registry.sl_name <> slot_name ->
-            bad ~where
-              "function %s receives conflicting annotations (%s vs %s; load \
-               would fail)"
+        match
+          List.find_opt (fun (f, _, _) -> String.equal f fname) !bindings
+        with
+        | Some (_, prev, _) when prev.Annot.Registry.sl_name <> slot_name ->
+            refuse where "function %s receives conflicting annotations (%s vs %s)"
               fname prev.Annot.Registry.sl_name slot_name
-        | _ -> Hashtbl.replace tbl fname slot)
+        | _ -> bindings := (fname, slot, field) :: !bindings)
   in
   List.iter
     (fun (f : func) ->
-      match f.export with
-      | Some sl -> propagate ~where:(prog.pname ^ "/" ^ f.fname) f.fname sl
-      | None -> ())
+      Option.iter (bind ~where:(prog.pname ^ "/" ^ f.fname) f.fname) f.export)
     prog.funcs;
   List.iter
     (fun (g : glob) ->
-      match g.gstruct with
-      | None -> ()
-      | Some sname ->
-          let where = prog.pname ^ "/" ^ g.gname in
+      let where = prog.pname ^ "/" ^ g.gname in
+      Option.iter
+        (fun sname ->
           List.iter
-            (fun init ->
-              match init with
+            (function
+              | Ifunc (_, f) when find_func prog f = None ->
+                  refuse where "ops table references unknown function %s" f
               | Ifunc (off, f) -> (
-                  if find_func prog f = None then
-                    bad ~where "ops table references unknown function %s" f
-                  else
-                    match
-                      Kernel_sim.Ktypes.funcptr_slot env.Env.types sname off
-                    with
-                    | Some slot_name -> propagate ~where f slot_name
-                    | None ->
-                        bad ~where
-                          "function pointer %s stored at +%d of struct %s, \
-                           which is not a declared slot (load would fail)"
-                          f off sname)
+                  match Kernel_sim.Ktypes.funcptr_slot env.Env.types sname off with
+                  | Some slot_name -> bind ~where ~field:(sname, off) f slot_name
+                  | None ->
+                      refuse where
+                        "function pointer %s stored at +%d of struct %s, which is not a \
+                         declared slot"
+                        f off sname)
               | Iword _ | Iext _ -> ())
             g.ginit)
+        g.gstruct)
     prog.globals;
-  let bound =
-    List.filter_map
-      (fun (f : func) ->
-        match Hashtbl.find_opt tbl f.fname with
-        | Some slot -> Some (f, slot)
-        | None -> None)
-      prog.funcs
-  in
-  (bound, List.rev !findings)
+  (List.rev !bindings, List.rev !refusals)
 
 (** [check_module env prog] — the capability-flow findings for one
-    module: propagation errors plus the per-entry dataflow results. *)
+    module: propagation refusals plus the per-entry dataflow results. *)
 let check_module env (prog : prog) : Finding.t list =
-  let bound, pfindings = entries env prog in
-  pfindings
+  let bindings, refusals = propagate env prog in
+  List.map
+    (fun (where, msg) ->
+      Finding.make ~rule:"propagation" ~location:where ~source:"check.capflow"
+        Diag.Error "%s" msg)
+    refusals
   @ List.concat_map
-      (fun (f, slot) -> check_entry env ~mname:prog.pname f slot)
-      bound
+      (fun (f : func) ->
+        match List.find_opt (fun (fname, _, _) -> fname = f.fname) bindings with
+        | Some (_, slot, _) -> check_entry env ~mname:prog.pname f slot
+        | None -> [])
+      prog.funcs

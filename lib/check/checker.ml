@@ -23,23 +23,19 @@ let summarize findings =
     infos = Finding.count_severity findings Diag.Info;
   }
 
-(** Lint every slot type in the registry. *)
-let check_registry (env : Env.t) : Finding.t list =
-  List.concat_map (Lint.slot_findings env) (Annot.Registry.all env.Env.registry)
-
-(** Lint every annotated kernel export. *)
-let check_kexports (env : Env.t) : Finding.t list =
-  env.Env.kexports
-  |> List.sort (fun a b -> compare a.Env.kx_name b.Env.kx_name)
-  |> List.concat_map (Lint.kexport_findings env)
-
-(** The whole declared API surface: registry + kexports. *)
-let check_interfaces env = check_registry env @ check_kexports env
+(** Lint the whole declared API surface: every slot type in the
+    registry, then every annotated kernel export by name. *)
+let check_interfaces (env : Env.t) =
+  List.concat_map (Lint.slot_findings env) (Annot.Registry.all env.registry)
+  @ (env.kexports ()
+    |> List.sort (fun a b -> compare a.Env.kx_name b.Env.kx_name)
+    |> List.concat_map (Lint.kexport_findings env))
 
 (** One module's MIR against its propagated slot types, plus the
-    syscall-flow extraction pass. *)
-let check_module env prog =
-  Capflow.check_module env prog @ Apiflow.check_module env prog
+    syscall-flow extraction pass ([flow]: the module's graph, if
+    already extracted). *)
+let check_module ?flow env prog =
+  Capflow.check_module env prog @ Apiflow.check_module ?graph:flow env prog
 
 let ok summary = summary.errors = 0
 

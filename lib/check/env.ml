@@ -6,7 +6,7 @@
     annotated kernel exports.  It is deliberately decoupled from the
     LXFI runtime (no [Runtime.t] here) so the check layer sits below
     [lxfi] in the library stack; [Loader.check_env] builds one of these
-    from a live runtime. *)
+    over a live runtime's own tables. *)
 
 type kexport_decl = {
   kx_name : string;
@@ -20,11 +20,7 @@ type t = {
   types : Kernel_sim.Ktypes.t;  (** kernel struct layouts *)
   iterator_exists : string -> bool;
       (** is this capability iterator registered? *)
-  kexports : kexport_decl list;  (** annotated kernel exports *)
+  kexport : string -> kexport_decl option;
+      (** the annotated kernel export of this name, if there is one *)
+  kexports : unit -> kexport_decl list;  (** every annotated kernel export *)
 }
-
-let make ~registry ~types ~iterator_exists ~kexports =
-  { registry; types; iterator_exists; kexports }
-
-let find_kexport t name =
-  List.find_opt (fun k -> k.kx_name = name) t.kexports

@@ -13,11 +13,9 @@ let make ~rule ?principal ?location ~source severity fmt =
 let rule f = f.f_rule
 let severity f = f.f_diag.Diag.d_severity
 let is_error f = Diag.is_error f.f_diag
-let is_warning f = Diag.is_warning f.f_diag
 
 let count_severity fs sev = List.length (List.filter (fun f -> severity f = sev) fs)
 let errors fs = count_severity fs Diag.Error
-let warnings fs = count_severity fs Diag.Warning
 
 let pp ppf f = Fmt.pf ppf "%a [%s]" Diag.pp f.f_diag f.f_rule
 let to_string f = Fmt.str "%a" pp f

@@ -26,7 +26,7 @@ let passed r = r.r_divergences = [] && r.r_mutants_correct = r.r_mutants_total
 let detected = function Harness.Oviolation _ -> true | Harness.Oval _ | Harness.Oexn _ -> false
 
 let run ?(shrink = true) ?(mutants_per_case = 4) ~seed ~runs () =
-  let canary_addr = Harness.canary_addr_of Harness.mutant_config in
+  let canary_addr = Lazy.force Harness.canary_addr in
   let stats =
     List.map
       (fun c -> { cs_class = c; cs_total = 0; cs_detected = 0; cs_correct = 0; cs_static = 0 })
@@ -101,7 +101,7 @@ let run ?(shrink = true) ?(mutants_per_case = 4) ~seed ~runs () =
 (* ---- exemplar generation for the checked-in corpus ---- *)
 
 let exemplars ~seed =
-  let canary_addr = Harness.canary_addr_of Harness.mutant_config in
+  let canary_addr = Lazy.force Harness.canary_addr in
   (* One detected attack per class, shrunk down to the attack skeleton:
      the predicate pins "raises exactly the expected kind with the
      canary intact", the same check corpus replay applies. *)

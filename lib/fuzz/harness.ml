@@ -30,7 +30,13 @@ let canary_byte i = (0xC5 + i) land 0xff
 
 exception Setup_failed of string
 
-type ctx = { sys : Ksys.t; mi : Lxfi.Runtime.module_info; canary : int; kbuf : int }
+type ctx = {
+  sys : Ksys.t;
+  mi : Lxfi.Runtime.module_info;
+  image : Lxfi.Loader.image;
+  canary : int;
+  kbuf : int;
+}
 
 (* Declared once per process; each boot only adds them. *)
 let slot_decls = List.map (fun (name, params, src) -> Ksys.declare name params src) Gen.slot_defs
@@ -46,31 +52,35 @@ let alloc_fixtures (sys : Ksys.t) =
   let kbuf = Slab.kmalloc kst.Kstate.slab Gen.kbuf_size in
   (canary, kbuf)
 
-let canary_addr_of config =
-  let sys = Ksys.boot config in
-  fst (alloc_fixtures sys)
+let canary_addr = lazy (fst (alloc_fixtures (Ksys.boot mutant_config)))
 
 (* [flow_of] is the audited program whose extracted kernel-API flow
-   graph is registered as [prog]'s enforced policy before the load —
-   the skew between the two is what the flow automaton detects. *)
-let boot ?flow_of config prog =
+   graph is registered as the module's enforced policy before the load
+   — the skew between the two is what the flow automaton detects.
+   [image] hands out the module's image for the booted runtime: each
+   caller below holds one {!Lxfi.Loader.linker} per program, so a
+   program links once per config however often it boots. *)
+let boot ?flow_of config image =
   let sys = Ksys.boot config in
+  let rt = sys.Ksys.rt in
   Ksys.add_slots sys slot_decls;
   let canary, kbuf = alloc_fixtures sys in
   (match flow_of with
   | None -> ()
   | Some benign ->
-      let rt = sys.Ksys.rt in
       let g = Check.Apiflow.extract (Lxfi.Loader.check_env rt) benign in
       Lxfi.Runtime.register_flow_graph rt ~module_:benign.Mir.Ast.pname g);
-  match Ksys.load sys prog with
+  match
+    let image = image rt in
+    (image, Lxfi.Loader.load_image rt image)
+  with
   | exception Lxfi.Loader.Load_error m -> raise (Setup_failed ("load error: " ^ m))
   | exception Lxfi.Rewriter.Rewrite_error m -> raise (Setup_failed ("rewrite error: " ^ m))
-  | mi, _report ->
-      (match Lxfi.Loader.init_call sys.Ksys.rt mi "module_init" [] with
+  | image, mi ->
+      (match Lxfi.Loader.init_call rt mi "module_init" [] with
       | _ -> ()
       | exception e -> raise (Setup_failed ("module_init: " ^ Printexc.to_string e)));
-      { sys; mi; canary; kbuf }
+      { sys; mi; image; canary; kbuf }
 
 let catching f =
   match f () with
@@ -121,8 +131,8 @@ let clean_drive ctx inputs =
       ])
     inputs
 
-let run_clean ?(trace = false) config (case : Gen.case) =
-  match boot config case.Gen.c_prog with
+let run_clean ?(trace = false) config image (case : Gen.case) =
+  match boot config image with
   | exception Setup_failed m -> Error m
   | ctx ->
       let buf = if trace then Some (Trace.make ~capacity:65536 ()) else None in
@@ -151,7 +161,8 @@ let run_clean ?(trace = false) config (case : Gen.case) =
           },
           (ctx, reconciled) )
 
-let clean_sig_under config case = Result.map fst (run_clean config case)
+let clean_sig_under config case =
+  Result.map fst (run_clean config (Lxfi.Loader.linker case.Gen.c_prog) case)
 
 let diff_sigs ~la ~lb (a : clean_sig) (b : clean_sig) =
   let rec first_outcome xs ys =
@@ -170,34 +181,37 @@ let diff_sigs ~la ~lb (a : clean_sig) (b : clean_sig) =
         Some (Printf.sprintf "final kbuf bytes differ (%s vs %s)" la lb)
       else None
 
-let static_errors_of (rt : Lxfi.Runtime.t) prog =
-  let env = Lxfi.Loader.check_env rt in
-  Check.Finding.errors (Check.Checker.check_module env prog)
+(* The checker reuses the flow graph [ctx]'s image extracted at link. *)
+let static_errors_of ctx prog =
+  let env = Lxfi.Loader.check_env ctx.sys.Ksys.rt in
+  Check.Finding.errors
+    (Check.Checker.check_module ?flow:ctx.image.Lxfi.Loader.im_flow env prog)
 
 let clean_failure ?(trace = false) (case : Gen.case) =
-  match run_clean Lxfi.Config.stock case with
+  let image = Lxfi.Loader.linker case.Gen.c_prog in
+  match run_clean Lxfi.Config.stock image case with
   | Error m -> Some ("stock setup: " ^ m)
   | Ok (stock_sig, _) -> (
-      match run_clean Lxfi.Config.lxfi case with
+      match run_clean Lxfi.Config.lxfi image case with
       | Error m -> Some ("lxfi setup: " ^ m)
       | Ok (lxfi_sig, (lxfi_ctx, _)) -> (
           match diff_sigs ~la:"stock" ~lb:"lxfi" stock_sig lxfi_sig with
           | Some d -> Some ("enforcement visible: " ^ d)
           | None -> (
-              match run_clean noopt_config case with
+              match run_clean noopt_config image case with
               | Error m -> Some ("noopt setup: " ^ m)
               | Ok (noopt_sig, _) -> (
                   match diff_sigs ~la:"lxfi" ~lb:"noopt" lxfi_sig noopt_sig with
                   | Some d -> Some ("optimizations visible: " ^ d)
                   | None -> (
-                      let serr = static_errors_of lxfi_ctx.sys.Ksys.rt case.Gen.c_prog in
+                      let serr = static_errors_of lxfi_ctx case.Gen.c_prog in
                       if serr > 0 then
                         Some
                           (Printf.sprintf
                              "static checker reports %d error(s) on a clean module" serr)
                       else if not trace then None
                       else
-                        match run_clean ~trace:true Lxfi.Config.lxfi case with
+                        match run_clean ~trace:true Lxfi.Config.lxfi image case with
                         | Error m -> Some ("traced setup: " ^ m)
                         | Ok (traced_sig, (_, reconciled)) -> (
                             match diff_sigs ~la:"lxfi" ~lb:"lxfi+trace" lxfi_sig traced_sig with
@@ -234,9 +248,11 @@ let run_drive ctx ~prog (drive : Mutate.drive) ~input =
       | Oval _ ->
           catching (fun () ->
               let rt = ctx.sys.Ksys.rt in
-              let mi, _report, _up =
-                Lxfi.Loader.upgrade rt ctx.mi (Mutate.downgrade_of prog)
+              let down =
+                Lxfi.Loader.link (Lxfi.Loader.check_env rt) rt.Lxfi.Runtime.config
+                  (Mutate.downgrade_of prog)
               in
+              let mi, _up = Lxfi.Loader.upgrade rt ctx.mi down in
               Lxfi.Runtime.invoke_module_function rt mi f2 (List.map arg a2))
       | early -> early)
 
@@ -256,7 +272,8 @@ let flow_policy_of (m_drive : Mutate.drive) prog =
   | Mutate.Dinvoke _ | Mutate.Dcorrupt_kcall _ | Mutate.Dupgrade _ -> None
 
 let run_mutant (m : Mutate.mutant) ~inputs =
-  match boot ?flow_of:(flow_policy_of m.Mutate.m_drive m.Mutate.m_prog) mutant_config m.Mutate.m_prog with
+  let flow_of = flow_policy_of m.Mutate.m_drive m.Mutate.m_prog in
+  match boot ?flow_of mutant_config (Lxfi.Loader.linker m.Mutate.m_prog) with
   | exception Setup_failed msg -> Error msg
   | ctx ->
       let input = match inputs with n :: _ -> n | [] -> 5L in
@@ -265,7 +282,7 @@ let run_mutant (m : Mutate.mutant) ~inputs =
         {
           mr_outcome = outcome;
           mr_canary_intact = canary_intact ctx;
-          mr_static_errors = static_errors_of ctx.sys.Ksys.rt m.Mutate.m_prog;
+          mr_static_errors = static_errors_of ctx m.Mutate.m_prog;
         }
 
 let mutant_verdict (m : Mutate.mutant) (r : mutant_result) =
@@ -295,8 +312,8 @@ let mutant_failure (m : Mutate.mutant) ~inputs =
    the violation is real only if it {e depends} on the upgrade having
    dropped the grant (a shrunk attack that violates even without the
    swap is just an ordinary bad store, not a stale capability). *)
-let run_without_upgrade prog ((f1, a1), (f2, a2)) ~inputs =
-  match boot mutant_config prog with
+let run_without_upgrade image ((f1, a1), (f2, a2)) ~inputs =
+  match boot mutant_config image with
   | exception Setup_failed m -> Error ("control setup: " ^ m)
   | ctx -> (
       let input = match inputs with n :: _ -> n | [] -> 5L in
@@ -322,10 +339,10 @@ let run_without_upgrade prog ((f1, a1), (f2, a2)) ~inputs =
    graph, not on the calls themselves; (2) the reordered-back program
    ({!Mutate.benign_of}) under that same registered policy must also
    run clean — the policy rejects only the reordering. *)
-let run_flow_controls prog (fname, fargs) ~inputs =
+let run_flow_controls prog image (fname, fargs) ~inputs =
   let input = match inputs with n :: _ -> n | [] -> 5L in
-  let run ?flow_of label p =
-    match boot ?flow_of mutant_config p with
+  let run ?flow_of label image =
+    match boot ?flow_of mutant_config image with
     | exception Setup_failed m -> Error (label ^ " control setup: " ^ m)
     | ctx -> (
         let arg = function
@@ -342,14 +359,15 @@ let run_flow_controls prog (fname, fargs) ~inputs =
                   registered flow policy)"
                  label fname (outcome_string o)))
   in
-  match run "self-graph" prog with
+  match run "self-graph" image with
   | Ok () ->
       let benign = Mutate.benign_of prog in
-      run ~flow_of:benign "reordered-back" benign
+      run ~flow_of:benign "reordered-back" (Lxfi.Loader.linker benign)
   | e -> e
 
 let run_violation_repro prog drive ~inputs ~expect =
-  match boot ?flow_of:(flow_policy_of drive prog) mutant_config prog with
+  let image = Lxfi.Loader.linker prog in
+  match boot ?flow_of:(flow_policy_of drive prog) mutant_config image with
   | exception Setup_failed m -> Error ("setup: " ^ m)
   | ctx -> (
       let input = match inputs with n :: _ -> n | [] -> 5L in
@@ -358,8 +376,8 @@ let run_violation_repro prog drive ~inputs ~expect =
           if not (canary_intact ctx) then Error "canary corrupted before detection"
           else
             match drive with
-            | Mutate.Dupgrade (c1, c2) -> run_without_upgrade prog (c1, c2) ~inputs
-            | Mutate.Dflow (f, a) -> run_flow_controls prog (f, a) ~inputs
+            | Mutate.Dupgrade (c1, c2) -> run_without_upgrade image (c1, c2) ~inputs
+            | Mutate.Dflow (f, a) -> run_flow_controls prog image (f, a) ~inputs
             | Mutate.Dinvoke _ | Mutate.Dcorrupt_kcall _ -> Ok ())
       | o ->
           Error

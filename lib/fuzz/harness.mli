@@ -30,14 +30,35 @@ val mutant_config : Lxfi.Config.t
 
 val canary_size : int
 
-val canary_addr_of : Lxfi.Config.t -> int
-(** Address the canary will occupy under [config] — deterministic,
-    because the harness allocates it first thing after boot, before
-    the module is loaded.  {!Mutate.apply} needs it up front. *)
+val canary_addr : int Lazy.t
+(** Address the canary occupies under {!mutant_config} — the same in
+    every boot, because the harness allocates it first thing after
+    boot, before the module is loaded.  {!Mutate.apply} needs it up
+    front; it is found once per process. *)
 
 exception Setup_failed of string
 (** Load/init of a generated module failed — a generator or loader bug,
     reported as a campaign divergence rather than a crash. *)
+
+type ctx = {
+  sys : Kmodules.Ksys.t;
+  mi : Lxfi.Runtime.module_info;
+  image : Lxfi.Loader.image;
+  canary : int;  (** address of the kernel canary *)
+  kbuf : int;  (** address of the module's [touch] buffer *)
+}
+
+val boot :
+  ?flow_of:Mir.Ast.prog ->
+  Lxfi.Config.t ->
+  (Lxfi.Runtime.t -> Lxfi.Loader.image) ->
+  ctx
+(** A fresh system with the canary and buffer allocated, the module
+    loaded from the image the given function (a {!Lxfi.Loader.linker})
+    hands out for it, and its [module_init] run.  [flow_of]: a program
+    whose flow graph is registered as the module's policy first.
+    Exported for the test that {!canary_addr} is where [boot] puts the
+    canary. *)
 
 type clean_sig = {
   s_outcomes : (string * outcome) list;  (** labelled drive outcomes *)

@@ -8,22 +8,32 @@ let src = Logs.Src.create "kernel_sim" ~doc:"Simulated Linux kernel substrate"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let debug fmt = Format.kasprintf (fun s -> Log.debug (fun m -> m "%s" s)) fmt
-let info fmt = Format.kasprintf (fun s -> Log.info (fun m -> m "%s" s)) fmt
-let warn fmt = Format.kasprintf (fun s -> Log.warn (fun m -> m "%s" s)) fmt
-let err fmt = Format.kasprintf (fun s -> Log.err (fun m -> m "%s" s)) fmt
+(* A message is formatted only when its level is on for the source, so
+   a quiet run (every benchmark and campaign) formats nothing. *)
+let logf level fmt =
+  match Logs.Src.level src with
+  | Some on when compare level on <= 0 ->
+      Format.kasprintf (fun s -> Log.msg level (fun m -> m "%s" s)) fmt
+  | _ -> Format.ikfprintf ignore Format.str_formatter fmt
+
+let debug fmt = logf Logs.Debug fmt
+let info fmt = logf Logs.Info fmt
+let warn fmt = logf Logs.Warning fmt
+let err fmt = logf Logs.Error fmt
 
 (** [diag d] routes a structured {!Diag.t} to the kernel log at the
     [Logs] level matching its severity — the single funnel through
     which the checker, the runtime, and the containment machinery
     report. *)
 let diag (d : Diag.t) =
-  let s = Diag.to_string d in
-  match d.Diag.d_severity with
-  | Diag.Error -> err "%s" s
-  | Diag.Warning -> warn "%s" s
-  | Diag.Info -> info "%s" s
-  | Diag.Debug -> debug "%s" s
+  let level =
+    match d.Diag.d_severity with
+    | Diag.Error -> Logs.Error
+    | Diag.Warning -> Logs.Warning
+    | Diag.Info -> Logs.Info
+    | Diag.Debug -> Logs.Debug
+  in
+  logf level "%t" (fun ppf -> Format.pp_print_string ppf (Diag.to_string d))
 
 (** [quiet ()] disables all kernel log output (used by benchmarks).
     Idempotent; inverse of {!verbose}. *)

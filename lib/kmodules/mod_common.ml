@@ -4,8 +4,9 @@
     against the booted system's struct layouts, plus an [init] that
     performs what [insmod] would trigger (running the module's init
     entry point and any out-of-band registration the simulation keeps
-    on the OCaml side).  [install] runs the whole load path:
-    rewrite → load → grant initial capabilities → module_init. *)
+    on the OCaml side).  [install] runs the whole load path: link
+    (once per spec and config) → load → grant initial capabilities →
+    module_init. *)
 
 type handle = {
   spec_name : string;
@@ -31,11 +32,24 @@ let run_module_init sys (mi : Lxfi.Runtime.module_info) =
   if r <> 0L then
     invalid_arg (Printf.sprintf "%s: module_init failed (%Ld)" mi.Lxfi.Runtime.mi_name r)
 
+(* One linker per spec constructor, so a spec links once per config
+   and process.  Found by the constructor itself, never by the name:
+   [Rds.spec] and [Rds.spec_writable_ops] are both named "rds". *)
+let linkers = ref []
+
 let install sys (spec : spec) : handle =
-  let prog = spec.make sys in
-  let mi, report = Ksys.load sys prog in
+  let link =
+    match List.assq_opt spec.make !linkers with
+    | Some link -> link
+    | None ->
+        let link = Lxfi.Loader.linker (spec.make sys) in
+        linkers := (spec.make, link) :: !linkers;
+        link
+  in
+  let image = link sys.Ksys.rt in
+  let mi = Lxfi.Loader.load_image sys.Ksys.rt image in
   spec.init sys mi;
-  { spec_name = spec.name; mi; report }
+  { spec_name = spec.name; mi; report = image.Lxfi.Loader.im_report }
 
 (** Address of a module global after load. *)
 let gaddr (mi : Lxfi.Runtime.module_info) name =

@@ -22,7 +22,10 @@ val run_module_init : Ksys.t -> Lxfi.Runtime.module_info -> unit
 (** Default [init]: run the module's [module_init] function. *)
 
 val install : Ksys.t -> spec -> handle
-(** make → load → init. *)
+(** make → link → load → init.  The first install of a spec under a
+    config makes and links its program; later ones load that image
+    ({!Lxfi.Loader.linker}).  A spec's [make] must therefore build the
+    same program in every boot. *)
 
 val gaddr : Lxfi.Runtime.module_info -> string -> int
 (** Address of a module global after load. *)

@@ -10,11 +10,9 @@
 type t
 (** One principal's WRITE, CALL and REF capabilities. *)
 
-val slot_shift : int
-(** Low bits masked when hashing WRITE ranges (12 = page granularity). *)
-
 val big_range_pages : int
-(** Ranges covering at least this many pages go on the linear list. *)
+(** Ranges covering at least this many pages go on the linear list
+    (exported so the property test can generate such ranges). *)
 
 val create : unit -> t
 

@@ -32,5 +32,6 @@ type t = {
 }
 
 val capture : Runtime.t -> t
-val pp : Format.formatter -> t -> unit
+(** Exported for the tests that read the view's fields. *)
+
 val to_string : Runtime.t -> string

@@ -1,18 +1,22 @@
 (** Module loader: the analogue of [insmod] plus LXFI's generated
     module-initialisation function (§4.2).
 
-    Loading a module:
+    Loading a module is two steps.  {!link} does what depends only on
+    values — the program, the configuration and the declarations it
+    reads: it runs the rewriter over the module's MIR (per the
+    configured mode), propagates annotations and extracts the flow
+    graph, and records each declaration it read.  {!load_image} checks
+    those records against the runtime, then:
 
-    + runs the rewriter over the module's MIR (per the configured mode);
     + lays out text / rodata / data / bss / stack sections in the
       module area of the simulated address space and applies global
       initialisers (including function-pointer initialisers, which are
       how ops tables come into existence);
-    + propagates annotations: a function stored into a typed
+    + binds the propagated annotations: a function stored into a typed
       function-pointer slot of a known struct, or declared with an
-      export slot type, receives that slot type's annotations; two
-      conflicting sources are a load error (§4.2, "LXFI verifies that
-      these annotations are exactly the same");
+      export slot type, receives that slot type's annotations
+      ({!Check.Capflow.propagate}; two conflicting sources are a link
+      error);
     + creates the shared and global principals and grants the initial
       capabilities: CALL for every imported wrapper and own function,
       WRITE for the writable sections, the module stack and the current
@@ -63,62 +67,137 @@ let section_name = function
   | Mir.Ast.Rodata -> "rodata"
   | Mir.Ast.Bss -> "bss"
 
-(** [check_env rt] — the static checker's view of this runtime: slot
-    registry, struct layouts, registered iterators, annotated kernel
-    exports.  Built fresh on each call (registration may have changed). *)
+(** [check_env rt] — the static checker's view of this runtime, read
+    through the runtime's own tables. *)
 let check_env (rt : Runtime.t) : Check.Env.t =
-  Check.Env.make ~registry:rt.Runtime.registry ~types:rt.Runtime.kst.Kstate.types
-    ~iterator_exists:(Hashtbl.mem rt.Runtime.iterators)
-    ~kexports:
-      (Hashtbl.fold
-         (fun _ (ke : Runtime.kexport) acc ->
-           {
-             Check.Env.kx_name = ke.Runtime.ke_name;
-             kx_params = ke.Runtime.ke_params;
-             kx_annot = ke.Runtime.ke_annot;
-           }
-           :: acc)
-         rt.Runtime.kexports [])
-
-(** [load rt prog] instruments, lays out, and activates [prog]; returns
-    the module handle and the rewriter's report. *)
-let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter.report
-    =
-  let kst = rt.Runtime.kst in
-  if Hashtbl.mem rt.Runtime.modules prog.Mir.Ast.pname then
-    fail "module %s already loaded" prog.Mir.Ast.pname;
-  (* Strict mode: run the static checker over the pristine (pre-
-     instrumentation) MIR and refuse modules with error findings.  The
-     pass is load-time only — it charges no simulated cycles and runs
-     before any state below is allocated, so enabling it cannot perturb
-     guard counters or benchmarks. *)
-  if rt.Runtime.config.Config.strict_check then begin
-    let findings = Check.Checker.check_module (check_env rt) prog in
-    List.iter (fun f -> Klog.diag f.Check.Finding.f_diag) findings;
-    let errs = List.filter Check.Finding.is_error findings in
-    match errs with
-    | [] -> ()
-    | first :: _ ->
-        fail "module %s: static check failed with %d error(s), first: %s"
-          prog.Mir.Ast.pname (List.length errs)
-          (Check.Finding.to_string first)
-  end;
-  (* Syscall-flow policy: a registered (audited) graph wins; otherwise
-     self-extract from the pristine MIR, before instrumentation adds
-     guard statements.  A faithfully executed module can never leave
-     its self-extracted may-follow graph, so self-extraction costs no
-     false positives; a registered graph is how skew between audited
-     code and loaded binary becomes detectable. *)
-  let flow =
-    if rt.Runtime.config.Config.mode = Config.Lxfi then
-      Some
-        (match Hashtbl.find_opt rt.Runtime.flow_graphs prog.Mir.Ast.pname with
-        | Some g -> g
-        | None -> Check.Apiflow.extract (check_env rt) prog)
-    else None
+  let decl (ke : Runtime.kexport) =
+    { Check.Env.kx_name = ke.Runtime.ke_name; kx_params = ke.ke_params; kx_annot = ke.ke_annot }
   in
-  let prog, report = Rewriter.instrument rt.Runtime.config prog in
+  {
+    Check.Env.registry = rt.Runtime.registry;
+    types = rt.kst.Kstate.types;
+    iterator_exists = Hashtbl.mem rt.iterators;
+    kexport = (fun name -> Option.map decl (Hashtbl.find_opt rt.kexports name));
+    kexports = (fun () -> Hashtbl.fold (fun _ ke acc -> decl ke :: acc) rt.kexports []);
+  }
+
+(** {1 Link: what loading needs that depends only on values} *)
+
+type fact =
+  | Config of Config.t
+  | Bound of { func : string; slot : Annot.Registry.slot; field : (string * int) option }
+  | Kexport of string * Check.Env.kexport_decl option
+
+type image = {
+  im_prog : Mir.Ast.prog;
+  im_report : Rewriter.report;
+  im_flow : Check.Apiflow.graph option;
+  im_facts : fact list;
+}
+
+exception Stale_image of { module_ : string; fact : fact }
+
+(* The configuration fields [link] reads. *)
+let link_fields (c : Config.t) =
+  (c.mode, c.opt_elide_safe_writes, c.opt_inline_trivial, c.strict_check)
+
+let link (env : Check.Env.t) (config : Config.t) (prog : Mir.Ast.prog) : image =
   let mname = prog.Mir.Ast.pname in
+  (* Every kernel-export lookup below becomes one of the image's facts. *)
+  let read = Hashtbl.create 16 in
+  let env =
+    let kexport name =
+      let d = env.Check.Env.kexport name in
+      Hashtbl.replace read name d;
+      d
+    in
+    { env with kexport }
+  in
+  (* Strict mode: refuse a module the static checker finds errors in,
+     on the pristine MIR. *)
+  if config.strict_check then begin
+    let findings = Check.Checker.check_module env prog in
+    List.iter (fun f -> Klog.diag f.Check.Finding.f_diag) findings;
+    match List.filter Check.Finding.is_error findings with
+    | [] -> ()
+    | first :: _ as errs ->
+        fail "module %s: static check failed with %d error(s), first: %s" mname
+          (List.length errs) (Check.Finding.to_string first)
+  end;
+  (* Syscall-flow policy, self-extracted from the pristine MIR before
+     instrumentation adds guard statements: a faithfully executed
+     module never leaves its own may-follow graph. *)
+  let flow = if config.mode = Lxfi then Some (Check.Apiflow.extract env prog) else None in
+  let instrumented, report = Rewriter.instrument config prog in
+  List.iter
+    (fun name ->
+      if (not (is_builtin name)) && env.kexport name = None then
+        fail "module %s imports unknown symbol %s" mname name)
+    prog.imports;
+  List.iter
+    (fun (g : Mir.Ast.glob) ->
+      List.iter
+        (function
+          | Mir.Ast.Ifunc (_, f) when Mir.Ast.find_func prog f = None ->
+              fail "global %s references unknown function %s" g.gname f
+          | Iext (_, x) when not (List.mem x prog.imports) ->
+              fail "global %s references unimported symbol %s" g.gname x
+          | _ -> ())
+        g.ginit)
+    prog.globals;
+  let bindings, refusals = Check.Capflow.propagate env prog in
+  (match refusals with (where, msg) :: _ -> fail "%s: %s" where msg | [] -> ());
+  {
+    im_prog = instrumented;
+    im_report = report;
+    im_flow = flow;
+    im_facts =
+      (Config config :: List.map (fun (func, slot, field) -> Bound { func; slot; field }) bindings)
+      @ Hashtbl.fold (fun name d facts -> Kexport (name, d) :: facts) read [];
+  }
+
+let holds (rt : Runtime.t) = function
+  | Config c -> link_fields c = link_fields rt.config
+  | Bound { slot; field; _ } -> (
+      (match Annot.Registry.find_opt rt.registry slot.sl_name with
+      | Some d -> d == slot || d = slot
+      | None -> false)
+      &&
+      match field with
+      | None -> true
+      | Some (s, off) ->
+          Ktypes.mem rt.kst.types s && Ktypes.funcptr_slot rt.kst.types s off = Some slot.sl_name)
+  | Kexport (name, decl) -> (
+      match (Hashtbl.find_opt rt.kexports name, decl) with
+      | None, None -> true
+      | Some ke, Some d ->
+          (ke.ke_annot == d.kx_annot || ke.ke_annot = d.kx_annot) && ke.ke_params = d.kx_params
+      | _ -> false)
+
+let stale rt im = List.find_opt (fun f -> not (holds rt f)) im.im_facts
+
+(** {1 Load: lay out, resolve, grant} *)
+
+(* An import's address: its builtin's symbol or its kernel export, which
+   [link] checked it names and [load_image] checks it still does. *)
+let resolve (rt : Runtime.t) name =
+  if is_builtin name then Ksym.intern rt.kst.Kstate.sym ("lxfi_builtin:" ^ name)
+  else (Hashtbl.find rt.kexports name).ke_addr
+
+let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
+  let kst = rt.Runtime.kst in
+  let prog = im.im_prog in
+  let mname = prog.Mir.Ast.pname in
+  if Hashtbl.mem rt.Runtime.modules mname then fail "module %s already loaded" mname;
+  Option.iter (fun fact -> raise (Stale_image { module_ = mname; fact })) (stale rt im);
+  (* A registered (audited) flow graph wins over the self-extracted one:
+     that is how skew between audited code and loaded binary becomes
+     detectable. *)
+  let flow =
+    Option.map
+      (fun g -> Option.value (Hashtbl.find_opt rt.Runtime.flow_graphs mname) ~default:g)
+      im.im_flow
+  in
 
   (* --- text: one fake address per function --- *)
   let nfuncs = List.length prog.Mir.Ast.funcs in
@@ -160,15 +239,9 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
   let import_addr = Hashtbl.create 16 in
   List.iter
     (fun name ->
-      if is_builtin name then begin
-        let addr = Ksym.intern kst.Kstate.sym ("lxfi_builtin:" ^ name) in
-        Hashtbl.replace builtin_addrs addr (builtin_impl rt name);
-        Hashtbl.replace import_addr name addr
-      end
-      else
-        match Hashtbl.find_opt rt.Runtime.kexports name with
-        | Some ke -> Hashtbl.replace import_addr name ke.Runtime.ke_addr
-        | None -> fail "module %s imports unknown symbol %s" mname name)
+      let addr = resolve rt name in
+      if is_builtin name then Hashtbl.replace builtin_addrs addr (builtin_impl rt name);
+      Hashtbl.replace import_addr name addr)
     prog.Mir.Ast.imports;
 
   (* --- apply global initialisers --- *)
@@ -176,19 +249,14 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
     (fun (g : Mir.Ast.glob) ->
       let base = Hashtbl.find globals_tbl g.Mir.Ast.gname in
       List.iter
-        (fun init ->
-          match init with
+        (function
           | Mir.Ast.Iword (off, w, v) ->
               Kmem.write kst.Kstate.mem ~addr:(base + off)
                 ~size:(Mir.Ast.bytes_of_width w) v
-          | Mir.Ast.Ifunc (off, f) -> (
-              match Hashtbl.find_opt func_addr_tbl f with
-              | Some a -> Kmem.write_ptr kst.Kstate.mem (base + off) a
-              | None -> fail "global %s references unknown function %s" g.Mir.Ast.gname f)
-          | Mir.Ast.Iext (off, imp) -> (
-              match Hashtbl.find_opt import_addr imp with
-              | Some a -> Kmem.write_ptr kst.Kstate.mem (base + off) a
-              | None -> fail "global %s references unimported symbol %s" g.Mir.Ast.gname imp))
+          | Mir.Ast.Ifunc (off, f) ->
+              Kmem.write_ptr kst.Kstate.mem (base + off) (Hashtbl.find func_addr_tbl f)
+          | Mir.Ast.Iext (off, imp) ->
+              Kmem.write_ptr kst.Kstate.mem (base + off) (Hashtbl.find import_addr imp))
         g.Mir.Ast.ginit)
     prog.Mir.Ast.globals;
 
@@ -218,48 +286,15 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
     }
   in
 
-  (* --- annotation propagation (§4.2) --- *)
-  let propagate fname slot_name =
-    let slot =
-      match Annot.Registry.find_opt rt.Runtime.registry slot_name with
-      | Some s -> s
-      | None -> fail "module %s: function %s exported with unknown slot type %s" mname fname slot_name
-    in
-    (match Hashtbl.find_opt mi.Runtime.mi_func_slot fname with
-    | Some prev when prev.Annot.Registry.sl_name <> slot_name ->
-        fail
-          "module %s: function %s receives conflicting annotations (%s vs %s)"
-          mname fname prev.Annot.Registry.sl_name slot_name
-    | _ -> ());
-    Hashtbl.replace mi.Runtime.mi_func_slot fname slot;
-    match Hashtbl.find_opt func_addr_tbl fname with
-    | Some addr ->
-        Hashtbl.replace rt.Runtime.func_ahash_by_addr addr slot.Annot.Registry.sl_ahash
-    | None -> fail "module %s: exported function %s not defined" mname fname
-  in
+  (* --- the annotations [link] propagated (§4.2) --- *)
   List.iter
-    (fun (f : Mir.Ast.func) ->
-      match f.Mir.Ast.export with Some sl -> propagate f.Mir.Ast.fname sl | None -> ())
-    prog.Mir.Ast.funcs;
-  List.iter
-    (fun (g : Mir.Ast.glob) ->
-      match g.Mir.Ast.gstruct with
-      | None -> ()
-      | Some sname ->
-          List.iter
-            (fun init ->
-              match init with
-              | Mir.Ast.Ifunc (off, f) -> (
-                  match Ktypes.funcptr_slot kst.Kstate.types sname off with
-                  | Some slot_name -> propagate f slot_name
-                  | None ->
-                      fail
-                        "global %s: function pointer %s stored at +%d of struct %s, \
-                         which is not a declared slot"
-                        g.Mir.Ast.gname f off sname)
-              | Mir.Ast.Iword _ | Mir.Ast.Iext _ -> ())
-            g.Mir.Ast.ginit)
-    prog.Mir.Ast.globals;
+    (function
+      | Bound { func; slot; _ } ->
+          Hashtbl.replace mi.Runtime.mi_func_slot func slot;
+          Hashtbl.replace rt.Runtime.func_ahash_by_addr (Hashtbl.find func_addr_tbl func)
+            slot.Annot.Registry.sl_ahash
+      | Config _ | Kexport _ -> ())
+    im.im_facts;
 
   (* --- initial capabilities (granted to the shared principal) --- *)
   if rt.Runtime.config.Config.mode <> Config.Stock then begin
@@ -345,67 +380,58 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
   Klog.info "loaded module %s (%d functions, %d globals, mode %s)" mname nfuncs
     (List.length prog.Mir.Ast.globals)
     (Config.mode_name rt.Runtime.config.Config.mode);
-  (mi, report)
+  mi
 
-(** [unload rt mi] — rmmod: run [module_exit] if the module defines one
-    (its chance to unregister from every subsystem), then retire the
-    module: its principals and all their capabilities disappear, its
-    functions stop being callable, and its annotation hashes are
-    forgotten.
+(** [load rt prog] links [prog] against this runtime and loads it;
+    returns the module handle and the rewriter's report. *)
+let load rt prog =
+  let im = link (check_env rt) rt.Runtime.config prog in
+  (load_image rt im, im.im_report)
 
-    Like the real kernel, the loader cannot know about pointers to the
-    module that are still stored in kernel data structures; a module
-    whose exit function forgets to unregister leaves dangling function
-    pointers behind, and a later kernel indirect call through one will
-    oops (dispatch to a retired address).  The module's memory itself is
-    {e not} recycled — the module area is append-only in this
-    simulation, which conveniently makes use-after-unload deterministic
-    instead of corrupting an unrelated module. *)
+let linker prog =
+  let images = ref [] in
+  fun (rt : Runtime.t) ->
+    let config = rt.Runtime.config in
+    match List.assoc_opt config !images with
+    | Some im when stale rt im = None -> im
+    | _ ->
+        let im = link (check_env rt) config prog in
+        images := (config, im) :: List.remove_assoc config !images;
+        im
+
+(* Run [fname] as [mi]'s shared principal, outside any wrapper. *)
+let run_as_shared (rt : Runtime.t) (mi : Runtime.module_info) fname args =
+  let saved = rt.Runtime.current in
+  rt.Runtime.current <- Some mi.Runtime.mi_shared;
+  Fun.protect
+    ~finally:(fun () -> rt.Runtime.current <- saved)
+    (fun () -> Runtime.run_mir rt mi fname args)
+
+(** [unload rt mi] — rmmod.  The module's memory is {e not} recycled:
+    the module area is append-only in this simulation, which makes
+    use-after-unload deterministic instead of corrupting an unrelated
+    module. *)
 let unload (rt : Runtime.t) (mi : Runtime.module_info) =
   if not (Hashtbl.mem rt.Runtime.modules mi.Runtime.mi_name) then
     fail "module %s is not loaded" mi.Runtime.mi_name;
-  if Mir.Ast.find_func mi.Runtime.mi_prog "module_exit" <> None then begin
-    let saved = rt.Runtime.current in
-    rt.Runtime.current <- Some mi.Runtime.mi_shared;
-    (match Runtime.run_mir rt mi "module_exit" [] with
-    | _ -> rt.Runtime.current <- saved
-    | exception e ->
-        rt.Runtime.current <- saved;
-        raise e)
-  end;
+  if Mir.Ast.find_func mi.Runtime.mi_prog "module_exit" <> None then
+    ignore (run_as_shared rt mi "module_exit" []);
   Runtime.retire_module rt mi;
   Klog.info "unloaded module %s" mi.Runtime.mi_name
 
-(** [init_call rt mi fname args] runs a module initialisation entry
-    point ([module_init]) {e without} isolation, as the paper's loader
-    does — initialisation happens before the module is exposed to
-    untrusted input.  The function still runs under its wrapper if it
-    has one; plain init functions run as the shared principal. *)
+(** [init_call rt mi fname args] runs an initialisation entry point
+    {e without} isolation, as the paper's loader does: initialisation
+    happens before the module sees untrusted input. *)
 let init_call rt (mi : Runtime.module_info) fname args =
   match Hashtbl.find_opt mi.Runtime.mi_func_slot fname with
   | Some _ -> Runtime.invoke_module_function rt mi fname args
-  | None ->
-      let saved = rt.Runtime.current in
-      rt.Runtime.current <- Some mi.Runtime.mi_shared;
-      let fin () = rt.Runtime.current <- saved in
-      (match Runtime.run_mir rt mi fname args with
-      | r ->
-          fin ();
-          r
-      | exception e ->
-          fin ();
-          raise e)
+  | None -> run_as_shared rt mi fname args
 
 (** {1 Hot upgrade}
 
-    [upgrade] replaces a running module with a new version of itself
-    without losing the security state the old instance accumulated:
-    dynamically granted capabilities (annotation copies/transfers,
-    iterator grants) and non-pointer global state survive the swap —
-    but only the subset a compatibility check against the {e new}
-    version's annotations admits.  The invariant is monotonicity: an
-    upgrade may shrink the restored grant set, never grow it beyond
-    what the new annotations could have granted themselves. *)
+    The invariant is monotonicity: an upgrade may shrink the restored
+    grant set, never grow it beyond what the new annotations could have
+    granted themselves. *)
 
 (** A version's {e grant surface}: for each grant source — an exported
     slot type or an imported annotated kernel export — the caplists its
@@ -523,10 +549,10 @@ type upgrade_report = {
   up_instances_kept : bool;  (** instance principals survived the swap *)
 }
 
-let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info)
-    (new_prog : Mir.Ast.prog) :
-    Runtime.module_info * Rewriter.report * upgrade_report =
+let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info) (im : image) :
+    Runtime.module_info * upgrade_report =
   let mname = old_mi.Runtime.mi_name in
+  let new_prog = im.im_prog in
   if new_prog.Mir.Ast.pname <> mname then
     fail "upgrade: replacement program is named %s, expected %s"
       new_prog.Mir.Ast.pname mname;
@@ -549,7 +575,7 @@ let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info)
   let cycles0 = Kcycles.total rt.Runtime.kst.Kstate.cycles in
   let viol0 = rt.Runtime.stats.Stats.violations in
   unload rt old_mi;
-  let new_mi, report = load rt new_prog in
+  let new_mi = load_image rt im in
   if Mir.Ast.find_func new_mi.Runtime.mi_prog "module_init" <> None then
     ignore (init_call rt new_mi "module_init" []);
   let new_surface = surface_of rt new_mi in
@@ -567,24 +593,13 @@ let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info)
      version could legitimately call: its own imports (kernel exports
      and builtins keep their interned addresses across versions).  Old
      text addresses are retired; the new version's own functions were
-     granted by [load]. *)
-  let allowed_calls = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      if is_builtin name then
-        Hashtbl.replace allowed_calls
-          (Ksym.intern rt.Runtime.kst.Kstate.sym ("lxfi_builtin:" ^ name))
-          ()
-      else
-        match Hashtbl.find_opt rt.Runtime.kexports name with
-        | Some ke -> Hashtbl.replace allowed_calls ke.Runtime.ke_addr ()
-        | None -> ())
-    new_prog.Mir.Ast.imports;
+     granted by [load_image]. *)
+  let allowed_calls = List.map (resolve rt) new_prog.Mir.Ast.imports in
   let filter =
     {
       Snapshot.keep_write =
         (fun ~base ~size -> write_ok && not (overlaps_old ~base ~size));
-      keep_call = (fun ~target -> Hashtbl.mem allowed_calls target);
+      keep_call = (fun ~target -> List.mem target allowed_calls);
       keep_ref =
         (fun ~rtype ~addr:_ -> surface_yields rt new_surface (Runtime.Sref rtype));
       keep_instances = instances_ok;
@@ -614,4 +629,4 @@ let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info)
   in
   Klog.info "upgraded module %s: %d caps restored, %d dropped, %d simulated cycles"
     mname upr.up_restored upr.up_dropped upr.up_swap_cycles;
-  (new_mi, report, upr)
+  (new_mi, upr)

@@ -1,21 +1,17 @@
 (** Module loader: [insmod] plus LXFI's generated module-initialisation
-    function (paper §4.2).
-
-    Loading runs the rewriter, lays out text/rodata/data/bss/stack in
-    the module area, applies global initialisers, propagates
-    annotations from typed function-pointer slots and export
-    declarations (conflicts are load errors), grants the initial
-    capabilities to the shared principal (CALL for imports and own
-    functions; WRITE for the writable sections, module stack, kernel
-    stack and the blanket user-space window — and {e nothing} for
-    [.rodata]), registers every function in the kernel dispatch table
-    behind its wrapper, and builds the interpreter context wired to the
-    runtime's guards. *)
+    function (paper §4.2), in two steps.  {!link} is what the paper's
+    rewriter does when a module is built: annotation propagation, the
+    flow graph and the rewrite.  It touches no runtime state, charges
+    no cycle, fires no injected fault, and records each declaration it
+    read.  {!load_image} is the kernel's part: it re-checks those
+    records, lays out text/rodata/data/bss/stack, applies initialisers,
+    resolves imports, grants the initial capabilities to the shared
+    principal (CALL for imports and own functions; WRITE for the
+    writable sections, module stack, kernel stack and the user-space
+    window — {e nothing} for [.rodata]), registers every function
+    behind its wrapper, and builds the interpreter context. *)
 
 exception Load_error of string
-
-val stack_len : int
-(** Size of each module's interpreter stack region. *)
 
 val is_builtin : string -> bool
 (** Imports named [lxfi_princ_alias], [lxfi_switch_global] or
@@ -26,13 +22,47 @@ val check_env : Runtime.t -> Check.Env.t
 (** The static checker's view of this runtime: slot registry, struct
     layouts, registered iterators, annotated kernel exports. *)
 
+(** {1 Images} *)
+
+(** What a link read from its environment. *)
+type fact =
+  | Config of Config.t  (** [mode], both [opt_*] fields and [strict_check] *)
+  | Bound of { func : string; slot : Annot.Registry.slot; field : (string * int) option }
+      (** propagation bound [func] to [slot], the registry's declaration,
+          from an export declaration or the ops-table [field] (struct,
+          offset) whose slot type [slot] is *)
+  | Kexport of string * Check.Env.kexport_decl option
+      (** a name's kernel export, or [None] *)
+
+type image = {
+  im_prog : Mir.Ast.prog;  (** the instrumented program *)
+  im_report : Rewriter.report;
+  im_flow : Check.Apiflow.graph option;  (** self-extracted (Lxfi mode) *)
+  im_facts : fact list;
+}
+
+exception Stale_image of { module_ : string; fact : fact }
+(** The first of an image's facts that does not hold in a runtime. *)
+
+val link : Check.Env.t -> Config.t -> Mir.Ast.prog -> image
+(** Raises {!Load_error} on an unknown import, an initialiser naming an
+    undefined function or unimported symbol, a propagation refusal
+    ({!Check.Capflow.propagate}) or, under [Config.strict_check], a
+    static-checker error on the pristine MIR; {!Rewriter.Rewrite_error}
+    on unanalysable code. *)
+
+val load_image : Runtime.t -> image -> Runtime.module_info
+(** A flow graph registered for the module ({!Runtime.register_flow_graph})
+    wins over the image's.  Raises {!Load_error} on a module of that
+    name already loaded and {!Stale_image} on a stale fact, both before
+    touching the runtime. *)
+
 val load : Runtime.t -> Mir.Ast.prog -> Runtime.module_info * Rewriter.report
-(** Instrument, lay out and activate a module.  Raises {!Load_error} on
-    unknown imports/slot types, conflicting annotation propagation, or
-    duplicate module names; {!Rewriter.Rewrite_error} on unanalysable
-    code.  Under [Config.strict_check] the static checker
-    ({!Check.Checker.check_module}) runs over the pristine MIR first and
-    error-severity findings are load errors. *)
+(** {!link} against the runtime, then {!load_image}. *)
+
+val linker : Mir.Ast.prog -> Runtime.t -> image
+(** [linker prog rt] is [prog]'s image for [rt]'s configuration, linked
+    against [rt] on first use and relinked when stale in [rt]. *)
 
 val unload : Runtime.t -> Runtime.module_info -> unit
 (** rmmod: run [module_exit] (if defined) as the shared principal, then
@@ -74,17 +104,14 @@ type upgrade_report = {
 }
 
 val upgrade :
-  Runtime.t ->
-  Runtime.module_info ->
-  Mir.Ast.prog ->
-  Runtime.module_info * Rewriter.report * upgrade_report
-(** [upgrade rt old_mi new_prog] hot-swaps a running module for a new
-    version of itself: drain in-flight entries (synchronous entries are
+  Runtime.t -> Runtime.module_info -> image -> Runtime.module_info * upgrade_report
+(** [upgrade rt old_mi image] hot-swaps a running module for a new
+    version of itself, linked as [image]: drain in-flight entries (synchronous entries are
     watchdog-fuel-bounded, so at kernel top level the module is always
     drained; calling from inside one of the module's own activations is
     a {!Load_error}), snapshot the security state, retire the old
     instance through {!unload} (revoking every dangling grant), load
-    the new version, run its [module_init], then restore the snapshot
+    the new version ({!load_image}), run its [module_init], then restore the snapshot
     through the compatibility filter: dynamic WRITE capabilities only
     if the old write surface is contained in the new one, CALL only
     toward the new version's imports, REF only for rtypes the new

@@ -12,16 +12,10 @@
 val efault : int64
 (** -14, the error a contained entry returns to the kernel caller. *)
 
-val enabled : Runtime.t -> bool
-(** Quarantine is on and the mode is Lxfi. *)
-
 val quarantine_principal : Runtime.t -> Principal.t -> reason:string -> unit
 (** Revoke everything the principal holds and bar it from future entry
-    selection.  Idempotent. *)
-
-val escalate : Runtime.t -> Runtime.module_info -> reason:string -> unit
-(** Quarantine every principal of the module and retire its dispatch
-    entries (the containment analogue of unload).  Idempotent. *)
+    selection.  Idempotent.  Exported for the containment tests that
+    quarantine a principal directly. *)
 
 val handle : Runtime.t -> Violation.info -> unit
 (** Apply the policy to a caught violation: count, quarantine the

@@ -12,7 +12,7 @@
       and the violation class that tripped the escalation;
     + {e repair} — somebody produces a fixed version of the module (in
       the campaigns, a variant with the bug patched);
-    + {e replay} — {!replay} loads a candidate program under the
+    + {e replay} — {!replay} loads a candidate image under the
       retired module's name, restores the pre-fault snapshot into it,
       and re-drives the recorded faulting entry.  Replaying the
       {e unrepaired} program must reproduce the original violation
@@ -33,39 +33,35 @@ type incident = {
   inc_window : Trace.event array;
       (** traced events from the start of the faulting entry to the
           escalation; empty when no trace buffer was attached *)
-  inc_prog : Mir.Ast.prog;
-      (** the {e instrumented} program that faulted — for inspection;
-          pass a pristine program to {!replay}, never this one *)
   inc_entry : (string * int64 list) option;
       (** innermost kernel→module entry (function, args) *)
 }
 
 type t = { mutable incidents : incident list  (** newest first *) }
 
-(** The faulting window: every retained trace event from the last
-    kernel→module entry into [mi] onward.  When no entry span of the
-    module is retained (or no buffer is attached), the whole retained
-    buffer (resp. nothing) is the window — more context, never less. *)
-let window_of (buf : Trace.t) (mi : Runtime.module_info) : Trace.event array =
-  let evs = Trace.events buf in
-  let prefix = mi.Runtime.mi_name ^ ":" in
-  let start = ref 0 in
-  Array.iteri
-    (fun i (e : Trace.event) ->
-      match e.Trace.ev_kind with
-      | Trace.Span_begin (Trace.K2m, w) when String.starts_with ~prefix w -> start := i
-      | _ -> ())
-    evs;
-  Array.sub evs !start (Array.length evs - !start)
-
 let arm (rt : Runtime.t) : t =
   let t = { incidents = [] } in
   let hook (mi : Runtime.module_info) ~reason =
     let snap = Snapshot.capture rt mi in
+    (* The faulting window: every retained event from the last
+       kernel→module entry into [mi] on — the whole retained buffer
+       when no entry span of the module is retained, nothing when no
+       buffer is attached. *)
     let window =
       match Trace.attached () with
       | None -> [||]
-      | Some buf -> window_of buf mi
+      | Some buf ->
+          let evs = Trace.events buf in
+          let prefix = mi.Runtime.mi_name ^ ":" in
+          let start = ref 0 in
+          Array.iteri
+            (fun i (e : Trace.event) ->
+              match e.Trace.ev_kind with
+              | Trace.Span_begin (Trace.K2m, w) when String.starts_with ~prefix w ->
+                  start := i
+              | _ -> ())
+            evs;
+          Array.sub evs !start (Array.length evs - !start)
     in
     t.incidents <-
       {
@@ -80,7 +76,6 @@ let arm (rt : Runtime.t) : t =
           | [] -> Option.map (fun v -> v.Violation.v_kind) rt.Runtime.last_violation);
         inc_snapshot = snap;
         inc_window = window;
-        inc_prog = mi.Runtime.mi_prog;
         inc_entry = mi.Runtime.mi_last_entry;
       }
       :: t.incidents
@@ -107,13 +102,14 @@ let reproduces (inc : incident) (vd : verdict) =
   | None, Some _ -> vd.vd_contained  (* original class unknown: any containment counts *)
   | _, None -> false
 
-let replay (rt : Runtime.t) (inc : incident) ~(prog : Mir.Ast.prog) :
+let replay (rt : Runtime.t) (inc : incident) ~(image : Loader.image) :
     Runtime.module_info * verdict =
-  if prog.Mir.Ast.pname <> inc.inc_module then
+  let name = image.Loader.im_prog.Mir.Ast.pname in
+  if name <> inc.inc_module then
     invalid_arg
-      (Printf.sprintf "Repair.replay: program %s does not repair module %s"
-         prog.Mir.Ast.pname inc.inc_module);
-  let mi, _report = Loader.load rt prog in
+      (Printf.sprintf "Repair.replay: program %s does not repair module %s" name
+         inc.inc_module);
+  let mi = Loader.load_image rt image in
   if Mir.Ast.find_func mi.Runtime.mi_prog "module_init" <> None then
     ignore (Loader.init_call rt mi "module_init" []);
   (* Restore the pre-fault state so the instance resumes where the

@@ -13,9 +13,6 @@ type incident = {
   inc_window : Trace.event array;
       (** traced events from the start of the faulting kernel→module
           entry to the escalation; empty without an attached buffer *)
-  inc_prog : Mir.Ast.prog;
-      (** the {e instrumented} program that faulted — for inspection
-          only; pass a pristine program to {!replay} *)
   inc_entry : (string * int64 list) option;
       (** innermost kernel→module entry (function, args), as recorded
           by the quarantine dispatcher *)
@@ -32,10 +29,6 @@ val incidents : t -> incident list
 
 val last : t -> incident option
 
-val window_of : Trace.t -> Runtime.module_info -> Trace.event array
-(** The faulting window: retained events from the module's last
-    kernel→module entry onward. *)
-
 type verdict = {
   vd_ret : int64 option;  (** return value when the entry completed *)
   vd_violation : Violation.kind option;
@@ -49,8 +42,8 @@ val reproduces : incident -> verdict -> bool
     original and replayed instance. *)
 
 val replay :
-  Runtime.t -> incident -> prog:Mir.Ast.prog -> Runtime.module_info * verdict
-(** [replay rt inc ~prog] loads [prog] under the retired module's name
+  Runtime.t -> incident -> image:Loader.image -> Runtime.module_info * verdict
+(** [replay rt inc ~image] loads [image] under the retired module's name
     (free since the escalation), runs its [module_init], restores the
     incident snapshot (additively; quarantined principals stay revoked,
     CALL toward retired text is refused), and re-drives the recorded
@@ -58,5 +51,5 @@ val replay :
     {!reproduces} must hold for the unrepaired program and must not for
     the repaired one.  The loaded instance is returned either way —
     unload the unrepaired one after the check.  Raises
-    [Invalid_argument] if [prog] is named differently from the retired
+    [Invalid_argument] if [image] is named differently from the retired
     module; requires a quarantine-enabled config. *)

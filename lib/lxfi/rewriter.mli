@@ -25,8 +25,6 @@ type report = {
   r_dropped_funcs : int;  (** inlined-away leaves removed *)
 }
 
-val empty_report : report
-
 val instrument : Config.t -> Mir.Ast.prog -> Mir.Ast.prog * report
 (** Instrument a module per the configuration.  Raises {!Rewrite_error}
     on unanalysable or already-instrumented code. *)

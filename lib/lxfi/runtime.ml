@@ -252,8 +252,8 @@ let register_kexport_exn rt ~name ~params ~annot_src impl =
          register_kexport rt d impl))
 
 (** [register_flow_graph rt ~module_ g] installs [g] as the flow policy
-    the next load of [module_] will enforce, instead of self-extracting
-    a graph from the loaded MIR.  This is how an audited benign graph
+    the next load of [module_] will enforce, instead of the graph its
+    image self-extracted at link time.  This is how an audited benign graph
     can be pinned while a (possibly tampered) binary is loaded — the
     SFIP threat model, and what the fuzz harness's flow-class mutants
     exercise. *)

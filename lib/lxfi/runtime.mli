@@ -10,21 +10,13 @@
 
 open Kernel_sim
 
-(** Simulated cycle cost of each guard type (charged to the
+(** Simulated cycle cost of the guards (charged to the
     [Kcycles.Guard] category).  Model constants, calibrated so the
     netperf reproduction exhibits the paper's Figure 12 shapes; see
     EXPERIMENTS.md. *)
 module Cost : sig
   val annotation_action : int
   (** per capability processed by a copy/transfer/check action *)
-
-  val fn_entry : int
-  val fn_exit : int
-  val mem_write_check : int
-  val mod_indcall_check : int
-  val kernel_indcall_check : int
-  val kernel_indcall_fastpath : int
-  val principal_switch : int
 end
 
 type module_info = {
@@ -54,8 +46,8 @@ type module_info = {
           the quarantine dispatcher for replay after repair *)
   mutable mi_flow : Check.Apiflow.graph option;
       (** enforced kernel-API flow graph (set by the loader in Lxfi
-          mode: a registered policy graph if one exists, else
-          self-extracted from the pristine MIR) *)
+          mode: a registered policy graph if one exists, else the one
+          the image self-extracted from the pristine MIR) *)
 }
 (** Everything the runtime knows about one loaded module. *)
 
@@ -84,7 +76,7 @@ type t = {
   kexport_by_addr : (int, kexport) Hashtbl.t;
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
-          entry self-extracts its graph at load time *)
+          entry enforces its image's self-extracted graph *)
   iterators : (string, t -> int64 list -> Capability.t list) Hashtbl.t;
   iterator_shapes : (string, cap_shape list) Hashtbl.t;
       (** declared yield shapes per iterator; no entry = all shapes *)
@@ -126,11 +118,9 @@ val attach_trace : t -> Trace.t -> unit
     [Trace.detach ()]. *)
 
 val current_module : t -> module_info option
-val module_named : t -> string -> module_info option
+(** Exported for the test of who runs in kernel context. *)
 
-val where_of : module_info -> string option
-(** Fault location of the module's innermost executing function, e.g.
-    ["entry@1234"] (function name @ interpreter step count). *)
+val module_named : t -> string -> module_info option
 
 val retire_module : t -> module_info -> unit
 (** Pull every kernel-callable address the module registered out of the
@@ -160,7 +150,7 @@ val register_kexport_exn :
 
 val register_flow_graph : t -> module_:string -> Check.Apiflow.graph -> unit
 (** Pin the flow policy the next load of [module_] enforces, instead of
-    self-extracting a graph from the loaded MIR — how an audited benign
+    the graph its image self-extracted — how an audited benign
     graph is held against a possibly-tampered binary (the SFIP threat
     model; the fuzz harness's flow-class mutants use exactly this). *)
 
@@ -193,8 +183,6 @@ val principal_has : t -> Principal.t -> Capability.t -> bool
     shared principal's capabilities; the global principal sees
     everything the module holds. *)
 
-val has_write_covering : t -> Principal.t -> addr:int -> size:int -> bool
-
 val grant : ?ctx:string -> t -> Principal.t -> Capability.t -> unit
 (** Insert a capability (marking the writer set for non-user WRITE
     ranges).  [ctx] names the annotation action performing the grant
@@ -203,7 +191,8 @@ val grant : ?ctx:string -> t -> Principal.t -> Capability.t -> unit
 val revoke_from_all : ?ctx:string -> t -> Capability.t -> unit
 (** Remove the capability — for WRITE, anything intersecting its
     range — from {e every} principal in the system (§3.3 transfer
-    semantics).  [ctx] as in {!grant}. *)
+    semantics).  [ctx] as in {!grant}.  Exported for the tests that
+    transfer a capability directly. *)
 
 val find_or_create_instance : t -> module_info -> name_ptr:int -> Principal.t
 (** The principal named by [name_ptr], following aliases; created on
@@ -212,7 +201,7 @@ val find_or_create_instance : t -> module_info -> name_ptr:int -> Principal.t
 val writers_of : t -> addr:int -> Principal.t list
 (** Principals holding a WRITE capability covering [addr] (the writer
     set, computed by walking the global principal list as in the
-    paper). *)
+    paper).  Exported for the writer-set test. *)
 
 (** {1 Wrappers and guards} *)
 

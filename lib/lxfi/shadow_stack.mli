@@ -31,6 +31,7 @@ val pop : t -> wrapper:string -> token:int -> Principal.t option
     stack. *)
 
 val top_wrapper : t -> string option
+(** Exported for the shadow-stack tests. *)
 
 val unwind_to : t -> depth:int -> Principal.t option
 (** Discard frames above [depth] without token validation — the

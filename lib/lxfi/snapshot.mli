@@ -54,7 +54,8 @@ val restore : Runtime.t -> Runtime.module_info -> t -> unit
     cleared and re-populated, quarantine flags are reinstated, and
     non-function-pointer global bytes are written back.  Instance
     principals are materialised on demand.  Principals of [mi] not in
-    the snapshot are left untouched. *)
+    the snapshot are left untouched.  Exported for the round-trip
+    tests; the loader and repair restore through a filter. *)
 
 type filter = {
   keep_write : base:int -> size:int -> bool;
@@ -76,7 +77,9 @@ val restore_filtered : Runtime.t -> Runtime.module_info -> t -> filter -> restor
     oracle's raw material. *)
 
 val render : t -> string
-(** Byte-stable text rendering (one line per fact, sorted). *)
+(** Byte-stable text rendering (one line per fact, sorted).  This,
+    {!diff} and {!equal} are exported for the tests that compare
+    snapshots. *)
 
 val diff : t -> t -> string list
 (** Line-level differences between the renderings; [diff a b = []] iff

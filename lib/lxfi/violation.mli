@@ -16,7 +16,8 @@ type kind =
   | Flow_violation  (** kernel-API call outside the module's flow graph *)
 
 val all_kinds : kind list
-(** Every violation class, in declaration order. *)
+(** Every violation class, in declaration order (exported for the
+    counter-table test, as are {!counter_row} and {!to_diag}). *)
 
 val kind_name : kind -> string
 

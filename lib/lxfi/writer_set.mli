@@ -13,7 +13,8 @@
 type t
 
 val line_shift : int
-(** log2 of the tracking granularity (6 = 64-byte lines). *)
+(** log2 of the tracking granularity (6 = 64-byte lines); exported,
+    with {!clear_range}, for the tests. *)
 
 val create : unit -> t
 

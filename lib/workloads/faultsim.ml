@@ -91,6 +91,9 @@ let fsim_prog =
           ~export:ok_slot;
       ]
 
+(* Linked once per process; each cell only loads it. *)
+let fsim = Lxfi.Loader.linker fsim_prog
+
 (* Declared once per process; each boot only adds them. *)
 let slot_decls =
   [
@@ -123,7 +126,7 @@ let run_cell ?trace_dir ~seed fclass ~workload ~plan =
   let rt = sys.Ksys.rt and kst = sys.Ksys.kst in
   Ksys.add_slots sys slot_decls;
   let serve = Cell.bystander workload sys in
-  let mi = fst (Ksys.load sys fsim_prog) in
+  let mi = Lxfi.Loader.load_image rt (fsim rt) in
   let baseline = serve () in
   let q0 = rt.Lxfi.Runtime.stats.Lxfi.Stats.quarantines in
   let e0 = rt.Lxfi.Runtime.stats.Lxfi.Stats.escalations in

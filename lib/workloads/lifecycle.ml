@@ -70,6 +70,20 @@ let serve_decl = Ksys.declare serve_slot [ "buf"; "n" ] "pre(copy(write, buf, 64
 
 let define_slots sys = Ksys.add_slots sys [ serve_decl ]
 
+(* Each version links once per process: a linker per (version, buggy). *)
+let linkers = Hashtbl.create 8
+
+let lcmod (rt : Lxfi.Runtime.t) ~version ~buggy =
+  let link =
+    match Hashtbl.find_opt linkers (version, buggy) with
+    | Some link -> link
+    | None ->
+        let link = Lxfi.Loader.linker (make_prog ~version ~buggy) in
+        Hashtbl.replace linkers (version, buggy) link;
+        link
+  in
+  link rt
+
 (* ------------------------------------------------------------------ *)
 (* Report rows.                                                        *)
 
@@ -130,7 +144,7 @@ let run_cell ~seed ~workload =
   let serve = Cell.bystander workload sys in
   let baseline = serve () in
   let version = ref 1 in
-  let mi = ref (fst (Ksys.load sys (make_prog ~version:1 ~buggy:true))) in
+  let mi = ref (Lxfi.Loader.load_image rt (lcmod rt ~version:1 ~buggy:true)) in
   ignore (Lxfi.Loader.init_call rt !mi "module_init" []);
   let fi = Finject.create ~seed in
   (* Seed-derived schedule: two healthy upgrades, first attack window,
@@ -155,9 +169,7 @@ let run_cell ~seed ~workload =
     let from_v = !version and to_v = !version + 1 in
     let hits0 = read_glob sys !mi "hits" in
     let s0 = Lxfi.Stats.snapshot rt.Lxfi.Runtime.stats in
-    let new_mi, _rw, upr =
-      Lxfi.Loader.upgrade rt !mi (make_prog ~version:to_v ~buggy)
-    in
+    let new_mi, upr = Lxfi.Loader.upgrade rt !mi (lcmod rt ~version:to_v ~buggy) in
     let d = Lxfi.Stats.since rt.Lxfi.Runtime.stats s0 in
     let reconciled =
       d.Lxfi.Stats.caps_granted >= upr.Lxfi.Loader.up_restored
@@ -197,14 +209,14 @@ let run_cell ~seed ~workload =
 
   let do_repair ~round (inc : Lxfi.Repair.incident) =
     (* Reproduce on the very version that escalated... *)
-    let bad_prog = make_prog ~version:!version ~buggy:true in
-    let mi_bad, vd_bad = Lxfi.Repair.replay rt inc ~prog:bad_prog in
+    let bad = lcmod rt ~version:!version ~buggy:true in
+    let mi_bad, vd_bad = Lxfi.Repair.replay rt inc ~image:bad in
     let reproduced = Lxfi.Repair.reproduces inc vd_bad in
     Lxfi.Loader.unload rt mi_bad;
     (* ...then bring the service back on the fixed next version. *)
     incr version;
-    let fix_prog = make_prog ~version:!version ~buggy:false in
-    let mi_fix, vd_fix = Lxfi.Repair.replay rt inc ~prog:fix_prog in
+    let fix = lcmod rt ~version:!version ~buggy:false in
+    let mi_fix, vd_fix = Lxfi.Repair.replay rt inc ~image:fix in
     let clean =
       (not vd_fix.Lxfi.Repair.vd_contained) && vd_fix.Lxfi.Repair.vd_ret <> None
     in

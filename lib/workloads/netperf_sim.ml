@@ -59,6 +59,7 @@ let rr_guard_amplification = 45.
 
 type env = {
   sys : Ksys.t;
+  e1000 : Mod_common.handle;
   nic : Nic.t;
   dev : int;  (** net_device address *)
   napi : int;
@@ -67,10 +68,11 @@ type env = {
 
 let attach (sys : Ksys.t) : env =
   let pcidev, nic = Ksys.add_nic sys ~vendor:E1000.vendor ~device:E1000.device in
-  let _h = Mod_common.install sys E1000.spec in
+  let e1000 = Mod_common.install sys E1000.spec in
   let dev = Pci.pci_get_drvdata sys.Ksys.pci pcidev in
   {
     sys;
+    e1000;
     nic;
     dev;
     napi = E1000.napi_addr sys ~pcidev;

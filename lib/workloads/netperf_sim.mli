@@ -7,6 +7,7 @@
 
 type env = {
   sys : Kmodules.Ksys.t;
+  e1000 : Kmodules.Mod_common.handle;
   nic : Kernel_sim.Nic.t;
   dev : int;
   napi : int;

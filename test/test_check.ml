@@ -16,9 +16,13 @@ let mk_env ?(iterators = [ "skb_caps" ]) ?(kexports = []) () =
     (Kernel_sim.Ktypes.define types "sk_buff"
        [ ("data", 8, Kernel_sim.Ktypes.Pointer); ("len", 4, Kernel_sim.Ktypes.Scalar) ]);
   let env =
-    Check.Env.make ~registry ~types
-      ~iterator_exists:(fun n -> List.mem n iterators)
-      ~kexports
+    {
+      Check.Env.registry;
+      types;
+      iterator_exists = (fun n -> List.mem n iterators);
+      kexport = (fun n -> List.find_opt (fun k -> k.Check.Env.kx_name = n) kexports);
+      kexports = (fun () -> kexports);
+    }
   in
   (registry, env)
 

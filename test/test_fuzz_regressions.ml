@@ -48,7 +48,7 @@ let test_corpus_covers_all_classes () =
    module with its kernel-API calls reordered back runs clean under
    that very policy — the guard rejects the ordering, not the calls. *)
 let test_flow_reorder_differential () =
-  let canary = Fuzz.Harness.canary_addr_of Fuzz.Harness.mutant_config in
+  let canary = Lazy.force Fuzz.Harness.canary_addr in
   let rng = Fuzz.Rng.create ~seed:11 in
   let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand rng) in
   let m =
@@ -104,7 +104,7 @@ let prog_weight (p : Mir.Ast.prog) =
   + List.fold_left (fun a (f : Mir.Ast.func) -> a + 1 + stmts f.Mir.Ast.body) 0 p.Mir.Ast.funcs
 
 let test_shrinker_preserves_signature () =
-  let canary = Fuzz.Harness.canary_addr_of Fuzz.Harness.mutant_config in
+  let canary = Lazy.force Fuzz.Harness.canary_addr in
   let rng = Fuzz.Rng.create ~seed:99 in
   let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand rng) in
   let m = Fuzz.Mutate.apply ~canary_addr:canary Fuzz.Mutate.Store_oob case.Fuzz.Gen.c_prog in
@@ -128,7 +128,7 @@ let test_shrinker_preserves_signature () =
 
 (* Rendered repros parse both as directives and as plain MIR. *)
 let test_render_parse_roundtrip () =
-  let canary = Fuzz.Harness.canary_addr_of Fuzz.Harness.mutant_config in
+  let canary = Lazy.force Fuzz.Harness.canary_addr in
   let rng = Fuzz.Rng.create ~seed:5 in
   let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand rng) in
   let m = Fuzz.Mutate.apply ~canary_addr:canary Fuzz.Mutate.Over_grant case.Fuzz.Gen.c_prog in
@@ -151,6 +151,20 @@ let test_render_parse_roundtrip () =
   | Error e -> Alcotest.failf "repro is not plain MIR: %s" e
   | Ok _ -> ()
 
+(* The canary address mutants aim at is found once per process; every
+   harness boot must still put the canary there, whichever module it
+   then loads. *)
+let test_canary_addr_fixed () =
+  List.iter
+    (fun seed ->
+      let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand (Fuzz.Rng.create ~seed)) in
+      let ctx =
+        Fuzz.Harness.boot Fuzz.Harness.mutant_config (Lxfi.Loader.linker case.Fuzz.Gen.c_prog)
+      in
+      Alcotest.(check int) "canary where a fresh boot puts it"
+        ctx.Fuzz.Harness.canary (Lazy.force Fuzz.Harness.canary_addr))
+    [ 1; 2; 3 ]
+
 let () =
   Kernel_sim.Klog.quiet ();
   Alcotest.run "fuzz_regressions"
@@ -166,6 +180,7 @@ let () =
         [
           Alcotest.test_case "smoke" `Quick test_smoke_campaign;
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
+          Alcotest.test_case "canary address fixed" `Quick test_canary_addr_fixed;
         ] );
       ( "shrink",
         [

@@ -223,6 +223,195 @@ let test_init_call_runs_as_shared () =
   Alcotest.(check int64) "init ran" 0L (Loader.init_call rt mi "module_init" []);
   Alcotest.(check bool) "kernel context restored" true (rt.Runtime.current = None)
 
+(* ------------------------------------------------------------------ *)
+(* Images: link once, load many                                        *)
+(* ------------------------------------------------------------------ *)
+
+module K = Kmodules
+
+(* A booted system with the catalog's devices plugged in, so drivers
+   probe on init. *)
+let fresh config =
+  let sys = K.Ksys.boot config in
+  ignore (K.Ksys.add_nic sys ~vendor:K.E1000.vendor ~device:K.E1000.device);
+  List.iter
+    (fun (vendor, device) -> ignore (Pci.add_device sys.K.Ksys.pci ~vendor ~device ~bar_len:4096))
+    [ (K.Snd_intel8x0.vendor, K.Snd_intel8x0.device); (K.Snd_ens1370.vendor, K.Snd_ens1370.device) ];
+  sys
+
+(* What a load leaves behind: the runtime's view, the module's security
+   state, the guard counters and the simulated clock. *)
+let observe (sys : K.Ksys.t) mi =
+  let rt = sys.K.Ksys.rt in
+  [
+    Inspect.to_string rt;
+    Snapshot.render (Snapshot.capture rt mi);
+    Fmt.str "%a" Stats.pp rt.Runtime.stats;
+    string_of_int (Kcycles.total sys.K.Ksys.kst.Kstate.cycles);
+  ]
+
+(* One image loaded into two fresh systems, and two fresh loads: each
+   side's rewriter report, [drive]'s results and everything observed.
+   [prepare] declares what the module needs on each fresh system. *)
+let via_image_and_load ?(prepare = ignore) ~config ~make ~drive () =
+  let fresh () =
+    let sys = fresh config in
+    prepare sys;
+    sys
+  in
+  let linked_in = fresh () in
+  let image = Loader.link (Loader.check_env linked_in.K.Ksys.rt) config (make linked_in) in
+  let from_image () =
+    let sys = fresh () in
+    let mi = Loader.load_image sys.K.Ksys.rt image in
+    (image.Loader.im_report, drive sys mi @ observe sys mi)
+  in
+  let from_load () =
+    let sys = fresh () in
+    let mi, report = Loader.load sys.K.Ksys.rt (make sys) in
+    (report, drive sys mi @ observe sys mi)
+  in
+  ([ from_image (); from_image () ], [ from_load (); from_load () ])
+
+let check_same what (images, loads) =
+  List.iter2
+    (fun (ri, oi) (rl, ol) ->
+      Alcotest.(check bool) (what ^ ": rewriter report") true (ri = rl);
+      Alcotest.(check (list string)) what ol oi)
+    images loads
+
+let configs = [ Config.stock; Config.xfi; Config.lxfi ]
+
+let test_image_catalog () =
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (spec : K.Mod_common.spec) ->
+          let drive sys mi =
+            spec.K.Mod_common.init sys mi;
+            []
+          in
+          check_same
+            (spec.K.Mod_common.name ^ " under " ^ Config.mode_name config.Config.mode)
+            (via_image_and_load ~config ~make:spec.K.Mod_common.make ~drive ()))
+        K.Catalog.all)
+    configs
+
+let test_image_lcmod () =
+  let config = Config.lxfi_quarantine in
+  let drive sys (mi : Runtime.module_info) =
+    let rt = sys.K.Ksys.rt in
+    let buf = Slab.kmalloc sys.K.Ksys.kst.Kstate.slab 64 in
+    List.map Int64.to_string
+      [
+        Loader.init_call rt mi "module_init" [];
+        Quarantine.dispatch rt mi "serve" [ Int64.of_int buf; 3L ];
+        Quarantine.dispatch rt mi "serve" [ Int64.of_int buf; 12L ];
+      ]
+  in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun buggy ->
+          let make _ = Workloads.Lifecycle.make_prog ~version ~buggy in
+          check_same
+            (Printf.sprintf "lcmod v%d%s" version (if buggy then " buggy" else ""))
+            (via_image_and_load ~prepare:Workloads.Lifecycle.define_slots ~config ~make
+               ~drive ()))
+        [ true; false ])
+    [ 1; 2; 3; 4; 5; 6 ]
+
+let test_spec_make_is_a_value () =
+  List.iter
+    (fun (spec : K.Mod_common.spec) ->
+      Alcotest.(check bool)
+        (spec.K.Mod_common.name ^ ": same program from two boots")
+        true
+        (spec.K.Mod_common.make (K.Ksys.boot Config.stock)
+        = spec.K.Mod_common.make (K.Ksys.boot Config.lxfi)))
+    K.Catalog.all
+
+let test_checker_bindings_are_loaded () =
+  let sys = fresh Config.lxfi in
+  let rt = sys.K.Ksys.rt in
+  List.iter
+    (fun (spec : K.Mod_common.spec) ->
+      let prog = spec.K.Mod_common.make sys in
+      let bindings, refusals = Check.Capflow.propagate (Loader.check_env rt) prog in
+      let mi, _ = Loader.load rt prog in
+      let name = spec.K.Mod_common.name in
+      Alcotest.(check int) (name ^ ": no refusals") 0 (List.length refusals);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": bound entries = mi_func_slot")
+        (List.sort_uniq compare
+           (List.map (fun (f, s, _) -> (f, s.Annot.Registry.sl_name)) bindings))
+        (List.sort compare
+           (Hashtbl.fold
+              (fun f s acc -> (f, s.Annot.Registry.sl_name) :: acc)
+              mi.Runtime.mi_func_slot [])))
+    K.Catalog.all
+
+(* The runtime as far as a refused load could have touched it. *)
+let footprint (rt : Runtime.t) =
+  let kst = rt.Runtime.kst in
+  ( Inspect.to_string rt,
+    Hashtbl.length rt.Runtime.modules,
+    List.length (Runtime.all_principals rt),
+    Hashtbl.length kst.Kstate.calltab,
+    kst.Kstate.module_cursor )
+
+let table_prog =
+  prog "tbl" ~imports:[ "nop" ]
+    ~globals:[ global "ops" 8 ~struct_:"cb_table" ~init:[ init_func 0 "impl" ] ]
+    ~funcs:
+      [
+        func "impl" [ "x" ] [ ret (v "x") ];
+        func "go" [] [ expr (call_ext "nop" []); ret0 ] ~export:"cb.fn";
+      ]
+
+let with_table (kst, rt) =
+  ignore (Ktypes.define kst.Kstate.types "cb_table" [ ("fn", 8, Ktypes.Funcptr "cb.fn") ]);
+  (kst, rt)
+
+let expect_stale what ~fact (_, rt) image =
+  let before = footprint rt in
+  (match Loader.load_image rt image with
+  | exception Loader.Stale_image { module_; fact = f } ->
+      Alcotest.(check string) (what ^ ": names the module") "tbl" module_;
+      Alcotest.(check bool) (what ^ ": names the stale fact") true (fact f)
+  | _ -> Alcotest.failf "%s: a stale image loaded" what);
+  Alcotest.(check bool) (what ^ ": runtime untouched") true (footprint rt = before)
+
+let test_stale_images_refused () =
+  let linked_in = with_table (boot ()) in
+  let image = Loader.link (Loader.check_env (snd linked_in)) Config.lxfi table_prog in
+  (* the image loads into a system like the one it was linked in *)
+  ignore (Loader.load_image (snd (with_table (boot ()))) image);
+  let bound = function Loader.Bound { func; _ } -> func = "go" | _ -> false in
+  let kst, rt = boot () in
+  Hashtbl.remove rt.Runtime.registry.Annot.Registry.slots "cb.fn";
+  expect_stale "slot type missing" ~fact:bound (with_table (kst, rt)) image;
+  let kst, rt = boot () in
+  Hashtbl.replace rt.Runtime.registry.Annot.Registry.slots "cb.fn"
+    (Annot.Registry.ok_exn
+       (Annot.Registry.make_src ~name:"cb.fn" ~params:[ "x" ] ~annot_src:"principal(global)"));
+  expect_stale "slot type redeclared" ~fact:bound (with_table (kst, rt)) image;
+  let kst, rt = boot () in
+  ignore (Ktypes.define kst.Kstate.types "cb_table" [ ("pad", 8, Ktypes.Scalar); ("fn", 8, Ktypes.Funcptr "cb.fn") ]);
+  expect_stale "ops field moved"
+    ~fact:(function Loader.Bound { func; _ } -> func = "impl" | _ -> false)
+    (kst, rt) image;
+  let kst = Kstate.boot () in
+  let rt = Runtime.create ~kst ~config:Config.lxfi in
+  ignore (Annot.Registry.define_exn rt.Runtime.registry ~name:"cb.fn" ~params:[ "x" ] ~annot_src:"");
+  expect_stale "import no longer exported"
+    ~fact:(function Loader.Kexport ("nop", Some _) -> true | _ -> false)
+    (with_table (kst, rt)) image;
+  expect_stale "mode differs"
+    ~fact:(function Loader.Config _ -> true | _ -> false)
+    (with_table (boot ~config:Config.stock ()))
+    image
+
 let () =
   Klog.quiet ();
   Alcotest.run "loader"
@@ -246,6 +435,15 @@ let () =
           Alcotest.test_case "unknown slot type" `Quick test_unknown_slot_type_rejected;
           Alcotest.test_case "duplicate module" `Quick test_duplicate_module_rejected;
           Alcotest.test_case "fptr into non-slot" `Quick test_fptr_into_undeclared_slot_rejected;
+        ] );
+      ( "images",
+        [
+          Alcotest.test_case "catalog image = fresh load" `Quick test_image_catalog;
+          Alcotest.test_case "lcmod image = fresh load" `Quick test_image_lcmod;
+          Alcotest.test_case "spec programs are values" `Quick test_spec_make_is_a_value;
+          Alcotest.test_case "checker bindings = mi_func_slot" `Quick
+            test_checker_bindings_are_loaded;
+          Alcotest.test_case "stale images refused" `Quick test_stale_images_refused;
         ] );
       ( "modes",
         [

@@ -155,13 +155,14 @@ let test_upgrade_revalidates_flow_position () =
     mi.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
   (* same-shape upgrade: the new graph still has the node, so the
      captured mid-sequence position survives the restore *)
-  let mi2, _, _ = Lxfi.Loader.upgrade rt mi (flow_prog ~with_kfree:true) in
+  let link prog = Lxfi.Loader.link (Lxfi.Loader.check_env rt) rt.Lxfi.Runtime.config prog in
+  let mi2, _ = Lxfi.Loader.upgrade rt mi (link (flow_prog ~with_kfree:true)) in
   Alcotest.(check (option string))
     "compatible upgrade keeps the position" (Some "kfree")
     mi2.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
   (* narrower upgrade: kfree is gone from the new version's graph, so
      the restored position is stale and must drop *)
-  let mi3, _, _ = Lxfi.Loader.upgrade rt mi2 (flow_prog ~with_kfree:false) in
+  let mi3, _ = Lxfi.Loader.upgrade rt mi2 (link (flow_prog ~with_kfree:false)) in
   Alcotest.(check (option string))
     "narrower upgrade drops the stale position" None
     mi3.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
