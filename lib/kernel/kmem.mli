@@ -1,12 +1,14 @@
-(** Simulated 64-bit kernel address space: a sparse, page-granular byte
-    store with no protection of its own — as on real x86-64, the kernel
-    is one privilege domain and all isolation is LXFI's.  Pages are
+(** Simulated 64-bit kernel address space: a sparse byte store with no
+    protection of its own — as on real x86-64, the kernel is one
+    privilege domain and all isolation is LXFI's.  It models 4 KiB
+    pages ({!page_size}) but stores their bytes in 512-byte frames,
+    small enough to be allocated in the minor heap.  Frames are
     demand-zero: nothing maps memory ahead of use, and the first read
-    or write of a page materialises it zero-filled. *)
+    or write of a frame materialises it zero-filled. *)
 
-val page_shift : int
 val page_size : int
-val page_mask : int
+(** The modelled page size (4 KiB): slab pages and module sections are
+    rounded to it. *)
 
 (** Address-space layout, mirroring Linux closely enough for the
     paper's exploits: a user range the attacker controls, kernel text,
@@ -29,17 +31,14 @@ exception Fault of { addr : int; write : bool }
 (** Access to the NULL guard page; caught at the syscall boundary where
     the oops path runs. *)
 
-type t = {
-  pages : Bytes.t Inttbl.t;
-      (** materialised pages; any other page is added zero-filled on its
-          first access *)
-  mutable last_idx : int;
-      (** single-entry page-lookup cache; [-1] when empty.  Pages are
-          never unmapped, so the cache never needs invalidation. *)
-  mutable last_page : Bytes.t;
-}
+type t
 
 val create : unit -> t
+
+val fold_frames : t -> (int -> Bytes.t -> 'a -> 'a) -> 'a -> 'a
+(** [fold_frames t f acc] folds [f base bytes] over every materialised
+    frame, in no particular order; [base] is the frame's first address.
+    Exported for [test_engine.ml], which compares two runs' memory. *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit

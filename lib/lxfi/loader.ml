@@ -101,7 +101,9 @@ exception Stale_image of { module_ : string; fact : fact }
 let link_fields (c : Config.t) =
   (c.mode, c.opt_elide_safe_writes, c.opt_inline_trivial, c.strict_check)
 
-let link (env : Check.Env.t) (config : Config.t) (prog : Mir.Ast.prog) : image =
+(* [flow] is another image's flow graph of the same program with the
+   [Kexport] facts it was linked under, which hold in [env]. *)
+let link_with ?flow (env : Check.Env.t) (config : Config.t) (prog : Mir.Ast.prog) : image =
   let mname = prog.Mir.Ast.pname in
   (* Every kernel-export lookup below becomes one of the image's facts. *)
   let read = Hashtbl.create 16 in
@@ -127,7 +129,17 @@ let link (env : Check.Env.t) (config : Config.t) (prog : Mir.Ast.prog) : image =
   (* Syscall-flow policy, self-extracted from the pristine MIR before
      instrumentation adds guard statements: a faithfully executed
      module never leaves its own may-follow graph. *)
-  let flow = if config.mode = Lxfi then Some (Check.Apiflow.extract env prog) else None in
+  let flow =
+    if config.mode <> Lxfi then None
+    else
+      match flow with
+      | Some (g, kexports) ->
+          (* the graph reads only kernel exports: record what it was
+             extracted under *)
+          List.iter (function Kexport (name, d) -> Hashtbl.replace read name d | _ -> ()) kexports;
+          Some g
+      | None -> Some (Check.Apiflow.extract env prog)
+  in
   let instrumented, report = Rewriter.instrument config prog in
   List.iter
     (fun name ->
@@ -155,6 +167,8 @@ let link (env : Check.Env.t) (config : Config.t) (prog : Mir.Ast.prog) : image =
       (Config config :: List.map (fun (func, slot, field) -> Bound { func; slot; field }) bindings)
       @ Hashtbl.fold (fun name d facts -> Kexport (name, d) :: facts) read [];
   }
+
+let link env config prog = link_with env config prog
 
 let holds (rt : Runtime.t) = function
   | Config c -> link_fields c = link_fields rt.config
@@ -388,6 +402,15 @@ let load rt prog =
   let im = link (check_env rt) rt.Runtime.config prog in
   (load_image rt im, im.im_report)
 
+(* An image's flow graph with the kernel-export facts it was linked
+   under, when they all hold in [rt]: the graph depends on nothing else
+   but the program. *)
+let reusable_flow rt im =
+  let kexports = List.filter (function Kexport _ -> true | _ -> false) im.im_facts in
+  match im.im_flow with
+  | Some g when List.for_all (holds rt) kexports -> Some (g, kexports)
+  | _ -> None
+
 let linker prog =
   let images = ref [] in
   fun (rt : Runtime.t) ->
@@ -395,7 +418,8 @@ let linker prog =
     match List.assoc_opt config !images with
     | Some im when stale rt im = None -> im
     | _ ->
-        let im = link (check_env rt) config prog in
+        let flow = List.find_map (fun (_, im) -> reusable_flow rt im) !images in
+        let im = link_with ?flow (check_env rt) config prog in
         images := (config, im) :: List.remove_assoc config !images;
         im
 

@@ -62,7 +62,11 @@ val load : Runtime.t -> Mir.Ast.prog -> Runtime.module_info * Rewriter.report
 
 val linker : Mir.Ast.prog -> Runtime.t -> image
 (** [linker prog rt] is [prog]'s image for [rt]'s configuration, linked
-    against [rt] on first use and relinked when stale in [rt]. *)
+    against [rt] on first use and relinked when stale in [rt].  A new
+    Lxfi-mode image takes its flow graph from an image the linker
+    already holds when that image's kernel-export facts hold in [rt]
+    (the graph reads nothing else), and records those facts too, so
+    the graph is extracted once per program, not once per config. *)
 
 val unload : Runtime.t -> Runtime.module_info -> unit
 (** rmmod: run [module_exit] (if defined) as the shared principal, then

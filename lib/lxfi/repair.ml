@@ -51,17 +51,11 @@ let arm (rt : Runtime.t) : t =
       match Trace.attached () with
       | None -> [||]
       | Some buf ->
-          let evs = Trace.events buf in
           let prefix = mi.Runtime.mi_name ^ ":" in
-          let start = ref 0 in
-          Array.iteri
-            (fun i (e : Trace.event) ->
+          Trace.since_last buf (fun (e : Trace.event) ->
               match e.Trace.ev_kind with
-              | Trace.Span_begin (Trace.K2m, w) when String.starts_with ~prefix w ->
-                  start := i
-              | _ -> ())
-            evs;
-          Array.sub evs !start (Array.length evs - !start)
+              | Trace.Span_begin (Trace.K2m, w) -> String.starts_with ~prefix w
+              | _ -> false)
     in
     t.incidents <-
       {

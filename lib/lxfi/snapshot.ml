@@ -55,7 +55,10 @@ type t = {
   sn_depth : int;  (** shadow-stack depth at capture *)
   sn_principals : pstate list;  (** sorted by (kind, name, desc) *)
   sn_globals : gstate list;  (** sorted by name *)
-  sn_wset : int list;  (** sorted writer-set lines over module memory *)
+  sn_wset : (int * int) list;
+      (** the writer set over module memory as {!Writer_set} stores it:
+          ascending (chunk, line mask) pairs, one per chunk with a
+          marked line; {!wset_lines} expands them *)
   sn_stats : Stats.t;  (** global guard counters at capture *)
 }
 
@@ -112,10 +115,9 @@ let capture_global (rt : Runtime.t) (mi : Runtime.module_info) (g : Mir.Ast.glob
   match Hashtbl.find_opt mi.Runtime.mi_globals g.Mir.Ast.gname with
   | None -> None
   | Some base ->
-      let mem = rt.Runtime.kst.Kstate.mem in
       let bytes =
-        String.init g.Mir.Ast.gsize (fun i ->
-            Char.chr (Int64.to_int (Kmem.read mem ~addr:(base + i) ~size:1) land 0xff))
+        Bytes.unsafe_to_string
+          (Kmem.read_bytes rt.Runtime.kst.Kstate.mem ~addr:base ~len:g.Mir.Ast.gsize)
       in
       Some
         {
@@ -137,17 +139,21 @@ let capture (rt : Runtime.t) (mi : Runtime.module_info) : t =
     List.filter_map (capture_global rt mi) mi.Runtime.mi_prog.Mir.Ast.globals
     |> List.sort (fun a b -> compare a.gs_name b.gs_name)
   in
-  (* Ranges in base order, each enumerated ascending: a line at or
-     below the last one kept lies in an earlier range's span, so it is
-     already listed.  The result is ascending and unique without a
-     sort. *)
+  (* Ranges in base order, each enumerated ascending: a chunk below the
+     last one kept lies below the last line kept, so an earlier range's
+     span covers the lines the range marks there and they are already
+     listed; a chunk equal to it merges.  The result is ascending with
+     one entry per chunk, without a sort. *)
   let wset =
     List.fold_left
       (fun acc (base, size) ->
-        List.fold_left
-          (fun acc l -> match acc with top :: _ when l <= top -> acc | _ -> l :: acc)
-          acc
-          (Writer_set.lines_in rt.Runtime.wset ~base ~size))
+        Writer_set.fold_chunks rt.Runtime.wset ~base ~size
+          (fun acc c m ->
+            match acc with
+            | (top, m') :: rest when c = top -> (c, m lor m') :: rest
+            | (top, _) :: _ when c < top -> acc
+            | _ -> (c, m) :: acc)
+          acc)
       []
       (List.sort compare (owned_ranges mi))
     |> List.rev
@@ -215,13 +221,7 @@ let restore_global rt (mi : Runtime.module_info) (gs : gstate) =
            && (not (glob_has_funcptr g))
            && g.Mir.Ast.gsection <> Mir.Ast.Rodata -> (
         match Hashtbl.find_opt mi.Runtime.mi_globals gs.gs_name with
-        | Some base ->
-            let mem = rt.Runtime.kst.Kstate.mem in
-            String.iteri
-              (fun i c ->
-                Kmem.write mem ~addr:(base + i) ~size:1
-                  (Int64.of_int (Char.code c)))
-              gs.gs_bytes
+        | Some base -> Kmem.write_bytes rt.Runtime.kst.Kstate.mem ~addr:base gs.gs_bytes
         | None -> ())
     | _ -> ()
 
@@ -292,6 +292,8 @@ let restore_filtered (rt : Runtime.t) (mi : Runtime.module_info) (t : t)
 
 (** {1 Rendering} *)
 
+let wset_lines t = Writer_set.lines_of_chunks t.sn_wset
+
 let hex_of_bytes s =
   let buf = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
@@ -322,7 +324,7 @@ let render_lines (t : t) : string list =
     ]
   in
   let wset_line =
-    line "wset %s" (String.concat " " (List.map (Printf.sprintf "0x%x") t.sn_wset))
+    line "wset %s" (String.concat " " (List.map (Printf.sprintf "0x%x") (wset_lines t)))
   in
   let stats_line = Fmt.str "stats %a" Stats.pp t.sn_stats in
   header

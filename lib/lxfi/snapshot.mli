@@ -1,6 +1,6 @@
 (** Deterministic, serializable snapshots of a module's security state:
     per-principal capability tables, quarantine status, writer-set
-    lines over module-owned memory, shadow-stack depth, module global
+    marks over module-owned memory, shadow-stack depth, module global
     bytes, and guard counters.
 
     {!render} is byte-stable (all hash-table folds are sorted), so
@@ -35,15 +35,22 @@ type t = {
   sn_depth : int;
   sn_principals : pstate list;  (** sorted by (kind, name, desc) *)
   sn_globals : gstate list;  (** sorted by name *)
-  sn_wset : int list;  (** sorted writer-set lines over module memory *)
+  sn_wset : (int * int) list;
+      (** the writer set over module memory as {!Writer_set} stores it:
+          ascending (chunk, line mask) pairs, one per chunk with a
+          marked line *)
   sn_stats : Stats.t;
 }
 
 val owned_ranges : Runtime.module_info -> (int * int) list
 (** Module-owned memory as [(base, len)] ranges: the module stack, then
-    each data section.  {!capture} records the writer-set lines over
+    each data section.  {!capture} records the writer-set marks over
     these ranges; [Loader.upgrade] drops restored WRITE capabilities
     that overlap them. *)
+
+val wset_lines : t -> int list
+(** The writer-set lines a snapshot records, ascending and unique: its
+    chunk masks expanded, as {!render} prints them. *)
 
 val capture : Runtime.t -> Runtime.module_info -> t
 (** Capture the module's full security state.  Deterministic: repeated

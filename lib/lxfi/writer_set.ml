@@ -10,11 +10,12 @@
     checks on the UDP TX path (Figure 13); the ablation benchmark
     reproduces that ratio.
 
-    The bitmap has two levels, like a page table: a hash table maps a
-    chunk index (the line index shifted right by [chunk_shift]) to an
-    int whose low 32 bits are the marks of that chunk's 32 lines (2 KB
-    of address space).  Chunks with no marked line have no entry, so
-    the table only holds memory some principal could write.
+    The bitmap has two levels, like a page table: an int-keyed table
+    ({!Kernel_sim.Inttbl}) maps a chunk index (the line index shifted
+    right by [chunk_shift]) to an int whose low 32 bits are the marks
+    of that chunk's 32 lines (2 KB of address space).  Chunks with no
+    marked line have no entry, so the table only holds memory some
+    principal could write.
 
     False positives (a line granted but never actually written) cost
     only an unnecessary check; false negatives cannot arise from module
@@ -24,13 +25,15 @@
     handled at rewrite time by the origin analysis (the kernel call
     sites in [lib/kernel] always pass the original slot address). *)
 
+open Kernel_sim
+
 let line_shift = 6
 let chunk_shift = 5
 let chunk_mask = (1 lsl chunk_shift) - 1
 
-type t = (int, int) Hashtbl.t
+type t = int Inttbl.t
 
-let create () : t = Hashtbl.create 64
+let create () : t = Inttbl.create 64
 
 (* [f chunk mask] for every chunk, ascending, that the lines of
    [base, base+size) touch; [mask] selects those lines in the chunk. *)
@@ -46,36 +49,44 @@ let iter_chunks ~base ~size f =
 
 let mark_range t ~base ~size =
   iter_chunks ~base ~size (fun c mask ->
-      match Hashtbl.find_opt t c with
-      | Some m -> if m lor mask <> m then Hashtbl.replace t c (m lor mask)
-      | None -> Hashtbl.add t c mask)
+      match Inttbl.find_opt t c with
+      | Some m -> if m lor mask <> m then Inttbl.replace t c (m lor mask)
+      | None -> Inttbl.add t c mask)
 
 let maybe_written t addr =
   let l = addr lsr line_shift in
-  match Hashtbl.find_opt t (l lsr chunk_shift) with
+  match Inttbl.find_opt t (l lsr chunk_shift) with
   | Some m -> m land (1 lsl (l land chunk_mask)) <> 0
   | None -> false
 
 let clear_range t ~base ~size =
   iter_chunks ~base ~size (fun c mask ->
-      match Hashtbl.find_opt t c with
+      match Inttbl.find_opt t c with
       | Some m ->
           let m' = m land lnot mask in
-          if m' = 0 then Hashtbl.remove t c else if m' <> m then Hashtbl.replace t c m'
+          if m' = 0 then Inttbl.remove t c else if m' <> m then Inttbl.replace t c m'
       | None -> ())
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
-let marked_lines t = Hashtbl.fold (fun _ m n -> n + popcount m) t 0
+let marked_lines t = Inttbl.fold (fun _ m n -> n + popcount m) t 0
 
-let lines_in t ~base ~size =
-  let acc = ref [] in
+let fold_chunks t ~base ~size f acc =
+  let acc = ref acc in
   iter_chunks ~base ~size (fun c mask ->
-      match Hashtbl.find_opt t c with
-      | Some m ->
-          let m = m land mask in
-          for b = 0 to chunk_mask do
-            if m land (1 lsl b) <> 0 then acc := ((c lsl chunk_shift) lor b) :: !acc
-          done
-      | None -> ());
-  List.rev !acc
+      match Inttbl.find_opt t c with
+      | Some m when m land mask <> 0 -> acc := f !acc c (m land mask)
+      | Some _ | None -> ());
+  !acc
+
+let lines_of_chunks chunks =
+  List.fold_right
+    (fun (c, m) acc ->
+      let rec bits b acc =
+        if b < 0 then acc
+        else
+          let acc = if m land (1 lsl b) <> 0 then ((c lsl chunk_shift) lor b) :: acc else acc in
+          bits (b - 1) acc
+      in
+      bits chunk_mask acc)
+    chunks []

@@ -2,8 +2,8 @@
     kernel skip the capability check on indirect calls through memory
     no module principal could have written.
 
-    A two-level bitmap at 64-byte-line granularity: a hash table from
-    chunk index to an int bitmask of that chunk's 32 lines (2 KB).  A
+    A two-level bitmap at 64-byte-line granularity: an int-keyed table
+    from chunk index to an int bitmask of that chunk's 32 lines (2 KB).  A
     line is marked when any principal is granted a WRITE capability
     covering it.  False positives (marked but never written) cost one
     unnecessary check; false negatives cannot arise from module stores,
@@ -40,7 +40,14 @@ val clear_range : t -> base:int -> size:int -> unit
 val marked_lines : t -> int
 (** Exact number of marked lines (a popcount over the chunks). *)
 
-val lines_in : t -> base:int -> size:int -> int list
-(** The marked line indices intersecting [base, base+size), ascending
-    and unique; [[]] for [size <= 0].  Visits only the chunks the range
-    touches. *)
+val fold_chunks : t -> base:int -> size:int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_chunks t ~base ~size f acc] folds [f acc chunk mask] over the
+    chunks, ascending, in which a line intersecting [base, base+size) is
+    marked; bit [b] of [mask] is line [(chunk lsl 5) lor b], and [mask]
+    holds only the range's marked lines, so it is never 0.  Visits only
+    the chunks the range touches and builds no list; [acc] for
+    [size <= 0]. *)
+
+val lines_of_chunks : (int * int) list -> int list
+(** The line indices of [(chunk, mask)] pairs, in the pairs' order and
+    ascending within each: ascending and unique when the chunks are. *)

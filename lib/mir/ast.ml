@@ -115,10 +115,11 @@ let find_global prog name = List.find_opt (fun g -> g.gname = name) prog.globals
 
     The one place that says which constructors hold subexpressions.
     Every fold visits a node before its operands and operands left to
-    right, an indirect callee before its arguments.  A statement comes
-    before its own expressions, and those before its nested bodies
-    (then-branch before else-branch).  Guard operands are expressions
-    like any other: the engine evaluates them. *)
+    right, an indirect callee before its arguments.  A statement's own
+    expressions come before its nested bodies (then-branch before
+    else-branch).  Guard operands are expressions like any other: the
+    engine evaluates them.  [prog_size] walks the same shape by direct
+    recursion. *)
 
 let rec fold_expr f acc e =
   let acc = f acc e in
@@ -130,16 +131,15 @@ let rec fold_expr f acc e =
       let acc = match c with Indirect t -> fold_expr f acc t | Direct _ | Ext _ -> acc in
       List.fold_left (fold_expr f) acc args
 
-let rec fold_stmts ?(stmt = fun acc _ -> acc) f acc l =
+let rec fold_stmts f acc l =
   List.fold_left
     (fun acc s ->
-      let acc = stmt acc s in
       match s with
       | Let (_, e) | Expr e | Return e | Guard (Gwrite (_, e) | Gindcall e) -> fold_expr f acc e
       | Alloca _ -> acc
       | Store (_, a, v) -> fold_expr f (fold_expr f acc a) v
-      | If (c, t, e) -> fold_stmts ~stmt f (fold_stmts ~stmt f (fold_expr f acc c) t) e
-      | While (c, b) -> fold_stmts ~stmt f (fold_expr f acc c) b)
+      | If (c, t, e) -> fold_stmts f (fold_stmts f (fold_expr f acc c) t) e
+      | While (c, b) -> fold_stmts f (fold_expr f acc c) b)
     acc l
 
 let rec map_expr f e =
@@ -178,5 +178,28 @@ let rec map_stmt f s =
     expression node and per statement, but none for an [Expr] wrapper,
     two for a guard and two per function. *)
 let prog_size p =
-  let stmt n = function Expr _ -> n | Guard _ -> n + 2 | _ -> n + 1 in
-  List.fold_left (fun n f -> fold_stmts ~stmt (fun n _ -> n + 1) (n + 2) f.body) 0 p.funcs
+  (* Direct recursion, not a fold: no closure call per node. *)
+  let rec expr n = function
+    | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> n + 1
+    | Load (_, a) -> expr (n + 1) a
+    | Binop (_, _, a, b) -> expr (expr (n + 1) a) b
+    | Call (Indirect t, args) -> exprs (expr (n + 1) t) args
+    | Call ((Direct _ | Ext _), args) -> exprs (n + 1) args
+  and exprs n = function [] -> n | e :: l -> exprs (expr n e) l
+  and stmts n = function
+    | [] -> n
+    | s :: l ->
+        let n =
+          match s with
+          | Expr e -> expr n e
+          | Let (_, e) | Return e -> expr (n + 1) e
+          | Guard (Gwrite (_, e) | Gindcall e) -> expr (n + 2) e
+          | Alloca _ -> n + 1
+          | Store (_, a, v) -> expr (expr (n + 1) a) v
+          | If (c, t, e) -> stmts (stmts (expr (n + 1) c) t) e
+          | While (c, b) -> stmts (expr (n + 1) c) b
+        in
+        stmts n l
+  in
+  let rec funcs n = function [] -> n | f :: l -> funcs (stmts (n + 2) f.body) l in
+  funcs 0 p.funcs

@@ -103,19 +103,17 @@ val find_global : prog -> string -> glob option
 
     The one place that says which constructors hold subexpressions.
     Every fold visits a node before its operands and operands left to
-    right, an indirect callee before its arguments.  A statement comes
-    before its own expressions, and those before its nested [If] and
-    [While] bodies (then-branch before else-branch).  Guard operands are
-    visited like any other expression, because the engine evaluates
-    them. *)
+    right, an indirect callee before its arguments.  A statement's own
+    expressions come before its nested [If] and [While] bodies
+    (then-branch before else-branch).  Guard operands are visited like
+    any other expression, because the engine evaluates them. *)
 
 val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
 (** [fold_expr f acc e] folds [f] over every node of [e], [e] first. *)
 
-val fold_stmts : ?stmt:('a -> stmt -> 'a) -> ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
-(** [fold_stmts ~stmt f acc l] folds [stmt] over every statement of [l]
-    and its nested bodies, and [f] over every node of every expression
-    they hold. *)
+val fold_stmts : ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
+(** [fold_stmts f acc l] folds [f] over every node of every expression
+    that the statements of [l] and their nested bodies hold. *)
 
 val map_expr : (expr -> expr) -> expr -> expr
 (** [map_expr f e] rebuilds [e] bottom-up: [f] sees each node after its

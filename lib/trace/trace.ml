@@ -184,12 +184,24 @@ let clear t =
   t.next <- 0;
   t.total <- 0
 
+(* The [i]th retained event, oldest first. *)
+let nth t i = if t.total <= t.capacity then t.ring.(i) else t.ring.((t.next + i) mod t.capacity)
+
 (** [events t] — retained events, oldest first.  When the ring wrapped,
     these are the newest [capacity t] events. *)
 let events t =
   let n = min t.total t.capacity in
-  if t.total <= t.capacity then Array.sub t.ring 0 n
-  else Array.init n (fun i -> t.ring.((t.next + i) mod t.capacity))
+  if t.total <= t.capacity then Array.sub t.ring 0 n else Array.init n (nth t)
+
+(** [since_last t p] — the retained events from the newest one that
+    satisfies [p] on, oldest first; every retained event when none
+    does.  It scans back from the newest event and copies only the
+    events it returns. *)
+let since_last t p =
+  let n = min t.total t.capacity in
+  let rec back i = if i <= 0 || p (nth t i) then max i 0 else back (i - 1) in
+  let start = back (n - 1) in
+  Array.init (n - start) (fun j -> nth t (start + j))
 
 let kind_label = function
   | Guard g -> "guard:" ^ guard_name g

@@ -97,4 +97,10 @@ val clear : t -> unit
 val events : t -> event array
 (** Retained events, oldest first. *)
 
+val since_last : t -> (event -> bool) -> event array
+(** [since_last t p] is the suffix of {!events} that starts at the
+    newest event satisfying [p], or all of {!events} when none does.
+    It scans back from the newest event and copies only the suffix, so
+    its cost follows the window, not the ring. *)
+
 val pp_event : Format.formatter -> event -> unit

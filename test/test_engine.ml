@@ -391,11 +391,11 @@ let observe ~trace ?fuel ?(watchdog = false) side (drive : drive) =
   let events =
     Array.to_list (Trace.events buf) |> List.map (Format.asprintf "%a" Trace.pp_event)
   in
-  let pages =
-    Inttbl.fold (fun idx b acc -> (idx, Bytes.to_string b) :: acc) w.kst.Kstate.mem.Kmem.pages []
+  let frames =
+    Kmem.fold_frames w.kst.Kstate.mem (fun base b acc -> (base, Bytes.to_string b) :: acc) []
     |> List.sort compare
   in
-  (calls, Buffer.contents w.log, events, side.idle (), pages)
+  (calls, Buffer.contents w.log, events, side.idle (), frames)
 
 let check_same ~what ?(trace = false) ?fuel ?watchdog ?(hooks = true) prog drive =
   let e = observe ~trace ?fuel ?watchdog (engine_side ~hooks prog) drive in

@@ -412,6 +412,35 @@ let test_stale_images_refused () =
     (with_table (boot ~config:Config.stock ()))
     image
 
+(* A flow graph depends on the program and the kernel exports, not on
+   the optimisation fields: the linker extracts it once and the
+   de-optimised image reuses it, recording the kernel-export facts it
+   was extracted under.  A runtime whose exports differ gets its own. *)
+let test_flow_graph_shared () =
+  let image = Loader.linker basic_prog in
+  let lxfi = image (snd (boot ())) in
+  let noopt =
+    { Config.lxfi with Config.opt_elide_safe_writes = false; opt_inline_trivial = false }
+  in
+  let deopt = image (snd (boot ~config:noopt ())) in
+  let graph (im : Loader.image) = Option.get im.Loader.im_flow in
+  Alcotest.(check bool) "two images" true (lxfi != deopt);
+  Alcotest.(check bool) "one graph" true (graph lxfi == graph deopt);
+  let kexports (im : Loader.image) =
+    List.filter (function Loader.Kexport _ -> true | _ -> false) im.Loader.im_facts
+  in
+  Alcotest.(check bool) "the graph's kernel-export facts recorded" true
+    (List.for_all (fun f -> List.mem f (kexports deopt)) (kexports lxfi));
+  let kst = Kstate.boot () in
+  let rt =
+    Runtime.create ~kst ~config:{ Config.lxfi with Config.opt_inline_trivial = false }
+  in
+  ignore
+    (Annot.Registry.define_exn rt.Runtime.registry ~name:"cb.fn" ~params:[ "x" ] ~annot_src:"");
+  ignore (Runtime.register_kexport_exn rt ~name:"nop" ~params:[ "x" ] ~annot_src:"" (fun _ -> 0L));
+  Runtime.install rt;
+  Alcotest.(check bool) "other exports, own graph" true (graph (image rt) != graph lxfi)
+
 let () =
   Klog.quiet ();
   Alcotest.run "loader"
@@ -444,6 +473,7 @@ let () =
           Alcotest.test_case "checker bindings = mi_func_slot" `Quick
             test_checker_bindings_are_loaded;
           Alcotest.test_case "stale images refused" `Quick test_stale_images_refused;
+          Alcotest.test_case "flow graph shared across configs" `Quick test_flow_graph_shared;
         ] );
       ( "modes",
         [

@@ -239,13 +239,45 @@ let test_code_size_metric () =
       ~funcs:[ func "f" [] [ let_ "x" (ii 1 +: ii 2); ret (v "x") ] ]
   in
   Alcotest.(check bool) "size is monotone" true
-    (Mir.Ast.prog_size bigger > Mir.Ast.prog_size small)
+    (Mir.Ast.prog_size bigger > Mir.Ast.prog_size small);
+  (* the definition: a node per expression node (counted by the fold),
+     per statement but an [Expr] wrapper, two per guard and two per
+     function; checked on every catalog module, plain and instrumented
+     (with guards) *)
+  let rec stmts n = function
+    | [] -> n
+    | s :: l ->
+        stmts
+          (match (s : Mir.Ast.stmt) with
+          | Expr _ -> n
+          | Guard _ -> n + 2
+          | If (_, t, e) -> stmts (stmts (n + 1) t) e
+          | While (_, b) -> stmts (n + 1) b
+          | Let _ | Alloca _ | Store _ | Return _ -> n + 1)
+          l
+  in
+  let by_fold (p : Mir.Ast.prog) =
+    List.fold_left
+      (fun n (f : Mir.Ast.func) ->
+        Mir.Ast.fold_stmts (fun n _ -> n + 1) (stmts (n + 2) f.body) f.body)
+      0 p.funcs
+  in
+  let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+  List.iter
+    (fun (spec : Kmodules.Mod_common.spec) ->
+      let p = spec.Kmodules.Mod_common.make sys in
+      List.iter
+        (fun p ->
+          Alcotest.(check int) (spec.Kmodules.Mod_common.name ^ " size") (by_fold p)
+            (Mir.Ast.prog_size p))
+        [ p; fst (Lxfi.Rewriter.instrument Lxfi.Config.lxfi p) ])
+    Kmodules.Catalog.all
 
 (* The traversal's visit order, over a body that uses every expression
    and statement constructor.  Folds go node first, operands left to
-   right, an indirect callee before its arguments, a statement before its
-   expressions and those before its nested bodies; guard operands are
-   visited.  [map_stmt] sees each node after its operands. *)
+   right, an indirect callee before its arguments, a statement's
+   expressions before its nested bodies; guard operands are visited.
+   [map_stmt] sees each node after its operands. *)
 let test_traversal_order () =
   let open Mir.Ast in
   let label = function
@@ -260,17 +292,6 @@ let test_traversal_order () =
     | Call (Ext f, _) -> "ext call " ^ f
     | Call (Indirect _, _) -> "icall"
   in
-  let stmt_label = function
-    | Let (x, _) -> "let " ^ x
-    | Alloca (x, _) -> "alloca " ^ x
-    | Store _ -> "store"
-    | If _ -> "if"
-    | While _ -> "while"
-    | Expr _ -> "expr"
-    | Return _ -> "return"
-    | Guard (Gwrite _) -> "gwrite"
-    | Guard (Gindcall _) -> "gindcall"
-  in
   let body =
     [
       alloca "b" 16;
@@ -283,20 +304,14 @@ let test_traversal_order () =
       ret (call_ind (v "t") [ call_ext "kfree" [ ii 2 ] ]);
     ]
   in
-  let folded =
-    fold_stmts
-      ~stmt:(fun acc s -> stmt_label s :: acc)
-      (fun acc e -> label e :: acc)
-      [] body
-  in
+  let folded = fold_stmts (fun acc e -> label e :: acc) [] body in
   Alcotest.(check (list string)) "fold_stmts order"
     [
-      "alloca b";
-      "let x"; "binop"; "load"; "&g"; "y";
-      "store"; "b"; "@f";
-      "if"; "x"; "expr"; "call h"; "1"; "ext kfree"; "gwrite"; "b";
-      "while"; "0"; "gindcall"; "t";
-      "return"; "icall"; "t"; "ext call kfree"; "2";
+      "binop"; "load"; "&g"; "y";
+      "b"; "@f";
+      "x"; "call h"; "1"; "ext kfree"; "b";
+      "0"; "t";
+      "icall"; "t"; "ext call kfree"; "2";
     ]
     (List.rev folded);
   let mapped = ref [] in

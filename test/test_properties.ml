@@ -84,7 +84,7 @@ let prop_writer_set_no_false_negatives =
 
 module Lines = Set.Make (Int)
 
-type wsop = Mark of int * int | Clear of int * int | Lines_in of int * int
+type wsop = Mark of int * int | Clear of int * int | Query of int * int
 
 let ws_base = 0x2_0000_0000
 
@@ -107,16 +107,16 @@ let gen_wsop =
       [
         (4, map2 (fun b s -> Mark (b, s)) base size);
         (3, map2 (fun b s -> Clear (b, s)) base size);
-        (3, map2 (fun b s -> Lines_in (b, s)) base size);
+        (3, map2 (fun b s -> Query (b, s)) base size);
       ])
 
 let show_wsop = function
   | Mark (b, s) -> Printf.sprintf "Mark(0x%x,%d)" b s
   | Clear (b, s) -> Printf.sprintf "Clear(0x%x,%d)" b s
-  | Lines_in (b, s) -> Printf.sprintf "Lines_in(0x%x,%d)" b s
+  | Query (b, s) -> Printf.sprintf "Query(0x%x,%d)" b s
 
 let prop_writer_set_matches_model =
-  QCheck.Test.make ~count:200 ~name:"writer set = line-set model (mark/clear/lines_in)"
+  QCheck.Test.make ~count:200 ~name:"writer set = line-set model (mark/clear/lines)"
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map show_wsop l))
        QCheck.Gen.(list_size (int_bound 40) gen_wsop))
@@ -133,10 +133,16 @@ let prop_writer_set_matches_model =
           |> Lines.of_seq
       in
       (* every line of the range answers as the model says, at both its
-         first and last byte, and the enumerator lists exactly the
-         model's lines of the range, ascending *)
+         first and last byte; the chunk enumeration lists strictly
+         ascending chunks with non-empty 32-line masks, and expanding
+         them gives exactly the model's lines of the range *)
       let agrees ~base ~size =
         let lines = span ~base ~size in
+        let chunks = List.rev (W.fold_chunks w ~base ~size (fun acc c m -> (c, m) :: acc) []) in
+        let rec ascending = function
+          | (c, _) :: ((c', _) :: _ as rest) -> c < c' && ascending rest
+          | _ -> true
+        in
         Lines.for_all
           (fun l ->
             let a = l lsl W.line_shift in
@@ -144,12 +150,14 @@ let prop_writer_set_matches_model =
             W.maybe_written w a = want
             && W.maybe_written w (a + (1 lsl W.line_shift) - 1) = want)
           lines
-        && W.lines_in w ~base ~size = Lines.elements (Lines.inter lines !model)
+        && ascending chunks
+        && List.for_all (fun (_, m) -> m <> 0 && m lsr 32 = 0) chunks
+        && W.lines_of_chunks chunks = Lines.elements (Lines.inter lines !model)
       in
       List.for_all
         (fun op ->
           let base, size =
-            match op with Mark (b, s) | Clear (b, s) | Lines_in (b, s) -> (b, s)
+            match op with Mark (b, s) | Clear (b, s) | Query (b, s) -> (b, s)
           in
           (match op with
           | Mark _ ->
@@ -158,7 +166,7 @@ let prop_writer_set_matches_model =
           | Clear _ ->
               W.clear_range w ~base ~size;
               model := Lines.diff !model (span ~base ~size)
-          | Lines_in _ -> ());
+          | Query _ -> ());
           agrees ~base ~size && W.marked_lines w = Lines.cardinal !model)
         ops
       && agrees ~base:(ws_base - 0x1000) ~size:0x32000)
@@ -304,38 +312,130 @@ let prop_registry_define_consistent =
 (* Kmem agrees with a bytes reference model.                            *)
 (* ------------------------------------------------------------------ *)
 
-let arb_mem_ops =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_bound 80)
-        (triple (int_bound 500) (oneofl [ 1; 2; 4; 8 ])
-           (map Int64.of_int (int_bound 1_000_000))))
+(* Kmem against a byte-map reference over three pages of heap.  Every
+   access starts near a 512-byte frame seam or a 4 KiB page seam (a
+   page seam is also a frame seam) or anywhere, and bulk lengths reach
+   past a frame, so accesses straddle both; NULL-page accesses of every
+   kind must fault. *)
+module Kmem = Kernel_sim.Kmem
+
+type mem_op =
+  | Read of int * int  (** offset, size 1..8 *)
+  | Write of int * int * int64
+  | Read_bytes of int * int  (** offset, length *)
+  | Write_bytes of int * string
+  | Zero of int * int
+  | Blit of int * int * int  (** source, destination, length *)
+  | Null of int * int  (** access kind 0..4, address in the NULL page *)
+
+let mem_window = Kmem.Layout.kernel_heap_base
+let mem_window_len = 3 * Kmem.page_size
+
+let show_mem_op = function
+  | Read (o, n) -> Printf.sprintf "Read(%d,%d)" o n
+  | Write (o, n, v) -> Printf.sprintf "Write(%d,%d,%Ld)" o n v
+  | Read_bytes (o, n) -> Printf.sprintf "Read_bytes(%d,%d)" o n
+  | Write_bytes (o, s) -> Printf.sprintf "Write_bytes(%d,%d)" o (String.length s)
+  | Zero (o, n) -> Printf.sprintf "Zero(%d,%d)" o n
+  | Blit (src, dst, n) -> Printf.sprintf "Blit(%d,%d,%d)" src dst n
+  | Null (k, a) -> Printf.sprintf "Null(%d,0x%x)" k a
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let offset =
+    oneof
+      [
+        map2 (fun f d -> (f * 512) + d - 16) (int_range 1 23) (int_bound 32);
+        map2 (fun p d -> (p * Kmem.page_size) + d - 16) (int_range 1 2) (int_bound 32);
+        int_bound (mem_window_len - 1);
+      ]
   in
-  QCheck.make gen
+  let length = frequency [ (1, return 0); (3, int_range 1 16); (2, int_range 17 1300) ] in
+  (* keep [offset, offset + len) inside the window *)
+  let fit o n = (min o (mem_window_len - n), n) in
+  frequency
+    [
+      (3, map2 (fun o n -> let o, n = fit o n in Read (o, n)) offset (int_range 1 8));
+      ( 3,
+        map3
+          (fun o n v ->
+            let o, n = fit o n in
+            Write (o, n, v))
+          offset (int_range 1 8) ui64 );
+      (2, map2 (fun o n -> let o, n = fit o n in Read_bytes (o, n)) offset length);
+      ( 2,
+        map2
+          (fun o n ->
+            let o, n = fit o n in
+            Write_bytes (o, String.init n (fun i -> Char.chr ((o + (7 * i)) land 0xff))))
+          offset length );
+      (1, map2 (fun o n -> let o, n = fit o n in Zero (o, n)) offset length);
+      ( 2,
+        map3
+          (fun s d n ->
+            let s, n = fit s n in
+            let d, n = fit d n in
+            Blit (s, d, n))
+          offset offset length );
+      ( 1,
+        map2
+          (fun k a -> Null (k, a))
+          (int_bound 4)
+          (int_bound (Kmem.Layout.null_guard_top - 1)) );
+    ]
 
 let prop_kmem_matches_bytes =
-  QCheck.Test.make ~count:200 ~name:"kmem = byte-array model" arb_mem_ops (fun writes ->
-      let m = Kernel_sim.Kmem.create () in
-      let reference = Bytes.make 512 '\000' in
-      let base = 0x2_0000_0000 in
-      List.iter
-        (fun (off, size, v) ->
-          let off = min off (512 - 8) in
-          Kernel_sim.Kmem.write m ~addr:(base + off) ~size v;
-          for i = 0 to size - 1 do
-            Bytes.set reference (off + i)
-              (Char.chr
-                 (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-          done)
-        writes;
-      (* compare every byte *)
-      let ok = ref true in
-      for i = 0 to 511 do
-        if
-          Kernel_sim.Kmem.read_u8 m (base + i) <> Char.code (Bytes.get reference i)
-        then ok := false
-      done;
-      !ok)
+  QCheck.Test.make ~count:300 ~name:"kmem = byte-array model"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_mem_op l))
+       QCheck.Gen.(list_size (int_bound 60) gen_mem_op))
+    (fun ops ->
+      let m = Kmem.create () in
+      let ref_ = Bytes.make mem_window_len '\000' in
+      let le o n =
+        let v = ref 0L in
+        for i = n - 1 downto 0 do
+          v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 ref_ (o + i)))
+        done;
+        !v
+      in
+      let faults f = match f () with exception Kmem.Fault _ -> true | _ -> false in
+      List.for_all
+        (function
+          | Read (o, n) -> Kmem.read m ~addr:(mem_window + o) ~size:n = le o n
+          | Write (o, n, v) ->
+              Kmem.write m ~addr:(mem_window + o) ~size:n v;
+              for i = 0 to n - 1 do
+                Bytes.set_uint8 ref_ (o + i)
+                  (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+              done;
+              true
+          | Read_bytes (o, n) ->
+              Bytes.equal
+                (Kmem.read_bytes m ~addr:(mem_window + o) ~len:n)
+                (Bytes.sub ref_ o n)
+          | Write_bytes (o, s) ->
+              Kmem.write_bytes m ~addr:(mem_window + o) s;
+              Bytes.blit_string s 0 ref_ o (String.length s);
+              true
+          | Zero (o, n) ->
+              Kmem.zero m ~addr:(mem_window + o) ~len:n;
+              Bytes.fill ref_ o n '\000';
+              true
+          | Blit (src, dst, n) ->
+              Kmem.blit m ~src:(mem_window + src) ~dst:(mem_window + dst) ~len:n;
+              Bytes.blit ref_ src ref_ dst n;
+              true
+          | Null (kind, a) ->
+              faults (fun () ->
+                  match kind with
+                  | 0 -> ignore (Kmem.read m ~addr:a ~size:8)
+                  | 1 -> Kmem.write m ~addr:a ~size:1 1L
+                  | 2 -> ignore (Kmem.read_bytes m ~addr:a ~len:16)
+                  | 3 -> Kmem.write_bytes m ~addr:a "x"
+                  | _ -> Kmem.zero m ~addr:a ~len:8))
+        ops
+      && Bytes.equal (Kmem.read_bytes m ~addr:mem_window ~len:mem_window_len) ref_)
 
 (* ------------------------------------------------------------------ *)
 (* Slab: live objects never overlap; freed slots are reused.            *)

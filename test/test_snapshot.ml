@@ -172,8 +172,8 @@ let test_upgrade_revalidates_flow_position () =
     "post-upgrade traffic re-advances from start" (Some "kmalloc")
     mi3.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos
 
-(* [sn_wset] holds the writer-set lines over the captured module's own
-   memory and nothing else: not a second module's stack, and not a slab
+(* [wset_lines] lists the writer-set lines over the captured module's
+   own memory and nothing else: not a second module's stack, and not a slab
    object the module holds a WRITE capability on, though both are
    marked. *)
 let test_wset_is_module_owned () =
@@ -205,7 +205,7 @@ let test_wset_is_module_owned () =
   Alcotest.(check bool)
     "B's stack and the object are marked" true
     (List.for_all marked (stack mi_b) && List.for_all marked (lines obj obj_size));
-  let wset = (Lxfi.Snapshot.capture rt mi_a).Lxfi.Snapshot.sn_wset in
+  let wset = Lxfi.Snapshot.wset_lines (Lxfi.Snapshot.capture rt mi_a) in
   Alcotest.(check (list int)) "ascending and unique" (List.sort_uniq Int.compare wset) wset;
   Alcotest.(check bool)
     "every line of A's stack" true
@@ -225,6 +225,74 @@ let test_wset_is_module_owned () =
            (Lxfi.Snapshot.owned_ranges mi_a))
        wset)
 
+(* A capture's writer-set line against a per-line reference, which asks
+   the writer set about every line of every owned range one line at a
+   time.  The marks and the owned ranges are random and crowd a few
+   2 KB chunks of an otherwise unused stretch of the module area:
+   ranges start near chunk seams, overlap each other, and several can
+   share a chunk. *)
+let wset_window = Kernel_sim.Kmem.Layout.module_base + 0x4000_0000
+
+let gen_range =
+  QCheck.Gen.(
+    map2
+      (fun (chunk, off) len -> (wset_window + (chunk * 2048) + off, len))
+      (pair (int_bound 5) (int_range 0 2047))
+      (frequency [ (1, return 0); (4, int_range 1 192); (3, int_range 1 5000) ]))
+
+let show_ranges l = String.concat " " (List.map (fun (b, n) -> Printf.sprintf "0x%x+%d" b n) l)
+
+let reference_wset_line rt ranges =
+  let sh = Lxfi.Writer_set.line_shift in
+  let lines =
+    List.concat_map
+      (fun (base, len) ->
+        if len <= 0 then []
+        else List.init (((base + len - 1) lsr sh) - (base lsr sh) + 1) (fun i -> (base lsr sh) + i))
+      ranges
+    |> List.filter (fun l -> Lxfi.Writer_set.maybe_written rt.Lxfi.Runtime.wset (l lsl sh))
+    |> List.sort_uniq Int.compare
+  in
+  (lines, "wset " ^ String.concat " " (List.map (Printf.sprintf "0x%x") lines))
+
+let wset_system =
+  lazy
+    (let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+     let open Mir.Builder in
+     let mi, _ =
+       Kmodules.Ksys.load sys
+         (prog "wsetref" ~imports:[] ~globals:[ global "counter" 8 ]
+            ~funcs:[ func "module_init" [] [ ret0 ] ])
+     in
+     (sys.Kmodules.Ksys.rt, mi))
+
+let prop_capture_wset_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"capture's writer set = per-line reference"
+    (QCheck.make
+       ~print:(fun (marks, owned) ->
+         Printf.sprintf "marks %s; owned %s" (show_ranges marks) (show_ranges owned))
+       QCheck.Gen.(
+         pair (list_size (int_bound 12) gen_range) (list_size (int_range 1 5) gen_range)))
+    (fun (marks, owned) ->
+      let rt, mi = Lazy.force wset_system in
+      let wset = rt.Lxfi.Runtime.wset in
+      Lxfi.Writer_set.clear_range wset ~base:wset_window ~size:(16 * 2048);
+      List.iter (fun (base, size) -> Lxfi.Writer_set.mark_range wset ~base ~size) marks;
+      (* the first owned range is the stack, the others are sections *)
+      let stack_base, stack_len = List.hd owned in
+      let mi =
+        {
+          mi with
+          Lxfi.Runtime.mi_stack_base = stack_base;
+          mi_stack_len = stack_len;
+          mi_sections = List.map (fun (base, len) -> ("s", base, len)) (List.tl owned);
+        }
+      in
+      let snap = Lxfi.Snapshot.capture rt mi in
+      let lines, line = reference_wset_line rt owned in
+      Lxfi.Snapshot.wset_lines snap = lines
+      && List.mem line (String.split_on_char '\n' (Lxfi.Snapshot.render snap)))
+
 let () =
   Kernel_sim.Klog.quiet ();
   Alcotest.run "snapshot"
@@ -235,6 +303,7 @@ let () =
             prop_capture_restore_capture;
             prop_restore_is_exact;
             prop_diff_empty_iff_equal;
+            prop_capture_wset_matches_reference;
           ] );
       ("diff", [ Alcotest.test_case "side markers" `Quick test_diff_markers ]);
       ( "wset",

@@ -112,6 +112,51 @@ let prop_ring_model =
           && Trace.dropped buf = total - List.length kept
           && Trace.capacity buf = capacity))
 
+(* The window query against copy-then-scan: copy every retained event,
+   find the newest match by a forward scan, and keep the suffix from
+   it (all of it when nothing matches).  Rings are wrapped and
+   unwrapped; the predicate matches only the newest retained event,
+   only the oldest, nothing, or every [k]th payload. *)
+type target = Newest | Oldest | Absent | Every of int * int
+
+let prop_since_last_model =
+  QCheck.Test.make ~count:300 ~name:"since_last = copy-then-scan"
+    QCheck.(
+      triple (int_range 1 64) (int_range 0 300)
+        (make
+           ~print:(function
+             | Newest -> "newest"
+             | Oldest -> "oldest"
+             | Absent -> "absent"
+             | Every (k, r) -> Printf.sprintf "every %d (+%d)" k r)
+           Gen.(
+             oneof
+               [
+                 return Newest;
+                 return Oldest;
+                 return Absent;
+                 map2 (fun k r -> Every (k, r mod k)) (int_range 1 20) nat;
+               ])))
+    (fun (capacity, emits, target) ->
+      let buf = Trace.make ~capacity () in
+      Trace.attach buf ~clock:(fun () -> (0, 0, 0)) ~principal:(fun () -> "p");
+      Fun.protect ~finally:Trace.detach (fun () ->
+          for i = 0 to emits - 1 do
+            Trace.emit (Trace.Slab_free i)
+          done;
+          let hit i =
+            match target with
+            | Newest -> i = emits - 1
+            | Oldest -> i = max 0 (emits - capacity)
+            | Absent -> false
+            | Every (k, r) -> i mod k = r
+          in
+          let p e = match e.Trace.ev_kind with Trace.Slab_free i -> hit i | _ -> false in
+          let evs = Trace.events buf in
+          let start = ref 0 in
+          Array.iteri (fun i e -> if p e then start := i) evs;
+          Trace.since_last buf p = Array.sub evs !start (Array.length evs - !start)))
+
 (* [Runtime.grant] and [Runtime.revoke_from_all] on each capability
    type, with a module principal running. *)
 let test_cap_events_carry_values () =
@@ -219,6 +264,7 @@ let () =
           Alcotest.test_case "exact fit" `Quick test_ring_exact_fit;
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
           QCheck_alcotest.to_alcotest prop_ring_model;
+          QCheck_alcotest.to_alcotest prop_since_last_model;
         ] );
       ( "events",
         [
