@@ -16,7 +16,9 @@ type category =
   | Module  (** interpreted module (MIR) instructions *)
   | Guard  (** LXFI runtime guards: write checks, wrappers, annotations *)
 
-type t = {
+(* Defined in [lib/trace], which sits below this library, so that a
+   trace ring stamps its events straight from the live counters. *)
+type t = Trace.cycles = {
   mutable kernel : int;
   mutable module_ : int;
   mutable guard : int;

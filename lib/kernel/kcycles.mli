@@ -8,7 +8,8 @@ type category =
   | Module  (** interpreted module (MIR) instructions *)
   | Guard  (** LXFI guards: write checks, wrappers, annotations *)
 
-type t = { mutable kernel : int; mutable module_ : int; mutable guard : int }
+type t = Trace.cycles = { mutable kernel : int; mutable module_ : int; mutable guard : int }
+(** The record {!Trace.attach} stamps events from. *)
 
 val create : unit -> t
 val charge : t -> category -> int -> unit

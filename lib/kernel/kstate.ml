@@ -38,7 +38,7 @@ type t = {
   cycles : Kcycles.t;
   types : Ktypes.t;
   sym : Ksym.t;
-  calltab : (int, target) Hashtbl.t;
+  calltab : target Inttbl.t;
   mutable indcall : slot:int -> ftype:string -> int64 list -> int64;
   mutable current : Task.t;
   run_queue : (int, Task.t) Hashtbl.t;  (** scheduled tasks, by pid *)
@@ -71,7 +71,7 @@ let boot () =
       cycles;
       types;
       sym;
-      calltab = Hashtbl.create 64;
+      calltab = Inttbl.create 64;
       indcall = (fun ~slot:_ ~ftype:_ _ -> 0L);
       current = { Task.addr = 0; pid = 0 };
       run_queue = Hashtbl.create 16;
@@ -95,7 +95,7 @@ let boot () =
   t.indcall <-
     (fun ~slot ~ftype:_ args ->
       let target = Kmem.read_ptr mem slot in
-      match Hashtbl.find_opt t.calltab target with
+      match Inttbl.find_opt t.calltab target with
       | Some tg -> tg.t_run args
       | None -> raise (Oops (Printf.sprintf "indirect call to bad address 0x%x" target)));
   t
@@ -105,17 +105,17 @@ let boot () =
 (** [register_target t ~name ~addr ~kind run] makes [addr] callable. *)
 let register_target t ~name ~addr ~kind run =
   Ksym.register_at t.sym name addr;
-  Hashtbl.replace t.calltab addr { t_addr = addr; t_name = name; t_kind = kind; t_run = run }
+  Inttbl.replace t.calltab addr { t_addr = addr; t_name = name; t_kind = kind; t_run = run }
 
 (** [register_kernel_fn t name run] interns [name] in kernel text and
     makes it callable; returns its address. *)
 let register_kernel_fn t name run =
   let addr = Ksym.intern t.sym name in
-  Hashtbl.replace t.calltab addr
+  Inttbl.replace t.calltab addr
     { t_addr = addr; t_name = name; t_kind = Kernel_fn; t_run = run };
   addr
 
-let target_of t addr = Hashtbl.find_opt t.calltab addr
+let target_of t addr = Inttbl.find_opt t.calltab addr
 
 (** [call_ptr t ~slot ~ftype args] is the core kernel invoking a function
     pointer stored at address [slot]; [ftype] names the pointer's slot

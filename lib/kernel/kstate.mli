@@ -32,7 +32,7 @@ type t = {
   cycles : Kcycles.t;
   types : Ktypes.t;
   sym : Ksym.t;
-  calltab : (int, target) Hashtbl.t;
+  calltab : target Inttbl.t;
   mutable indcall : slot:int -> ftype:string -> int64 list -> int64;
   mutable current : Task.t;
   run_queue : (int, Task.t) Hashtbl.t;  (** scheduled tasks, by pid *)

@@ -126,15 +126,12 @@ type t = {
 let charge rt n = Kcycles.charge rt.kst.Kstate.cycles Kcycles.Guard n
 
 (** [attach_trace rt buf] wires the {!Trace} subsystem to this runtime:
-    events are stamped from the simulated cycle clock and the current
+    events are stamped from the simulated cycle counters and the current
     principal.  Tracing stays zero-cost when unattached — every hook
     site below checks [!Trace.on] before constructing anything — and
     formats no text when attached; emitting never charges cycles. *)
 let attach_trace rt buf =
-  Trace.attach buf
-    ~clock:(fun () ->
-      let c = rt.kst.Kstate.cycles in
-      (Kcycles.kernel c, Kcycles.module_ c, Kcycles.guard c))
+  Trace.attach buf ~cycles:rt.kst.Kstate.cycles
     ~principal:(fun () ->
       match rt.current with None -> "(kernel)" | Some p -> Principal.describe p)
 
@@ -204,7 +201,7 @@ let where_of mi =
 let retire_module rt mi =
   Hashtbl.iter
     (fun _fname addr ->
-      Hashtbl.remove rt.kst.Kstate.calltab addr;
+      Inttbl.remove rt.kst.Kstate.calltab addr;
       Hashtbl.remove rt.func_ahash_by_addr addr;
       Hashtbl.replace rt.retired addr mi.mi_name)
     mi.mi_func_addr;

@@ -5,8 +5,13 @@
     the fault injector emit typed events, each stamped with the
     simulated cycle clock (split by {!Kcycles} category) and the
     current principal.  The buffer is a bounded ring that keeps the
-    {e newest} events; it starts small and doubles as events arrive,
-    up to its capacity, so a short run never pays for a large bound.
+    {e newest} events.  Like ftrace's ring of fixed-size pages, it is
+    stored as blocks of at most 256 entries, each added the first
+    time the ring reaches it and never copied, so a short run
+    never pays for a large bound.  A block holds its entries by column
+    (three stamp arrays, the principal labels and the kinds), every
+    array small enough for the minor heap: a ring that dies with its
+    run is never promoted.  Events become records only when read.
     Aggregation and export live in {!Trace_profile}.
 
     {2 Zero cost when disabled, cheap when on}
@@ -25,11 +30,13 @@
     {2 Layering}
 
     This library sits {e below} [kernel_sim] in the dependency order,
-    so it cannot read the cycle clock or the current principal itself.
-    Both are supplied as provider callbacks by {!attach} — the LXFI
-    runtime installs providers that read its own state
-    ([Lxfi.Runtime.attach_trace]).  So is the capability type of §3.2:
-    [Lxfi.Capability.t] is {!cap}, whose one printer is {!pp_cap}.
+    so the cycle counters are defined here as {!cycles} and
+    [Kernel_sim.Kcycles.t] re-exports that record: {!attach} takes the
+    live counters themselves, and {!emit} reads its stamps straight
+    from them.  The current principal comes from a provider callback
+    that the LXFI runtime installs ([Lxfi.Runtime.attach_trace]).  The
+    capability type of §3.2 is defined here too: [Lxfi.Capability.t]
+    is {!cap}, whose one printer is {!pp_cap}.
 
     {2 Determinism}
 
@@ -114,37 +121,72 @@ type event = {
 
 let ev_total e = e.ev_kernel + e.ev_module + e.ev_guard
 
+(** The simulated cycle counters, one per category; [Kernel_sim.Kcycles.t]
+    is this record. *)
+type cycles = { mutable kernel : int; mutable module_ : int; mutable guard : int }
+
+(* Ring storage: fixed blocks of at most [block_size] entries, held by
+   column.  Each column array is at most 256 words, the minor heap's
+   limit, and so is the block table of a ring of up to 65,536 events. *)
+let block_bits = 8
+let block_size = 1 lsl block_bits
+
+type block = {
+  b_kernel : int array;
+  b_module : int array;
+  b_guard : int array;
+  b_principal : string array;
+  b_kind : kind array;
+}
+
 type t = {
   capacity : int;
-  mutable ring : event array;  (** doubles on demand up to [capacity] *)
+  blocks : block array;  (** [unused] until the ring first reaches a block *)
   mutable next : int;  (** next write slot *)
   mutable total : int;  (** events ever emitted *)
 }
 
 let default_capacity = 65_536
 
-let dummy =
-  { ev_kernel = 0; ev_module = 0; ev_guard = 0; ev_principal = ""; ev_kind = Guard Gentry }
+let unused =
+  { b_kernel = [||]; b_module = [||]; b_guard = [||]; b_principal = [||]; b_kind = [||] }
 
 let make ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.make: capacity <= 0";
-  { capacity; ring = Array.make (min capacity 256) dummy; next = 0; total = 0 }
+  let blocks = Array.make (((capacity - 1) lsr block_bits) + 1) unused in
+  { capacity; blocks; next = 0; total = 0 }
+
+(* Block [b]'s storage: full-size, except that the last block holds
+   only what the capacity leaves. *)
+let add_block t b =
+  let n = min block_size (t.capacity - (b lsl block_bits)) in
+  let blk =
+    {
+      b_kernel = Array.make n 0;
+      b_module = Array.make n 0;
+      b_guard = Array.make n 0;
+      b_principal = Array.make n "";
+      b_kind = Array.make n (Guard Gentry);
+    }
+  in
+  t.blocks.(b) <- blk;
+  blk
 
 (** The single flag every hook site checks.  Reading a [bool ref] is
     the whole disabled-path cost. *)
 let on = ref false
 
 let current : t option ref = ref None
-let clock : (unit -> int * int * int) ref = ref (fun () -> (0, 0, 0))
+let idle = { kernel = 0; module_ = 0; guard = 0 }
+let cycles = ref idle
 let principal : (unit -> string) ref = ref (fun () -> "(kernel)")
 
-(** [attach buf ~clock ~principal] makes [buf] the live trace sink and
-    turns the flag on.  [clock] returns the (kernel, module, guard)
-    cycle totals; [principal] describes the currently running
-    principal. *)
-let attach buf ~clock:ck ~principal:pr =
+(** [attach buf ~cycles ~principal] makes [buf] the live trace sink and
+    turns the flag on.  Events are stamped from the live counters
+    [cycles]; [principal] describes the currently running principal. *)
+let attach buf ~cycles:c ~principal:pr =
   current := Some buf;
-  clock := ck;
+  cycles := c;
   principal := pr;
   on := true
 
@@ -153,27 +195,31 @@ let attach buf ~clock:ck ~principal:pr =
 let detach () =
   on := false;
   current := None;
-  clock := (fun () -> (0, 0, 0));
+  cycles := idle;
   principal := (fun () -> "(kernel)")
 
 (** [attached ()] — the live sink, if any. *)
 let attached () = !current
 
-(** [emit kind] appends an event stamped with the current clock and
-    principal.  No-op when no buffer is attached; hook sites guard with
-    [!on] anyway so the disabled path never reaches here. *)
+(** [emit kind] stores an event stamped with the current counters and
+    principal; it allocates only when the ring reaches a block for the
+    first time.  No-op when no buffer is attached; hook sites guard
+    with [!on] anyway so the disabled path never reaches here. *)
 let emit kind =
   match !current with
   | None -> ()
   | Some t ->
-      let k, m, g = !clock () in
-      (* [next] reaches the array's end only while it is below
-         [capacity]; at [capacity] it wraps to 0 instead. *)
-      if t.next = Array.length t.ring then
-        t.ring <- Array.append t.ring (Array.make (min t.next (t.capacity - t.next)) dummy);
-      t.ring.(t.next) <-
-        { ev_kernel = k; ev_module = m; ev_guard = g; ev_principal = !principal (); ev_kind = kind };
-      t.next <- (t.next + 1) mod t.capacity;
+      let i = t.next in
+      let b = i lsr block_bits and j = i land (block_size - 1) in
+      let blk = t.blocks.(b) in
+      let blk = if blk == unused then add_block t b else blk in
+      let c = !cycles in
+      blk.b_kernel.(j) <- c.kernel;
+      blk.b_module.(j) <- c.module_;
+      blk.b_guard.(j) <- c.guard;
+      blk.b_principal.(j) <- !principal ();
+      blk.b_kind.(j) <- kind;
+      t.next <- (if i + 1 = t.capacity then 0 else i + 1);
       t.total <- t.total + 1
 
 let total t = t.total
@@ -184,14 +230,41 @@ let clear t =
   t.next <- 0;
   t.total <- 0
 
-(* The [i]th retained event, oldest first. *)
-let nth t i = if t.total <= t.capacity then t.ring.(i) else t.ring.((t.next + i) mod t.capacity)
+(* The [i]th retained event, oldest first, as a record. *)
+let nth t i =
+  let s =
+    if t.total <= t.capacity then i
+    else
+      let s = t.next + i in
+      if s >= t.capacity then s - t.capacity else s
+  in
+  let blk = t.blocks.(s lsr block_bits) and j = s land (block_size - 1) in
+  {
+    ev_kernel = blk.b_kernel.(j);
+    ev_module = blk.b_module.(j);
+    ev_guard = blk.b_guard.(j);
+    ev_principal = blk.b_principal.(j);
+    ev_kind = blk.b_kind.(j);
+  }
+
+(* Read results start filled with this constant, which lives outside
+   the minor heap: an [Array.make] or [Array.init] seeded with a young
+   record forces a minor collection whenever the result is longer than
+   256 entries. *)
+let filler =
+  { ev_kernel = 0; ev_module = 0; ev_guard = 0; ev_principal = ""; ev_kind = Guard Gentry }
+
+(* Retained events [start] to [start + n - 1], oldest first. *)
+let copy t start n =
+  let a = Array.make n filler in
+  for k = 0 to n - 1 do
+    a.(k) <- nth t (start + k)
+  done;
+  a
 
 (** [events t] — retained events, oldest first.  When the ring wrapped,
     these are the newest [capacity t] events. *)
-let events t =
-  let n = min t.total t.capacity in
-  if t.total <= t.capacity then Array.sub t.ring 0 n else Array.init n (nth t)
+let events t = copy t 0 (min t.total t.capacity)
 
 (** [since_last t p] — the retained events from the newest one that
     satisfies [p] on, oldest first; every retained event when none
@@ -201,7 +274,7 @@ let since_last t p =
   let n = min t.total t.capacity in
   let rec back i = if i <= 0 || p (nth t i) then max i 0 else back (i - 1) in
   let start = back (n - 1) in
-  Array.init (n - start) (fun j -> nth t (start + j))
+  copy t start (n - start)
 
 let kind_label = function
   | Guard g -> "guard:" ^ guard_name g

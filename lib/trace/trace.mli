@@ -56,22 +56,30 @@ type event = {
 val ev_total : event -> int
 (** Total cycle stamp (sum of the three categories). *)
 
+(** The simulated cycle counters, one per category.  [Kernel_sim.Kcycles.t]
+    re-exports this record, so the runtime's live counters are what
+    {!attach} takes. *)
+type cycles = { mutable kernel : int; mutable module_ : int; mutable guard : int }
+
 type t
 
 val default_capacity : int
 
 val make : ?capacity:int -> unit -> t
 (** A fresh ring buffer; [capacity] bounds retained events (the newest
-    win).  Storage starts small and doubles as events arrive until it
-    reaches [capacity]. *)
+    win).  Storage is fixed blocks of at most 256 entries, each added
+    the first time the ring reaches it and never copied; a block holds
+    its entries by column (kernel, module and guard stamps, principal
+    labels, kinds), each column small enough for the minor heap. *)
 
 val on : bool ref
 (** The enabled flag.  Hook sites check [!Trace.on] and must construct
     nothing when it is false — the zero-cost-when-disabled rule. *)
 
-val attach : t -> clock:(unit -> int * int * int) -> principal:(unit -> string) -> unit
-(** Make the buffer the live sink and set [on].  [clock] returns the
-    (kernel, module, guard) simulated cycle totals. *)
+val attach : t -> cycles:cycles -> principal:(unit -> string) -> unit
+(** Make the buffer the live sink and set [on].  Each event is stamped
+    with the fields of [cycles] as they read when it is emitted, so
+    pass the live counter record, not a copy. *)
 
 val detach : unit -> unit
 (** Clear [on] and the providers; the buffer keeps its events. *)
@@ -82,7 +90,8 @@ val attached : unit -> t option
     without threading the buffer through every layer. *)
 
 val emit : kind -> unit
-(** Append an event stamped with the current clock and principal.
+(** Append an event stamped with the current counters and principal.
+    It allocates only when the ring reaches a block for the first time.
     Call only behind an [!on] check. *)
 
 val total : t -> int
@@ -95,7 +104,7 @@ val capacity : t -> int
 val clear : t -> unit
 
 val events : t -> event array
-(** Retained events, oldest first. *)
+(** Retained events, oldest first, built as records on read. *)
 
 val since_last : t -> (event -> bool) -> event array
 (** [since_last t p] is the suffix of {!events} that starts at the

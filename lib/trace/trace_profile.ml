@@ -48,16 +48,20 @@ type t = {
 
 (* Deterministic string-keyed accumulation: an ordered assoc list keyed
    by first appearance, so no Hashtbl iteration order leaks into the
-   report. *)
+   report.  Keys are usually the one label string their principal or
+   wrapper shares, so a physical-equality check settles most probes
+   before a string comparison. *)
 type 'a acc = { mutable items : (string * 'a) list (* newest first *) }
 
 let acc_get acc key fresh =
-  match List.assoc_opt key acc.items with
-  | Some v -> v
-  | None ->
-      let v = fresh key in
-      acc.items <- (key, v) :: acc.items;
-      v
+  let rec find = function
+    | (k, v) :: rest -> if k == key || String.equal k key then v else find rest
+    | [] ->
+        let v = fresh key in
+        acc.items <- (key, v) :: acc.items;
+        v
+  in
+  find acc.items
 
 let acc_values acc = List.rev_map snd acc.items
 

@@ -363,11 +363,7 @@ let observe ~trace ?fuel ?(watchdog = false) side (drive : drive) =
   let w = side.world in
   let buf = Trace.make ~capacity:4096 () in
   if trace then
-    Trace.attach buf
-      ~clock:(fun () ->
-        let c = w.kst.Kstate.cycles in
-        (Kcycles.kernel c, Kcycles.module_ c, Kcycles.guard c))
-      ~principal:(fun () -> "m");
+    Trace.attach buf ~cycles:w.kst.Kstate.cycles ~principal:(fun () -> "m");
   let calls =
     Fun.protect ~finally:(fun () -> if trace then Trace.detach ())
     @@ fun () ->

@@ -357,7 +357,7 @@ let footprint (rt : Runtime.t) =
   ( Inspect.to_string rt,
     Hashtbl.length rt.Runtime.modules,
     List.length (Runtime.all_principals rt),
-    Hashtbl.length kst.Kstate.calltab,
+    Inttbl.length kst.Kstate.calltab,
     kst.Kstate.module_cursor )
 
 let table_prog =

@@ -1,8 +1,10 @@
 (* Trace ring-buffer semantics and fixed-seed determinism.
 
    - wraparound: the ring keeps the NEWEST events, oldest first on read,
-     with [dropped]/[total] accounting exact, as it grows to its
-     capacity and after it wraps;
+     with [dropped]/[total] accounting exact, as it adds blocks up to
+     its capacity and after it wraps;
+   - dying young: a dropped ring leaves nothing for the next minor
+     collection to promote, and reading one forces no collection;
    - values, not text: a capability event carries the capability value
      and the running principal's one description string, and renders
      only when printed;
@@ -10,24 +12,28 @@
      seed yields byte-identical reports and Chrome JSON, and the
      per-principal profile reconciles with the cycle clock. *)
 
-(* A synthetic clock/principal pair so ring tests need no simulator. *)
+let fresh_cycles () = { Trace.kernel = 0; module_ = 0; guard = 0 }
+
+(* Synthetic counters and principal so ring tests need no simulator:
+   [emit] advances the kernel counter before each event, and the
+   principal follows the counter. *)
 let with_counter_clock f =
-  let tick = ref 0 in
+  let c = fresh_cycles () in
   let buf = Trace.make ~capacity:4 () in
-  Trace.attach buf
-    ~clock:(fun () ->
-      incr tick;
-      (!tick, 0, 0))
-    ~principal:(fun () -> "p" ^ string_of_int (!tick mod 3));
-  Fun.protect ~finally:Trace.detach (fun () -> f buf)
+  Trace.attach buf ~cycles:c ~principal:(fun () -> "p" ^ string_of_int (c.Trace.kernel mod 3));
+  let emit kind =
+    c.Trace.kernel <- c.Trace.kernel + 1;
+    Trace.emit kind
+  in
+  Fun.protect ~finally:Trace.detach (fun () -> f buf emit)
 
 let kinds_of buf =
   Array.to_list (Array.map (fun e -> e.Trace.ev_kind) (Trace.events buf))
 
 let test_ring_keeps_newest () =
-  with_counter_clock (fun buf ->
+  with_counter_clock (fun buf emit ->
       for i = 1 to 10 do
-        Trace.emit (Trace.Mod_call (string_of_int i))
+        emit (Trace.Mod_call (string_of_int i))
       done;
       Alcotest.(check int) "total" 10 (Trace.total buf);
       Alcotest.(check int) "dropped" 6 (Trace.dropped buf);
@@ -49,9 +55,9 @@ let test_ring_keeps_newest () =
         evs)
 
 let test_ring_under_capacity () =
-  with_counter_clock (fun buf ->
-      Trace.emit (Trace.Guard Trace.Gentry);
-      Trace.emit (Trace.Guard Trace.Gexit);
+  with_counter_clock (fun buf emit ->
+      emit (Trace.Guard Trace.Gentry);
+      emit (Trace.Guard Trace.Gexit);
       Alcotest.(check int) "total" 2 (Trace.total buf);
       Alcotest.(check int) "dropped" 0 (Trace.dropped buf);
       Alcotest.(check int) "retained" 2 (Array.length (Trace.events buf));
@@ -60,16 +66,16 @@ let test_ring_under_capacity () =
       Alcotest.(check int) "total after clear" 0 (Trace.total buf))
 
 let test_detach_disables () =
-  with_counter_clock (fun buf ->
-      Trace.emit (Trace.Mod_call "before");
+  with_counter_clock (fun buf emit ->
+      emit (Trace.Mod_call "before");
       Alcotest.(check int) "emitted while attached" 1 (Trace.total buf));
   Alcotest.(check bool) "off after detach" false !Trace.on
 
 (* Exact wraparound boundary: total = capacity keeps everything. *)
 let test_ring_exact_fit () =
-  with_counter_clock (fun buf ->
+  with_counter_clock (fun buf emit ->
       for i = 1 to 4 do
-        Trace.emit (Trace.Mod_call (string_of_int i))
+        emit (Trace.Mod_call (string_of_int i))
       done;
       Alcotest.(check int) "dropped" 0 (Trace.dropped buf);
       Alcotest.(check (list string))
@@ -79,16 +85,42 @@ let test_ring_exact_fit () =
            (function Trace.Mod_call s -> s | _ -> "?")
            (kinds_of buf)))
 
-(* The ring against a list model, at capacities large enough that the
-   buffer grows from its initial array to [capacity] before wrapping,
-   with an optional [clear] part-way through. *)
+(* Model runs stamp event [i] with values that differ from event to
+   event and between columns, and run it as its own principal, so a
+   ring that mixed up a stamp or label column, or indexed one off by
+   an entry, would return other events. *)
+let model_event i =
+  {
+    Trace.ev_kernel = i;
+    ev_module = (3 * i) + 1;
+    ev_guard = (7 * i) + 2;
+    ev_principal = "p" ^ string_of_int i;
+    ev_kind = Trace.Slab_free i;
+  }
+
+let with_model_ring capacity f =
+  let c = fresh_cycles () in
+  let label = ref "" in
+  let buf = Trace.make ~capacity () in
+  Trace.attach buf ~cycles:c ~principal:(fun () -> !label);
+  let emit i =
+    let e = model_event i in
+    c.Trace.kernel <- e.Trace.ev_kernel;
+    c.Trace.module_ <- e.Trace.ev_module;
+    c.Trace.guard <- e.Trace.ev_guard;
+    label := e.Trace.ev_principal;
+    Trace.emit e.Trace.ev_kind
+  in
+  Fun.protect ~finally:Trace.detach (fun () -> f buf emit)
+
+(* The ring against a list model, at capacities that span several
+   blocks with a partial last one, before and after wrapping, with an
+   optional [clear] part-way through. *)
 let prop_ring_model =
   QCheck.Test.make ~count:200 ~name:"ring = newest-events list model"
     QCheck.(triple (int_range 1 1000) (int_range 0 3000) (option (int_range 0 3000)))
     (fun (capacity, emits, clear_at) ->
-      let buf = Trace.make ~capacity () in
-      Trace.attach buf ~clock:(fun () -> (0, 0, 0)) ~principal:(fun () -> "p");
-      Fun.protect ~finally:Trace.detach (fun () ->
+      with_model_ring capacity (fun buf emit ->
           (* every event emitted since the last clear, newest first *)
           let model = ref [] in
           for i = 0 to emits - 1 do
@@ -96,18 +128,12 @@ let prop_ring_model =
               Trace.clear buf;
               model := []
             end;
-            Trace.emit (Trace.Slab_free i);
-            model := i :: !model
+            emit i;
+            model := model_event i :: !model
           done;
           let total = List.length !model in
           let kept = List.rev (List.filteri (fun j _ -> j < capacity) !model) in
-          let got =
-            Array.to_list
-              (Array.map
-                 (fun e -> match e.Trace.ev_kind with Trace.Slab_free i -> i | _ -> -1)
-                 (Trace.events buf))
-          in
-          got = kept
+          Array.to_list (Trace.events buf) = kept
           && Trace.total buf = total
           && Trace.dropped buf = total - List.length kept
           && Trace.capacity buf = capacity))
@@ -115,14 +141,15 @@ let prop_ring_model =
 (* The window query against copy-then-scan: copy every retained event,
    find the newest match by a forward scan, and keep the suffix from
    it (all of it when nothing matches).  Rings are wrapped and
-   unwrapped; the predicate matches only the newest retained event,
-   only the oldest, nothing, or every [k]th payload. *)
+   unwrapped, across block seams; the predicate matches only the
+   newest retained event, only the oldest, nothing, or every [k]th
+   payload. *)
 type target = Newest | Oldest | Absent | Every of int * int
 
 let prop_since_last_model =
   QCheck.Test.make ~count:300 ~name:"since_last = copy-then-scan"
     QCheck.(
-      triple (int_range 1 64) (int_range 0 300)
+      triple (int_range 1 1000) (int_range 0 3000)
         (make
            ~print:(function
              | Newest -> "newest"
@@ -138,11 +165,9 @@ let prop_since_last_model =
                  map2 (fun k r -> Every (k, r mod k)) (int_range 1 20) nat;
                ])))
     (fun (capacity, emits, target) ->
-      let buf = Trace.make ~capacity () in
-      Trace.attach buf ~clock:(fun () -> (0, 0, 0)) ~principal:(fun () -> "p");
-      Fun.protect ~finally:Trace.detach (fun () ->
+      with_model_ring capacity (fun buf emit ->
           for i = 0 to emits - 1 do
-            Trace.emit (Trace.Slab_free i)
+            emit i
           done;
           let hit i =
             match target with
@@ -156,6 +181,40 @@ let prop_since_last_model =
           let start = ref 0 in
           Array.iteri (fun i e -> if p e then start := i) evs;
           Trace.since_last buf p = Array.sub evs !start (Array.length evs - !start)))
+
+(* A ring that dies with its run must die in the minor heap: filling
+   a fresh ring of lifecycle's capacity and dropping it promotes
+   (almost) nothing at the next minor collection.  Reading a full ring
+   back must not force a minor collection either, as an array longer
+   than 256 entries seeded with a young value would. *)
+let test_ring_dies_young () =
+  let capacity = 8192 in
+  let c = fresh_cycles () in
+  let fill () =
+    let buf = Trace.make ~capacity () in
+    Trace.attach buf ~cycles:c ~principal:(fun () -> "p");
+    for i = 1 to capacity do
+      c.Trace.kernel <- i;
+      Trace.emit (Trace.Guard Trace.Gwrite)
+    done;
+    Trace.detach ();
+    buf
+  in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  ignore (Sys.opaque_identity (fill ()));
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "dropped ring promoted %.0f words (< 64)" promoted)
+    true (promoted < 64.);
+  let buf = fill () in
+  let minors = (Gc.quick_stat ()).Gc.minor_collections in
+  let evs = Trace.events buf in
+  Alcotest.(check int) "minor collections during events" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - minors);
+  Alcotest.(check int) "every event read" capacity (Array.length evs);
+  Alcotest.(check int) "newest stamp" capacity evs.(capacity - 1).Trace.ev_kernel
 
 (* [Runtime.grant] and [Runtime.revoke_from_all] on each capability
    type, with a module principal running. *)
@@ -240,9 +299,9 @@ let test_trace_determinism () =
   Alcotest.(check bool) "seed changes the trace" false (String.equal rep1 rep3)
 
 let test_profile_reconciles_synthetic () =
-  with_counter_clock (fun buf ->
+  with_counter_clock (fun buf emit ->
       for _ = 1 to 6 do
-        Trace.emit (Trace.Guard Trace.Gwrite)
+        emit (Trace.Guard Trace.Gwrite)
       done;
       let final =
         (* clock advanced once per emit; pretend 5 more kernel cycles ran *)
@@ -263,6 +322,7 @@ let () =
           Alcotest.test_case "under capacity" `Quick test_ring_under_capacity;
           Alcotest.test_case "exact fit" `Quick test_ring_exact_fit;
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
+          Alcotest.test_case "ring dies young" `Quick test_ring_dies_young;
           QCheck_alcotest.to_alcotest prop_ring_model;
           QCheck_alcotest.to_alcotest prop_since_last_model;
         ] );
