@@ -114,6 +114,24 @@ let principal_of (t : t) =
 let pre_actions (t : t) = List.filter_map (function Pre a -> Some a | _ -> None) t
 let post_actions (t : t) = List.filter_map (function Post a -> Some a | _ -> None) t
 
+(** [eval_binop op a b] — what an operator means: comparisons and the
+    logical connectives yield 1 or 0, arithmetic wraps at 64 bits.
+    The runtime's evaluator and the linter's constant folder share it. *)
+let eval_binop op a b =
+  let bool_ x = if x then 1L else 0L in
+  match op with
+  | Oeq -> bool_ (Int64.equal a b)
+  | One -> bool_ (not (Int64.equal a b))
+  | Olt -> bool_ (Int64.compare a b < 0)
+  | Ole -> bool_ (Int64.compare a b <= 0)
+  | Ogt -> bool_ (Int64.compare a b > 0)
+  | Oge -> bool_ (Int64.compare a b >= 0)
+  | Oadd -> Int64.add a b
+  | Osub -> Int64.sub a b
+  | Omul -> Int64.mul a b
+  | Oand -> bool_ (a <> 0L && b <> 0L)
+  | Oor -> bool_ (a <> 0L || b <> 0L)
+
 (** {1 Static validation}
 
     An annotation that references an unknown parameter, or the return

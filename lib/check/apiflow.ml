@@ -22,258 +22,282 @@
     executed module can never leave its own extracted graph; only a
     mutated or corrupted module can.  That is the soundness contract
     the runtime automaton ([Runtime.call_kexport]) and the fuzz oracle
-    rely on. *)
+    rely on.
+
+    One walk turns each function into a {e call skeleton} (its calls in
+    evaluation order, branches, loops and returns; call-free statements
+    dropped), numbers the nodes and records address-taken functions and
+    undefined callees.  The fixpoint runs over the skeletons with every
+    set a bitset over node ids, which ascend with the export names. *)
 
 open Mir.Ast
-module SSet = Set.Make (String)
-module SMap = Map.Make (String)
 
-module PSet = Set.Make (struct
-  type t = string * string
+(** Node ids as bits: id [i] is bit [i mod word] of word [i / word]. *)
+type bits = int array
 
-  let compare = compare
-end)
+let word = Sys.int_size
+let mem (s : bits) i = s.(i / word) land (1 lsl (i mod word)) <> 0
+
+let union (a : bits) (b : bits) =
+  if a == b then a
+  else
+    let c = Array.copy a in
+    for k = 0 to Array.length c - 1 do c.(k) <- c.(k) lor b.(k) done;
+    c
+
+let same (a : bits) b = a == b || Array.for_all2 Int.equal a b
 
 (** May-follow summary of a program fragment: the kernel-API calls that
-    can come first / last, the within-fragment may-follow pairs, and
-    whether the fragment can execute without any kernel-API call. *)
-type summary = { first : SSet.t; last : SSet.t; pairs : PSet.t; empty : bool }
+    can come first / last, the within-fragment may-follow pairs (row [a]
+    of [pairs] holds each [b] of a pair [(a, b)]), and whether the
+    fragment can execute without any kernel-API call. *)
+type summary = { first : bits; last : bits; pairs : bits; empty : bool }
 
-let empty_sum =
-  { first = SSet.empty; last = SSet.empty; pairs = PSet.empty; empty = true }
-
-let sum_equal a b =
-  SSet.equal a.first b.first && SSet.equal a.last b.last
-  && PSet.equal a.pairs b.pairs && a.empty = b.empty
-
-let node k =
-  { first = SSet.singleton k; last = SSet.singleton k; pairs = PSet.empty; empty = false }
-
-let cross xs ys acc =
-  SSet.fold (fun x acc -> SSet.fold (fun y acc -> PSet.add (x, y) acc) ys acc) xs acc
-
-let seq a b =
-  {
-    first = (if a.empty then SSet.union a.first b.first else a.first);
-    last = (if b.empty then SSet.union a.last b.last else b.last);
-    pairs = cross a.last b.first (PSet.union a.pairs b.pairs);
-    empty = a.empty && b.empty;
-  }
-
-let alt a b =
-  {
-    first = SSet.union a.first b.first;
-    last = SSet.union a.last b.last;
-    pairs = PSet.union a.pairs b.pairs;
-    empty = a.empty || b.empty;
-  }
-
-let star a = { a with pairs = cross a.last a.first a.pairs; empty = true }
+(* [pairs ∪ last × first] *)
+let cross last (first : bits) pairs =
+  let w = Array.length first and p = Array.copy pairs in
+  for i = 0 to Array.length p - 1 do
+    if mem last (i / w) then p.(i) <- p.(i) lor first.(i mod w)
+  done;
+  p
 
 (* A called function's contribution at a call site: its summary made
    transparent (able to contribute no call).  Fixing [empty = true] at
    call sites keeps every transfer function monotone in the set
    components, so the fixpoint below terminates, at the cost of a
    strictly larger (= safer) graph. *)
-let transparent a = { a with empty = true }
+let transparent a = if a.empty then a else { a with empty = true }
 
-(** Per-statement-list flow: executions that fall through vs. those
-    that left via [Return].  [None] means "no execution takes this
-    path" — distinct from [Some empty_sum], "a path with no calls". *)
-type flow = { fall : summary option; exits : summary option }
+(* [nil], the fragment with no call, is the unit of [seq]; summaries
+   are never mutated, so an unchanged operand is returned as is. *)
+let seq nil a b =
+  if a == nil then b
+  else if b == nil then a
+  else
+    {
+      first = (if a.empty then union a.first b.first else a.first);
+      last = (if b.empty then union a.last b.last else b.last);
+      pairs = cross a.last b.first (union a.pairs b.pairs);
+      empty = a.empty && b.empty;
+    }
 
-let opt_alt a b =
-  match (a, b) with None, x | x, None -> x | Some a, Some b -> Some (alt a b)
+let alt nil a b =
+  if a == b then a
+  else if b == nil then transparent a
+  else if a == nil then transparent b
+  else
+    {
+      first = union a.first b.first;
+      last = union a.last b.last;
+      pairs = union a.pairs b.pairs;
+      empty = a.empty || b.empty;
+    }
 
-let opt_seq_after s = Option.map (fun x -> seq s x)
+let star a = { a with pairs = cross a.last a.first a.pairs; empty = true }
 
-type ctx = {
-  is_kexport : string -> bool;
-  fsum : string -> summary;  (** current fixpoint summary of an own function *)
-  isum : unit -> summary;  (** indirect-call summary (address-taken union) *)
-}
+let same_summary a b =
+  a.empty = b.empty && same a.first b.first && same a.last b.last && same a.pairs b.pairs
 
-let rec sum_expr ctx (e : expr) : summary =
-  match e with
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> empty_sum
-  | Load (_, a) -> sum_expr ctx a
-  | Binop (_, _, a, b) -> seq (sum_expr ctx a) (sum_expr ctx b)
-  | Call (callee, args) -> (
-      let args_sum =
-        List.fold_left (fun acc a -> seq acc (sum_expr ctx a)) empty_sum args
-      in
-      match callee with
-      | Ext name ->
-          if ctx.is_kexport name then seq args_sum (node name) else args_sum
-      | Direct f -> seq args_sum (transparent (ctx.fsum f))
-      | Indirect tgt ->
-          seq (sum_expr ctx tgt) (seq args_sum (transparent (ctx.isum ()))))
+let opt_alt nil a b =
+  match (a, b) with None, x | x, None -> x | Some a, Some b -> Some (alt nil a b)
 
-let rec flow_stmt ctx (s : stmt) : flow =
-  match s with
-  | Let (_, e) | Expr e -> { fall = Some (sum_expr ctx e); exits = None }
-  | Return e -> { fall = None; exits = Some (sum_expr ctx e) }
-  | Alloca _ | Guard _ -> { fall = Some empty_sum; exits = None }
-  | Store (_, a, v) ->
-      { fall = Some (seq (sum_expr ctx a) (sum_expr ctx v)); exits = None }
-  | If (c, t, f) ->
-      let sc = sum_expr ctx c in
-      let ft = flow_stmts ctx t and ff = flow_stmts ctx f in
-      {
-        fall = opt_seq_after sc (opt_alt ft.fall ff.fall);
-        exits = opt_seq_after sc (opt_alt ft.exits ff.exits);
-      }
-  | While (c, b) ->
-      let sc = sum_expr ctx c in
-      let fb = flow_stmts ctx b in
-      (* Fall-through runs [c (b c)*]; an exit runs that prefix, then
-         one body attempt that returns. *)
-      let prefix =
-        match fb.fall with
-        | Some bf -> seq sc (star (seq bf sc))
-        | None -> sc
-      in
-      { fall = Some prefix; exits = opt_seq_after prefix fb.exits }
-
-and flow_stmts ctx (ss : stmt list) : flow =
-  List.fold_left
-    (fun acc s ->
-      match acc.fall with
-      | None -> acc (* unreachable: every earlier path returned *)
-      | Some before ->
-          let f = flow_stmt ctx s in
-          {
-            fall = opt_seq_after before f.fall;
-            exits = opt_alt acc.exits (opt_seq_after before f.exits);
-          })
-    { fall = Some empty_sum; exits = None }
-    ss
-
-(** Entry-to-completion summary of one function body. *)
-let sum_func ctx (fn : func) : summary =
-  let f = flow_stmts ctx fn.body in
-  match opt_alt f.fall f.exits with Some s -> s | None -> empty_sum
-
-(* --- syntactic facts over every expression of a program --- *)
-
-let fold_prog f acc (prog : prog) =
-  List.fold_left (fun acc (fn : func) -> fold_stmts f acc fn.body) acc prog.funcs
-
-(** Address-taken sets, for indirect-call summaries: own functions and
-    imports whose address the program takes in code or in a global
-    initialiser. *)
-let address_taken (prog : prog) : SSet.t * SSet.t =
-  let acc =
-    fold_prog
-      (fun ((own, kex) as acc) -> function
-        | Funcaddr f -> (SSet.add f own, kex)
-        | Extaddr x -> (own, SSet.add x kex)
-        | _ -> acc)
-      (SSet.empty, SSet.empty) prog
-  in
-  List.fold_left
-    (fun acc (g : glob) ->
-      List.fold_left
-        (fun (own, kex) init ->
-          match init with
-          | Ifunc (_, f) -> (SSet.add f own, kex)
-          | Iext (_, x) -> (own, SSet.add x kex)
-          | Iword _ -> (own, kex))
-        acc g.ginit)
-    acc prog.globals
-
-(* --- the graph --- *)
+(** One function body as the fixpoint sees it. *)
+type sk =
+  | Kcall of int  (** a kernel-export call: its node's walk-order index *)
+  | Fcall of int  (** a direct call: the callee's function index *)
+  | Icall  (** an indirect call *)
+  | Ret
+  | Branch of sk list * sk list
+  | Loop of sk list * sk list  (** the condition's calls, the body *)
 
 type graph = {
   g_module : string;
   g_nodes : string list;  (** kexports the module can call, sorted *)
   g_start : string list;  (** calls that may begin an activation, sorted *)
   g_edges : (string * string) list;  (** sorted may-follow pairs *)
-  g_first : SSet.t;  (** [g_start]: the successors of the start position *)
-  g_next : SSet.t SMap.t;
-      (** [g_edges] as a lookup: each edge source's successors *)
-  g_node_set : SSet.t;  (** [g_nodes] *)
+  g_names : string array;
+      (** node id -> export name, ascending; [g_nodes] and, with indirect calls, taken addresses *)
+  g_first : bits;  (** [g_start]: the successors of the start position *)
+  g_succ : bits array;  (** [g_edges]: each node's successors *)
+  g_undefined : string list;  (** direct callees the program does not define, sorted *)
 }
 
-(** [permits g ~pos k] — may the module call kexport [k] from automaton
-    position [pos] ([None] = start)?  Two balanced-tree lookups ordered
-    by [String.compare]: the position's successor set, then [k] in it. *)
-let permits g ~pos k =
-  match pos with
-  | None -> SSet.mem k g.g_first
-  | Some p -> (
-      match SMap.find_opt p g.g_next with
-      | Some next -> SSet.mem k next
-      | None -> false)
+(** The automaton's start position. *)
+let start = -1
 
-let has_node g k = SSet.mem k g.g_node_set
+(** [id g k] — the node id of export [k] in [g], or [-1]. *)
+let id g k = Option.value (Array.find_index (String.equal k) g.g_names) ~default:(-1)
+
+(** [name g pos] — the export a position stands for ([None] at start). *)
+let name g pos = if pos < 0 then None else Some g.g_names.(pos)
+
+(** [permits g ~pos k] — may the module call node [k] from position
+    [pos]?  One bit test; a negative [k] (no node) is never permitted. *)
+let permits g ~pos k = k >= 0 && mem (if pos < 0 then g.g_first else g.g_succ.(pos)) k
+
+let has_node g k = List.exists (String.equal k) g.g_nodes
 
 (** [extract env prog] — the flow graph of [prog], with kexports
-    identified through [env].  Deterministic: pure set computations,
-    rendered as sorted lists. *)
+    identified through [env], each looked up once. *)
 let extract (env : Env.t) (prog : prog) : graph =
-  let is_kexport name = env.Env.kexport name <> None in
-  let tbl : (string, summary) Hashtbl.t = Hashtbl.create 16 in
-  let fsum f =
-    match Hashtbl.find_opt tbl f with Some s -> s | None -> empty_sum
-  in
-  let own_taken, kex_taken = address_taken prog in
-  let isum () =
-    let base =
-      SSet.fold (fun f acc -> alt acc (fsum f)) own_taken empty_sum
+  let funcs = Array.of_list prog.funcs in
+  let func_index f = Array.find_index (fun fn -> String.equal fn.fname f) funcs in
+  (* Export names get indexes in walk order; [-1] marks a name that is
+     not a kernel export. *)
+  let seen = ref [] and n = ref 0 in
+  let index x =
+    let rec find = function
+      | (y, i) :: rest -> if String.equal x y then i else find rest
+      | [] ->
+          let i = if env.Env.kexport x = None then -1 else (incr n; !n - 1) in
+          seen := (x, i) :: !seen;
+          i
     in
-    SSet.fold
-      (fun x acc -> if is_kexport x then alt acc (node x) else acc)
-      kex_taken base
+    find !seen
   in
-  let ctx = { is_kexport; fsum; isum } in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (fn : func) ->
-        let s = sum_func ctx fn in
-        if not (sum_equal s (fsum fn.fname)) then begin
-          Hashtbl.replace tbl fn.fname s;
+  let undefined = ref [] and own_taken = ref [] and ext_taken = ref [] in
+  let indirect = ref false in
+  (* An expression's calls, reversed onto [acc]. *)
+  let rec expr acc = function
+    | Const _ | Var _ | Glob _ -> acc
+    | Funcaddr f ->
+        own_taken := f :: !own_taken;
+        acc
+    | Extaddr x ->
+        ext_taken := x :: !ext_taken;
+        acc
+    | Load (_, a) -> expr acc a
+    | Binop (_, _, a, b) -> expr (expr acc a) b
+    | Call (Ext x, args) ->
+        let acc = List.fold_left expr acc args in
+        let k = index x in
+        if k < 0 then acc else Kcall k :: acc
+    | Call (Direct f, args) -> (
+        let acc = List.fold_left expr acc args in
+        match func_index f with
+        | Some i -> Fcall i :: acc
+        | None ->
+            undefined := f :: !undefined;
+            acc)
+    | Call (Indirect t, args) ->
+        indirect := true;
+        Icall :: List.fold_left expr (expr acc t) args
+  in
+  let rec block ss = List.rev (List.fold_left stmt [] ss)
+  and stmt acc = function
+    | Let (_, e) | Expr e -> expr acc e
+    | Return e -> Ret :: expr acc e
+    | Store (_, a, v) -> expr (expr acc a) v
+    | Alloca _ -> acc
+    | Guard (Gwrite (_, e) | Gindcall e) ->
+        (* no flow of its own, but its calls are nodes all the same *)
+        ignore (expr [] e);
+        acc
+    | If (c, t, e) -> (
+        let acc = expr acc c in
+        match (block t, block e) with [], [] -> acc | t, e -> Branch (t, e) :: acc)
+    | While (c, b) -> (
+        match (List.rev (expr [] c), block b) with [], [] -> acc | c, b -> Loop (c, b) :: acc)
+  in
+  let skeletons = Array.map (fun fn -> block fn.body) funcs in
+  List.iter
+    (function
+      | Ifunc (_, f) -> own_taken := f :: !own_taken
+      | Iext (_, x) -> ext_taken := x :: !ext_taken
+      | Iword _ -> ())
+    (List.concat_map (fun g -> g.ginit) prog.globals);
+  let called = !n in
+  (* Address-taken exports are reachable only by indirect calls. *)
+  let ext_taken = if !indirect then List.filter (( <= ) 0) (List.map index !ext_taken) else [] in
+  let n = !n in
+  let w = max 1 ((n + word - 1) / word) in
+  (* Node [id] has walk-order index [order.(id)]; [rank] inverts it. *)
+  let walk_names = Array.make n "" in
+  List.iter (fun (x, i) -> if i >= 0 then walk_names.(i) <- x) !seen;
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> String.compare walk_names.(a) walk_names.(b)) order;
+  let rank = Array.make n 0 in
+  Array.iteri (fun id i -> rank.(i) <- id) order;
+  let zero = Array.make w 0 in
+  let nil = { first = zero; last = zero; pairs = Array.make (n * w) 0; empty = true } in
+  let nodes =
+    Array.init n (fun i ->
+        let s = Array.make w 0 in
+        s.(rank.(i) / word) <- 1 lsl (rank.(i) mod word);
+        { nil with first = s; last = s; empty = false })
+  in
+  let fsum = Array.make (Array.length funcs) nil and isum = ref nil in
+  (* Thread the executions reaching a skeleton through it: [fall] are
+     those still running ([None]: no execution gets here), [exits]
+     those that left via [Ret]. *)
+  let rec run fall exits sks =
+    match (fall, sks) with
+    | None, _ | _, [] -> (fall, exits)
+    | Some s, sk :: rest -> (
+        match sk with
+        | Kcall k -> run (Some (seq nil s nodes.(k))) exits rest
+        | Fcall f -> run (Some (seq nil s (transparent fsum.(f)))) exits rest
+        | Icall -> run (Some (seq nil s (transparent !isum))) exits rest
+        | Ret -> (None, opt_alt nil exits fall)
+        | Branch (t, e) ->
+            let ft, exits = run fall exits t in
+            let fe, exits = run fall exits e in
+            run (opt_alt nil ft fe) exits rest
+        | Loop (cond, body) ->
+            (* Fall-through runs [c (b c)*]; an exit runs that prefix,
+               then one body attempt that returns.  [cond] holds calls
+               only, so it always falls through. *)
+            let c = Option.value (fst (run (Some nil) None cond)) ~default:nil in
+            let fb, xb = run (Some nil) None body in
+            let prefix = match fb with Some b -> seq nil c (star (seq nil b c)) | None -> c in
+            let s = seq nil s prefix in
+            run (Some s) (opt_alt nil exits (Option.map (seq nil s) xb)) rest)
+  in
+  let own_taken = List.filter_map func_index !own_taken in
+  let rec fixpoint () =
+    if !indirect then
+      isum :=
+        List.fold_left (alt nil) nil
+          (List.map (Array.get fsum) own_taken @ List.map (Array.get nodes) ext_taken);
+    let changed = ref false in
+    Array.iteri
+      (fun f sk ->
+        let fall, exits = run (Some nil) None sk in
+        let s = Option.value (opt_alt nil fall exits) ~default:nil in
+        if not (same_summary s fsum.(f)) then begin
+          fsum.(f) <- s;
           changed := true
         end)
-      prog.funcs
-  done;
+      skeletons;
+    if !changed then fixpoint ()
+  in
+  fixpoint ();
   (* Every function is a potential kernel entry. *)
   let firsts, lasts, pairs =
-    List.fold_left
-      (fun (fs, ls, ps) (fn : func) ->
-        let s = fsum fn.fname in
-        (SSet.union fs s.first, SSet.union ls s.last, PSet.union ps s.pairs))
-      (SSet.empty, SSet.empty, PSet.empty)
-      prog.funcs
+    Array.fold_left
+      (fun (fs, ls, ps) s -> (union fs s.first, union ls s.last, union ps s.pairs))
+      (zero, zero, nil.pairs) fsum
   in
-  let edges = cross lasts firsts pairs in
-  let nodes =
-    fold_prog
-      (fun acc -> function
-        | Call (Ext name, _) when is_kexport name -> SSet.add name acc
-        | _ -> acc)
-      SSet.empty prog
+  let names = Array.map (fun i -> walk_names.(i)) order in
+  let succ =
+    Array.init n (fun a ->
+        let row = Array.sub pairs (a * w) w in
+        if mem lasts a then union row firsts else row)
   in
-  (* [edges] as a lookup, built as [edges] is: the boundary edges
-     [lasts × firsts], then the within-function pairs. *)
-  let next =
-    PSet.fold
-      (fun (a, b) m ->
-        let succ = Option.value (SMap.find_opt a m) ~default:SSet.empty in
-        SMap.add a (SSet.add b succ) m)
-      pairs
-      (SSet.fold (fun a m -> SMap.add a firsts m) lasts SMap.empty)
-  in
+  let rec down a acc f = if a < 0 then acc else down (a - 1) (f a acc) f in
+  let named p = down (n - 1) [] (fun a acc -> if p a then names.(a) :: acc else acc) in
   {
     g_module = prog.pname;
-    g_nodes = SSet.elements nodes;
-    g_start = SSet.elements firsts;
-    g_edges = PSet.elements edges;
+    g_nodes = named (fun a -> order.(a) < called);
+    g_start = named (mem firsts);
+    g_edges =
+      down (n - 1) [] (fun a acc ->
+          down (n - 1) acc (fun b acc ->
+              if mem succ.(a) b then (names.(a), names.(b)) :: acc else acc));
+    g_names = names;
     g_first = firsts;
-    g_next = next;
-    g_node_set = nodes;
+    g_succ = succ;
+    g_undefined = List.sort_uniq String.compare !undefined;
   }
 
 (** Byte-stable rendering, one line per fact. *)
@@ -294,16 +318,10 @@ let render (g : graph) : string = String.concat "\n" (render_lines g) ^ "\n"
     [graph], when given, is [prog]'s graph already extracted under
     [env] (a linked image's), so it is not extracted again. *)
 let check_module ?graph (env : Env.t) (prog : prog) : Finding.t list =
+  let g = match graph with Some g -> g | None -> extract env prog in
   (* Direct calls to functions the program does not define: the loader
      would build a context whose execution oopses, and the flow summary
      for the callee is vacuous — a genuine extraction failure. *)
-  let undef =
-    fold_prog
-      (fun acc -> function
-        | Call (Direct f, _) when find_func prog f = None -> SSet.add f acc
-        | _ -> acc)
-      SSet.empty prog
-  in
   let errors =
     List.map
       (fun f ->
@@ -312,9 +330,8 @@ let check_module ?graph (env : Env.t) (prog : prog) : Finding.t list =
           "direct call to undefined function %s: no flow summary for the \
            callee"
           f)
-      (SSet.elements undef)
+      g.g_undefined
   in
-  let g = match graph with Some g -> g | None -> extract env prog in
   let info =
     (* Modules that call no kernel export have a vacuous graph; stay
        silent so kexport-free fixtures keep checking finding-free. *)

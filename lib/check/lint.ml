@@ -99,21 +99,7 @@ let rec cfold types = function
       else None
   | Cbin (op, a, b) -> (
       match (cfold types a, cfold types b) with
-      | Some va, Some vb ->
-          let bool_ x = if x then 1L else 0L in
-          Some
-            (match op with
-            | Oeq -> bool_ (Int64.equal va vb)
-            | One -> bool_ (not (Int64.equal va vb))
-            | Olt -> bool_ (Int64.compare va vb < 0)
-            | Ole -> bool_ (Int64.compare va vb <= 0)
-            | Ogt -> bool_ (Int64.compare va vb > 0)
-            | Oge -> bool_ (Int64.compare va vb >= 0)
-            | Oadd -> Int64.add va vb
-            | Osub -> Int64.sub va vb
-            | Omul -> Int64.mul va vb
-            | Oand -> bool_ (va <> 0L && vb <> 0L)
-            | Oor -> bool_ (va <> 0L || vb <> 0L))
+      | Some va, Some vb -> Some (eval_binop op va vb)
       | _ -> None)
 
 let rec action_check ctx ~allow_return = function

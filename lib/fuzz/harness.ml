@@ -146,9 +146,7 @@ let run_clean ?(trace = false) config image (case : Gen.case) =
         match buf with
         | None -> true
         | Some b ->
-            let c = ctx.sys.Ksys.kst.Kstate.cycles in
-            let final = (Kcycles.kernel c, Kcycles.module_ c, Kcycles.guard c) in
-            let p = Trace_profile.aggregate ~final b in
+            let p = Trace_profile.aggregate ~final:ctx.sys.Ksys.kst.Kstate.cycles b in
             Trace_profile.attributed_cycles p = p.Trace_profile.pr_total_cycles
       in
       let mem = ctx.sys.Ksys.kst.Kstate.mem in

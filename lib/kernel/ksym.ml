@@ -9,14 +9,14 @@
 
 type t = {
   by_name : (string, int) Hashtbl.t;
-  by_addr : (int, string) Hashtbl.t;
+  by_addr : string Inttbl.t;
   mutable text_cursor : int;
 }
 
 let create () =
   {
     by_name = Hashtbl.create 128;
-    by_addr = Hashtbl.create 128;
+    by_addr = Inttbl.create 128;
     text_cursor = Kmem.Layout.kernel_text_base;
   }
 
@@ -31,8 +31,8 @@ let intern t name =
       let a = t.text_cursor in
       (* Functions get 16-byte-aligned fake addresses. *)
       t.text_cursor <- t.text_cursor + 16;
-      Hashtbl.replace t.by_name name a;
-      Hashtbl.replace t.by_addr a name;
+      Hashtbl.add t.by_name name a;
+      Inttbl.replace t.by_addr a name;
       a
 
 (** [register_at t name addr] binds [name] to a caller-chosen address
@@ -40,14 +40,14 @@ let intern t name =
     payloads, which live at attacker-chosen user addresses). *)
 let register_at t name addr =
   Hashtbl.replace t.by_name name addr;
-  Hashtbl.replace t.by_addr addr name
+  Inttbl.replace t.by_addr addr name
 
 let addr_of t name =
   match Hashtbl.find_opt t.by_name name with
   | Some a -> a
   | None -> raise (Unknown_symbol name)
 
-let name_of t addr = Hashtbl.find_opt t.by_addr addr
+let name_of t addr = Inttbl.find_opt t.by_addr addr
 
 let pp_addr t ppf addr =
   match name_of t addr with

@@ -6,7 +6,7 @@
 
 type t = {
   by_name : (string, int) Hashtbl.t;
-  by_addr : (int, string) Hashtbl.t;
+  by_addr : string Inttbl.t;
   mutable text_cursor : int;
 }
 

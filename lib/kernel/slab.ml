@@ -28,7 +28,7 @@ type t = {
   cycles : Kcycles.t;
   classes : class_ array;
   mutable heap_cursor : int;  (** bump pointer for fresh slab / large pages *)
-  live : (int, int) Hashtbl.t;  (** object addr -> allocated (class) size *)
+  live : int Inttbl.t;  (** object addr -> allocated (class) size *)
   mutable alloc_count : int;
   mutable free_count : int;
   mutable finject : Finject.t option;
@@ -49,7 +49,7 @@ let create mem cycles =
         (fun s -> { obj_size = s; cur_page = 0; next_off = 0; free = Stack.create () })
         size_classes;
     heap_cursor = Kmem.Layout.kernel_heap_base;
-    live = Hashtbl.create 256;
+    live = Inttbl.create 256;
     alloc_count = 0;
     free_count = 0;
     finject = None;
@@ -99,29 +99,29 @@ let kmalloc t size =
         end
       in
       Kmem.zero t.mem ~addr ~len:c.obj_size;
-      Hashtbl.replace t.live addr c.obj_size;
+      Inttbl.replace t.live addr c.obj_size;
       if !Trace.on then Trace.emit (Trace.Slab_alloc (addr, c.obj_size));
       addr
   | None ->
       (* Large allocation: whole pages. *)
       let npages = (size + Kmem.page_size - 1) / Kmem.page_size in
       let addr = fresh_pages t npages in
-      Hashtbl.replace t.live addr (npages * Kmem.page_size);
+      Inttbl.replace t.live addr (npages * Kmem.page_size);
       if !Trace.on then Trace.emit (Trace.Slab_alloc (addr, npages * Kmem.page_size));
       addr
 
 (** Actual usable size of a live object (class size, not request size). *)
 let usable_size t addr =
-  match Hashtbl.find_opt t.live addr with
+  match Inttbl.find_opt t.live addr with
   | Some s -> s
   | None -> raise (Bad_free addr)
 
 let kfree t addr =
   Kcycles.charge t.cycles Kcycles.Kernel 18;
-  match Hashtbl.find_opt t.live addr with
+  match Inttbl.find_opt t.live addr with
   | None -> raise (Bad_free addr)
   | Some size ->
-      Hashtbl.remove t.live addr;
+      Inttbl.remove t.live addr;
       t.free_count <- t.free_count + 1;
       if !Trace.on then Trace.emit (Trace.Slab_free addr);
       (match class_for t size with
@@ -129,7 +129,7 @@ let kfree t addr =
       | _ -> () (* large allocation: pages leak back to nothing; fine for sim *));
       ()
 
-let is_live t addr = Hashtbl.mem t.live addr
-let live_objects t = Hashtbl.length t.live
+let is_live t addr = Inttbl.mem t.live addr
+let live_objects t = Inttbl.length t.live
 let allocations t = t.alloc_count
 let frees t = t.free_count

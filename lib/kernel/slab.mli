@@ -18,7 +18,7 @@ type t = {
   cycles : Kcycles.t;
   classes : class_ array;
   mutable heap_cursor : int;
-  live : (int, int) Hashtbl.t;  (** object addr -> allocated (class) size *)
+  live : int Inttbl.t;  (** object addr -> allocated (class) size *)
   mutable alloc_count : int;
   mutable free_count : int;
   mutable finject : Finject.t option;

@@ -198,6 +198,16 @@ let resolve (rt : Runtime.t) name =
   if is_builtin name then Ksym.intern rt.kst.Kstate.sym ("lxfi_builtin:" ^ name)
   else (Hashtbl.find rt.kexports name).ke_addr
 
+(* Each kernel export's node id in the enforced graph, by [ke_idx]:
+   resolved once here, so no crossing looks a name up. *)
+let flow_nodes (rt : Runtime.t) flow =
+  let ids = Array.make (Hashtbl.length rt.kexports) (-1) in
+  let resolve id name =
+    match Hashtbl.find_opt rt.kexports name with Some ke -> ids.(ke.ke_idx) <- id | None -> ()
+  in
+  Option.iter (fun g -> Array.iteri resolve g.Check.Apiflow.g_names) flow;
+  ids
+
 let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
   let kst = rt.Runtime.kst in
   let prog = im.im_prog in
@@ -297,6 +307,7 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
       mi_recent_kinds = [];
       mi_last_entry = None;
       mi_flow = flow;
+      mi_flow_node = flow_nodes rt flow;
     }
   in
 
@@ -305,7 +316,7 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
     (function
       | Bound { func; slot; _ } ->
           Hashtbl.replace mi.Runtime.mi_func_slot func slot;
-          Hashtbl.replace rt.Runtime.func_ahash_by_addr (Hashtbl.find func_addr_tbl func)
+          Inttbl.replace rt.Runtime.func_ahash_by_addr (Hashtbl.find func_addr_tbl func)
             slot.Annot.Registry.sl_ahash
       | Config _ | Kexport _ -> ())
     im.im_facts;
@@ -367,7 +378,7 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
     | None -> raise (Kstate.Oops (Printf.sprintf "module %s: %s not imported" mname name))
   in
   let call_ext addr args =
-    match Hashtbl.find_opt rt.Runtime.kexport_by_addr addr with
+    match Inttbl.find_opt rt.Runtime.kexport_by_addr addr with
     | Some ke -> Runtime.call_kexport rt ke args
     | None -> (
         match Hashtbl.find_opt builtin_addrs addr with
@@ -470,16 +481,9 @@ type surface = {
       (** slot types carrying [principal(expr)], as (name, ahash) *)
 }
 
-let rec grant_caplists_of_action (a : Annot.Ast.action) acc =
-  match a with
-  | Annot.Ast.Cif (_, a') -> grant_caplists_of_action a' acc
-  | Annot.Ast.Copy cl | Annot.Ast.Transfer cl -> cl :: acc
-  | Annot.Ast.Check _ -> acc
-
 let grant_caplists (annot : Annot.Ast.t) =
-  List.fold_left
-    (fun acc a -> grant_caplists_of_action a acc)
-    []
+  List.filter_map
+    (fun a -> match Check.Capflow.leaf_caplist a with `Check, _ -> None | _, cl -> Some cl)
     (Annot.Ast.pre_actions annot @ Annot.Ast.post_actions annot)
 
 (** Can this caplist yield a capability of [shape]?  Inline caplists

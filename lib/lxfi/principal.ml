@@ -23,9 +23,9 @@ type t = {
   mutable quarantined : string option;
       (** quarantine reason; a quarantined principal holds no
           capabilities and cannot be selected for entry *)
-  mutable flow_pos : string option;
-      (** flow-automaton position: the last kexport this principal
-          called, or [None] for the start state *)
+  mutable flow_pos : int;
+      (** flow-automaton position: the node id of the last kexport this
+          principal called, or {!Check.Apiflow.start} *)
   mutable flow_depth : int;
       (** nesting depth of kernel-entered activations running as this
           principal (used to save/restore [flow_pos] around nested
@@ -43,6 +43,6 @@ let make ~kind ~owner ~primary_name =
     | Instance -> Printf.sprintf "%s/instance(0x%x)" owner primary_name
   in
   { id = !counter; kind; owner; primary_name; label; caps = Captable.create ();
-    quarantined = None; flow_pos = None; flow_depth = 0 }
+    quarantined = None; flow_pos = Check.Apiflow.start; flow_depth = 0 }
 
 let describe t = t.label

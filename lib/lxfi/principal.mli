@@ -21,9 +21,9 @@ type t = {
   mutable quarantined : string option;
       (** quarantine reason; a quarantined principal holds no
           capabilities and cannot be selected for entry *)
-  mutable flow_pos : string option;
-      (** flow-automaton position: the last kexport this principal
-          called, or [None] for the start state *)
+  mutable flow_pos : int;
+      (** flow-automaton position: the node id of the last kexport this
+          principal called, or {!Check.Apiflow.start} *)
   mutable flow_depth : int;
       (** nesting depth of kernel-entered activations running as this
           principal; maintained by [Runtime.invoke_module_function] *)

@@ -67,6 +67,8 @@ type module_info = {
       (** enforced kernel-API flow graph (set by the loader in Lxfi
           mode: a registered policy graph if one exists, else
           self-extracted from the pristine MIR) *)
+  mi_flow_node : int array;
+      (** each kernel export's node id in [mi_flow] ([-1]: none), by [ke_idx] *)
 }
 
 (** The capability shapes an iterator can yield — static metadata used
@@ -78,6 +80,7 @@ type cap_shape = Swrite | Scall | Sref of string
 type kexport = {
   ke_name : string;
   ke_addr : int;
+  ke_idx : int;
   ke_params : string list;
   ke_annot : Annot.Ast.t;
   ke_ahash : int64;
@@ -92,7 +95,7 @@ type t = {
   wset : Writer_set.t;
   modules : (string, module_info) Hashtbl.t;
   kexports : (string, kexport) Hashtbl.t;
-  kexport_by_addr : (int, kexport) Hashtbl.t;
+  kexport_by_addr : kexport Inttbl.t;
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry self-extracts its graph at load time *)
@@ -100,7 +103,7 @@ type t = {
   iterator_shapes : (string, cap_shape list) Hashtbl.t;
       (** declared yield shapes per iterator; an iterator with no entry
           is conservatively assumed to yield every shape *)
-  func_ahash_by_addr : (int, int64) Hashtbl.t;
+  func_ahash_by_addr : int64 Inttbl.t;
   mutable current : Principal.t option;  (** None = kernel context *)
   sstack : Shadow_stack.t;
   raw_dispatch : slot:int -> ftype:string -> int64 list -> int64;
@@ -155,11 +158,11 @@ let create ~kst ~(config : Config.t) =
       wset = Writer_set.create ();
       modules = Hashtbl.create 16;
       kexports = Hashtbl.create 64;
-      kexport_by_addr = Hashtbl.create 64;
+      kexport_by_addr = Inttbl.create 64;
       flow_graphs = Hashtbl.create 8;
       iterators = Hashtbl.create 16;
       iterator_shapes = Hashtbl.create 16;
-      func_ahash_by_addr = Hashtbl.create 64;
+      func_ahash_by_addr = Inttbl.create 64;
       current = None;
       sstack;
       raw_dispatch;
@@ -202,7 +205,7 @@ let retire_module rt mi =
   Hashtbl.iter
     (fun _fname addr ->
       Inttbl.remove rt.kst.Kstate.calltab addr;
-      Hashtbl.remove rt.func_ahash_by_addr addr;
+      Inttbl.remove rt.func_ahash_by_addr addr;
       Hashtbl.replace rt.retired addr mi.mi_name)
     mi.mi_func_addr;
   List.iter
@@ -223,23 +226,23 @@ let register_kexport rt (d : Annot.Registry.slot) impl :
   let name = d.Annot.Registry.sl_name in
   if Hashtbl.mem rt.kexports name then Error (Annot.Registry.Duplicate name)
   else begin
-    let addr = Ksym.intern rt.kst.Kstate.sym name in
+    (* Kernel exports are also raw-callable through the kernel's own
+       dispatch table (stock kernels call them without wrappers). *)
+    let addr = Kstate.register_kernel_fn rt.kst name impl in
     let ke =
       {
         ke_name = name;
         ke_addr = addr;
+        ke_idx = Hashtbl.length rt.kexports;
         ke_params = d.Annot.Registry.sl_params;
         ke_annot = d.Annot.Registry.sl_annot;
         ke_ahash = d.Annot.Registry.sl_ahash;
         ke_impl = impl;
       }
     in
-    Hashtbl.replace rt.kexports name ke;
-    Hashtbl.replace rt.kexport_by_addr addr ke;
-    Hashtbl.replace rt.func_ahash_by_addr addr ke.ke_ahash;
-    (* Kernel exports are also raw-callable through the kernel's own
-       dispatch table (stock kernels call them without wrappers). *)
-    Kstate.register_target rt.kst ~name ~addr ~kind:Kstate.Kernel_fn impl;
+    Hashtbl.add rt.kexports name ke;
+    Inttbl.replace rt.kexport_by_addr addr ke;
+    Inttbl.replace rt.func_ahash_by_addr addr ke.ke_ahash;
     Ok ke
   end
 
@@ -256,6 +259,10 @@ let register_kexport_exn rt ~name ~params ~annot_src impl =
     exercise. *)
 let register_flow_graph rt ~module_ (g : Check.Apiflow.graph) =
   Hashtbl.replace rt.flow_graphs module_ g
+
+(** [flow_position mi p] — [p]'s flow-automaton position by name. *)
+let flow_position mi (p : Principal.t) =
+  Option.bind mi.mi_flow (fun g -> Check.Apiflow.name g p.Principal.flow_pos)
 
 let register_iterator ?shapes rt ~name fn =
   Hashtbl.replace rt.iterators name fn;
@@ -416,19 +423,7 @@ let rec eval_cexpr rt env (e : Annot.Ast.cexpr) : int64 =
   | Annot.Ast.Csizeof s -> Int64.of_int (Ktypes.sizeof rt.kst.Kstate.types s)
   | Annot.Ast.Cbin (op, a, b) ->
       let va = eval_cexpr rt env a and vb = eval_cexpr rt env b in
-      let bool_ x = if x then 1L else 0L in
-      (match op with
-      | Annot.Ast.Oeq -> bool_ (Int64.equal va vb)
-      | Annot.Ast.One -> bool_ (not (Int64.equal va vb))
-      | Annot.Ast.Olt -> bool_ (Int64.compare va vb < 0)
-      | Annot.Ast.Ole -> bool_ (Int64.compare va vb <= 0)
-      | Annot.Ast.Ogt -> bool_ (Int64.compare va vb > 0)
-      | Annot.Ast.Oge -> bool_ (Int64.compare va vb >= 0)
-      | Annot.Ast.Oadd -> Int64.add va vb
-      | Annot.Ast.Osub -> Int64.sub va vb
-      | Annot.Ast.Omul -> Int64.mul va vb
-      | Annot.Ast.Oand -> bool_ (va <> 0L && vb <> 0L)
-      | Annot.Ast.Oor -> bool_ (va <> 0L || vb <> 0L))
+      Annot.Ast.eval_binop op va vb
 
 (** Resolve a caplist to concrete capabilities. *)
 let caps_of_caplist rt env (cl : Annot.Ast.caplist) : Capability.t list =
@@ -565,9 +560,9 @@ let call_kexport rt (ke : kexport) args =
              match mi.mi_flow with
              | None -> ()
              | Some g ->
-                 let pos = mp.Principal.flow_pos in
-                 if Check.Apiflow.permits g ~pos ke.ke_name then
-                   mp.Principal.flow_pos <- Some ke.ke_name
+                 let pos = mp.Principal.flow_pos and ids = mi.mi_flow_node in
+                 let k = if ke.ke_idx < Array.length ids then ids.(ke.ke_idx) else -1 in
+                 if Check.Apiflow.permits g ~pos k then mp.Principal.flow_pos <- k
                  else begin
                    rt.stats.Stats.flow_violations <-
                      rt.stats.Stats.flow_violations + 1;
@@ -575,7 +570,7 @@ let call_kexport rt (ke : kexport) args =
                      ~kind:Violation.Flow_violation ~module_:mi.mi_name
                      "call to %s is off the module's flow graph (position: %s)"
                      ke.ke_name
-                     (match pos with None -> "(start)" | Some p -> p)
+                     (Option.value (Check.Apiflow.name g pos) ~default:"(start)")
                  end);
           entry_guard rt;
           if !Trace.on then Trace.emit (Trace.Span_begin (Trace.M2k, ke.ke_name));
@@ -670,8 +665,8 @@ let invoke_module_function rt mi fname args =
             | Some ((callee : Principal.t), pos, depth) ->
                 callee.Principal.flow_depth <- depth;
                 if not ok then begin
-                  callee.Principal.flow_pos <- None;
-                  mi.mi_global.Principal.flow_pos <- None
+                  callee.Principal.flow_pos <- Check.Apiflow.start;
+                  mi.mi_global.Principal.flow_pos <- Check.Apiflow.start
                 end
                 else if depth > 0 then callee.Principal.flow_pos <- pos
           in
@@ -689,7 +684,7 @@ let invoke_module_function rt mi fname args =
               flow_saved :=
                 Some (callee, callee.Principal.flow_pos, callee.Principal.flow_depth);
               if callee.Principal.flow_depth > 0 then
-                callee.Principal.flow_pos <- None;
+                callee.Principal.flow_pos <- Check.Apiflow.start;
               callee.Principal.flow_depth <- callee.Principal.flow_depth + 1
             end;
             (* Arm the per-entry watchdog: the budget is per kernel→module
@@ -845,7 +840,7 @@ let kernel_indirect_call rt ~slot ~ftype args =
            | Some s -> s.Annot.Registry.sl_ahash
            | None -> Annot.Hash.empty
          in
-         match Hashtbl.find_opt rt.func_ahash_by_addr target with
+         match Inttbl.find_opt rt.func_ahash_by_addr target with
          | Some h when not (Int64.equal h slot_hash) ->
              Violation.raise_ ~kind:Violation.Annot_mismatch ~module_:"(kernel)"
                "slot 0x%x type %s: annotation hash mismatch for target %s" slot ftype

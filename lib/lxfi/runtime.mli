@@ -48,6 +48,8 @@ type module_info = {
       (** enforced kernel-API flow graph (set by the loader in Lxfi
           mode: a registered policy graph if one exists, else the one
           the image self-extracted from the pristine MIR) *)
+  mi_flow_node : int array;
+      (** each kernel export's node id in [mi_flow] ([-1]: none), by [ke_idx] *)
 }
 (** Everything the runtime knows about one loaded module. *)
 
@@ -58,6 +60,7 @@ type cap_shape = Swrite | Scall | Sref of string
 type kexport = {
   ke_name : string;
   ke_addr : int;  (** fake kernel-text address (= the wrapper's address) *)
+  ke_idx : int;  (** registration order: the export's index in [mi_flow_node] *)
   ke_params : string list;
   ke_annot : Annot.Ast.t;
   ke_ahash : int64;
@@ -73,14 +76,14 @@ type t = {
   wset : Writer_set.t;
   modules : (string, module_info) Hashtbl.t;
   kexports : (string, kexport) Hashtbl.t;
-  kexport_by_addr : (int, kexport) Hashtbl.t;
+  kexport_by_addr : kexport Inttbl.t;
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry enforces its image's self-extracted graph *)
   iterators : (string, t -> int64 list -> Capability.t list) Hashtbl.t;
   iterator_shapes : (string, cap_shape list) Hashtbl.t;
       (** declared yield shapes per iterator; no entry = all shapes *)
-  func_ahash_by_addr : (int, int64) Hashtbl.t;
+  func_ahash_by_addr : int64 Inttbl.t;
       (** annotation hash of every annotated callable address *)
   mutable current : Principal.t option;  (** None = kernel context *)
   sstack : Shadow_stack.t;
@@ -153,6 +156,9 @@ val register_flow_graph : t -> module_:string -> Check.Apiflow.graph -> unit
     the graph its image self-extracted — how an audited benign
     graph is held against a possibly-tampered binary (the SFIP threat
     model; the fuzz harness's flow-class mutants use exactly this). *)
+
+val flow_position : module_info -> Principal.t -> string option
+(** A principal's flow-automaton position by export name ([None]: start). *)
 
 val register_iterator :
   ?shapes:cap_shape list ->

@@ -77,7 +77,7 @@ let owned_ranges (mi : Runtime.module_info) =
   (mi.Runtime.mi_stack_base, mi.Runtime.mi_stack_len)
   :: List.map (fun (_, base, len) -> (base, len)) mi.Runtime.mi_sections
 
-let capture_principal (p : Principal.t) : pstate =
+let capture_principal (mi : Runtime.module_info) (p : Principal.t) : pstate =
   let writes =
     Captable.fold_writes p.Principal.caps
       (fun acc ~base ~size -> (base, size) :: acc)
@@ -99,7 +99,7 @@ let capture_principal (p : Principal.t) : pstate =
     ps_name = p.Principal.primary_name;
     ps_desc = Principal.describe p;
     ps_quarantined = p.Principal.quarantined;
-    ps_flow = p.Principal.flow_pos;
+    ps_flow = Runtime.flow_position mi p;
     ps_writes = writes;
     ps_calls = calls;
     ps_refs = refs;
@@ -129,7 +129,7 @@ let capture_global (rt : Runtime.t) (mi : Runtime.module_info) (g : Mir.Ast.glob
 
 let capture (rt : Runtime.t) (mi : Runtime.module_info) : t =
   let principals =
-    List.map capture_principal mi.Runtime.mi_principals
+    List.map (capture_principal mi) mi.Runtime.mi_principals
     |> List.sort (fun a b ->
            compare
              (kind_rank a.ps_kind, a.ps_name, a.ps_desc)
@@ -187,31 +187,49 @@ let principal_of_pstate rt (mi : Runtime.module_info) (ps : pstate) : Principal.
       | Some p -> p
       | None -> Runtime.find_or_create_instance rt mi ~name_ptr:ps.ps_name)
 
-(** Raw capability re-add: straight table inserts plus the writer-set
-    marking a real grant would perform.  No stats, no fault injection,
-    no trace — restore must be exact and silent. *)
-let readd_caps rt (p : Principal.t) (ps : pstate) =
+type filter = {
+  keep_write : base:int -> size:int -> bool;
+  keep_call : target:int -> bool;
+  keep_ref : rtype:string -> addr:int -> bool;
+  keep_instances : bool;
+}
+
+let keep_all =
+  {
+    keep_write = (fun ~base:_ ~size:_ -> true);
+    keep_call = (fun ~target:_ -> true);
+    keep_ref = (fun ~rtype:_ ~addr:_ -> true);
+    keep_instances = true;
+  }
+
+(** Raw capability re-add of what [f] keeps, each decision passed
+    through [kept]: straight table inserts plus the writer-set marking a
+    real grant would perform.  No stats, no fault injection, no trace —
+    restore must be exact and silent. *)
+let readd_caps rt (p : Principal.t) (ps : pstate) (f : filter) kept =
   List.iter
     (fun (base, size) ->
-      Captable.add_write p.Principal.caps ~base ~size;
-      if not (Kmem.Layout.is_user base) then
-        Writer_set.mark_range rt.Runtime.wset ~base ~size)
+      if kept (f.keep_write ~base ~size) then begin
+        Captable.add_write p.Principal.caps ~base ~size;
+        if not (Kmem.Layout.is_user base) then
+          Writer_set.mark_range rt.Runtime.wset ~base ~size
+      end)
     ps.ps_writes;
-  List.iter (fun target -> Captable.add_call p.Principal.caps ~target) ps.ps_calls;
   List.iter
-    (fun (rtype, addr) -> Captable.add_ref p.Principal.caps ~rtype ~addr)
+    (fun target -> if kept (f.keep_call ~target) then Captable.add_call p.Principal.caps ~target)
+    ps.ps_calls;
+  List.iter
+    (fun (rtype, addr) ->
+      if kept (f.keep_ref ~rtype ~addr) then Captable.add_ref p.Principal.caps ~rtype ~addr)
     ps.ps_refs
 
-(* A restored flow position is re-validated against the target
-   module's enforced graph: a position the new graph does not even
-   contain resets to start (mirroring the upgrade rule that stale
-   grants drop).  With no graph to validate against, the captured
-   position is kept verbatim so capture/restore round-trips. *)
-let flow_of_pstate (mi : Runtime.module_info) (ps : pstate) : string option =
+(* A restored flow position is mapped to the target module's enforced
+   graph: a position that graph does not contain resets to start
+   (mirroring the upgrade rule that stale grants drop). *)
+let flow_of_pstate (mi : Runtime.module_info) (ps : pstate) : int =
   match (ps.ps_flow, mi.Runtime.mi_flow) with
-  | None, _ -> None
-  | Some k, None -> Some k
-  | Some k, Some g -> if Check.Apiflow.has_node g k then Some k else None
+  | Some k, Some g when Check.Apiflow.has_node g k -> Check.Apiflow.id g k
+  | _ -> Check.Apiflow.start
 
 let restore_global rt (mi : Runtime.module_info) (gs : gstate) =
   if not gs.gs_funcptr then
@@ -230,62 +248,34 @@ let restore (rt : Runtime.t) (mi : Runtime.module_info) (t : t) : unit =
     (fun ps ->
       let p = principal_of_pstate rt mi ps in
       Captable.clear p.Principal.caps;
-      readd_caps rt p ps;
+      readd_caps rt p ps keep_all Fun.id;
       p.Principal.quarantined <- ps.ps_quarantined;
       p.Principal.flow_pos <- flow_of_pstate mi ps)
     t.sn_principals;
   List.iter (restore_global rt mi) t.sn_globals
-
-type filter = {
-  keep_write : base:int -> size:int -> bool;
-  keep_call : target:int -> bool;
-  keep_ref : rtype:string -> addr:int -> bool;
-  keep_instances : bool;
-}
 
 type restore_report = { rr_restored : int; rr_dropped : int }
 
 let restore_filtered (rt : Runtime.t) (mi : Runtime.module_info) (t : t)
     (f : filter) : restore_report =
   let restored = ref 0 and dropped = ref 0 in
-  let count keep = if keep then incr restored else incr dropped in
-  let ncaps ps =
-    List.length ps.ps_writes + List.length ps.ps_calls + List.length ps.ps_refs
+  let count keep =
+    if keep then incr restored else incr dropped;
+    keep
   in
   List.iter
     (fun ps ->
       (* Quarantined principals stay revoked: the compatibility filter
          never resurrects what containment removed. *)
-      if ps.ps_quarantined = None then
-        if ps.ps_kind = Principal.Instance && not f.keep_instances then
-          dropped := !dropped + ncaps ps
-        else begin
-          let p = principal_of_pstate rt mi ps in
-          p.Principal.flow_pos <- flow_of_pstate mi ps;
-          List.iter
-            (fun (base, size) ->
-              let keep = f.keep_write ~base ~size in
-              count keep;
-              if keep then begin
-                Captable.add_write p.Principal.caps ~base ~size;
-                if not (Kmem.Layout.is_user base) then
-                  Writer_set.mark_range rt.Runtime.wset ~base ~size
-              end)
-            ps.ps_writes;
-          List.iter
-            (fun target ->
-              let keep = f.keep_call ~target in
-              count keep;
-              if keep then Captable.add_call p.Principal.caps ~target)
-            ps.ps_calls;
-          List.iter
-            (fun (rtype, addr) ->
-              let keep = f.keep_ref ~rtype ~addr in
-              count keep;
-              if keep then Captable.add_ref p.Principal.caps ~rtype ~addr)
-            ps.ps_refs
-        end
-      else dropped := !dropped + ncaps ps)
+      if ps.ps_quarantined <> None || (ps.ps_kind = Principal.Instance && not f.keep_instances)
+      then
+        dropped :=
+          !dropped + List.length ps.ps_writes + List.length ps.ps_calls + List.length ps.ps_refs
+      else begin
+        let p = principal_of_pstate rt mi ps in
+        p.Principal.flow_pos <- flow_of_pstate mi ps;
+        readd_caps rt p ps f count
+      end)
     t.sn_principals;
   List.iter (restore_global rt mi) t.sn_globals;
   { rr_restored = !restored; rr_dropped = !dropped }

@@ -230,14 +230,16 @@ let clear t =
   t.next <- 0;
   t.total <- 0
 
+(* The ring slot of the [i]th retained event, oldest first. *)
+let slot t i =
+  if t.total <= t.capacity then i
+  else
+    let s = t.next + i in
+    if s >= t.capacity then s - t.capacity else s
+
 (* The [i]th retained event, oldest first, as a record. *)
 let nth t i =
-  let s =
-    if t.total <= t.capacity then i
-    else
-      let s = t.next + i in
-      if s >= t.capacity then s - t.capacity else s
-  in
+  let s = slot t i in
   let blk = t.blocks.(s lsr block_bits) and j = s land (block_size - 1) in
   {
     ev_kernel = blk.b_kernel.(j);
@@ -265,6 +267,21 @@ let copy t start n =
 (** [events t] — retained events, oldest first.  When the ring wrapped,
     these are the newest [capacity t] events. *)
 let events t = copy t 0 (min t.total t.capacity)
+
+(** [fold t init f] — [f] over the retained events, oldest first, each
+    passed as its fields, read in place from the block columns. *)
+let fold t init f =
+  let n = min t.total t.capacity in
+  let rec go i acc =
+    if i = n then acc
+    else
+      let s = slot t i in
+      let blk = t.blocks.(s lsr block_bits) and j = s land (block_size - 1) in
+      go (i + 1)
+        (f acc ~kernel:blk.b_kernel.(j) ~module_:blk.b_module.(j) ~guard:blk.b_guard.(j)
+           ~principal:blk.b_principal.(j) blk.b_kind.(j))
+  in
+  go 0 init
 
 (** [since_last t p] — the retained events from the newest one that
     satisfies [p] on, oldest first; every retained event when none

@@ -106,6 +106,15 @@ val clear : t -> unit
 val events : t -> event array
 (** Retained events, oldest first, built as records on read. *)
 
+val fold :
+  t ->
+  'a ->
+  ('a -> kernel:int -> module_:int -> guard:int -> principal:string -> kind -> 'a) ->
+  'a
+(** [fold t init f] runs [f] over the retained events, oldest first,
+    passing each event's fields as they sit in the block columns: it
+    builds no {!event} record. *)
+
 val since_last : t -> (event -> bool) -> event array
 (** [since_last t p] is the suffix of {!events} that starts at the
     newest event satisfying [p], or all of {!events} when none does.

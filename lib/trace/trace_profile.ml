@@ -82,11 +82,10 @@ let fresh_principal key =
 let fresh_entry key = { es_wrapper = key; es_calls = 0; es_cycles_incl = 0; es_cycles_self = 0 }
 
 (** [aggregate ?final buf] — build the profile.  [final] is the cycle
-    clock at aggregation time ((kernel, module, guard), e.g. from
-    {!Kcycles}); when omitted, the last event's stamp is used and the
+    clock at aggregation time (e.g. the runtime's live {!Kcycles}
+    record); when omitted, the last event's stamp is used and the
     trailing interval is empty. *)
-let aggregate ?final (buf : Trace.t) : t =
-  let evs = Trace.events buf in
+let aggregate ?(final : Trace.cycles option) (buf : Trace.t) : t =
   let principals = { items = [] } in
   let entries = { items = [] } in
   let kexports = { items = [] } in
@@ -95,7 +94,7 @@ let aggregate ?final (buf : Trace.t) : t =
      processed event.  Cycles before the first retained event belong to
      "(pre-trace)". *)
   let last_k = ref 0 and last_m = ref 0 and last_g = ref 0 in
-  let running = ref (if Array.length evs = 0 then "(kernel)" else "(pre-trace)") in
+  let running = ref (if Trace.total buf = 0 then "(kernel)" else "(pre-trace)") in
   let attribute k m g =
     let p = prin !running in
     p.ps_kernel <- p.ps_kernel + (k - !last_k);
@@ -125,13 +124,13 @@ let aggregate ?final (buf : Trace.t) : t =
            nothing to attribute it against. *)
         ()
   in
-  Array.iter
-    (fun (e : Trace.event) ->
-      attribute e.Trace.ev_kernel e.Trace.ev_module e.Trace.ev_guard;
-      let p = prin e.Trace.ev_principal in
-      p.ps_events <- p.ps_events + 1;
-      let at = Trace.ev_total e in
-      (match e.Trace.ev_kind with
+  let events =
+    Trace.fold buf 0 (fun n ~kernel ~module_ ~guard ~principal kind ->
+        attribute kernel module_ guard;
+        let p = prin principal in
+        p.ps_events <- p.ps_events + 1;
+        let at = kernel + module_ + guard in
+        (match kind with
       | Trace.Guard g -> p.ps_guards.(Trace.guard_index g) <- p.ps_guards.(Trace.guard_index g) + 1
       | Trace.Cap (Trace.Grant, _, _) -> p.ps_caps_granted <- p.ps_caps_granted + 1
       | Trace.Cap (Trace.Revoke, _, _) -> p.ps_caps_revoked <- p.ps_caps_revoked + 1
@@ -140,20 +139,20 @@ let aggregate ?final (buf : Trace.t) : t =
       | Trace.Span_begin (kind, w) -> push kind w at
       | Trace.Span_end (kind, w) -> pop kind w at
       | Trace.Violation _ -> p.ps_violations <- p.ps_violations + 1
-      | Trace.Quarantine _ | Trace.Escalation _ | Trace.Slab_alloc _ | Trace.Slab_free _
-      | Trace.Fault_injected _ | Trace.Mod_call _ ->
-          ());
-      (* After the event, the running principal is whatever it reported
-         — a Switch event already carries the new principal's name in
-         its payload for the *next* interval. *)
-      running :=
-        (match e.Trace.ev_kind with Trace.Switch to_ -> to_ | _ -> e.Trace.ev_principal))
-    evs;
+        | Trace.Quarantine _ | Trace.Escalation _ | Trace.Slab_alloc _ | Trace.Slab_free _
+        | Trace.Fault_injected _ | Trace.Mod_call _ ->
+            ());
+        (* After the event, the running principal is whatever it
+           reported — a Switch event already carries the new
+           principal's name in its payload for the *next* interval. *)
+        running := (match kind with Trace.Switch to_ -> to_ | _ -> principal);
+        n + 1)
+  in
   (* Trailing interval up to the final clock, and spans still open at
      the end of the capture window (e.g. a trace stopped mid-entry). *)
   let fk, fm, fg =
     match final with
-    | Some (k, m, g) -> (k, m, g)
+    | Some c -> (c.Trace.kernel, c.Trace.module_, c.Trace.guard)
     | None -> (!last_k, !last_m, !last_g)
   in
   attribute fk fm fg;
@@ -179,7 +178,7 @@ let aggregate ?final (buf : Trace.t) : t =
     pr_principals = by_cycles (acc_values principals);
     pr_entries = by_incl (acc_values entries);
     pr_kexports = by_incl (acc_values kexports);
-    pr_events = Array.length evs;
+    pr_events = events;
     pr_emitted = Trace.total buf;
     pr_dropped = Trace.dropped buf;
     pr_total_cycles = final_total;
@@ -254,7 +253,6 @@ let ts_of cycles = Printf.sprintf "%.3f" (float_of_int cycles /. cycles_per_us)
 (** [to_chrome_json buf] — serialize the retained events.  Deterministic:
     thread ids are assigned in order of first appearance. *)
 let to_chrome_json (buf : Trace.t) : string =
-  let evs = Trace.events buf in
   let out = Buffer.create 4096 in
   let first = ref true in
   let emit_json fields =
@@ -291,22 +289,22 @@ let to_chrome_json (buf : Trace.t) : string =
   (* Spans: match begin/end on a stack (exporter-side, same discipline
      as the aggregator) and emit complete events so nesting renders. *)
   let stack = ref [] in
-  let instant e name =
+  let instant at principal name =
     emit_json
       [
         ("name", str name);
         ("ph", str "i");
         ("s", str "g");
-        ("ts", ts_of (Trace.ev_total e));
+        ("ts", ts_of at);
         ("pid", "0");
-        ("tid", string_of_int (tid_of e.Trace.ev_principal));
+        ("tid", string_of_int (tid_of principal));
       ]
   in
-  Array.iter
-    (fun (e : Trace.event) ->
-      let at = Trace.ev_total e in
-      match e.Trace.ev_kind with
-      | Trace.Span_begin (kind, w) -> stack := (kind, w, at, e.Trace.ev_principal) :: !stack
+  let last =
+    Trace.fold buf 0 (fun _ ~kernel ~module_ ~guard ~principal kind ->
+      let at = kernel + module_ + guard in
+      (match kind with
+      | Trace.Span_begin (kind, w) -> stack := (kind, w, at, principal) :: !stack
       | Trace.Span_end (kind, w) -> (
           match !stack with
           | (k, w', t0, p) :: rest when k = kind && w' = w ->
@@ -321,31 +319,28 @@ let to_chrome_json (buf : Trace.t) : string =
                   ("tid", string_of_int (tid_of p));
                 ]
           | _ -> ())
-      | Trace.Violation (k, m) -> instant e (Printf.sprintf "violation:%s:%s" k m)
-      | Trace.Quarantine (p, _) -> instant e ("quarantine:" ^ p)
-      | Trace.Escalation (m, _) -> instant e ("escalation:" ^ m)
-      | Trace.Fault_injected site -> instant e ("fault:" ^ site)
+      | Trace.Violation (k, m) -> instant at principal (Printf.sprintf "violation:%s:%s" k m)
+      | Trace.Quarantine (p, _) -> instant at principal ("quarantine:" ^ p)
+      | Trace.Escalation (m, _) -> instant at principal ("escalation:" ^ m)
+      | Trace.Fault_injected site -> instant at principal ("fault:" ^ site)
       | Trace.Guard _ | Trace.Cap _ | Trace.Switch _ | Trace.Slab_alloc _
       | Trace.Slab_free _ | Trace.Mod_call _ ->
-          ())
-    evs;
+          ());
+      at)
+  in
   (* Close spans still open at the end of the capture window. *)
-  (match Array.length evs with
-  | 0 -> ()
-  | n ->
-      let last = Trace.ev_total evs.(n - 1) in
-      List.iter
-        (fun (_, w, t0, p) ->
-          emit_json
-            [
-              ("name", str (w ^ " (unfinished)"));
-              ("ph", str "X");
-              ("ts", ts_of t0);
-              ("dur", ts_of (last - t0));
-              ("pid", "0");
-              ("tid", string_of_int (tid_of p));
-            ])
-        !stack);
+  List.iter
+    (fun (_, w, t0, p) ->
+      emit_json
+        [
+          ("name", str (w ^ " (unfinished)"));
+          ("ph", str "X");
+          ("ts", ts_of t0);
+          ("dur", ts_of (last - t0));
+          ("pid", "0");
+          ("tid", string_of_int (tid_of p));
+        ])
+    !stack;
   Buffer.add_string out "\n  ]\n}\n";
   Buffer.contents out
 

@@ -32,10 +32,10 @@ type t = {
   pr_total_cycles : int;
 }
 
-val aggregate : ?final:int * int * int -> Trace.t -> t
-(** Build the profile.  [final] is the (kernel, module, guard) cycle
-    clock at aggregation time; the per-principal cycle totals then sum
-    exactly to it (see {!attributed_cycles}). *)
+val aggregate : ?final:Trace.cycles -> Trace.t -> t
+(** Build the profile.  [final] is the cycle clock at aggregation time
+    (the runtime's live counter record); the per-principal cycle totals
+    then sum exactly to it (see {!attributed_cycles}). *)
 
 val attributed_cycles : t -> int
 (** Sum of per-principal cycles; equals [pr_total_cycles] when [final]

@@ -71,9 +71,7 @@ let run ?(seed = 1) ?(limit = Trace.default_capacity) ?out ~workload ppf =
     step rng i
   done;
   Trace.detach ();
-  let c = sys.Ksys.kst.Kstate.cycles in
-  let final = (Kcycles.kernel c, Kcycles.module_ c, Kcycles.guard c) in
-  let profile = Trace_profile.aggregate ~final buf in
+  let profile = Trace_profile.aggregate ~final:sys.Ksys.kst.Kstate.cycles buf in
   Fmt.pf ppf "trace: workload %s, seed %d, %d ops, ring capacity %d@." workload seed ops
     limit;
   Trace_profile.report ppf profile;

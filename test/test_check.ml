@@ -268,6 +268,16 @@ let flow_env () =
   in
   env
 
+(* [Check.Apiflow.permits] by export name, [None] for the start
+   position: a name with no node is never a position. *)
+let permits_named g ~pos k =
+  let open Check.Apiflow in
+  match pos with
+  | None -> permits g ~pos:start (id g k)
+  | Some p ->
+      let p = id g p in
+      p >= 0 && permits g ~pos:p (id g k)
+
 let test_flow_graph_shape () =
   let open Mir.Builder in
   let p =
@@ -287,14 +297,11 @@ let test_flow_graph_shape () =
   Alcotest.(check (list string)) "start" [ "kmalloc" ] g.Check.Apiflow.g_start;
   (* (kmalloc, kfree) within the entry; (kfree, kmalloc) across the
      entry boundary (a kernel may re-enter the module) *)
-  Alcotest.(check bool) "intra edge" true
-    (Check.Apiflow.permits g ~pos:(Some "kmalloc") "kfree");
-  Alcotest.(check bool) "boundary edge" true
-    (Check.Apiflow.permits g ~pos:(Some "kfree") "kmalloc");
-  Alcotest.(check bool) "kfree is not a start" false
-    (Check.Apiflow.permits g ~pos:None "kfree");
+  Alcotest.(check bool) "intra edge" true (permits_named g ~pos:(Some "kmalloc") "kfree");
+  Alcotest.(check bool) "boundary edge" true (permits_named g ~pos:(Some "kfree") "kmalloc");
+  Alcotest.(check bool) "kfree is not a start" false (permits_named g ~pos:None "kfree");
   Alcotest.(check bool) "no kfree -> kfree edge" false
-    (Check.Apiflow.permits g ~pos:(Some "kfree") "kfree");
+    (permits_named g ~pos:(Some "kfree") "kfree");
   Alcotest.(check bool) "has_node" true (Check.Apiflow.has_node g "kmalloc");
   Alcotest.(check bool) "foreign node" false (Check.Apiflow.has_node g "vmalloc")
 
@@ -364,25 +371,31 @@ let lookup_agrees_with_lists (g : Check.Apiflow.graph) =
   List.iter
     (fun k ->
       if has_node g k <> mem k g.g_nodes then fail "has_node %s disagrees" k;
-      if permits g ~pos:None k <> mem k g.g_start then fail "start -> %s disagrees" k;
+      if permits_named g ~pos:None k <> mem k g.g_start then fail "start -> %s disagrees" k;
       List.iter
         (fun p ->
           let listed =
             List.exists (fun (a, b) -> String.equal a p && String.equal b k) g.g_edges
           in
-          if permits g ~pos:(Some p) k <> listed then fail "%s -> %s disagrees" p k)
+          if permits_named g ~pos:(Some p) k <> listed then fail "%s -> %s disagrees" p k)
         names)
     names
 
-let catalog_graphs =
+(* A freshly booted lxfi system's checker view, with its catalog
+   programs. *)
+let catalog =
   lazy
     (Kernel_sim.Klog.quiet ();
      let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
-     let env = Lxfi.Loader.check_env sys.Kmodules.Ksys.rt in
-     List.map
-       (fun (spec : Kmodules.Mod_common.spec) ->
-         Check.Apiflow.extract env (spec.Kmodules.Mod_common.make sys))
-       Kmodules.Catalog.all)
+     ( Lxfi.Loader.check_env sys.Kmodules.Ksys.rt,
+       List.map
+         (fun (spec : Kmodules.Mod_common.spec) -> spec.Kmodules.Mod_common.make sys)
+         Kmodules.Catalog.all ))
+
+let catalog_graphs =
+  lazy
+    (let env, progs = Lazy.force catalog in
+     List.map (Check.Apiflow.extract env) progs)
 
 let prop_flow_lookup =
   QCheck.Test.make ~count:50 ~name:"flow lookup equals list membership"
@@ -398,6 +411,177 @@ let prop_flow_lookup =
             Check.Apiflow.extract env prog;
             Check.Apiflow.extract env (Fuzz.Mutate.benign_of mutant.Fuzz.Mutate.m_prog);
           ]);
+      true)
+
+(* The extraction against the set-based one it replaced
+   ([Apiflow_ref]): the rendered node, start and edge lists, [permits]
+   and [has_node] for every pair of names either graph knows (plus one
+   neither does), and [check_module]'s undefined-callee errors.  The
+   first disagreement, if any. *)
+let reference_mismatch env prog =
+  let open Check.Apiflow in
+  let g = extract env prog and r = Apiflow_ref.extract env prog in
+  let names =
+    List.sort_uniq String.compare
+      (("no_such_kexport" :: Array.to_list g.g_names)
+      @ r.Apiflow_ref.g_nodes @ r.g_start
+      @ List.concat_map (fun (a, b) -> [ a; b ]) r.g_edges)
+  in
+  let errors =
+    List.filter_map
+      (fun f -> if F.rule f = "flow-extraction" then Some f.F.f_diag.Diag.d_message else None)
+      (check_module env prog)
+  in
+  let undefined =
+    List.map
+      (Printf.sprintf "direct call to undefined function %s: no flow summary for the callee")
+      (Apiflow_ref.undefined prog)
+  in
+  let steps k =
+    (None, Apiflow_ref.has_node r k = has_node g k)
+    :: (Some "(start)", Apiflow_ref.permits r ~pos:None k = permits_named g ~pos:None k)
+    :: List.map
+         (fun p ->
+           (Some p, Apiflow_ref.permits r ~pos:(Some p) k = permits_named g ~pos:(Some p) k))
+         names
+  in
+  if g.g_nodes <> r.g_nodes then Some "nodes differ"
+  else if g.g_start <> r.g_start then Some "start sets differ"
+  else if g.g_edges <> r.g_edges then Some "edges differ"
+  else if errors <> undefined then Some "undefined-callee errors differ"
+  else
+    List.find_map
+      (fun k ->
+        List.find_map
+          (function
+            | _, true -> None
+            | None, false -> Some ("has_node " ^ k)
+            | Some p, false -> Some (Printf.sprintf "permits %s -> %s" p k))
+          (steps k))
+      names
+
+(* Shapes the generator does not make, each over [flow_env]'s exports. *)
+let reference_shapes =
+  let open Mir.Builder in
+  let m funcs = prog "shape" ~imports:[] ~globals:[] ~funcs in
+  [
+    ( "return inside a loop",
+      m
+        [
+          func "f" [ "n" ]
+            [
+              let_ "p" (call_ext "kmalloc" [ ii 8 ]);
+              while_ (call_ext "spin_lock" [ v "p" ])
+                [
+                  when_ (v "n" ==: ii 3) [ ret (call_ext "kfree" [ v "p" ]) ];
+                  expr (call_ext "spin_unlock" [ v "p" ]);
+                ];
+              ret0;
+            ];
+        ] );
+    ( "mutual recursion",
+      m
+        [
+          func "a" [ "n" ]
+            [
+              expr (call_ext "spin_lock" [ v "n" ]);
+              when_ (v "n") [ expr (call "b" [ v "n" ]) ];
+              expr (call_ext "spin_unlock" [ v "n" ]);
+              ret0;
+            ];
+          func "b" [ "n" ]
+            [ expr (call_ext "kmalloc" [ v "n" ]); ret (call "a" [ v "n" -: ii 1 ]) ];
+        ] );
+    ( "indirect call, address-taken functions and exports",
+      prog "shape" ~imports:[]
+        ~globals:[ global "ops" 16 ~init:[ init_func 0 "h"; init_ext 8 "kfree" ] ]
+        ~funcs:
+          [
+            func "h" [ "p" ] [ expr (call_ext "spin_lock_init" [ v "p" ]); ret0 ];
+            func "g" [ "p" ] [ expr (call_ext "spin_lock" [ v "p" ]); ret0 ];
+            func "f" [ "p" ]
+              [
+                let_ "t" (fn "g");
+                let_ "u" (ext "kmalloc");
+                expr (call_ind (load64 (glob "ops")) [ v "p" ]);
+                expr (call_ext "spin_unlock" [ v "p" ]);
+                ret0;
+              ];
+          ] );
+    ( "undefined callees, dead code and guards",
+      m
+        [
+          func "f" [ "n" ]
+            [
+              if_ (v "n") [ expr (call "nope" [ call_ext "kmalloc" [ v "n" ] ]) ] [];
+              Mir.Ast.Guard (Mir.Ast.Gwrite (Mir.Ast.W64, call "guarded" [ call_ext "kfree" [] ]));
+              ret0;
+              expr (call "dead" [ call_ext "spin_lock" [] ]);
+            ];
+        ] );
+  ]
+
+(* More nodes than one bitset word holds: a chain through 70 exports
+   and a loop and branch across the word seam. *)
+let wide_shape () =
+  let open Mir.Builder in
+  let names = List.init 70 (Printf.sprintf "kx%02d") in
+  let k i = call_ext (Printf.sprintf "kx%02d" i) [] in
+  let _, env = mk_env ~kexports:(flow_kexports names) () in
+  ( env,
+    prog "wide" ~imports:names ~globals:[]
+      ~funcs:
+        [
+          func "chain" [] (List.map (fun n -> expr (call_ext n [])) names @ [ ret0 ]);
+          func "seam" [ "n" ]
+            [
+              while_ (k 62) [ if_ (v "n") [ expr (k 63) ] [ expr (k 64); ret (k 0) ] ];
+              expr (k 69);
+              ret0;
+            ];
+        ] )
+
+let test_flow_reference_shapes () =
+  let check env (name, prog) =
+    match reference_mismatch env prog with
+    | None -> ()
+    | Some why -> Alcotest.failf "%s: %s" name why
+  in
+  let catalog_env, catalog_progs = Lazy.force catalog in
+  List.iter (fun p -> check catalog_env (p.Mir.Ast.pname, p)) catalog_progs;
+  List.iter
+    (fun (pos, at) ->
+      List.iter
+        (fun h -> check (flow_env ()) (pos, Positions.prog_of (at h)))
+        Mir.Builder.
+          [ call_ext "kmalloc" [ ii 8 ]; call_ind (v "p") []; call "f" []; call "nope" [] ])
+    Positions.all;
+  List.iter (check (flow_env ())) reference_shapes;
+  let env, wide = wide_shape () in
+  check env ("70 nodes", wide);
+  Alcotest.(check int) "wide graph spans two words" 70
+    (Array.length (Check.Apiflow.extract env wide).Check.Apiflow.g_names)
+
+let prop_flow_reference =
+  QCheck.Test.make ~count:60 ~name:"extraction = set-based reference on every mutant"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let case = Fuzz.Gen.case_of_rand (Fuzz.Rng.rand (Fuzz.Rng.create ~seed)) in
+      let prog = case.Fuzz.Gen.c_prog in
+      let env, _ = Lazy.force catalog in
+      let mutants =
+        List.map
+          (fun cls ->
+            (Fuzz.Mutate.name cls, (Fuzz.Mutate.apply ~canary_addr:0x1000 cls prog).m_prog))
+          Fuzz.Mutate.all
+      in
+      let benign = Fuzz.Mutate.benign_of (List.assoc "flow-reorder" mutants) in
+      List.iter
+        (fun (name, p) ->
+          match reference_mismatch env p with
+          | None -> ()
+          | Some why -> QCheck.Test.fail_reportf "seed %d, %s: %s" seed name why)
+        ((("case", prog) :: mutants) @ [ ("benign_of flow-reorder", benign) ]);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -482,6 +666,9 @@ let () =
           Alcotest.test_case "node at every position" `Quick test_flow_node_every_position;
           QCheck_alcotest.to_alcotest prop_flow_soundness;
           QCheck_alcotest.to_alcotest prop_flow_lookup;
+          Alcotest.test_case "extraction = set-based reference on fixed shapes" `Quick
+            test_flow_reference_shapes;
+          QCheck_alcotest.to_alcotest prop_flow_reference;
         ] );
       ( "acceptance",
         [

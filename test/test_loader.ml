@@ -94,7 +94,7 @@ let test_annotation_propagation_from_export () =
     (Hashtbl.mem mi.Runtime.mi_func_slot "helper");
   let addr = Hashtbl.find mi.Runtime.mi_func_addr "cb" in
   Alcotest.(check bool) "ahash registered" true
-    (Hashtbl.mem rt.Runtime.func_ahash_by_addr addr)
+    (Inttbl.mem rt.Runtime.func_ahash_by_addr addr)
 
 let test_propagation_from_struct_initializer () =
   let kst, rt = boot () in

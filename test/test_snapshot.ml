@@ -137,6 +137,7 @@ let flow_prog ~with_kfree =
       ]
 
 let test_upgrade_revalidates_flow_position () =
+  let position mi = Lxfi.Runtime.flow_position mi mi.Lxfi.Runtime.mi_shared in
   let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
   let rt = sys.Kmodules.Ksys.rt in
   ignore
@@ -152,25 +153,25 @@ let test_upgrade_revalidates_flow_position () =
   drive mi;
   Alcotest.(check (option string))
     "at-rest position is kfree" (Some "kfree")
-    mi.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
+    (position mi);
   (* same-shape upgrade: the new graph still has the node, so the
      captured mid-sequence position survives the restore *)
   let link prog = Lxfi.Loader.link (Lxfi.Loader.check_env rt) rt.Lxfi.Runtime.config prog in
   let mi2, _ = Lxfi.Loader.upgrade rt mi (link (flow_prog ~with_kfree:true)) in
   Alcotest.(check (option string))
     "compatible upgrade keeps the position" (Some "kfree")
-    mi2.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
+    (position mi2);
   (* narrower upgrade: kfree is gone from the new version's graph, so
      the restored position is stale and must drop *)
   let mi3, _ = Lxfi.Loader.upgrade rt mi2 (link (flow_prog ~with_kfree:false)) in
   Alcotest.(check (option string))
     "narrower upgrade drops the stale position" None
-    mi3.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos;
+    (position mi3);
   (* and the automaton restarts cleanly from the start set *)
   drive mi3;
   Alcotest.(check (option string))
     "post-upgrade traffic re-advances from start" (Some "kmalloc")
-    mi3.Lxfi.Runtime.mi_shared.Lxfi.Principal.flow_pos
+    (position mi3)
 
 (* [wset_lines] lists the writer-set lines over the captured module's
    own memory and nothing else: not a second module's stack, and not a slab

@@ -138,6 +138,29 @@ let prop_ring_model =
           && Trace.dropped buf = total - List.length kept
           && Trace.capacity buf = capacity))
 
+(* [fold] passes exactly the fields of the events [events] returns, in
+   the same order, wrapped or not, across block seams. *)
+let prop_fold_model =
+  QCheck.Test.make ~count:200 ~name:"fold = events"
+    QCheck.(pair (int_range 1 1000) (int_range 0 3000))
+    (fun (capacity, emits) ->
+      with_model_ring capacity (fun buf emit ->
+          for i = 0 to emits - 1 do
+            emit i
+          done;
+          let folded =
+            Trace.fold buf [] (fun acc ~kernel ~module_ ~guard ~principal kind ->
+                {
+                  Trace.ev_kernel = kernel;
+                  ev_module = module_;
+                  ev_guard = guard;
+                  ev_principal = principal;
+                  ev_kind = kind;
+                }
+                :: acc)
+          in
+          List.rev folded = Array.to_list (Trace.events buf)))
+
 (* The window query against copy-then-scan: copy every retained event,
    find the newest match by a forward scan, and keep the suffix from
    it (all of it when nothing matches).  Rings are wrapped and
@@ -305,7 +328,7 @@ let test_profile_reconciles_synthetic () =
       done;
       let final =
         (* clock advanced once per emit; pretend 5 more kernel cycles ran *)
-        (Trace.total buf + 5, 0, 0)
+        { Trace.kernel = Trace.total buf + 5; module_ = 0; guard = 0 }
       in
       let p = Trace_profile.aggregate ~final buf in
       Alcotest.(check int) "attributed = total" p.Trace_profile.pr_total_cycles
@@ -324,6 +347,7 @@ let () =
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
           Alcotest.test_case "ring dies young" `Quick test_ring_dies_young;
           QCheck_alcotest.to_alcotest prop_ring_model;
+          QCheck_alcotest.to_alcotest prop_fold_model;
           QCheck_alcotest.to_alcotest prop_since_last_model;
         ] );
       ( "events",
