@@ -342,15 +342,8 @@ let ablation () =
       [ "checked ind-calls/pkt (on)"; R.f1 ws.Netperf_sim.ws_on_checked ];
       [ "checked ind-calls/pkt (off)"; R.f1 ws.Netperf_sim.ws_off_checked ];
     ];
-  let noopt =
-    {
-      Lxfi.Config.lxfi with
-      Lxfi.Config.opt_elide_safe_writes = false;
-      opt_inline_trivial = false;
-    }
-  in
   let with_ = Microbench.all () in
-  let without = Microbench.all ~config_lxfi:noopt () in
+  let without = Microbench.all ~config_lxfi:Lxfi.Config.lxfi_noopt () in
   let rows =
     List.map2
       (fun (a : Microbench.result) (b : Microbench.result) ->

@@ -6,8 +6,6 @@
     slot with a different contract.  FNV-1a over the canonical printing
     plus the parameter-name list. *)
 
-val fnv1a : string -> int64
-
 val of_annot : params:string list -> Ast.t -> int64
 
 val empty : int64

@@ -59,8 +59,6 @@ let error_to_string ?src e =
   | Some s -> Printf.sprintf "annotation %S: %s%s" s e.err_msg where
   | None -> Printf.sprintf "%s%s" e.err_msg where
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 (* The tokenizer pairs every token with its starting byte offset. *)
 let tokenize (s : string) : (token * int) list =
   let n = String.length s in

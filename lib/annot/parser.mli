@@ -22,6 +22,4 @@ val error_to_string : ?src:string -> error -> string
 (** Render an error, optionally prefixed with the annotation source it
     came from: [annotation "...": expected ( at offset 12 (near ",")]. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse : string -> (Ast.t, error) result

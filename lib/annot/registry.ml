@@ -34,8 +34,6 @@ let error_to_string = function
       Printf.sprintf "%s: %s" name (Parser.error_to_string ~src err)
   | Invalid { name; msg } -> Printf.sprintf "%s: invalid annotation: %s" name msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let ok_exn = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Registry.define: %s" (error_to_string e))

@@ -24,7 +24,6 @@ type error =
       (** parsed, but [Ast.validate] rejected it against the params *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val ok_exn : ('a, error) result -> 'a
 (** Unwrap, raising [Invalid_argument] with the rendered error — for

@@ -46,10 +46,10 @@ let run ?(shrink = true) ?(mutants_per_case = 4) ~seed ~runs () =
     let rng = Rng.create ~seed:(Rng.derive seed i) in
     let rand = Rng.rand rng in
     let case = Gen.case_of_rand rand in
-    (match Harness.clean_failure ~trace:true case with
+    (match Harness.clean_failure case with
     | None -> incr cases_ok
     | Some msg ->
-        let pred p = Harness.clean_failure ~trace:true { case with Gen.c_prog = p } in
+        let pred p = Harness.clean_failure { case with Gen.c_prog = p } in
         let small = if shrink then Shrink.minimize ~pred case.Gen.c_prog else case.Gen.c_prog in
         let name = Printf.sprintf "clean_s%d_c%d" seed i in
         diverge name msg
@@ -142,7 +142,7 @@ let exemplars ~seed =
       else
         let rng = Rng.create ~seed:(Rng.derive seed (2000 + i)) in
         let case = Gen.case_of_rand ~size:3 (Rng.rand rng) in
-        match Harness.clean_failure ~trace:true case with
+        match Harness.clean_failure case with
         | None ->
             {
               rp_name = "clean_small.mir";

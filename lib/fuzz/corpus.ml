@@ -147,10 +147,7 @@ let replay ~src =
       | Ok prog -> (
           match spec.sp_expect with
           | Eclean -> (
-              match
-                Harness.clean_failure ~trace:true
-                  { Gen.c_prog = prog; c_inputs = spec.sp_inputs }
-              with
+              match Harness.clean_failure { Gen.c_prog = prog; c_inputs = spec.sp_inputs } with
               | None -> Ok ()
               | Some m -> Error m)
           | Eviolation kind -> (

@@ -41,12 +41,10 @@ type case = {
   c_inputs : int64 list;  (** inputs the harness drives it with *)
 }
 
-val make_prog : ?size:int -> rand -> Mir.Ast.prog
-(** One well-behaved module.  [size] scales statement count and nesting
-    (default 8); loop bounds and nesting depth are capped so the worst
-    clean entry stays far under {!Harness.fuel}. *)
-
 val case_of_rand : ?size:int -> rand -> case
+(** One well-behaved module and its inputs.  [size] scales statement
+    count and nesting (default 8); loop bounds and nesting depth are
+    capped so the worst clean entry stays far under {!Harness.fuel}. *)
 
 val of_random_state : ?size:int -> unit -> Random.State.t -> case
 (** The same generator as a [Random.State.t] consumer — exactly

@@ -18,13 +18,6 @@ let fuel = 100_000
 
 let mutant_config = { Lxfi.Config.lxfi with Lxfi.Config.watchdog_fuel = Some fuel }
 
-let noopt_config =
-  {
-    Lxfi.Config.lxfi with
-    Lxfi.Config.opt_elide_safe_writes = false;
-    opt_inline_trivial = false;
-  }
-
 let canary_size = 64
 let canary_byte i = (0xC5 + i) land 0xff
 
@@ -185,7 +178,7 @@ let static_errors_of ctx prog =
   Check.Finding.errors
     (Check.Checker.check_module ?flow:ctx.image.Lxfi.Loader.im_flow env prog)
 
-let clean_failure ?(trace = false) (case : Gen.case) =
+let clean_failure (case : Gen.case) =
   let image = Lxfi.Loader.linker case.Gen.c_prog in
   match run_clean Lxfi.Config.stock image case with
   | Error m -> Some ("stock setup: " ^ m)
@@ -196,7 +189,7 @@ let clean_failure ?(trace = false) (case : Gen.case) =
           match diff_sigs ~la:"stock" ~lb:"lxfi" stock_sig lxfi_sig with
           | Some d -> Some ("enforcement visible: " ^ d)
           | None -> (
-              match run_clean noopt_config image case with
+              match run_clean Lxfi.Config.lxfi_noopt image case with
               | Error m -> Some ("noopt setup: " ^ m)
               | Ok (noopt_sig, _) -> (
                   match diff_sigs ~la:"lxfi" ~lb:"noopt" lxfi_sig noopt_sig with
@@ -207,7 +200,6 @@ let clean_failure ?(trace = false) (case : Gen.case) =
                         Some
                           (Printf.sprintf
                              "static checker reports %d error(s) on a clean module" serr)
-                      else if not trace then None
                       else
                         match run_clean ~trace:true Lxfi.Config.lxfi image case with
                         | Error m -> Some ("traced setup: " ^ m)
@@ -226,23 +218,30 @@ type mutant_result = {
   mr_static_errors : int;
 }
 
+(* A drive's one input: the case's first. *)
+let drive_input = function n :: _ -> n | [] -> 5L
+
+(* A drive's arguments, bound in [ctx]. *)
+let bind ctx ~input args =
+  List.map
+    (function
+      | Mutate.Acanary -> Int64.of_int ctx.canary
+      | Mutate.Akbuf -> Int64.of_int ctx.kbuf
+      | Mutate.Ainput -> input)
+    args
+
 (* [prog] is the pristine (pre-rewrite) program, needed by the
    [Dupgrade] drive to derive the downgraded version it swaps in. *)
 let run_drive ctx ~prog (drive : Mutate.drive) ~input =
-  let arg = function
-    | Mutate.Acanary -> Int64.of_int ctx.canary
-    | Mutate.Akbuf -> Int64.of_int ctx.kbuf
-    | Mutate.Ainput -> input
-  in
   match drive with
   | Mutate.Dinvoke (fname, args) | Mutate.Dflow (fname, args) ->
-      invoke ctx fname (List.map arg args)
+      invoke ctx fname (bind ctx ~input args)
   | Mutate.Dcorrupt_kcall (fname, args) -> (
-      match invoke ctx fname (List.map arg args) with
+      match invoke ctx fname (bind ctx ~input args) with
       | Oval _ -> kcall ctx input
       | early -> early)
   | Mutate.Dupgrade ((f1, a1), (f2, a2)) -> (
-      match invoke ctx f1 (List.map arg a1) with
+      match invoke ctx f1 (bind ctx ~input a1) with
       | Oval _ ->
           catching (fun () ->
               let rt = ctx.sys.Ksys.rt in
@@ -251,7 +250,7 @@ let run_drive ctx ~prog (drive : Mutate.drive) ~input =
                   (Mutate.downgrade_of prog)
               in
               let mi, _up = Lxfi.Loader.upgrade rt ctx.mi down in
-              Lxfi.Runtime.invoke_module_function rt mi f2 (List.map arg a2))
+              Lxfi.Runtime.invoke_module_function rt mi f2 (bind ctx ~input a2))
       | early -> early)
 
 let canary_intact ctx =
@@ -274,8 +273,9 @@ let run_mutant (m : Mutate.mutant) ~inputs =
   match boot ?flow_of mutant_config (Lxfi.Loader.linker m.Mutate.m_prog) with
   | exception Setup_failed msg -> Error msg
   | ctx ->
-      let input = match inputs with n :: _ -> n | [] -> 5L in
-      let outcome = run_drive ctx ~prog:m.Mutate.m_prog m.Mutate.m_drive ~input in
+      let outcome =
+        run_drive ctx ~prog:m.Mutate.m_prog m.Mutate.m_drive ~input:(drive_input inputs)
+      in
       Ok
         {
           mr_outcome = outcome;
@@ -314,14 +314,8 @@ let run_without_upgrade image ((f1, a1), (f2, a2)) ~inputs =
   match boot mutant_config image with
   | exception Setup_failed m -> Error ("control setup: " ^ m)
   | ctx -> (
-      let input = match inputs with n :: _ -> n | [] -> 5L in
-      let arg = function
-        | Mutate.Acanary -> Int64.of_int ctx.canary
-        | Mutate.Akbuf -> Int64.of_int ctx.kbuf
-        | Mutate.Ainput -> input
-      in
       let step f args =
-        match invoke ctx f (List.map arg args) with
+        match invoke ctx f (bind ctx ~input:(drive_input inputs) args) with
         | Oval _ -> Ok ()
         | o ->
             Error
@@ -338,17 +332,11 @@ let run_without_upgrade image ((f1, a1), (f2, a2)) ~inputs =
    ({!Mutate.benign_of}) under that same registered policy must also
    run clean — the policy rejects only the reordering. *)
 let run_flow_controls prog image (fname, fargs) ~inputs =
-  let input = match inputs with n :: _ -> n | [] -> 5L in
   let run ?flow_of label image =
     match boot ?flow_of mutant_config image with
     | exception Setup_failed m -> Error (label ^ " control setup: " ^ m)
     | ctx -> (
-        let arg = function
-          | Mutate.Acanary -> Int64.of_int ctx.canary
-          | Mutate.Akbuf -> Int64.of_int ctx.kbuf
-          | Mutate.Ainput -> input
-        in
-        match invoke ctx fname (List.map arg fargs) with
+        match invoke ctx fname (bind ctx ~input:(drive_input inputs) fargs) with
         | Oval _ -> Ok ()
         | o ->
             Error
@@ -368,8 +356,7 @@ let run_violation_repro prog drive ~inputs ~expect =
   match boot ?flow_of:(flow_policy_of drive prog) mutant_config image with
   | exception Setup_failed m -> Error ("setup: " ^ m)
   | ctx -> (
-      let input = match inputs with n :: _ -> n | [] -> 5L in
-      match run_drive ctx ~prog drive ~input with
+      match run_drive ctx ~prog drive ~input:(drive_input inputs) with
       | Oviolation k when k = expect -> (
           if not (canary_intact ctx) then Error "canary corrupted before detection"
           else

@@ -28,8 +28,6 @@ val mutant_config : Lxfi.Config.t
 (** Full enforcement plus the armed watchdog (quarantine stays off so
     violations propagate to the oracle). *)
 
-val canary_size : int
-
 val canary_addr : int Lazy.t
 (** Address the canary occupies under {!mutant_config} — the same in
     every boot, because the harness allocates it first thing after
@@ -76,10 +74,10 @@ val diff_sigs : la:string -> lb:string -> clean_sig -> clean_sig -> string optio
 (** First observable difference between two signatures ([la]/[lb] label
     the sides in the message); [None] = equivalent. *)
 
-val clean_failure : ?trace:bool -> Gen.case -> string option
+val clean_failure : Gen.case -> string option
 (** All clean-side oracles on one case; [None] means every oracle
-    passed.  [trace] additionally runs a traced enforcement run and
-    checks both cycle reconciliation and that tracing is semantically
+    passed.  The last oracle is a traced enforcement run, which checks
+    both cycle reconciliation and that tracing is semantically
     invisible. *)
 
 type mutant_result = {

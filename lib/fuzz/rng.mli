@@ -8,10 +8,6 @@ type t = Kernel_sim.Finject.t
 
 val create : seed:int -> t
 
-val int : t -> int -> int
-(** [int t n] — uniform in [0, n); raises [Invalid_argument] for
-    [n <= 0]. *)
-
 val rand : t -> int -> int
 (** The stream as the [int -> int] closure {!Gen} consumes. *)
 

@@ -10,9 +10,6 @@
     imports (a reduction that breaks a reference changes the signature
     and is rejected automatically). *)
 
-val max_attempts : int
-(** Predicate-evaluation budget per minimization. *)
-
 val minimize : pred:(Mir.Ast.prog -> string option) -> Mir.Ast.prog -> Mir.Ast.prog
 (** Smallest program found that still fails with [prog]'s signature;
     [prog] itself if it does not fail under [pred]. *)

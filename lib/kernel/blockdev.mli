@@ -3,8 +3,6 @@
     module memory; each mapped device is a natural instance principal
     (§3.1). *)
 
-val tt_layout : Ktypes.strct
-val ti_layout : Ktypes.strct
 val bio_layout : Ktypes.strct
 
 val layouts : Ktypes.strct list
@@ -13,7 +11,6 @@ val layouts : Ktypes.strct list
 val define_layout : Ktypes.t -> unit
 (** Add {!layouts} to a booted system's registry. *)
 
-val dm_mapio_submitted : int64
 val dm_mapio_remapped : int64
 
 type t = {

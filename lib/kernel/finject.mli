@@ -10,8 +10,6 @@ type site =
   | Drop_grant  (** silently drop an LXFI capability grant *)
   | Corrupt_slot  (** overwrite a function-pointer slot with garbage *)
 
-val site_name : site -> string
-
 type plan =
   | Nth of int  (** fire on the [n]th eligible event (1-based), once *)
   | Prob of float  (** fire each eligible event with this probability *)

@@ -35,7 +35,6 @@ let charge t cat n =
 (** Total cycles consumed since creation. *)
 let total t = t.kernel + t.module_ + t.guard
 
-let kernel t = t.kernel
 let module_ t = t.module_
 let guard t = t.guard
 

@@ -14,7 +14,6 @@ type t = Trace.cycles = { mutable kernel : int; mutable module_ : int; mutable g
 val create : unit -> t
 val charge : t -> category -> int -> unit
 val total : t -> int
-val kernel : t -> int
 val module_ : t -> int
 val guard : t -> int
 

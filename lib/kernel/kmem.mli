@@ -21,7 +21,6 @@ module Layout : sig
   val kernel_heap_base : int
   val kernel_stack_base : int
   val module_base : int
-  val is_null : int -> bool
   val is_user : int -> bool
   val is_kernel : int -> bool
   val is_module_area : int -> bool

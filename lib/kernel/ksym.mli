@@ -22,7 +22,6 @@ val register_at : t -> string -> int -> unit
     payloads). *)
 
 val addr_of : t -> string -> int
-val name_of : t -> int -> string option
 
 val pp_addr : t -> Format.formatter -> int -> unit
 (** Print an address with its symbol name when known. *)

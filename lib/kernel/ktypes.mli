@@ -32,10 +32,8 @@ val define : t -> string -> (string * int * field_kind) list -> strct
 val offset_of : strct -> string -> int
 (** Byte offset of a field of a layout; raises [Unknown_field]. *)
 
-val find : t -> string -> strct
 val mem : t -> string -> bool
 val sizeof : t -> string -> int
-val field : t -> string -> string -> field
 val offset : t -> string -> string -> int
 
 val funcptr_fields : t -> string -> (field * string) list

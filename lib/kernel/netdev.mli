@@ -7,11 +7,6 @@
     protocol-handler slot — the sites the writer-set fast path
     elides. *)
 
-val qdisc_layout : Ktypes.strct
-val ops_layout : Ktypes.strct
-val dev_layout : Ktypes.strct
-val napi_layout : Ktypes.strct
-
 val layouts : Ktypes.strct list
 (** Every layout of this subsystem, in registration order. *)
 

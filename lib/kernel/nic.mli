@@ -3,9 +3,6 @@
     ordinary (LXFI-guarded) store — the honest source of Figure 13's
     per-packet write-guard counts. *)
 
-val ring_entries : int
-val desc_size : int
-
 (** Register offsets: TDH/TDT are the tx head (device-owned) and tail
     (driver-written); RDH/RDT the rx head (driver) and tail (device). *)
 
@@ -15,9 +12,6 @@ val reg_rdh : int
 val reg_rdt : int
 val tx_ring_off : int
 val rx_ring_off : int
-
-val sta_dd : int
-(** Descriptor-done status bit. *)
 
 val bar_len : int
 (** BAR size covering registers + both rings. *)

@@ -3,9 +3,6 @@
     handshake), MMIO BARs, and legacy I/O ports (the special-REF
     resource of Guideline 3). *)
 
-val dev_layout : Ktypes.strct
-val drv_layout : Ktypes.strct
-
 val layouts : Ktypes.strct list
 (** Every layout of this subsystem, in registration order. *)
 

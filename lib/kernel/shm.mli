@@ -3,9 +3,6 @@
     function pointer that [shmctl] follows, and they land adjacent to
     the module's overflowed buffer in the 16-byte class. *)
 
-val layout : Ktypes.strct
-(** [struct shmid_kernel], laid out once per process. *)
-
 val layouts : Ktypes.strct list
 (** Every layout of this subsystem, in registration order. *)
 

@@ -30,7 +30,6 @@ type t = {
   mutable heap_cursor : int;  (** bump pointer for fresh slab / large pages *)
   live : int Inttbl.t;  (** object addr -> allocated (class) size *)
   mutable alloc_count : int;
-  mutable free_count : int;
   mutable finject : Finject.t option;
       (** when armed, {!kmalloc} consults it and may fail on purpose *)
 }
@@ -51,7 +50,6 @@ let create mem cycles =
     heap_cursor = Kmem.Layout.kernel_heap_base;
     live = Inttbl.create 256;
     alloc_count = 0;
-    free_count = 0;
     finject = None;
   }
 
@@ -122,7 +120,6 @@ let kfree t addr =
   | None -> raise (Bad_free addr)
   | Some size ->
       Inttbl.remove t.live addr;
-      t.free_count <- t.free_count + 1;
       if !Trace.on then Trace.emit (Trace.Slab_free addr);
       (match class_for t size with
       | Some c when c.obj_size = size -> Stack.push addr c.free
@@ -132,4 +129,3 @@ let kfree t addr =
 let is_live t addr = Inttbl.mem t.live addr
 let live_objects t = Inttbl.length t.live
 let allocations t = t.alloc_count
-let frees t = t.free_count

@@ -20,13 +20,10 @@ type t = {
   mutable heap_cursor : int;
   live : int Inttbl.t;  (** object addr -> allocated (class) size *)
   mutable alloc_count : int;
-  mutable free_count : int;
   mutable finject : Finject.t option;
       (** when armed, {!kmalloc} consults it and raises {!Out_of_memory}
           at the injected event *)
 }
-
-val size_classes : int array
 
 exception Out_of_memory
 exception Bad_free of int
@@ -49,4 +46,3 @@ val kfree : t -> int -> unit
 val is_live : t -> int -> bool
 val live_objects : t -> int
 val allocations : t -> int
-val frees : t -> int

@@ -5,10 +5,6 @@
     through those slots — the RDS and Econet exploits end at exactly
     such an invocation of a corrupted [proto_ops.ioctl]. *)
 
-val ops_layout : Ktypes.strct
-val npf_layout : Ktypes.strct
-val socket_layout : Ktypes.strct
-
 val layouts : Ktypes.strct list
 (** Every layout of this subsystem, in registration order. *)
 

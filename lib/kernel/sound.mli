@@ -3,7 +3,6 @@
     playback by calling trigger/pointer through those slots while the
     module fills the DMA area with guarded stores. *)
 
-val ops_layout : Ktypes.strct
 val card_layout : Ktypes.strct
 
 val layouts : Ktypes.strct list
@@ -11,9 +10,6 @@ val layouts : Ktypes.strct list
 
 val define_layout : Ktypes.t -> unit
 (** Add {!layouts} to a booted system's registry. *)
-
-val trigger_start : int64
-val trigger_stop : int64
 
 type t = { kst : Kstate.t; mutable cards : int list; mutable periods_elapsed : int }
 

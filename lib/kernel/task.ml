@@ -55,7 +55,6 @@ let create mem slab ~pid ~uid ~comm =
   t
 
 let uid mem t = Kmem.read_u32 mem (t.addr + off_uid)
-let euid mem t = Kmem.read_u32 mem (t.addr + off_euid)
 
 let set_uid mem t v =
   Kmem.write_u32 mem (t.addr + off_uid) v;

@@ -12,9 +12,6 @@ val kernel_ds : int
 (** Raised address limit (set_fs(KERNEL_DS)): uaccess reaches kernel
     memory — the context CVE-2010-4258 abuses. *)
 
-val layout : Ktypes.strct
-(** [struct task_struct], laid out once per process. *)
-
 val layouts : Ktypes.strct list
 (** Every layout of this subsystem, in registration order. *)
 
@@ -28,7 +25,6 @@ val field_addr : t -> string -> int
 
 val create : Kmem.t -> Slab.t -> pid:int -> uid:int -> comm:string -> t
 val uid : Kmem.t -> t -> int
-val euid : Kmem.t -> t -> int
 val set_uid : Kmem.t -> t -> int -> unit
 val addr_limit : Kmem.t -> t -> int
 val set_addr_limit : Kmem.t -> t -> int -> unit

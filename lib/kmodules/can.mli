@@ -1,7 +1,4 @@
 (** The base CAN protocol module (raw frames; no known vulnerability —
     part of the Figure 9 annotation-effort corpus). *)
 
-val family : int
-val frame_size : int
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec

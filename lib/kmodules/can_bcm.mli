@@ -6,6 +6,4 @@
 val family : int
 val op_rx_setup : int
 val op_rx_update : int
-val hdr_size : int
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec

@@ -9,10 +9,6 @@ val all : Mod_common.spec list
 
 val find : string -> Mod_common.spec option
 
-val annotated_imports : Ksys.t -> Mod_common.spec -> string list
-(** Kernel functions the module imports, excluding the [lxfi_*]
-    runtime builtins. *)
-
 type effort_row = {
   e_module : string;
   e_category : string;

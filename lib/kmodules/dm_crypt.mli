@@ -2,6 +2,4 @@
     context owned by that device's instance principal — the §2.1
     malicious-USB-stick scenario's subject. *)
 
-val make : Ksys.t -> Mir.Ast.prog
-val init : Ksys.t -> Lxfi.Runtime.module_info -> unit
 val spec : Mod_common.spec

@@ -2,8 +2,4 @@
     table; the first write to each chunk preserves the original into a
     COW block. *)
 
-val chunks : int
-val chunk_size : int
-val make : Ksys.t -> Mir.Ast.prog
-val init : Ksys.t -> Lxfi.Runtime.module_info -> unit
 val spec : Mod_common.spec

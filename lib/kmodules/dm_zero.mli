@@ -1,6 +1,4 @@
 (** dm-zero: the smallest module of the corpus — reads return zeroes,
     writes are discarded. *)
 
-val make : Ksys.t -> Mir.Ast.prog
-val init : Ksys.t -> Lxfi.Runtime.module_info -> unit
 val spec : Mod_common.spec

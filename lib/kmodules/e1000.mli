@@ -6,13 +6,6 @@
 
 val vendor : int
 val device : int
-
-(** Private-state field offsets (kmalloc'd per adapter). *)
-
-val p_napi : int
-val priv_size : int
-
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec
 
 val spec_strict : Mod_common.spec

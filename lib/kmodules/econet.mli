@@ -3,9 +3,7 @@
     dereference — the trigger the published exploit combines with the
     do_exit bug (CVE-2010-4258). *)
 
-val family : int
 val crafted_flags : int
 (** msg_flags value that takes the vulnerable path. *)
 
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec

@@ -103,10 +103,10 @@ let register_iterators (t : t) =
      upgrade compatibility check ([Loader.upgrade]) uses the declaration
      to decide whether an annotation mentioning the iterator is part of
      a version's write/ref surface. *)
-  let reg ?shapes name fn = Lxfi.Runtime.register_iterator ?shapes rt ~name fn in
+  let reg shapes name fn = Lxfi.Runtime.register_iterator rt ~name ~shapes fn in
   (* kmalloc_caps(p): WRITE for the object's actual (size-class) size —
      this is the precise semantics that defeats the CAN BCM overflow. *)
-  reg ~shapes:[ Lxfi.Runtime.Swrite ] "kmalloc_caps" (fun _rt args ->
+  reg [ Lxfi.Runtime.Swrite ] "kmalloc_caps" (fun args ->
       match args with
       | [ p ] ->
           let p = Int64.to_int p in
@@ -117,7 +117,7 @@ let register_iterators (t : t) =
             [ Lxfi.Capability.Cwrite { base = p; size = Slab.usable_size t.kst.Kstate.slab p } ]
       | _ -> invalid_arg "kmalloc_caps: expected 1 argument");
   (* skb_caps(skb): the Figure 4 iterator — the struct and its payload. *)
-  reg ~shapes:[ Lxfi.Runtime.Swrite ] "skb_caps" (fun _rt args ->
+  reg [ Lxfi.Runtime.Swrite ] "skb_caps" (fun args ->
       match args with
       | [ skb ] ->
           let skb = Int64.to_int skb in
@@ -137,8 +137,8 @@ let register_iterators (t : t) =
      WRITE on the payload only.  The struct itself stays out of reach:
      a compromised driver cannot redirect skb->data or forge lengths. *)
   reg
-    ~shapes:[ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "sk_buff_fields" ]
-    "skb_strict_caps" (fun _rt args ->
+    [ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "sk_buff_fields" ]
+    "skb_strict_caps" (fun args ->
       match args with
       | [ skb ] ->
           let skb = Int64.to_int skb in
@@ -153,7 +153,7 @@ let register_iterators (t : t) =
           end
       | _ -> invalid_arg "skb_strict_caps: expected 1 argument");
   (* pci_bar_caps(pcidev): the device's MMIO window. *)
-  reg ~shapes:[ Lxfi.Runtime.Swrite ] "pci_bar_caps" (fun _rt args ->
+  reg [ Lxfi.Runtime.Swrite ] "pci_bar_caps" (fun args ->
       match args with
       | [ dev ] ->
           let dev = Int64.to_int dev in
@@ -162,7 +162,7 @@ let register_iterators (t : t) =
           else [ Lxfi.Capability.Cwrite { base = bar; size = len } ]
       | _ -> invalid_arg "pci_bar_caps: expected 1 argument");
   (* bio_caps(bio): struct + payload, like skb_caps. *)
-  reg ~shapes:[ Lxfi.Runtime.Swrite ] "bio_caps" (fun _rt args ->
+  reg [ Lxfi.Runtime.Swrite ] "bio_caps" (fun args ->
       match args with
       | [ bio ] ->
           let bio = Int64.to_int bio in
@@ -179,8 +179,8 @@ let register_iterators (t : t) =
   (* snd_card_caps(card): card struct, DMA area, and the REF that
      names the card for registration. *)
   reg
-    ~shapes:[ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "snd_card" ]
-    "snd_card_caps" (fun _rt args ->
+    [ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "snd_card" ]
+    "snd_card_caps" (fun args ->
       match args with
       | [ card ] ->
           let card = Int64.to_int card in

@@ -6,8 +6,6 @@
 
 (** Private sk layout; per-module payload starts at [sk_user]. *)
 
-val sk_next : int
-val sk_sock : int
 val sk_state : int
 val sk_buf_len : int
 val sk_buf : int
@@ -17,8 +15,6 @@ type body = Ksys.t -> Mir.Ast.stmt list
 (** Operation bodies, parameterised on the booted system for struct
     offsets; sendmsg/recvmsg run with [sock buf len flags], ioctl with
     [sock cmd arg]. *)
-
-val base_imports : string list
 
 val sk_of : Ksys.t -> Mir.Ast.expr -> Mir.Ast.expr
 (** Load the private sk pointer from the kernel socket object. *)

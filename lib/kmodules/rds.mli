@@ -3,8 +3,5 @@
     primitive.  [rds_ops] lives in [.rodata]; [spec_writable_ops] is
     the paper's second experiment with the table made writable. *)
 
-val family : int
-val msg_max : int
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec
 val spec_writable_ops : Mod_common.spec

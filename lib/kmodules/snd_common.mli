@@ -4,11 +4,7 @@
     table, and playback fills the DMA area from the pointer callback. *)
 
 val p_pcidev : int
-val p_card : int
-val p_pos : int
-val p_periods : int
 val p_port : int
-val priv_size : int
 
 val make :
   Ksys.t ->

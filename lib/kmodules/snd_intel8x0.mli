@@ -2,5 +2,4 @@
 
 val vendor : int
 val device : int
-val make : Ksys.t -> Mir.Ast.prog
 val spec : Mod_common.spec

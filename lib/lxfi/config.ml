@@ -15,17 +15,19 @@
       kernel (Econet) still succeed.
     - [Lxfi]: the full system of the paper.
 
-    The [opt_*] flags expose the paper's performance mechanisms for the
-    ablation benchmarks: writer-set tracking (§5), guard elision for
-    provably-safe stores, and trivial-function inlining (§8.3). *)
+    [writer_set_tracking] and [opt_rewrite] expose the paper's
+    performance mechanisms for the ablation benchmarks: writer-set
+    tracking (§5), and the rewriter's guard elision for provably-safe
+    stores and trivial-function inlining (§8.3). *)
 
 type mode = Stock | Xfi | Lxfi
 
 type t = {
   mode : mode;
   writer_set_tracking : bool;  (** fast-path elision of kernel ind-call checks *)
-  opt_elide_safe_writes : bool;  (** drop guards on in-bounds constant-offset stack stores *)
-  opt_inline_trivial : bool;  (** inline trivial functions before guarding *)
+  opt_rewrite : bool;
+      (** inline trivial functions before guarding, and drop guards on
+          in-bounds constant-offset stack stores *)
   quarantine : bool;
       (** contain violations by quarantining the faulting principal and
           returning -EFAULT instead of letting the violation propagate *)
@@ -42,8 +44,7 @@ let lxfi =
   {
     mode = Lxfi;
     writer_set_tracking = true;
-    opt_elide_safe_writes = true;
-    opt_inline_trivial = true;
+    opt_rewrite = true;
     quarantine = false;
     watchdog_fuel = None;
     strict_check = false;
@@ -52,6 +53,7 @@ let lxfi =
 let stock = { lxfi with mode = Stock }
 let xfi = { lxfi with mode = Xfi }
 
+let lxfi_noopt = { lxfi with opt_rewrite = false }
 let lxfi_quarantine = { lxfi with quarantine = true; watchdog_fuel = Some 1_000_000 }
 
 let mode_name = function Stock -> "stock" | Xfi -> "xfi" | Lxfi -> "lxfi"

@@ -16,12 +16,10 @@ type t = {
   mode : mode;
   writer_set_tracking : bool;
       (** §4.1/§5 fast path eliding kernel indirect-call checks *)
-  opt_elide_safe_writes : bool;
-      (** drop guards on provably in-bounds constant-offset stack stores
-          (§8.3, the MD5 result) *)
-  opt_inline_trivial : bool;
-      (** inline trivial functions before guarding (§8.3, the lld
-          result) *)
+  opt_rewrite : bool;
+      (** the rewriter's optimizations (§8.3): inline trivial functions
+          before guarding (the lld result), and drop guards on provably
+          in-bounds constant-offset stack stores (the MD5 result) *)
   quarantine : bool;
       (** contain violations by quarantining the faulting principal and
           returning -EFAULT, instead of letting the violation propagate
@@ -40,6 +38,9 @@ val lxfi : t
 
 val stock : t
 val xfi : t
+
+val lxfi_noopt : t
+(** Full enforcement without the rewriter's optimizations. *)
 
 val lxfi_quarantine : t
 (** Full enforcement plus fault containment: quarantine on violation and

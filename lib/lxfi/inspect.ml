@@ -3,107 +3,50 @@
     shadow-stack depth.  Used by the CLI ([lxfi_sim state]), the
     examples, and debugging sessions. *)
 
+(* The name pointers resolving to [p], in address order. *)
+let aliases (mi : Runtime.module_info) (p : Principal.t) =
+  Hashtbl.fold
+    (fun name q acc -> if q.Principal.id = p.Principal.id then name :: acc else acc)
+    mi.Runtime.mi_aliases []
+  |> List.sort compare
 
-type principal_view = {
-  pv_describe : string;
-  pv_writes : int;
-  pv_calls : int;
-  pv_refs : int;
-  pv_aliases : int list;  (** the name pointers resolving to this principal *)
-  pv_quarantined : string option;  (** quarantine reason, if contained *)
-}
+let pp_principal mi ppf (p : Principal.t) =
+  let caps = p.Principal.caps in
+  Fmt.pf ppf "  %-32s write=%d call=%d ref=%d%s@." (Principal.describe p)
+    (Captable.write_count caps) (Captable.call_count caps) (Captable.ref_count caps)
+    ((match aliases mi p with
+     | [] -> ""
+     | l ->
+         Printf.sprintf " names:[%s]" (String.concat ", " (List.map (Printf.sprintf "0x%x") l)))
+    ^
+    match p.Principal.quarantined with
+    | None -> ""
+    | Some r -> " [QUARANTINED: " ^ r ^ "]")
 
-type module_view = {
-  mv_name : string;
-  mv_functions : int;
-  mv_globals : int;
-  mv_sections : (string * int * int) list;
-  mv_principals : principal_view list;
-  mv_dead : string option;  (** retirement reason after escalation *)
-}
-
-type t = {
-  iv_mode : string;
-  iv_modules : module_view list;
-  iv_writer_set_lines : int;
-  iv_shadow_depth : int;
-  iv_current : string;  (** who is executing right now *)
-  iv_stats : Stats.t;
-  iv_quarantine_log : Diag.t list;  (** structured containment diagnostics, newest first *)
-}
-
-let principal_view (mi : Runtime.module_info) (p : Principal.t) =
-  {
-    pv_describe = Principal.describe p;
-    pv_writes = Captable.write_count p.Principal.caps;
-    pv_calls = Captable.call_count p.Principal.caps;
-    pv_refs = Captable.ref_count p.Principal.caps;
-    pv_aliases =
-      Hashtbl.fold
-        (fun name q acc -> if q.Principal.id = p.Principal.id then name :: acc else acc)
-        mi.Runtime.mi_aliases []
-      |> List.sort compare;
-    pv_quarantined = p.Principal.quarantined;
-  }
-
-let module_view (mi : Runtime.module_info) =
-  {
-    mv_name = mi.Runtime.mi_name;
-    mv_functions = List.length mi.Runtime.mi_prog.Mir.Ast.funcs;
-    mv_globals = List.length mi.Runtime.mi_prog.Mir.Ast.globals;
-    mv_sections = mi.Runtime.mi_sections;
-    mv_principals =
-      List.map (principal_view mi)
-        (List.sort
-           (fun (a : Principal.t) b -> compare a.Principal.id b.Principal.id)
-           mi.Runtime.mi_principals);
-    mv_dead = mi.Runtime.mi_dead;
-  }
-
-let capture (rt : Runtime.t) : t =
-  {
-    iv_mode = Config.mode_name rt.Runtime.config.Config.mode;
-    iv_modules =
-      Hashtbl.fold (fun _ mi acc -> module_view mi :: acc) rt.Runtime.modules []
-      |> List.sort (fun a b -> compare a.mv_name b.mv_name);
-    iv_writer_set_lines = Writer_set.marked_lines rt.Runtime.wset;
-    iv_shadow_depth = Shadow_stack.depth rt.Runtime.sstack;
-    iv_current =
-      (match rt.Runtime.current with
-      | None -> "(kernel)"
-      | Some p -> Principal.describe p);
-    iv_stats = rt.Runtime.stats;
-    iv_quarantine_log = rt.Runtime.quarantine_log;
-  }
-
-let pp ppf (t : t) =
-  Fmt.pf ppf "LXFI state (mode %s, executing %s)@." t.iv_mode t.iv_current;
-  Fmt.pf ppf "  writer set: %d marked lines; shadow stack depth %d@."
-    t.iv_writer_set_lines t.iv_shadow_depth;
-  Fmt.pf ppf "  %a@." Stats.pp t.iv_stats;
-  List.iter (fun d -> Fmt.pf ppf "  %a@." Diag.pp d) t.iv_quarantine_log;
+let pp_module ppf (mi : Runtime.module_info) =
+  Fmt.pf ppf "@.module %s (%d functions, %d globals)%s@." mi.Runtime.mi_name
+    (List.length mi.Runtime.mi_prog.Mir.Ast.funcs)
+    (List.length mi.Runtime.mi_prog.Mir.Ast.globals)
+    (match mi.Runtime.mi_dead with None -> "" | Some r -> " [DEAD: " ^ r ^ "]");
   List.iter
-    (fun m ->
-      Fmt.pf ppf "@.module %s (%d functions, %d globals)%s@." m.mv_name m.mv_functions
-        m.mv_globals
-        (match m.mv_dead with None -> "" | Some r -> " [DEAD: " ^ r ^ "]");
-      List.iter
-        (fun (name, base, len) -> Fmt.pf ppf "  section %-8s 0x%x +%d@." name base len)
-        m.mv_sections;
-      List.iter
-        (fun p ->
-          Fmt.pf ppf "  %-32s write=%d call=%d ref=%d%s@." p.pv_describe p.pv_writes
-            p.pv_calls p.pv_refs
-            ((match p.pv_aliases with
-             | [] -> ""
-             | l ->
-                 Printf.sprintf " names:[%s]"
-                   (String.concat ", " (List.map (Printf.sprintf "0x%x") l)))
-            ^
-            match p.pv_quarantined with
-            | None -> ""
-            | Some r -> " [QUARANTINED: " ^ r ^ "]"))
-        m.mv_principals)
-    t.iv_modules
+    (fun (name, base, len) -> Fmt.pf ppf "  section %-8s 0x%x +%d@." name base len)
+    mi.Runtime.mi_sections;
+  List.iter (pp_principal mi ppf)
+    (List.sort
+       (fun (a : Principal.t) b -> compare a.Principal.id b.Principal.id)
+       mi.Runtime.mi_principals)
 
-let to_string rt = Fmt.str "%a" pp (capture rt)
+let pp ppf (rt : Runtime.t) =
+  Fmt.pf ppf "LXFI state (mode %s, executing %s)@."
+    (Config.mode_name rt.Runtime.config.Config.mode)
+    (match rt.Runtime.current with None -> "(kernel)" | Some p -> Principal.describe p);
+  Fmt.pf ppf "  writer set: %d marked lines; shadow stack depth %d@."
+    (Writer_set.marked_lines rt.Runtime.wset)
+    (Shadow_stack.depth rt.Runtime.sstack);
+  Fmt.pf ppf "  %a@." Stats.pp rt.Runtime.stats;
+  List.iter (fun d -> Fmt.pf ppf "  %a@." Diag.pp d) rt.Runtime.quarantine_log;
+  Hashtbl.fold (fun _ mi acc -> mi :: acc) rt.Runtime.modules []
+  |> List.sort (fun (a : Runtime.module_info) b -> compare a.Runtime.mi_name b.Runtime.mi_name)
+  |> List.iter (pp_module ppf)
+
+let to_string rt = Fmt.str "%a" pp rt

@@ -99,7 +99,7 @@ exception Stale_image of { module_ : string; fact : fact }
 
 (* The configuration fields [link] reads. *)
 let link_fields (c : Config.t) =
-  (c.mode, c.opt_elide_safe_writes, c.opt_inline_trivial, c.strict_check)
+  (c.mode, c.opt_rewrite, c.strict_check)
 
 (* [flow] is another image's flow graph of the same program with the
    [Kexport] facts it was linked under, which hold in [env]. *)
@@ -356,7 +356,7 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
       let fname = f.Mir.Ast.fname in
       let addr = Hashtbl.find func_addr_tbl fname in
       Kstate.register_target kst
-        ~name:(mname ^ ":" ^ fname)
+        ~name:(Runtime.wrapper_name mname fname)
         ~addr ~kind:(Kstate.Module_fn mname)
         (fun args -> Quarantine.dispatch rt mi fname args))
     prog.Mir.Ast.funcs;
@@ -488,7 +488,7 @@ let grant_caplists (annot : Annot.Ast.t) =
 
 (** Can this caplist yield a capability of [shape]?  Inline caplists
     answer exactly; iterator caplists consult the iterator's declared
-    shapes ({!Runtime.register_iterator}), treating an undeclared
+    shapes ({!Runtime.register_iterator}), treating an unknown
     iterator as able to yield anything — the conservative direction for
     a subset check on the {e old} side and for membership on the new. *)
 let caplist_yields rt (cl : Annot.Ast.caplist) (shape : Runtime.cap_shape) =
@@ -563,9 +563,9 @@ let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
     a kernel→module entry (or one of its nested crossings) still in
     flight? *)
 let in_flight (rt : Runtime.t) (mi : Runtime.module_info) =
-  let prefix = mi.Runtime.mi_name ^ ":" in
+  let enters = Runtime.enters_module mi.Runtime.mi_name in
   List.exists
-    (fun (f : Shadow_stack.frame) -> String.starts_with ~prefix f.Shadow_stack.wrapper)
+    (fun (f : Shadow_stack.frame) -> enters f.Shadow_stack.wrapper)
     rt.Runtime.sstack.Shadow_stack.frames
 
 type upgrade_report = {

@@ -92,7 +92,7 @@ let module_of_violation (rt : Runtime.t) (v : Violation.info) principal =
   | Some mi -> Some mi
   | None -> (
       match principal with
-      | Some (p : Principal.t) -> Runtime.module_named rt p.Principal.owner
+      | Some p -> Runtime.module_of rt p
       | None -> None)
 
 (** [handle rt v] applies the policy to a caught violation: count it,
@@ -138,6 +138,23 @@ let handle_fault (rt : Runtime.t) (mi : Runtime.module_info) ~reason =
   quarantine_principal rt p ~reason;
   note_and_maybe_escalate rt mi
 
+(** [contain rt f handler] — the one containment path.  Runs [f]; when
+    it raises, [handler] applies the policy and yields the contained
+    result (or re-raises what it does not contain), then the shadow
+    stack unwinds to the depth [f] started at and the principal that
+    was current then is restored.  The wrappers already popped their
+    frames while the exception propagated; the unwind is a backstop
+    for frames abandoned between push and the handler. *)
+let contain (rt : Runtime.t) f handler =
+  let depth = Shadow_stack.depth rt.Runtime.sstack and saved = rt.Runtime.current in
+  match f () with
+  | r -> r
+  | exception e ->
+      let r = handler e in
+      ignore (Shadow_stack.unwind_to rt.Runtime.sstack ~depth);
+      rt.Runtime.current <- saved;
+      r
+
 (** [dispatch rt mi fname args] — the kernel→module entry the loader
     registers in place of a bare [Runtime.invoke_module_function]: under
     a quarantine config any violation, memory fault or oops raised by
@@ -148,36 +165,28 @@ let dispatch (rt : Runtime.t) (mi : Runtime.module_info) fname args =
   if not (enabled rt) then Runtime.invoke_module_function rt mi fname args
   else begin
     mi.Runtime.mi_last_entry <- Some (fname, args);
-    let depth = Shadow_stack.depth rt.Runtime.sstack in
-    let saved = rt.Runtime.current in
     let saved_callee = rt.Runtime.last_callee in
-    let contain () =
-      (* The wrappers already popped their frames while the exception
-         propagated; the unwind is a backstop for frames abandoned
-         between push and the handler. *)
-      ignore (Shadow_stack.unwind_to rt.Runtime.sstack ~depth);
-      rt.Runtime.current <- saved;
-      rt.Runtime.last_callee <- saved_callee;
-      efault
+    let r =
+      contain rt
+        (fun () -> Runtime.invoke_module_function rt mi fname args)
+        (function
+          | Violation.Violation v ->
+              handle rt v;
+              efault
+          | Kmem.Fault { addr; write } ->
+              handle_fault rt mi
+                ~reason:
+                  (Printf.sprintf "memory fault: bad %s at 0x%x"
+                     (if write then "write" else "read")
+                     addr);
+              efault
+          | Kstate.Oops msg ->
+              handle_fault rt mi ~reason:("oops: " ^ msg);
+              efault
+          | e -> raise e)
     in
-    try
-      let r = Runtime.invoke_module_function rt mi fname args in
-      rt.Runtime.last_callee <- saved_callee;
-      r
-    with
-    | Violation.Violation v ->
-        handle rt v;
-        contain ()
-    | Kmem.Fault { addr; write } ->
-        handle_fault rt mi
-          ~reason:
-            (Printf.sprintf "memory fault: bad %s at 0x%x"
-               (if write then "write" else "read")
-               addr);
-        contain ()
-    | Kstate.Oops msg ->
-        handle_fault rt mi ~reason:("oops: " ^ msg);
-        contain ()
+    rt.Runtime.last_callee <- saved_callee;
+    r
   end
 
 (** [protect rt f] contains violations that surface at kernel top level
@@ -186,11 +195,10 @@ let dispatch (rt : Runtime.t) (mi : Runtime.module_info) fname args =
     Returns [Error info] with the runtime restored to the kernel frame
     and the offender quarantined. *)
 let protect (rt : Runtime.t) f =
-  let depth = Shadow_stack.depth rt.Runtime.sstack in
-  let saved = rt.Runtime.current in
-  try Ok (f ())
-  with Violation.Violation v when enabled rt ->
-    handle rt v;
-    ignore (Shadow_stack.unwind_to rt.Runtime.sstack ~depth);
-    rt.Runtime.current <- saved;
-    Error v
+  contain rt
+    (fun () -> Ok (f ()))
+    (function
+      | Violation.Violation v when enabled rt ->
+          handle rt v;
+          Error v
+      | e -> raise e)

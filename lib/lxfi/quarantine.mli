@@ -17,10 +17,6 @@ val quarantine_principal : Runtime.t -> Principal.t -> reason:string -> unit
     selection.  Idempotent.  Exported for the containment tests that
     quarantine a principal directly. *)
 
-val handle : Runtime.t -> Violation.info -> unit
-(** Apply the policy to a caught violation: count, quarantine the
-    faulting principal, escalate the module if it keeps offending. *)
-
 val dispatch : Runtime.t -> Runtime.module_info -> string -> int64 list -> int64
 (** The kernel→module entry registered by the loader: transparent
     without quarantine; with it, any violation / memory fault / oops is

@@ -51,10 +51,10 @@ let arm (rt : Runtime.t) : t =
       match Trace.attached () with
       | None -> [||]
       | Some buf ->
-          let prefix = mi.Runtime.mi_name ^ ":" in
+          let enters = Runtime.enters_module mi.Runtime.mi_name in
           Trace.since_last buf (fun (e : Trace.event) ->
               match e.Trace.ev_kind with
-              | Trace.Span_begin (Trace.K2m, w) -> String.starts_with ~prefix w
+              | Trace.Span_begin (Trace.K2m, w) -> enters w
               | _ -> false)
     in
     t.incidents <-

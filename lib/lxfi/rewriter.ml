@@ -210,7 +210,7 @@ let instrument_func (cfg : Config.t) counters f =
     | Store (w, ea, ev) ->
         flat ea;
         flat ev;
-        if cfg.Config.opt_elide_safe_writes && safe_store alloca_size w ea then begin
+        if cfg.Config.opt_rewrite && safe_store alloca_size w ea then begin
           counters.welided <- counters.welided + 1;
           [ Store (w, ea, ev) ]
         end
@@ -259,7 +259,7 @@ let instrument (cfg : Config.t) prog : prog * report =
        guards and hooks are LXFI's. *)
     let inlined = ref 0 in
     let prog =
-      if cfg.Config.opt_inline_trivial then inline_program prog inlined else prog
+      if cfg.Config.opt_rewrite then inline_program prog inlined else prog
     in
     ( prog,
       {
@@ -273,7 +273,7 @@ let instrument (cfg : Config.t) prog : prog * report =
     let n_before = List.length prog.funcs in
     let inlined = ref 0 in
     let prog =
-      if cfg.Config.opt_inline_trivial then inline_program prog inlined else prog
+      if cfg.Config.opt_rewrite then inline_program prog inlined else prog
     in
     let counters = { wguards = 0; welided = 0; iguards = 0; tmp = 0 } in
     let funcs = List.map (instrument_func cfg counters) prog.funcs in

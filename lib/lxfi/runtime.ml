@@ -99,10 +99,8 @@ type t = {
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry self-extracts its graph at load time *)
-  iterators : (string, t -> int64 list -> Capability.t list) Hashtbl.t;
-  iterator_shapes : (string, cap_shape list) Hashtbl.t;
-      (** declared yield shapes per iterator; an iterator with no entry
-          is conservatively assumed to yield every shape *)
+  iterators : (string, cap_shape list * (int64 list -> Capability.t list)) Hashtbl.t;
+      (** per iterator: the shapes it can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
   mutable current : Principal.t option;  (** None = kernel context *)
   sstack : Shadow_stack.t;
@@ -161,7 +159,6 @@ let create ~kst ~(config : Config.t) =
       kexport_by_addr = Inttbl.create 64;
       flow_graphs = Hashtbl.create 8;
       iterators = Hashtbl.create 16;
-      iterator_shapes = Hashtbl.create 16;
       func_ahash_by_addr = Inttbl.create 64;
       current = None;
       sstack;
@@ -177,12 +174,23 @@ let create ~kst ~(config : Config.t) =
   in
   rt
 
-let current_module rt =
-  match rt.current with
-  | None -> None
-  | Some p -> Hashtbl.find_opt rt.modules p.Principal.owner
-
 let module_named rt name = Hashtbl.find_opt rt.modules name
+
+(** The loaded module a principal belongs to. *)
+let module_of rt (p : Principal.t) = module_named rt p.Principal.owner
+
+let current_module rt = Option.bind rt.current (module_of rt)
+
+(** The name of the wrapper frame around kernel→module entries into
+    [fname] of module [mname], which is also the function's name in the
+    kernel's dispatch table. *)
+let wrapper_name mname fname = mname ^ ":" ^ fname
+
+(** [enters_module mname] recognises the wrapper names {!wrapper_name}
+    builds for module [mname]. *)
+let enters_module mname =
+  let prefix = wrapper_name mname "" in
+  fun wrapper -> String.starts_with ~prefix wrapper
 
 (** Fault location of a module's innermost executing function, e.g.
     ["entry@1234"] (function name @ interpreter step count). *)
@@ -264,11 +272,7 @@ let register_flow_graph rt ~module_ (g : Check.Apiflow.graph) =
 let flow_position mi (p : Principal.t) =
   Option.bind mi.mi_flow (fun g -> Check.Apiflow.name g p.Principal.flow_pos)
 
-let register_iterator ?shapes rt ~name fn =
-  Hashtbl.replace rt.iterators name fn;
-  match shapes with
-  | Some ss -> Hashtbl.replace rt.iterator_shapes name ss
-  | None -> ()
+let register_iterator rt ~name ~shapes fn = Hashtbl.replace rt.iterators name (shapes, fn)
 
 (** [iterator_can_yield rt ~name shape] — can iterator [name] yield a
     capability of [shape]?  Unknown iterators conservatively yield
@@ -276,13 +280,9 @@ let register_iterator ?shapes rt ~name fn =
     a missing declaration — the caller treats "can yield" as "the
     annotation surface still justifies this capability kind"). *)
 let iterator_can_yield rt ~name (shape : cap_shape) =
-  match Hashtbl.find_opt rt.iterator_shapes name with
+  match Hashtbl.find_opt rt.iterators name with
   | None -> true
-  | Some ss -> (
-      match shape with
-      | Sref rtype ->
-          List.exists (function Sref r -> r = rtype | _ -> false) ss
-      | s -> List.mem s ss)
+  | Some (shapes, _) -> List.mem shape shapes
 
 let find_kexport rt name =
   match Hashtbl.find_opt rt.kexports name with
@@ -308,7 +308,7 @@ let principal_has rt (p : Principal.t) (c : Capability.t) : bool =
   if p.Principal.quarantined <> None then false
   else if table_has p.Principal.caps c then true
   else
-    match Hashtbl.find_opt rt.modules p.Principal.owner with
+    match module_of rt p with
     | None -> false
     | Some mi -> (
         match p.Principal.kind with
@@ -443,7 +443,7 @@ let caps_of_caplist rt env (cl : Annot.Ast.caplist) : Capability.t list =
   | Annot.Ast.Iter (fname, argexprs) -> (
       match Hashtbl.find_opt rt.iterators fname with
       | None -> invalid_arg (Printf.sprintf "unknown capability iterator %s" fname)
-      | Some fn -> fn rt (List.map (eval_cexpr rt env) argexprs))
+      | Some (_, fn) -> fn (List.map (eval_cexpr rt env) argexprs))
 
 let violation_kind_of_cap = function
   | Capability.Cwrite _ -> Violation.Write_denied
@@ -529,76 +529,70 @@ let exit_guard rt =
   charge rt Cost.fn_exit;
   if !Trace.on then Trace.emit (Trace.Guard Trace.Gexit)
 
+(** [crossing rt span ~wrapper body] — the one wrapper frame around both
+    boundary crossings.  Entry counts the entry guard, opens the span
+    and pushes a shadow-stack frame saving the current principal, in
+    that order; every exit, exceptional ones included, pops back to
+    that principal and closes the span, and only a normal return also
+    counts the exit guard. *)
+let crossing rt span ~wrapper body =
+  entry_guard rt;
+  if !Trace.on then Trace.emit (Trace.Span_begin (span, wrapper));
+  let token = Shadow_stack.push rt.sstack ~wrapper ~saved_principal:rt.current in
+  let result = match body () with ret -> Ok ret | exception e -> Error e in
+  rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
+  if !Trace.on then Trace.emit (Trace.Span_end (span, wrapper));
+  match result with
+  | Ok ret ->
+      exit_guard rt;
+      ret
+  | Error e -> raise e
+
 (** [call_kexport rt ke args] — module→kernel crossing.  The wrapper
     validates pre actions against the calling principal, runs the
     kernel implementation in kernel context, then applies post actions
     (grants flowing back to the caller). *)
 let call_kexport rt (ke : kexport) args =
-  match rt.config.Config.mode with
-  | Config.Stock -> ke.ke_impl args
-  | Config.Xfi | Config.Lxfi -> (
-      let caller = rt.current in
-      match caller with
-      | None ->
-          (* Kernel code calling a kernel export: no boundary. *)
-          ke.ke_impl args
-      | Some mp ->
-          check_arity ~module_:mp.Principal.owner ~fname:ke.ke_name ke.ke_params args;
-          let mi =
-            match Hashtbl.find_opt rt.modules mp.Principal.owner with
-            | Some mi -> mi
-            | None -> invalid_arg "current principal belongs to unknown module"
-          in
-          (* Syscall-flow integrity: advance the caller principal's flow
-             automaton, or fault.  Enforced only within kernel-entered
-             activations (an enclosing wrapper frame exists) so that bare
-             harness calls carry no flow state; checked before
-             [entry_guard] so a flow violation perturbs no other
-             counter and charges no cycles. *)
-          (if rt.config.Config.mode = Config.Lxfi && Shadow_stack.depth rt.sstack > 0
-           then
-             match mi.mi_flow with
-             | None -> ()
-             | Some g ->
-                 let pos = mp.Principal.flow_pos and ids = mi.mi_flow_node in
-                 let k = if ke.ke_idx < Array.length ids then ids.(ke.ke_idx) else -1 in
-                 if Check.Apiflow.permits g ~pos k then mp.Principal.flow_pos <- k
-                 else begin
-                   rt.stats.Stats.flow_violations <-
-                     rt.stats.Stats.flow_violations + 1;
-                   Violation.raise_ ~principal:mp ?where:(where_of mi)
-                     ~kind:Violation.Flow_violation ~module_:mi.mi_name
-                     "call to %s is off the module's flow graph (position: %s)"
-                     ke.ke_name
-                     (Option.value (Check.Apiflow.name g pos) ~default:"(start)")
-                 end);
-          entry_guard rt;
-          if !Trace.on then Trace.emit (Trace.Span_begin (Trace.M2k, ke.ke_name));
-          let token =
-            Shadow_stack.push rt.sstack ~wrapper:ke.ke_name ~saved_principal:caller
-          in
-          let run () =
-            let env = { params = ke.ke_params; args; ret = None } in
-            run_actions rt mi mp ~dir:M2K ~phase:`Pre env
-              (Annot.Ast.pre_actions ke.ke_annot);
-            rt.current <- None;
-            let ret = ke.ke_impl args in
-            rt.current <- Some mp;
-            let env = { env with ret = Some ret } in
-            run_actions rt mi mp ~dir:M2K ~phase:`Post env
-              (Annot.Ast.post_actions ke.ke_annot);
-            ret
-          in
-          (match run () with
-          | ret ->
-              rt.current <- Shadow_stack.pop rt.sstack ~wrapper:ke.ke_name ~token;
-              if !Trace.on then Trace.emit (Trace.Span_end (Trace.M2k, ke.ke_name));
-              exit_guard rt;
-              ret
-          | exception e ->
-              rt.current <- Shadow_stack.pop rt.sstack ~wrapper:ke.ke_name ~token;
-              if !Trace.on then Trace.emit (Trace.Span_end (Trace.M2k, ke.ke_name));
-              raise e))
+  match (rt.config.Config.mode, rt.current) with
+  | Config.Stock, _ | _, None ->
+      (* Stock kernels, and kernel code calling a kernel export: no boundary. *)
+      ke.ke_impl args
+  | (Config.Xfi | Config.Lxfi), Some mp ->
+      check_arity ~module_:mp.Principal.owner ~fname:ke.ke_name ke.ke_params args;
+      let mi =
+        match module_of rt mp with
+        | Some mi -> mi
+        | None -> invalid_arg "current principal belongs to unknown module"
+      in
+      (* Syscall-flow integrity: advance the caller principal's flow
+         automaton, or fault.  Enforced only within kernel-entered
+         activations (an enclosing wrapper frame exists) so that bare
+         harness calls carry no flow state; checked before the frame
+         so a flow violation perturbs no other counter and charges no
+         cycles. *)
+      (if rt.config.Config.mode = Config.Lxfi && Shadow_stack.depth rt.sstack > 0 then
+         match mi.mi_flow with
+         | None -> ()
+         | Some g ->
+             let pos = mp.Principal.flow_pos and ids = mi.mi_flow_node in
+             let k = if ke.ke_idx < Array.length ids then ids.(ke.ke_idx) else -1 in
+             if Check.Apiflow.permits g ~pos k then mp.Principal.flow_pos <- k
+             else begin
+               rt.stats.Stats.flow_violations <- rt.stats.Stats.flow_violations + 1;
+               Violation.raise_ ~principal:mp ?where:(where_of mi)
+                 ~kind:Violation.Flow_violation ~module_:mi.mi_name
+                 "call to %s is off the module's flow graph (position: %s)" ke.ke_name
+                 (Option.value (Check.Apiflow.name g pos) ~default:"(start)")
+             end);
+      crossing rt Trace.M2k ~wrapper:ke.ke_name (fun () ->
+          let env = { params = ke.ke_params; args; ret = None } in
+          run_actions rt mi mp ~dir:M2K ~phase:`Pre env (Annot.Ast.pre_actions ke.ke_annot);
+          rt.current <- None;
+          let ret = ke.ke_impl args in
+          rt.current <- Some mp;
+          let env = { env with ret = Some ret } in
+          run_actions rt mi mp ~dir:M2K ~phase:`Post env (Annot.Ast.post_actions ke.ke_annot);
+          ret)
 
 (** Select the callee principal for a kernel→module call according to
     the slot type's [principal] clause. *)
@@ -625,6 +619,31 @@ let run_mir rt mi fname args =
           "entry exceeded its fuel budget of %d"
           (Option.value ~default:0 rt.config.Config.watchdog_fuel))
 
+(* The callee's half of a kernel→module entry: watchdog, pre actions,
+   the switch to [callee], the module code, post actions. *)
+let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Principal.t) =
+  (* Arm the per-entry watchdog: the budget is per kernel→module
+     crossing, so a wedged entry point expires instead of soft-locking
+     the simulation. *)
+  (match (rt.config.Config.watchdog_fuel, mi.mi_ctx) with
+  | Some budget, Some ctx ->
+      ctx.Mir.Interp.watchdog <- true;
+      Mir.Interp.refuel ~fuel:budget ctx
+  | _ -> ());
+  run_actions rt mi callee ~dir:K2M ~phase:`Pre env
+    (Annot.Ast.pre_actions slot.Annot.Registry.sl_annot);
+  rt.stats.Stats.principal_switches <- rt.stats.Stats.principal_switches + 1;
+  charge rt Cost.principal_switch;
+  if !Trace.on then Trace.emit (Trace.Switch (Principal.describe callee));
+  rt.current <- Some callee;
+  let ret = run_mir rt mi fname args in
+  (* Post actions run against the callee principal even if the module
+     switched principals internally (switch_global). *)
+  let env = { env with ret = Some ret } in
+  run_actions rt mi callee ~dir:K2M ~phase:`Post env
+    (Annot.Ast.post_actions slot.Annot.Registry.sl_annot);
+  ret
+
 (** [invoke_module_function rt mi fname args] — kernel→module crossing
     through the function's propagated annotation (its slot type).  The
     paper's safe default applies: a function with no annotation cannot
@@ -646,81 +665,40 @@ let invoke_module_function rt mi fname args =
               Violation.raise_ ~kind:Violation.Principal_denied ~module_:mi.mi_name
                 "kernel invoked function %s of dead module (%s)" fname reason
           | None -> ());
-          entry_guard rt;
-          let wrapper = mi.mi_name ^ ":" ^ fname in
-          if !Trace.on then Trace.emit (Trace.Span_begin (Trace.K2m, wrapper));
-          let token = Shadow_stack.push rt.sstack ~wrapper ~saved_principal:rt.current in
-          (* Flow-automaton bookkeeping for this activation: (principal,
-             saved position, saved nesting depth).  A top-level entry
-             continues from the principal's at-rest position (so the
-             graph's boundary edges check the cross-activation step); a
-             nested re-entry of an in-flight principal starts fresh and
-             the outer position is restored on exit.  An aborted
-             activation resets to start — a contained fault must not
-             leave a position later calls would be judged against. *)
-          let flow_saved = ref None in
-          let flow_exit ~ok =
-            match !flow_saved with
-            | None -> ()
-            | Some ((callee : Principal.t), pos, depth) ->
-                callee.Principal.flow_depth <- depth;
-                if not ok then begin
-                  callee.Principal.flow_pos <- Check.Apiflow.start;
-                  mi.mi_global.Principal.flow_pos <- Check.Apiflow.start
-                end
-                else if depth > 0 then callee.Principal.flow_pos <- pos
-          in
-          let run () =
-            let env = { params = slot.Annot.Registry.sl_params; args; ret = None } in
-            let callee = select_principal rt mi slot env in
-            (match callee.Principal.quarantined with
-            | Some reason ->
-                Violation.raise_ ~principal:callee ~kind:Violation.Principal_denied
-                  ~module_:mi.mi_name "entry %s via quarantined principal (%s)" fname
-                  reason
-            | None -> ());
-            rt.last_callee <- Some callee;
-            if rt.config.Config.mode = Config.Lxfi then begin
-              flow_saved :=
-                Some (callee, callee.Principal.flow_pos, callee.Principal.flow_depth);
-              if callee.Principal.flow_depth > 0 then
-                callee.Principal.flow_pos <- Check.Apiflow.start;
-              callee.Principal.flow_depth <- callee.Principal.flow_depth + 1
-            end;
-            (* Arm the per-entry watchdog: the budget is per kernel→module
-               crossing, so a wedged entry point expires instead of
-               soft-locking the simulation. *)
-            (match (rt.config.Config.watchdog_fuel, mi.mi_ctx) with
-            | Some budget, Some ctx ->
-                ctx.Mir.Interp.watchdog <- true;
-                Mir.Interp.refuel ~fuel:budget ctx
-            | _ -> ());
-            run_actions rt mi callee ~dir:K2M ~phase:`Pre env
-              (Annot.Ast.pre_actions slot.Annot.Registry.sl_annot);
-            rt.stats.Stats.principal_switches <- rt.stats.Stats.principal_switches + 1;
-            charge rt Cost.principal_switch;
-            if !Trace.on then Trace.emit (Trace.Switch (Principal.describe callee));
-            rt.current <- Some callee;
-            let ret = run_mir rt mi fname args in
-            (* Post actions run against the callee principal even if the
-               module switched principals internally (switch_global). *)
-            let env = { env with ret = Some ret } in
-            run_actions rt mi callee ~dir:K2M ~phase:`Post env
-              (Annot.Ast.post_actions slot.Annot.Registry.sl_annot);
-            ret
-          in
-          (match run () with
-          | ret ->
-              flow_exit ~ok:true;
-              rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
-              if !Trace.on then Trace.emit (Trace.Span_end (Trace.K2m, wrapper));
-              exit_guard rt;
-              ret
-          | exception e ->
-              flow_exit ~ok:false;
-              rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
-              if !Trace.on then Trace.emit (Trace.Span_end (Trace.K2m, wrapper));
-              raise e))
+          crossing rt Trace.K2m ~wrapper:(wrapper_name mi.mi_name fname) (fun () ->
+              let env = { params = slot.Annot.Registry.sl_params; args; ret = None } in
+              let callee = select_principal rt mi slot env in
+              (match callee.Principal.quarantined with
+              | Some reason ->
+                  Violation.raise_ ~principal:callee ~kind:Violation.Principal_denied
+                    ~module_:mi.mi_name "entry %s via quarantined principal (%s)" fname reason
+              | None -> ());
+              rt.last_callee <- Some callee;
+              if rt.config.Config.mode <> Config.Lxfi then
+                run_entry rt mi slot fname args env callee
+              else begin
+                (* Flow-automaton bookkeeping for this activation.  A
+                   top-level entry continues from the principal's
+                   at-rest position (so the graph's boundary edges check
+                   the cross-activation step); a nested re-entry of an
+                   in-flight principal starts fresh and the outer
+                   position is restored on exit.  An aborted activation
+                   resets to start: a contained fault must not leave a
+                   position later calls would be judged against. *)
+                let pos = callee.Principal.flow_pos and depth = callee.Principal.flow_depth in
+                if depth > 0 then callee.Principal.flow_pos <- Check.Apiflow.start;
+                callee.Principal.flow_depth <- depth + 1;
+                match run_entry rt mi slot fname args env callee with
+                | ret ->
+                    callee.Principal.flow_depth <- depth;
+                    if depth > 0 then callee.Principal.flow_pos <- pos;
+                    ret
+                | exception e ->
+                    callee.Principal.flow_depth <- depth;
+                    callee.Principal.flow_pos <- Check.Apiflow.start;
+                    mi.mi_global.Principal.flow_pos <- Check.Apiflow.start;
+                    raise e
+              end))
 
 (** {1 Module-side guards (inserted by the rewriter)} *)
 
@@ -868,7 +846,7 @@ let install rt =
 let require_current_mi rt ~who =
   match rt.current with
   | Some p -> (
-      match Hashtbl.find_opt rt.modules p.Principal.owner with
+      match module_of rt p with
       | Some mi -> (p, mi)
       | None ->
           Violation.raise_ ~kind:Violation.Principal_denied ~module_:"(unknown)"

@@ -80,9 +80,8 @@ type t = {
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry enforces its image's self-extracted graph *)
-  iterators : (string, t -> int64 list -> Capability.t list) Hashtbl.t;
-  iterator_shapes : (string, cap_shape list) Hashtbl.t;
-      (** declared yield shapes per iterator; no entry = all shapes *)
+  iterators : (string, cap_shape list * (int64 list -> Capability.t list)) Hashtbl.t;
+      (** per iterator: the shapes it can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
       (** annotation hash of every annotated callable address *)
   mutable current : Principal.t option;  (** None = kernel context *)
@@ -125,6 +124,18 @@ val current_module : t -> module_info option
 
 val module_named : t -> string -> module_info option
 
+val module_of : t -> Principal.t -> module_info option
+(** The loaded module a principal belongs to. *)
+
+val wrapper_name : string -> string -> string
+(** [wrapper_name mname fname] names the wrapper frame around
+    kernel→module entries into [fname] of module [mname]; it is also
+    the function's name in the kernel's dispatch table. *)
+
+val enters_module : string -> string -> bool
+(** [enters_module mname w]: is [w] a name {!wrapper_name} built for
+    module [mname]? *)
+
 val retire_module : t -> module_info -> unit
 (** Pull every kernel-callable address the module registered out of the
     dispatch tables (recording each in [retired]) and empty every
@@ -161,15 +172,11 @@ val flow_position : module_info -> Principal.t -> string option
 (** A principal's flow-automaton position by export name ([None]: start). *)
 
 val register_iterator :
-  ?shapes:cap_shape list ->
-  t ->
-  name:string ->
-  (t -> int64 list -> Capability.t list) ->
-  unit
+  t -> name:string -> shapes:cap_shape list -> (int64 list -> Capability.t list) -> unit
 (** Register a programmer-supplied capability iterator ([skb_caps],
     [kmalloc_caps], ...; §3.3).  [shapes] declares the capability kinds
     the iterator can yield, consumed by the upgrade compatibility
-    check; omitted = assume every shape. *)
+    check. *)
 
 val iterator_can_yield : t -> name:string -> cap_shape -> bool
 (** Can iterator [name] yield a capability of this shape?  Unknown

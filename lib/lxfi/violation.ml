@@ -10,7 +10,6 @@ type kind =
   | Write_denied  (** store without a covering WRITE capability *)
   | Call_denied  (** call/jump without a CALL capability *)
   | Ref_denied  (** argument without the required REF capability *)
-  | Cap_not_owned  (** copy/transfer source does not own the capability *)
   | Annot_mismatch  (** function vs. slot-type annotation hash differs *)
   | Shadow_stack  (** return address or principal stack corrupted *)
   | Principal_denied  (** privileged principal operation without standing *)
@@ -22,7 +21,6 @@ let all_kinds =
     Write_denied;
     Call_denied;
     Ref_denied;
-    Cap_not_owned;
     Annot_mismatch;
     Shadow_stack;
     Principal_denied;
@@ -34,7 +32,6 @@ let kind_name = function
   | Write_denied -> "write-denied"
   | Call_denied -> "call-denied"
   | Ref_denied -> "ref-denied"
-  | Cap_not_owned -> "cap-not-owned"
   | Annot_mismatch -> "annotation-mismatch"
   | Shadow_stack -> "shadow-stack"
   | Principal_denied -> "principal-denied"
@@ -48,8 +45,8 @@ let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
     and the tests assert every row title actually appears in the
     table. *)
 let counter_row = function
-  | Write_denied | Call_denied | Ref_denied | Cap_not_owned | Annot_mismatch
-  | Shadow_stack | Principal_denied ->
+  | Write_denied | Call_denied | Ref_denied | Annot_mismatch | Shadow_stack
+  | Principal_denied ->
       "Violations"
   | Watchdog_expired -> "Watchdog expiries"
   | Flow_violation -> "Flow violations"

@@ -8,7 +8,6 @@ type kind =
   | Write_denied  (** store without a covering WRITE capability *)
   | Call_denied  (** call/jump without a CALL capability *)
   | Ref_denied  (** argument without the required REF capability *)
-  | Cap_not_owned  (** copy/transfer source does not own the capability *)
   | Annot_mismatch  (** function vs. slot-type annotation hash differs *)
   | Shadow_stack  (** return address or principal stack corrupted *)
   | Principal_denied  (** privileged principal operation without standing *)

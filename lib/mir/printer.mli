@@ -3,13 +3,6 @@
     initialisers, export slot types, guards, width-suffixed
     operators). *)
 
-val pp_width : Format.formatter -> Ast.width -> unit
 val binop_symbol : Ast.binop -> string
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
-val pp_block : indent:int -> Format.formatter -> Ast.stmt list -> unit
-val pp_func : Format.formatter -> Ast.func -> unit
-val pp_section : Format.formatter -> Ast.section -> unit
-val pp_glob : Format.formatter -> Ast.glob -> unit
 val pp_prog : Format.formatter -> Ast.prog -> unit
 val to_string : Ast.prog -> string

@@ -48,11 +48,8 @@ type row = {
   lc_invariants_ok : bool;
 }
 
-val rounds : int
-(** Requests served per cell. *)
-
 val run_cell : seed:int -> workload:string -> row * string list
-(** One cell: boot fresh, serve [rounds] requests with three
+(** One cell: boot fresh, serve 44 requests with three
     mid-traffic upgrades and two repair cycles at seed-derived rounds.
     Returns the row and any invariant breaches (empty = all held). *)
 

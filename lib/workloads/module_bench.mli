@@ -11,7 +11,4 @@ type row = {
   mb_overhead : float;  (** lxfi/stock − 1 *)
 }
 
-val workloads :
-  (string * string * (Lxfi.Config.t -> ops:int -> float)) list
-
 val table : ?ops:int -> unit -> row list

@@ -4,9 +4,6 @@
     optionally write Chrome trace-event JSON.  Byte-identical output
     for a fixed seed. *)
 
-val ops : int
-(** Operations driven per run. *)
-
 val workload_names : string list
 (** ["netperf"; "can"; "rds"]. *)
 

@@ -23,7 +23,7 @@ let arb_case =
 let prop_clean_oracles =
   QCheck.Test.make ~count:200 ~name:"clean oracles hold on well-behaved modules" arb_case
     (fun case ->
-      match Fuzz.Harness.clean_failure ~trace:true case with
+      match Fuzz.Harness.clean_failure case with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 

@@ -419,10 +419,7 @@ let test_stale_images_refused () =
 let test_flow_graph_shared () =
   let image = Loader.linker basic_prog in
   let lxfi = image (snd (boot ())) in
-  let noopt =
-    { Config.lxfi with Config.opt_elide_safe_writes = false; opt_inline_trivial = false }
-  in
-  let deopt = image (snd (boot ~config:noopt ())) in
+  let deopt = image (snd (boot ~config:Config.lxfi_noopt ())) in
   let graph (im : Loader.image) = Option.get im.Loader.im_flow in
   Alcotest.(check bool) "two images" true (lxfi != deopt);
   Alcotest.(check bool) "one graph" true (graph lxfi == graph deopt);
@@ -433,7 +430,7 @@ let test_flow_graph_shared () =
     (List.for_all (fun f -> List.mem f (kexports deopt)) (kexports lxfi));
   let kst = Kstate.boot () in
   let rt =
-    Runtime.create ~kst ~config:{ Config.lxfi with Config.opt_inline_trivial = false }
+    Runtime.create ~kst ~config:Config.lxfi_noopt
   in
   ignore
     (Annot.Registry.define_exn rt.Runtime.registry ~name:"cb.fn" ~params:[ "x" ] ~annot_src:"");

@@ -2,15 +2,8 @@
 
 open Workloads
 
-let noopt =
-  {
-    Lxfi.Config.lxfi with
-    Lxfi.Config.opt_elide_safe_writes = false;
-    opt_inline_trivial = false;
-  }
-
 let results = lazy (Microbench.all ~iters:100 ())
-let results_noopt = lazy (Microbench.all ~iters:100 ~config_lxfi:noopt ())
+let results_noopt = lazy (Microbench.all ~iters:100 ~config_lxfi:Lxfi.Config.lxfi_noopt ())
 
 let get l name = List.find (fun r -> r.Microbench.b_name = name) (Lazy.force l)
 

@@ -7,8 +7,7 @@ module RW = Lxfi.Rewriter
 
 let cfg = Lxfi.Config.lxfi
 
-let cfg_noopt =
-  { cfg with Lxfi.Config.opt_elide_safe_writes = false; opt_inline_trivial = false }
+let cfg_noopt = Lxfi.Config.lxfi_noopt
 
 let mk funcs = prog "t" ~imports:[] ~globals:[ global "g" 64 ] ~funcs
 

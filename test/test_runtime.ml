@@ -219,18 +219,16 @@ let test_writers_of () =
 let test_inspect_capture () =
   let _, rt, mi = setup () in
   ignore (Runtime.invoke_module_function rt mi "entry" [ 0x4242L ]);
-  let view = Inspect.capture rt in
-  Alcotest.(check string) "mode" "lxfi" view.Inspect.iv_mode;
-  (match view.Inspect.iv_modules with
-  | [ m ] ->
-      Alcotest.(check string) "module" "probe_mod" m.Inspect.mv_name;
-      Alcotest.(check bool) "instance principal visible" true
-        (List.exists
-           (fun p -> p.Inspect.pv_aliases = [ 0x4242 ])
-           m.Inspect.mv_principals)
-  | l -> Alcotest.failf "expected one module, got %d" (List.length l));
-  Alcotest.(check bool) "render is non-trivial" true
-    (String.length (Inspect.to_string rt) > 100)
+  let lines = String.split_on_char '\n' (Inspect.to_string rt) in
+  let has_line p = List.exists p lines in
+  Alcotest.(check bool) "mode" true
+    (has_line (String.starts_with ~prefix:"LXFI state (mode lxfi, executing (kernel))"));
+  Alcotest.(check bool) "module line" true
+    (has_line (String.equal "module probe_mod (1 functions, 1 globals)"));
+  Alcotest.(check bool) "instance principal visible with its name" true
+    (has_line (fun l ->
+         String.starts_with ~prefix:"  probe_mod/instance(0x4242)" l
+         && String.ends_with ~suffix:" names:[0x4242]" l))
 
 let test_current_module () =
   let _, rt, mi = setup () in

@@ -89,21 +89,19 @@ let ordinal : Violation.kind -> int = function
   | Violation.Write_denied -> 0
   | Violation.Call_denied -> 1
   | Violation.Ref_denied -> 2
-  | Violation.Cap_not_owned -> 3
-  | Violation.Annot_mismatch -> 4
-  | Violation.Shadow_stack -> 5
-  | Violation.Principal_denied -> 6
-  | Violation.Watchdog_expired -> 7
-  | Violation.Flow_violation -> 8
+  | Violation.Annot_mismatch -> 3
+  | Violation.Shadow_stack -> 4
+  | Violation.Principal_denied -> 5
+  | Violation.Watchdog_expired -> 6
+  | Violation.Flow_violation -> 7
 
 (* bump together with the new [ordinal] arm *)
 let n_kinds =
   match Violation.Write_denied with
   | Violation.Write_denied | Violation.Call_denied | Violation.Ref_denied
-  | Violation.Cap_not_owned | Violation.Annot_mismatch | Violation.Shadow_stack
-  | Violation.Principal_denied | Violation.Watchdog_expired
-  | Violation.Flow_violation ->
-      9
+  | Violation.Annot_mismatch | Violation.Shadow_stack | Violation.Principal_denied
+  | Violation.Watchdog_expired | Violation.Flow_violation ->
+      8
 
 let test_kind_enumeration () =
   Alcotest.(check int) "all_kinds lists every constructor" n_kinds
