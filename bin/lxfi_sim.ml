@@ -152,24 +152,16 @@ let annotations_cmd =
   let run () =
     let sys = Ksys.boot Lxfi.Config.lxfi in
     let rt = sys.Ksys.rt in
+    let print width (d : Annot.Registry.slot) =
+      Fmt.pr "  %-*s (%s)@.      %s@." width d.sl_name (String.concat ", " d.sl_params)
+        (match Annot.Ast.to_string d.sl_annot with "" -> "(no contract)" | a -> a)
+    in
     Fmt.pr "== function-pointer slot types ==@.";
-    List.iter
-      (fun (s : Annot.Registry.slot) ->
-        Fmt.pr "  %-36s (%s)@.      %s@." s.Annot.Registry.sl_name
-          (String.concat ", " s.Annot.Registry.sl_params)
-          (match Annot.Ast.to_string s.Annot.Registry.sl_annot with
-          | "" -> "(no contract)"
-          | a -> a))
-      (Annot.Registry.all rt.Lxfi.Runtime.registry);
+    List.iter (print 36) (Annot.Registry.all rt.Lxfi.Runtime.registry);
     Fmt.pr "@.== annotated kernel exports ==@.";
-    Hashtbl.fold (fun name ke acc -> (name, ke) :: acc) rt.Lxfi.Runtime.kexports []
-    |> List.sort compare
-    |> List.iter (fun (name, (ke : Lxfi.Runtime.kexport)) ->
-           Fmt.pr "  %-28s (%s)@.      %s@." name
-             (String.concat ", " ke.Lxfi.Runtime.ke_params)
-             (match Annot.Ast.to_string ke.Lxfi.Runtime.ke_annot with
-             | "" -> "(no contract)"
-             | a -> a))
+    Hashtbl.fold (fun _ ke acc -> ke.Lxfi.Runtime.ke_decl :: acc) rt.Lxfi.Runtime.kexports []
+    |> List.sort (fun (a : Annot.Registry.slot) b -> String.compare a.sl_name b.sl_name)
+    |> List.iter (print 28)
   in
   Cmd.v
     (Cmd.info "annotations" ~doc:"Dump the annotated kernel API surface.")

@@ -132,6 +132,85 @@ let eval_binop op a b =
   | Oand -> bool_ (a <> 0L && b <> 0L)
   | Oor -> bool_ (a <> 0L || b <> 0L)
 
+(** {1 Traversal}
+
+    The one place that says which annotation nodes hold expressions.
+    [fold_cexpr] visits a node before its operands and operands left to
+    right; a caplist's expressions and an action's guards come in source
+    order. *)
+
+let rec fold_cexpr f acc e =
+  let acc = f acc e in
+  match e with
+  | Cint _ | Cparam _ | Creturn | Csizeof _ -> acc
+  | Cneg a -> fold_cexpr f acc a
+  | Cbin (_, a, b) -> fold_cexpr f (fold_cexpr f acc a) b
+
+(** The expressions naming the objects a caplist covers: an inline
+    capability's pointer, an iterator's arguments. *)
+let caplist_objects = function Inline (_, p, _) -> [ p ] | Iter (_, args) -> args
+
+(** Every expression of a caplist: its objects, then an inline size. *)
+let caplist_exprs = function
+  | Inline (_, p, Some s) -> [ p; s ]
+  | cl -> caplist_objects cl
+
+type verb = [ `Copy | `Transfer | `Check ]
+
+(** [leaf a] — the verb and caplist that action [a] ends in, with the
+    conditions of the [if]s guarding it, outermost first. *)
+let leaf a =
+  let rec go guards = function
+    | Copy cl -> ((`Copy : verb), cl, List.rev guards)
+    | Transfer cl -> (`Transfer, cl, List.rev guards)
+    | Check cl -> (`Check, cl, List.rev guards)
+    | Cif (c, a) -> go (c :: guards) a
+  in
+  go [] a
+
+(** {1 What an action does (§3.3)}
+
+    The wrappers of §5 run a slot type's actions on kernel→module
+    entries and a kernel export's on module→kernel calls, the pre
+    actions before the callee runs and the post actions after it.
+    {!cap_effect} is the one statement of what a verb then does to each
+    capability its caplist names. *)
+
+type direction =
+  | M2K  (** a module calling a kernel export *)
+  | K2M  (** the kernel invoking a module function *)
+
+type phase = [ `Pre | `Post ]
+
+(** What an action does to one capability, from the module side of the
+    crossing (the calling module for [M2K], the callee for [K2M]); the
+    kernel side is trusted and owns everything. *)
+type cap_effect =
+  | No_effect  (** a check whose caller is the kernel *)
+  | Own  (** the module side must own it *)
+  | Grant  (** the module side receives it *)
+  | Own_then_revoke  (** the module side must own it; then every principal loses it *)
+  | Revoke_then_grant  (** every principal loses it; then the module side receives it *)
+
+(** Capabilities flow from the side that gives to the side that
+    receives: a module gives in an [M2K] pre and a [K2M] post, and
+    receives in the other two.  [copy] gives a copy, [transfer] gives
+    the capability itself, and [check] only asks a module caller what it
+    owns. *)
+let cap_effect ~dir ~(phase : phase) (verb : verb) =
+  match (verb, dir, phase) with
+  | `Check, M2K, _ -> Own
+  | `Check, K2M, _ -> No_effect
+  | `Copy, M2K, `Pre | `Copy, K2M, `Post -> Own
+  | `Copy, M2K, `Post | `Copy, K2M, `Pre -> Grant
+  | `Transfer, M2K, `Pre | `Transfer, K2M, `Post -> Own_then_revoke
+  | `Transfer, M2K, `Post | `Transfer, K2M, `Pre -> Revoke_then_grant
+
+(** Does the module side receive the capability? *)
+let grants = function
+  | Grant | Revoke_then_grant -> true
+  | No_effect | Own | Own_then_revoke -> false
+
 (** {1 Static validation}
 
     An annotation that references an unknown parameter, or the return
@@ -142,51 +221,27 @@ let eval_binop op a b =
     the policy specified in the annotation"; at least the
     non-evaluable mistakes are caught early). *)
 
-let rec validate_cexpr ~params ~allow_return = function
-  | Cint _ -> Ok ()
-  | Cparam p ->
-      if List.mem p params then Ok ()
-      else Error (Printf.sprintf "unknown parameter %s (have: %s)" p (String.concat ", " params))
-  | Creturn -> if allow_return then Ok () else Error "return value referenced in a pre/principal context"
-  | Cneg e -> validate_cexpr ~params ~allow_return e
-  | Csizeof _ -> Ok ()
-  | Cbin (_, a, b) -> (
-      match validate_cexpr ~params ~allow_return a with
-      | Ok () -> validate_cexpr ~params ~allow_return b
-      | Error _ as e -> e)
-
-let validate_caplist ~params ~allow_return = function
-  | Inline (_, p, s) -> (
-      match validate_cexpr ~params ~allow_return p with
-      | Ok () -> (
-          match s with
-          | None -> Ok ()
-          | Some e -> validate_cexpr ~params ~allow_return e)
-      | Error _ as e -> e)
-  | Iter (_, args) ->
-      List.fold_left
-        (fun acc e ->
-          match acc with Ok () -> validate_cexpr ~params ~allow_return e | e -> e)
-        (Ok ()) args
-
-let rec validate_action ~params ~allow_return = function
-  | Copy cl | Transfer cl | Check cl -> validate_caplist ~params ~allow_return cl
-  | Cif (c, a) -> (
-      match validate_cexpr ~params ~allow_return c with
-      | Ok () -> validate_action ~params ~allow_return a
-      | Error _ as e -> e)
-
-(** [validate ~params t] — [Error msg] if any clause references an
-    undeclared parameter or uses [return] outside a post clause. *)
+(** [validate ~params t] — [Error msg] for the first expression node,
+    in source order, that references an undeclared parameter or uses
+    [return] outside a post clause. *)
 let validate ~params (t : t) : (unit, string) result =
+  let node ~allow_return acc e =
+    match (acc, e) with
+    | Error _, _ -> acc
+    | Ok (), Cparam p when not (List.mem p params) ->
+        Error (Printf.sprintf "unknown parameter %s (have: %s)" p (String.concat ", " params))
+    | Ok (), Creturn when not allow_return ->
+        Error "return value referenced in a pre/principal context"
+    | Ok (), _ -> acc
+  in
+  let action ~allow_return acc a =
+    let _, cl, guards = leaf a in
+    List.fold_left (fold_cexpr (node ~allow_return)) acc (guards @ caplist_exprs cl)
+  in
   List.fold_left
-    (fun acc clause ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> (
-          match clause with
-          | Pre a -> validate_action ~params ~allow_return:false a
-          | Post a -> validate_action ~params ~allow_return:true a
-          | Principal (Pexpr e) -> validate_cexpr ~params ~allow_return:false e
-          | Principal (Pglobal | Pshared) -> Ok ()))
+    (fun acc -> function
+      | Pre a -> action ~allow_return:false acc a
+      | Post a -> action ~allow_return:true acc a
+      | Principal (Pexpr e) -> fold_cexpr (node ~allow_return:false) acc e
+      | Principal (Pglobal | Pshared) -> acc)
     (Ok ()) t

@@ -65,9 +65,8 @@ let add t s : (slot, error) result =
     Ok s
   end
 
-let define t ~name ~params ~annot = Result.bind (make ~name ~params ~annot) (add t)
-let define_src t ~name ~params ~annot_src = Result.bind (make_src ~name ~params ~annot_src) (add t)
-let define_exn t ~name ~params ~annot_src = ok_exn (define_src t ~name ~params ~annot_src)
+let define_exn t ~name ~params ~annot_src =
+  ok_exn (Result.bind (make_src ~name ~params ~annot_src) (add t))
 
 let find t name =
   match Hashtbl.find_opt t.slots name with
@@ -76,7 +75,6 @@ let find t name =
 
 let find_opt t name = Hashtbl.find_opt t.slots name
 let mem t name = Hashtbl.mem t.slots name
-let ahash t name = (find t name).sl_ahash
 
 let all t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.slots []

@@ -24,6 +24,7 @@ type error =
       (** parsed, but [Ast.validate] rejected it against the params *)
 
 val error_to_string : error -> string
+(** Exported for the tests that print an unexpected error. *)
 
 val ok_exn : ('a, error) result -> 'a
 (** Unwrap, raising [Invalid_argument] with the rendered error — for
@@ -40,20 +41,11 @@ val add : t -> slot -> (slot, error) result
 (** Insert a declaration; [Error (Duplicate name)] if the name is
     already defined. *)
 
-val define : t -> name:string -> params:string list -> annot:Ast.t -> (slot, error) result
-(** Validate and hash an already-parsed annotation, then {!add} it, so
-    every slot in the registry is internally consistent. *)
-
-val define_src :
-  t -> name:string -> params:string list -> annot_src:string -> (slot, error) result
-(** {!make_src} then {!add}. *)
-
 val define_exn : t -> name:string -> params:string list -> annot_src:string -> slot
-(** [define_src] + [ok_exn]. *)
+(** {!make_src}, then {!add}, then {!ok_exn}. *)
 
 val find : t -> string -> slot
 val find_opt : t -> string -> slot option
 val mem : t -> string -> bool
-val ahash : t -> string -> int64
 val all : t -> slot list
 (** Sorted by name. *)

@@ -55,57 +55,48 @@ type cover = {
   granted_write : bool array;  (** pre copy/transfer grants WRITE on it *)
 }
 
-let rec cexpr_mentions name = function
-  | Annot.Ast.Cparam p -> p = name
-  | Annot.Ast.Cint _ | Annot.Ast.Creturn | Annot.Ast.Csizeof _ -> false
-  | Annot.Ast.Cneg e -> cexpr_mentions name e
-  | Annot.Ast.Cbin (_, a, b) -> cexpr_mentions name a || cexpr_mentions name b
-
-let rec leaf_caplist = function
-  | Annot.Ast.Copy cl -> (`Copy, cl)
-  | Annot.Ast.Transfer cl -> (`Transfer, cl)
-  | Annot.Ast.Check cl -> (`Check, cl)
-  | Annot.Ast.Cif (_, a) -> leaf_caplist a
+let mentions name e =
+  Annot.Ast.fold_cexpr
+    (fun m -> function Annot.Ast.Cparam p -> m || String.equal p name | _ -> m)
+    false e
 
 (* Does the caplist cover [name] for the given access kind?  Iterators
    grant capabilities over the object graph reachable from their
    arguments, so an iterator mentioning the param covers both kinds. *)
-let caplist_covers ~kind name = function
-  | Annot.Ast.Inline (ct, p, s) -> (
-      let in_exprs =
-        cexpr_mentions name p
-        || (match s with Some e -> cexpr_mentions name e | None -> false)
-      in
-      match (kind, ct) with
-      | `Write, Annot.Ast.Write -> in_exprs
-      | `Call, (Annot.Ast.Call | Annot.Ast.Ref _) -> in_exprs
-      | _ -> false)
-  | Annot.Ast.Iter (_, args) -> List.exists (cexpr_mentions name) args
+let caplist_covers ~kind name cl =
+  List.exists (mentions name) (Annot.Ast.caplist_exprs cl)
+  &&
+  match (kind, cl) with
+  | _, Annot.Ast.Iter _
+  | `Write, Annot.Ast.Inline (Annot.Ast.Write, _, _)
+  | `Call, Annot.Ast.Inline ((Annot.Ast.Call | Annot.Ast.Ref _), _, _) ->
+      true
+  | _ -> false
 
 let cover_of (slot : Annot.Registry.slot) : cover =
-  let params = Array.of_list slot.Annot.Registry.sl_params in
+  let params = Array.of_list slot.sl_params in
   let n = Array.length params in
-  let annot = slot.Annot.Registry.sl_annot in
-  let actions = Annot.Ast.pre_actions annot @ Annot.Ast.post_actions annot in
-  let caplists = List.map leaf_caplist actions in
-  let covered kind i =
-    List.exists (fun (_, cl) -> caplist_covers ~kind params.(i) cl) caplists
-  in
+  let annot = slot.sl_annot in
+  let pre = List.map Annot.Ast.leaf (Annot.Ast.pre_actions annot) in
+  let post = List.map Annot.Ast.leaf (Annot.Ast.post_actions annot) in
+  let caplists = List.map (fun (_, cl, _) -> cl) (pre @ post) in
+  let covered kind i = List.exists (caplist_covers ~kind params.(i)) caplists in
   let principal_mentions i =
     match Annot.Ast.principal_of annot with
-    | Some (Annot.Ast.Pexpr e) -> cexpr_mentions params.(i) e
+    | Some (Annot.Ast.Pexpr e) -> mentions params.(i) e
     | _ -> false
   in
+  (* a pre action granting the entry WRITE on the parameter *)
   let grants i =
     List.exists
-      (fun a ->
-        match leaf_caplist a with
-        | (`Copy | `Transfer), Annot.Ast.Inline (Annot.Ast.Write, p, _) ->
-            cexpr_mentions params.(i) p
-        | (`Copy | `Transfer), Annot.Ast.Iter (_, args) ->
-            List.exists (fun e -> e = Annot.Ast.Cparam params.(i)) args
-        | _ -> false)
-      (Annot.Ast.pre_actions annot)
+      (fun (verb, cl, _) ->
+        Annot.Ast.grants (Annot.Ast.cap_effect ~dir:K2M ~phase:`Pre verb)
+        &&
+        match cl with
+        | Annot.Ast.Inline (Annot.Ast.Write, p, _) -> mentions params.(i) p
+        | Annot.Ast.Iter (_, args) -> List.mem (Annot.Ast.Cparam params.(i)) args
+        | Annot.Ast.Inline _ -> false)
+      pre
   in
   {
     slot;
@@ -117,29 +108,25 @@ let cover_of (slot : Annot.Registry.slot) : cover =
 
 (* --- kexport pre(transfer) positions, for use-after-transfer --- *)
 
-let transferred_positions (k : Env.kexport_decl) : int list =
-  let params = k.Env.kx_params in
+(* The argument positions an export's unconditional pre actions revoke
+   from the caller. *)
+let transferred_positions (k : Annot.Registry.slot) : int list =
   let index_of p =
     let rec go i = function
       | [] -> None
       | q :: _ when q = p -> Some i
       | _ :: r -> go (i + 1) r
     in
-    go 0 params
+    go 0 k.sl_params
   in
-  Annot.Ast.pre_actions k.Env.kx_annot
+  Annot.Ast.pre_actions k.sl_annot
   |> List.concat_map (fun a ->
-         match a with
-         | Annot.Ast.Transfer cl -> (
-             (* only unconditional transfers provably revoke *)
-             match cl with
-             | Annot.Ast.Inline (_, Annot.Ast.Cparam p, _) ->
-                 Option.to_list (index_of p)
-             | Annot.Ast.Inline _ -> []
-             | Annot.Ast.Iter (_, args) ->
-                 List.filter_map
-                   (function Annot.Ast.Cparam p -> index_of p | _ -> None)
-                   args)
+         match Annot.Ast.leaf a with
+         | verb, cl, [] when Annot.Ast.cap_effect ~dir:M2K ~phase:`Pre verb = Own_then_revoke
+           ->
+             List.filter_map
+               (function Annot.Ast.Cparam p -> index_of p | _ -> None)
+               (Annot.Ast.caplist_objects cl)
          | _ -> [])
 
 (* --- the walker --- *)

@@ -28,7 +28,7 @@ let summarize findings =
 let check_interfaces (env : Env.t) =
   List.concat_map (Lint.slot_findings env) (Annot.Registry.all env.registry)
   @ (env.kexports ()
-    |> List.sort (fun a b -> compare a.Env.kx_name b.Env.kx_name)
+    |> List.sort (fun (a : Annot.Registry.slot) b -> compare a.sl_name b.sl_name)
     |> List.concat_map (Lint.kexport_findings env))
 
 (** One module's MIR against its propagated slot types, plus the

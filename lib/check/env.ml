@@ -8,19 +8,13 @@
     [lxfi] in the library stack; [Loader.check_env] builds one of these
     over a live runtime's own tables. *)
 
-type kexport_decl = {
-  kx_name : string;
-  kx_params : string list;
-  kx_annot : Annot.Ast.t;
-}
-(** What the checker needs to know about one annotated kernel export. *)
-
 type t = {
   registry : Annot.Registry.t;  (** function-pointer slot types *)
   types : Kernel_sim.Ktypes.t;  (** kernel struct layouts *)
   iterator_exists : string -> bool;
       (** is this capability iterator registered? *)
-  kexport : string -> kexport_decl option;
-      (** the annotated kernel export of this name, if there is one *)
-  kexports : unit -> kexport_decl list;  (** every annotated kernel export *)
+  kexport : string -> Annot.Registry.slot option;
+      (** the declaration of the kernel export of this name, if there is one *)
+  kexports : unit -> Annot.Registry.slot list;
+      (** the declaration of every kernel export *)
 }

@@ -36,7 +36,6 @@ type ctx = {
   env : Env.t;
   what : string;  (** location label, e.g. ["slot proto_ops.bind"] *)
   params : string list;
-  kexport : bool;  (** module→kernel direction (callers lose transfers) *)
   mutable acc : Finding.t list;
 }
 
@@ -48,8 +47,8 @@ let emit ctx ~rule sev fmt =
         :: ctx.acc)
     fmt
 
-let rec cexpr_check ctx ~allow_return = function
-  | Cint _ -> ()
+(* The rules on one expression node. *)
+let node_check ctx ~allow_return () = function
   | Cparam p ->
       if not (List.mem p ctx.params) then
         emit ctx ~rule:"unknown-param" Diag.Error
@@ -59,33 +58,14 @@ let rec cexpr_check ctx ~allow_return = function
       if not allow_return then
         emit ctx ~rule:"return-in-pre" Diag.Error
           "references the return value outside a post clause"
-  | Cneg e -> cexpr_check ctx ~allow_return e
   | Csizeof s ->
       if not (Kernel_sim.Ktypes.mem ctx.env.Env.types s) then
         emit ctx ~rule:"sizeof-unknown-struct" Diag.Error
           "sizeof(struct %s): struct is not registered, so evaluation raises at runtime"
           s
-  | Cbin (_, a, b) ->
-      cexpr_check ctx ~allow_return a;
-      cexpr_check ctx ~allow_return b
+  | Cint _ | Cneg _ | Cbin _ -> ()
 
-let caplist_check ctx ~allow_return = function
-  | Inline (ct, p, s) -> (
-      cexpr_check ctx ~allow_return p;
-      (match s with Some e -> cexpr_check ctx ~allow_return e | None -> ());
-      match (ct, s) with
-      | Write, None ->
-          emit ctx ~rule:"write-size-defaulted" Diag.Warning
-            "WRITE capability on %s has no size expression and silently defaults \
-             to 8 bytes"
-            (cexpr_to_string p)
-      | _ -> ())
-  | Iter (name, args) ->
-      List.iter (cexpr_check ctx ~allow_return) args;
-      if not (ctx.env.Env.iterator_exists name) then
-        emit ctx ~rule:"unknown-iterator" Diag.Error
-          "capability iterator %s is not registered, so evaluation raises at runtime"
-          name
+let cexpr_check ctx ~allow_return e = fold_cexpr (node_check ctx ~allow_return) () e
 
 (* Constant folding over the annotation expression language: params and
    the return value are unknown; registered struct sizes are static. *)
@@ -102,11 +82,14 @@ let rec cfold types = function
       | Some va, Some vb -> Some (eval_binop op va vb)
       | _ -> None)
 
-let rec action_check ctx ~allow_return = function
-  | Copy cl | Transfer cl | Check cl -> caplist_check ctx ~allow_return cl
-  | Cif (c, a) ->
+(* One action: each guard of its [if] chain, then its caplist, then
+   each condition the chain repeats. *)
+let action_check ctx ~allow_return a =
+  let _, cl, guards = leaf a in
+  List.iter
+    (fun c ->
       cexpr_check ctx ~allow_return c;
-      (match cfold ctx.env.Env.types c with
+      match cfold ctx.env.Env.types c with
       | Some 0L ->
           emit ctx ~rule:"unsat-guard" Diag.Warning
             "if-guard (%s) is always false; the guarded action is dead"
@@ -115,18 +98,28 @@ let rec action_check ctx ~allow_return = function
           emit ctx ~rule:"redundant-guard" Diag.Info
             "if-guard (%s) is always true; the guard is redundant"
             (cexpr_to_string c)
-      | None -> ());
-      action_check ctx ~allow_return a
-
-(* The same condition repeated along one nested if-guard chain. *)
-let rec nested_guard_dup ctx seen = function
-  | Cif (c, a) ->
-      let s = cexpr_to_string c in
-      if List.mem s seen then
-        emit ctx ~rule:"duplicate-guard" Diag.Warning
-          "condition (%s) repeated in nested if-guards" s;
-      nested_guard_dup ctx (s :: seen) a
-  | Copy _ | Transfer _ | Check _ -> ()
+      | None -> ())
+    guards;
+  List.iter (cexpr_check ctx ~allow_return) (caplist_exprs cl);
+  (match cl with
+  | Inline (Write, p, None) ->
+      emit ctx ~rule:"write-size-defaulted" Diag.Warning
+        "WRITE capability on %s has no size expression and silently defaults to 8 \
+         bytes"
+        (cexpr_to_string p)
+  | Iter (name, _) when not (ctx.env.Env.iterator_exists name) ->
+      emit ctx ~rule:"unknown-iterator" Diag.Error
+        "capability iterator %s is not registered, so evaluation raises at runtime" name
+  | Inline _ | Iter _ -> ());
+  ignore
+    (List.fold_left
+       (fun seen c ->
+         let s = cexpr_to_string c in
+         if List.mem s seen then
+           emit ctx ~rule:"duplicate-guard" Diag.Warning
+             "condition (%s) repeated in nested if-guards" s;
+         s :: seen)
+       [] guards)
 
 let dup_clause_check ctx (t : t) =
   let seen = Hashtbl.create 8 in
@@ -138,33 +131,23 @@ let dup_clause_check ctx (t : t) =
       else Hashtbl.add seen s ())
     t
 
-(* --- transfer-then-use (kexport / module→kernel direction) ---
+(* --- transfer-then-use ---
 
-   A pre(transfer(cap)) means the wrapper checks the caller owns [cap]
-   and then revokes it from everyone.  Any later pre clause of the same
-   annotation that references the same capability expression performs
-   an ownership check against a capability the caller has provably just
-   lost. *)
+   A pre action whose effect is own-then-revoke (a kernel export's
+   pre(transfer(cap))) checks the caller owns [cap] and then revokes it
+   from everyone.  Any later pre clause of the same annotation that
+   references the same capability object performs an ownership check
+   against a capability the caller has provably just lost.  No slot
+   type's pre action revokes from the module side, so the rule only
+   ever fires on kernel exports. *)
 
-let caplist_keys = function
-  | Inline (_, p, _) -> [ cexpr_to_string p ]
-  | Iter (_, args) -> List.map cexpr_to_string args
-
-(* The leaf caplist of an action, with whether any guard wraps it. *)
-let rec leaf_of = function
-  | Copy cl -> (`Copy, cl, false)
-  | Transfer cl -> (`Transfer, cl, false)
-  | Check cl -> (`Check, cl, false)
-  | Cif (_, a) ->
-      let k, cl, _ = leaf_of a in
-      (k, cl, true)
-
-let transfer_then_use ctx (t : t) =
+let transfer_then_use ctx ~dir (t : t) =
   let transferred = Hashtbl.create 4 (* key -> conditional? *) in
   List.iter
     (fun a ->
-      let _, cl, conditional = leaf_of a in
-      let keys = caplist_keys cl in
+      let verb, cl, guards = leaf a in
+      let conditional = guards <> [] in
+      let keys = List.map cexpr_to_string (caplist_objects cl) in
       List.iter
         (fun k ->
           match Hashtbl.find_opt transferred k with
@@ -178,41 +161,32 @@ let transfer_then_use ctx (t : t) =
                  it from the caller — the ownership check cannot succeed"
                 k)
         keys;
-      match leaf_of a with
-      | `Transfer, cl, conditional ->
-          List.iter
-            (fun k ->
-              match Hashtbl.find_opt transferred k with
-              | Some false -> ()  (* already unconditionally transferred *)
-              | _ -> Hashtbl.replace transferred k conditional)
-            (caplist_keys cl)
-      | (`Copy | `Check), _, _ -> ())
+      if cap_effect ~dir ~phase:`Pre verb = Own_then_revoke then
+        List.iter
+          (fun k ->
+            match Hashtbl.find_opt transferred k with
+            | Some false -> ()  (* already unconditionally transferred *)
+            | _ -> Hashtbl.replace transferred k conditional)
+          keys)
     (pre_actions t)
 
 let annot_findings env ~what ~kexport ~params (t : t) : Finding.t list =
-  let ctx = { env; what; params; kexport; acc = [] } in
+  let ctx = { env; what; params; acc = [] } in
   List.iter
-    (fun cl ->
-      match cl with
-      | Pre a ->
-          action_check ctx ~allow_return:false a;
-          nested_guard_dup ctx [] a
-      | Post a ->
-          action_check ctx ~allow_return:true a;
-          nested_guard_dup ctx [] a
+    (function
+      | Pre a -> action_check ctx ~allow_return:false a
+      | Post a -> action_check ctx ~allow_return:true a
       | Principal (Pexpr e) -> cexpr_check ctx ~allow_return:false e
       | Principal (Pglobal | Pshared) -> ())
     t;
   dup_clause_check ctx t;
-  if kexport then transfer_then_use ctx t;
+  transfer_then_use ctx ~dir:(if kexport then M2K else K2M) t;
   List.rev ctx.acc
 
 let slot_findings env (s : Annot.Registry.slot) =
-  annot_findings env
-    ~what:("slot " ^ s.Annot.Registry.sl_name)
-    ~kexport:false ~params:s.Annot.Registry.sl_params s.Annot.Registry.sl_annot
+  annot_findings env ~what:("slot " ^ s.sl_name) ~kexport:false ~params:s.sl_params
+    s.sl_annot
 
-let kexport_findings env (k : Env.kexport_decl) =
-  annot_findings env
-    ~what:("kexport " ^ k.Env.kx_name)
-    ~kexport:true ~params:k.Env.kx_params k.Env.kx_annot
+let kexport_findings env (k : Annot.Registry.slot) =
+  annot_findings env ~what:("kexport " ^ k.sl_name) ~kexport:true ~params:k.sl_params
+    k.sl_annot

@@ -99,14 +99,14 @@ let slot_types =
 
 let register_iterators (t : t) =
   let rt = t.rt in
-  (* Every iterator declares the capability shapes it can yield; the
+  (* Every iterator declares the capability kinds it can yield; the
      upgrade compatibility check ([Loader.upgrade]) uses the declaration
      to decide whether an annotation mentioning the iterator is part of
      a version's write/ref surface. *)
   let reg shapes name fn = Lxfi.Runtime.register_iterator rt ~name ~shapes fn in
   (* kmalloc_caps(p): WRITE for the object's actual (size-class) size —
      this is the precise semantics that defeats the CAN BCM overflow. *)
-  reg [ Lxfi.Runtime.Swrite ] "kmalloc_caps" (fun args ->
+  reg [ Annot.Ast.Write ] "kmalloc_caps" (fun args ->
       match args with
       | [ p ] ->
           let p = Int64.to_int p in
@@ -117,7 +117,7 @@ let register_iterators (t : t) =
             [ Lxfi.Capability.Cwrite { base = p; size = Slab.usable_size t.kst.Kstate.slab p } ]
       | _ -> invalid_arg "kmalloc_caps: expected 1 argument");
   (* skb_caps(skb): the Figure 4 iterator — the struct and its payload. *)
-  reg [ Lxfi.Runtime.Swrite ] "skb_caps" (fun args ->
+  reg [ Annot.Ast.Write ] "skb_caps" (fun args ->
       match args with
       | [ skb ] ->
           let skb = Int64.to_int skb in
@@ -137,7 +137,7 @@ let register_iterators (t : t) =
      WRITE on the payload only.  The struct itself stays out of reach:
      a compromised driver cannot redirect skb->data or forge lengths. *)
   reg
-    [ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "sk_buff_fields" ]
+    [ Annot.Ast.Write; Annot.Ast.Ref "sk_buff_fields" ]
     "skb_strict_caps" (fun args ->
       match args with
       | [ skb ] ->
@@ -153,7 +153,7 @@ let register_iterators (t : t) =
           end
       | _ -> invalid_arg "skb_strict_caps: expected 1 argument");
   (* pci_bar_caps(pcidev): the device's MMIO window. *)
-  reg [ Lxfi.Runtime.Swrite ] "pci_bar_caps" (fun args ->
+  reg [ Annot.Ast.Write ] "pci_bar_caps" (fun args ->
       match args with
       | [ dev ] ->
           let dev = Int64.to_int dev in
@@ -162,7 +162,7 @@ let register_iterators (t : t) =
           else [ Lxfi.Capability.Cwrite { base = bar; size = len } ]
       | _ -> invalid_arg "pci_bar_caps: expected 1 argument");
   (* bio_caps(bio): struct + payload, like skb_caps. *)
-  reg [ Lxfi.Runtime.Swrite ] "bio_caps" (fun args ->
+  reg [ Annot.Ast.Write ] "bio_caps" (fun args ->
       match args with
       | [ bio ] ->
           let bio = Int64.to_int bio in
@@ -179,7 +179,7 @@ let register_iterators (t : t) =
   (* snd_card_caps(card): card struct, DMA area, and the REF that
      names the card for registration. *)
   reg
-    [ Lxfi.Runtime.Swrite; Lxfi.Runtime.Sref "snd_card" ]
+    [ Annot.Ast.Write; Annot.Ast.Ref "snd_card" ]
     "snd_card_caps" (fun args ->
       match args with
       | [ card ] ->

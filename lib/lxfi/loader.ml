@@ -70,15 +70,14 @@ let section_name = function
 (** [check_env rt] — the static checker's view of this runtime, read
     through the runtime's own tables. *)
 let check_env (rt : Runtime.t) : Check.Env.t =
-  let decl (ke : Runtime.kexport) =
-    { Check.Env.kx_name = ke.Runtime.ke_name; kx_params = ke.ke_params; kx_annot = ke.ke_annot }
-  in
   {
     Check.Env.registry = rt.Runtime.registry;
     types = rt.kst.Kstate.types;
     iterator_exists = Hashtbl.mem rt.iterators;
-    kexport = (fun name -> Option.map decl (Hashtbl.find_opt rt.kexports name));
-    kexports = (fun () -> Hashtbl.fold (fun _ ke acc -> decl ke :: acc) rt.kexports []);
+    kexport =
+      (fun name ->
+        Option.map (fun (ke : Runtime.kexport) -> ke.ke_decl) (Hashtbl.find_opt rt.kexports name));
+    kexports = (fun () -> Hashtbl.fold (fun _ ke acc -> ke.Runtime.ke_decl :: acc) rt.kexports []);
   }
 
 (** {1 Link: what loading needs that depends only on values} *)
@@ -86,7 +85,7 @@ let check_env (rt : Runtime.t) : Check.Env.t =
 type fact =
   | Config of Config.t
   | Bound of { func : string; slot : Annot.Registry.slot; field : (string * int) option }
-  | Kexport of string * Check.Env.kexport_decl option
+  | Kexport of string * Annot.Registry.slot option
 
 type image = {
   im_prog : Mir.Ast.prog;
@@ -184,8 +183,7 @@ let holds (rt : Runtime.t) = function
   | Kexport (name, decl) -> (
       match (Hashtbl.find_opt rt.kexports name, decl) with
       | None, None -> true
-      | Some ke, Some d ->
-          (ke.ke_annot == d.kx_annot || ke.ke_annot = d.kx_annot) && ke.ke_params = d.kx_params
+      | Some ke, Some d -> ke.ke_decl == d || ke.ke_decl = d
       | _ -> false)
 
 let stale rt im = List.find_opt (fun f -> not (holds rt f)) im.im_facts
@@ -469,10 +467,12 @@ let init_call rt (mi : Runtime.module_info) fname args =
     granted themselves. *)
 
 (** A version's {e grant surface}: for each grant source — an exported
-    slot type or an imported annotated kernel export — the caplists its
-    copy/transfer actions can execute, plus the slot types that select
-    instance principals.  Check actions are excluded: checking never
-    grants. *)
+    slot type or an imported annotated kernel export — the caplists of
+    the actions that grant to the module in the declaration's direction
+    ({!Annot.Ast.grants}: the copies and transfers of a slot's pre
+    clauses and of a kernel export's post clauses, never a slot's
+    [post(transfer)], by which the module gives a capability back),
+    plus the slot types that select instance principals. *)
 type surface = {
   su_sources : (string * Annot.Ast.caplist list) list;
       (** grant source id ([slot:<name>#<ahash>] / [kexport:<name>])
@@ -481,25 +481,23 @@ type surface = {
       (** slot types carrying [principal(expr)], as (name, ahash) *)
 }
 
-let grant_caplists (annot : Annot.Ast.t) =
-  List.filter_map
-    (fun a -> match Check.Capflow.leaf_caplist a with `Check, _ -> None | _, cl -> Some cl)
-    (Annot.Ast.pre_actions annot @ Annot.Ast.post_actions annot)
+let grant_caplists ~dir (annot : Annot.Ast.t) =
+  let granting phase a =
+    let verb, cl, _ = Annot.Ast.leaf a in
+    if Annot.Ast.grants (Annot.Ast.cap_effect ~dir ~phase verb) then Some cl else None
+  in
+  List.filter_map (granting `Pre) (Annot.Ast.pre_actions annot)
+  @ List.filter_map (granting `Post) (Annot.Ast.post_actions annot)
 
-(** Can this caplist yield a capability of [shape]?  Inline caplists
+(** Can this caplist yield a capability of [kind]?  Inline caplists
     answer exactly; iterator caplists consult the iterator's declared
-    shapes ({!Runtime.register_iterator}), treating an unknown
+    kinds ({!Runtime.register_iterator}), treating an unknown
     iterator as able to yield anything — the conservative direction for
     a subset check on the {e old} side and for membership on the new. *)
-let caplist_yields rt (cl : Annot.Ast.caplist) (shape : Runtime.cap_shape) =
+let caplist_yields rt (cl : Annot.Ast.caplist) (kind : Annot.Ast.captype) =
   match cl with
-  | Annot.Ast.Inline (ct, _, _) -> (
-      match (ct, shape) with
-      | Annot.Ast.Write, Runtime.Swrite -> true
-      | Annot.Ast.Call, Runtime.Scall -> true
-      | Annot.Ast.Ref r, Runtime.Sref r' -> String.equal r r'
-      | _ -> false)
-  | Annot.Ast.Iter (name, _) -> Runtime.iterator_can_yield rt ~name shape
+  | Annot.Ast.Inline (ct, _, _) -> ct = kind
+  | Annot.Ast.Iter (name, _) -> Runtime.iterator_can_yield rt ~name kind
 
 let surface_of (rt : Runtime.t) (mi : Runtime.module_info) : surface =
   let slots =
@@ -514,7 +512,7 @@ let surface_of (rt : Runtime.t) (mi : Runtime.module_info) : surface =
       (fun (sl : Annot.Registry.slot) ->
         ( Printf.sprintf "slot:%s#%Lx" sl.Annot.Registry.sl_name
             sl.Annot.Registry.sl_ahash,
-          grant_caplists sl.Annot.Registry.sl_annot ))
+          grant_caplists ~dir:Annot.Ast.K2M sl.Annot.Registry.sl_annot ))
       slots
   in
   let kexport_sources =
@@ -523,7 +521,9 @@ let surface_of (rt : Runtime.t) (mi : Runtime.module_info) : surface =
         if is_builtin name then None
         else
           match Hashtbl.find_opt rt.Runtime.kexports name with
-          | Some ke -> Some ("kexport:" ^ name, grant_caplists ke.Runtime.ke_annot)
+          | Some ke ->
+              let annot = ke.Runtime.ke_decl.sl_annot in
+              Some ("kexport:" ^ name, grant_caplists ~dir:Annot.Ast.M2K annot)
           | None -> None)
       (List.sort_uniq compare mi.Runtime.mi_prog.Mir.Ast.imports)
   in
@@ -547,7 +547,7 @@ let surface_of (rt : Runtime.t) (mi : Runtime.module_info) : surface =
 let write_surface rt (s : surface) =
   List.filter_map
     (fun (id, cls) ->
-      if List.exists (fun cl -> caplist_yields rt cl Runtime.Swrite) cls then Some id
+      if List.exists (fun cl -> caplist_yields rt cl Annot.Ast.Write) cls then Some id
       else None)
     s.su_sources
   |> List.sort_uniq compare
@@ -629,7 +629,7 @@ let upgrade (rt : Runtime.t) (old_mi : Runtime.module_info) (im : image) :
         (fun ~base ~size -> write_ok && not (overlaps_old ~base ~size));
       keep_call = (fun ~target -> List.mem target allowed_calls);
       keep_ref =
-        (fun ~rtype ~addr:_ -> surface_yields rt new_surface (Runtime.Sref rtype));
+        (fun ~rtype ~addr:_ -> surface_yields rt new_surface (Annot.Ast.Ref rtype));
       keep_instances = instances_ok;
     }
   in

@@ -31,8 +31,8 @@ type fact =
       (** propagation bound [func] to [slot], the registry's declaration,
           from an export declaration or the ops-table [field] (struct,
           offset) whose slot type [slot] is *)
-  | Kexport of string * Check.Env.kexport_decl option
-      (** a name's kernel export, or [None] *)
+  | Kexport of string * Annot.Registry.slot option
+      (** a name's kernel-export declaration, or [None] *)
 
 type image = {
   im_prog : Mir.Ast.prog;  (** the instrumented program *)

@@ -135,24 +135,29 @@ let tmp_prefix = "__lxfi"
     parameter, bound by no [Let] (before or after the alloca, in any
     branch or loop) and by no second [Alloca], and not a name the
     rewriter may bind for a temporary.  Any other binding could leave a
-    different address in the variable when a store through it runs. *)
+    different address in the variable when a store through it runs.
+    Only the allocas' names are counted, by a walk each. *)
 let stable_allocas f =
-  let binds = Hashtbl.create 8 in
-  List.iter (fun x -> Hashtbl.add binds x None) f.params;
-  let rec scan = function
-    | Alloca (x, n) -> Hashtbl.add binds x (Some n)
-    | Let (x, _) -> Hashtbl.add binds x None
-    | If (_, t, e) ->
-        List.iter scan t;
-        List.iter scan e
-    | While (_, b) -> List.iter scan b
-    | Store _ | Expr _ | Return _ | Guard _ -> ()
+  (* [g] over every binder of the body, in order: [Some n] for an
+     alloca of [n] bytes, [None] for a [Let] *)
+  let rec binders g acc l =
+    List.fold_left
+      (fun acc -> function
+        | Alloca (x, n) -> g acc x (Some n)
+        | Let (x, _) -> g acc x None
+        | If (_, t, e) -> binders g (binders g acc t) e
+        | While (_, b) -> binders g acc b
+        | Store _ | Expr _ | Return _ | Guard _ -> acc)
+      acc l
   in
-  List.iter scan f.body;
-  fun x ->
-    match Hashtbl.find_all binds x with
-    | [ Some n ] when not (String.starts_with ~prefix:tmp_prefix x) -> Some n
-    | _ -> None
+  let allocas = binders (fun acc x -> function Some n -> (x, n) :: acc | None -> acc) [] f.body in
+  let bound_once (x, _) =
+    (not (List.mem x f.params))
+    && (not (String.starts_with ~prefix:tmp_prefix x))
+    && binders (fun k y _ -> if String.equal x y then k + 1 else k) 0 f.body = 1
+  in
+  let stable = List.filter bound_once allocas in
+  fun x -> List.assoc_opt x stable
 
 (** A store address provably inside a stable alloca: [buf] or
     [buf + const] with the access in bounds. *)
@@ -181,7 +186,7 @@ let fresh c =
   tmp_prefix ^ string_of_int c.tmp
 
 let instrument_func (cfg : Config.t) counters f =
-  let alloca_size = stable_allocas f in
+  let alloca_size = if cfg.Config.opt_rewrite then stable_allocas f else fun _ -> None in
   (* Expressions may not contain indirect calls (they must be hoisted to
      statement position so the guard can precede them). *)
   let flat e =
@@ -210,7 +215,7 @@ let instrument_func (cfg : Config.t) counters f =
     | Store (w, ea, ev) ->
         flat ea;
         flat ev;
-        if cfg.Config.opt_rewrite && safe_store alloca_size w ea then begin
+        if safe_store alloca_size w ea then begin
           counters.welided <- counters.welided + 1;
           [ Store (w, ea, ev) ]
         end

@@ -71,19 +71,10 @@ type module_info = {
       (** each kernel export's node id in [mi_flow] ([-1]: none), by [ke_idx] *)
 }
 
-(** The capability shapes an iterator can yield — static metadata used
-    by the upgrade compatibility check ([Loader.upgrade]): an iterator
-    in an annotation makes the annotation write-granting (or
-    REF(t)-granting) exactly when its shape list says so. *)
-type cap_shape = Swrite | Scall | Sref of string
-
 type kexport = {
-  ke_name : string;
+  ke_decl : Annot.Registry.slot;
   ke_addr : int;
   ke_idx : int;
-  ke_params : string list;
-  ke_annot : Annot.Ast.t;
-  ke_ahash : int64;
   ke_impl : int64 list -> int64;
 }
 
@@ -99,8 +90,8 @@ type t = {
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry self-extracts its graph at load time *)
-  iterators : (string, cap_shape list * (int64 list -> Capability.t list)) Hashtbl.t;
-      (** per iterator: the shapes it can yield, and the iterator *)
+  iterators : (string, Annot.Ast.captype list * (int64 list -> Capability.t list)) Hashtbl.t;
+      (** per iterator: the capability kinds it can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
   mutable current : Principal.t option;  (** None = kernel context *)
   sstack : Shadow_stack.t;
@@ -237,20 +228,10 @@ let register_kexport rt (d : Annot.Registry.slot) impl :
     (* Kernel exports are also raw-callable through the kernel's own
        dispatch table (stock kernels call them without wrappers). *)
     let addr = Kstate.register_kernel_fn rt.kst name impl in
-    let ke =
-      {
-        ke_name = name;
-        ke_addr = addr;
-        ke_idx = Hashtbl.length rt.kexports;
-        ke_params = d.Annot.Registry.sl_params;
-        ke_annot = d.Annot.Registry.sl_annot;
-        ke_ahash = d.Annot.Registry.sl_ahash;
-        ke_impl = impl;
-      }
-    in
+    let ke = { ke_decl = d; ke_addr = addr; ke_idx = Hashtbl.length rt.kexports; ke_impl = impl } in
     Hashtbl.add rt.kexports name ke;
     Inttbl.replace rt.kexport_by_addr addr ke;
-    Inttbl.replace rt.func_ahash_by_addr addr ke.ke_ahash;
+    Inttbl.replace rt.func_ahash_by_addr addr d.Annot.Registry.sl_ahash;
     Ok ke
   end
 
@@ -274,12 +255,12 @@ let flow_position mi (p : Principal.t) =
 
 let register_iterator rt ~name ~shapes fn = Hashtbl.replace rt.iterators name (shapes, fn)
 
-(** [iterator_can_yield rt ~name shape] — can iterator [name] yield a
-    capability of [shape]?  Unknown iterators conservatively yield
+(** [iterator_can_yield rt ~name kind] — can iterator [name] yield a
+    capability of [kind]?  Unknown iterators conservatively yield
     everything (so an upgrade never restores a grant on the strength of
     a missing declaration — the caller treats "can yield" as "the
     annotation surface still justifies this capability kind"). *)
-let iterator_can_yield rt ~name (shape : cap_shape) =
+let iterator_can_yield rt ~name (shape : Annot.Ast.captype) =
   match Hashtbl.find_opt rt.iterators name with
   | None -> true
   | Some (shapes, _) -> List.mem shape shapes
@@ -387,10 +368,6 @@ let find_or_create_instance _rt mi ~name_ptr =
 
 (** {1 Annotation evaluation} *)
 
-type direction =
-  | M2K  (** module calling a kernel export *)
-  | K2M  (** kernel invoking a module function *)
-
 type eval_env = { params : string list; args : int64 list; ret : int64 option }
 
 (* The argument bound to parameter [p], walking parameters and
@@ -456,63 +433,50 @@ let check_owned rt mi (p : Principal.t) (c : Capability.t) ~ctx =
       "%s: principal %s does not own %s" ctx (Principal.describe p)
       (Capability.to_string c)
 
-(** Execute one annotation action.  [mp] is the module-side principal
-    of the call (caller for M2K, callee for K2M); the kernel side is
-    implicitly trusted and owns everything. *)
+(* Apply one action's effect to each capability its caplist names.  Cost
+   accounting is per capability processed, not per syntactic action: an
+   skb_caps transfer does twice the table work of a plain lock check,
+   and the netperf CPU inflation (§8.4) is dominated by exactly this
+   "cost of capability operations". *)
+let run_action_effect rt mi (mp : Principal.t) env cl (eff : Annot.Ast.cap_effect) ~ctx =
+  let caps = caps_of_caplist rt env cl in
+  let n = max 1 (List.length caps) in
+  rt.stats.Stats.annotation_actions <- rt.stats.Stats.annotation_actions + n;
+  charge rt (n * Cost.annotation_action);
+  match eff with
+  | Annot.Ast.No_effect -> ()
+  | Annot.Ast.Own -> List.iter (fun cap -> check_owned rt mi mp cap ~ctx) caps
+  | Annot.Ast.Grant -> List.iter (grant ~ctx rt mp) caps
+  | Annot.Ast.Own_then_revoke ->
+      List.iter
+        (fun cap ->
+          check_owned rt mi mp cap ~ctx;
+          revoke_from_all ~ctx rt cap)
+        caps
+  | Annot.Ast.Revoke_then_grant ->
+      List.iter
+        (fun cap ->
+          revoke_from_all ~ctx rt cap;
+          grant ~ctx rt mp cap)
+        caps
+
+(** Execute one annotation action: its effect for this direction and
+    phase ({!Annot.Ast.cap_effect}) on every capability it names.  [mp]
+    is the module-side principal of the call (caller for M2K, callee
+    for K2M).  Under XFI, which enforces no API integrity, a check
+    action is skipped whole. *)
 let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.action) =
-  (* Cost accounting is per capability processed, not per syntactic
-     action: an skb_caps transfer does twice the table work of a plain
-     lock check, and the netperf CPU inflation (§8.4) is dominated by
-     exactly this "cost of capability operations". *)
-  let account caps =
-    let n = max 1 (List.length caps) in
-    rt.stats.Stats.annotation_actions <- rt.stats.Stats.annotation_actions + n;
-    charge rt (n * Cost.annotation_action);
-    caps
-  in
-  let caps_of_caplist rt env cl = account (caps_of_caplist rt env cl) in
-  let xfi = rt.config.Config.mode = Config.Xfi in
   match a with
-  | Annot.Ast.Cif (c, a') -> if eval_cexpr rt env c <> 0L then run_action rt mi mp ~dir ~phase env a'
+  | Annot.Ast.Cif (c, a) -> if eval_cexpr rt env c <> 0L then run_action rt mi mp ~dir ~phase env a
   | Annot.Ast.Check cl ->
-      if not xfi then
-        List.iter
-          (fun cap ->
-            match (dir, phase) with
-            | M2K, _ -> check_owned rt mi mp cap ~ctx:"check"
-            | K2M, _ -> () (* caller is the kernel; trivially owned *))
-          (caps_of_caplist rt env cl)
+      if rt.config.Config.mode <> Config.Xfi then
+        run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Check) ~ctx:"check"
   | Annot.Ast.Copy cl ->
-      List.iter
-        (fun cap ->
-          match (dir, phase) with
-          | M2K, `Pre ->
-              (* module -> kernel: verify source ownership; the kernel
-                 needs no table entry. *)
-              if not xfi then check_owned rt mi mp cap ~ctx:"copy(pre)"
-          | M2K, `Post -> grant ~ctx:"copy(post)" rt mp cap
-          | K2M, `Pre -> grant ~ctx:"copy(pre)" rt mp cap
-          | K2M, `Post ->
-              (* callee (module) must own it; kernel side is implicit *)
-              if not xfi then check_owned rt mi mp cap ~ctx:"copy(post)")
-        (caps_of_caplist rt env cl)
+      run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Copy)
+        ~ctx:(match phase with `Pre -> "copy(pre)" | `Post -> "copy(post)")
   | Annot.Ast.Transfer cl ->
-      List.iter
-        (fun cap ->
-          match (dir, phase) with
-          | M2K, `Pre ->
-              if not xfi then check_owned rt mi mp cap ~ctx:"transfer(pre)";
-              revoke_from_all ~ctx:"transfer(pre)" rt cap
-          | M2K, `Post ->
-              revoke_from_all ~ctx:"transfer(post)" rt cap;
-              grant ~ctx:"transfer(post)" rt mp cap
-          | K2M, `Pre ->
-              revoke_from_all ~ctx:"transfer(pre)" rt cap;
-              grant ~ctx:"transfer(pre)" rt mp cap
-          | K2M, `Post ->
-              if not xfi then check_owned rt mi mp cap ~ctx:"transfer(post)";
-              revoke_from_all ~ctx:"transfer(post)" rt cap)
-        (caps_of_caplist rt env cl)
+      run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Transfer)
+        ~ctx:(match phase with `Pre -> "transfer(pre)" | `Post -> "transfer(post)")
 
 let run_actions rt mi mp ~dir ~phase env actions =
   List.iter (run_action rt mi mp ~dir ~phase env) actions
@@ -558,7 +522,8 @@ let call_kexport rt (ke : kexport) args =
       (* Stock kernels, and kernel code calling a kernel export: no boundary. *)
       ke.ke_impl args
   | (Config.Xfi | Config.Lxfi), Some mp ->
-      check_arity ~module_:mp.Principal.owner ~fname:ke.ke_name ke.ke_params args;
+      let d = ke.ke_decl in
+      check_arity ~module_:mp.Principal.owner ~fname:d.sl_name d.sl_params args;
       let mi =
         match module_of rt mp with
         | Some mi -> mi
@@ -581,17 +546,19 @@ let call_kexport rt (ke : kexport) args =
                rt.stats.Stats.flow_violations <- rt.stats.Stats.flow_violations + 1;
                Violation.raise_ ~principal:mp ?where:(where_of mi)
                  ~kind:Violation.Flow_violation ~module_:mi.mi_name
-                 "call to %s is off the module's flow graph (position: %s)" ke.ke_name
+                 "call to %s is off the module's flow graph (position: %s)" d.sl_name
                  (Option.value (Check.Apiflow.name g pos) ~default:"(start)")
              end);
-      crossing rt Trace.M2k ~wrapper:ke.ke_name (fun () ->
-          let env = { params = ke.ke_params; args; ret = None } in
-          run_actions rt mi mp ~dir:M2K ~phase:`Pre env (Annot.Ast.pre_actions ke.ke_annot);
+      crossing rt Trace.M2k ~wrapper:d.sl_name (fun () ->
+          let env = { params = d.sl_params; args; ret = None } in
+          run_actions rt mi mp ~dir:Annot.Ast.M2K ~phase:`Pre env
+            (Annot.Ast.pre_actions d.sl_annot);
           rt.current <- None;
           let ret = ke.ke_impl args in
           rt.current <- Some mp;
           let env = { env with ret = Some ret } in
-          run_actions rt mi mp ~dir:M2K ~phase:`Post env (Annot.Ast.post_actions ke.ke_annot);
+          run_actions rt mi mp ~dir:Annot.Ast.M2K ~phase:`Post env
+            (Annot.Ast.post_actions d.sl_annot);
           ret)
 
 (** Select the callee principal for a kernel→module call according to
@@ -630,7 +597,7 @@ let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Princi
       ctx.Mir.Interp.watchdog <- true;
       Mir.Interp.refuel ~fuel:budget ctx
   | _ -> ());
-  run_actions rt mi callee ~dir:K2M ~phase:`Pre env
+  run_actions rt mi callee ~dir:Annot.Ast.K2M ~phase:`Pre env
     (Annot.Ast.pre_actions slot.Annot.Registry.sl_annot);
   rt.stats.Stats.principal_switches <- rt.stats.Stats.principal_switches + 1;
   charge rt Cost.principal_switch;
@@ -640,7 +607,7 @@ let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Princi
   (* Post actions run against the callee principal even if the module
      switched principals internally (switch_global). *)
   let env = { env with ret = Some ret } in
-  run_actions rt mi callee ~dir:K2M ~phase:`Post env
+  run_actions rt mi callee ~dir:Annot.Ast.K2M ~phase:`Post env
     (Annot.Ast.post_actions slot.Annot.Registry.sl_annot);
   ret
 
@@ -682,9 +649,10 @@ let invoke_module_function rt mi fname args =
                    at-rest position (so the graph's boundary edges check
                    the cross-activation step); a nested re-entry of an
                    in-flight principal starts fresh and the outer
-                   position is restored on exit.  An aborted activation
-                   resets to start: a contained fault must not leave a
-                   position later calls would be judged against. *)
+                   position is restored on either exit.  An aborted
+                   top-level activation resets to start: a contained
+                   fault must not leave a position later calls would be
+                   judged against. *)
                 let pos = callee.Principal.flow_pos and depth = callee.Principal.flow_depth in
                 if depth > 0 then callee.Principal.flow_pos <- Check.Apiflow.start;
                 callee.Principal.flow_depth <- depth + 1;
@@ -695,8 +663,11 @@ let invoke_module_function rt mi fname args =
                     ret
                 | exception e ->
                     callee.Principal.flow_depth <- depth;
-                    callee.Principal.flow_pos <- Check.Apiflow.start;
-                    mi.mi_global.Principal.flow_pos <- Check.Apiflow.start;
+                    if depth > 0 then callee.Principal.flow_pos <- pos
+                    else begin
+                      callee.Principal.flow_pos <- Check.Apiflow.start;
+                      mi.mi_global.Principal.flow_pos <- Check.Apiflow.start
+                    end;
                     raise e
               end))
 

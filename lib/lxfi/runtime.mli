@@ -53,17 +53,10 @@ type module_info = {
 }
 (** Everything the runtime knows about one loaded module. *)
 
-type cap_shape = Swrite | Scall | Sref of string
-(** The capability shapes an iterator can yield — static metadata for
-    the upgrade compatibility check ([Loader.upgrade]). *)
-
 type kexport = {
-  ke_name : string;
+  ke_decl : Annot.Registry.slot;  (** name, parameters, annotation and hash *)
   ke_addr : int;  (** fake kernel-text address (= the wrapper's address) *)
   ke_idx : int;  (** registration order: the export's index in [mi_flow_node] *)
-  ke_params : string list;
-  ke_annot : Annot.Ast.t;
-  ke_ahash : int64;
   ke_impl : int64 list -> int64;
 }
 (** An annotated kernel export. *)
@@ -80,8 +73,8 @@ type t = {
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry enforces its image's self-extracted graph *)
-  iterators : (string, cap_shape list * (int64 list -> Capability.t list)) Hashtbl.t;
-      (** per iterator: the shapes it can yield, and the iterator *)
+  iterators : (string, Annot.Ast.captype list * (int64 list -> Capability.t list)) Hashtbl.t;
+      (** per iterator: the capability kinds it can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
       (** annotation hash of every annotated callable address *)
   mutable current : Principal.t option;  (** None = kernel context *)
@@ -172,14 +165,14 @@ val flow_position : module_info -> Principal.t -> string option
 (** A principal's flow-automaton position by export name ([None]: start). *)
 
 val register_iterator :
-  t -> name:string -> shapes:cap_shape list -> (int64 list -> Capability.t list) -> unit
+  t -> name:string -> shapes:Annot.Ast.captype list -> (int64 list -> Capability.t list) -> unit
 (** Register a programmer-supplied capability iterator ([skb_caps],
     [kmalloc_caps], ...; §3.3).  [shapes] declares the capability kinds
-    the iterator can yield, consumed by the upgrade compatibility
-    check. *)
+    the iterator can yield ([Ref t] for REFs of type [t]), consumed by
+    the upgrade compatibility check. *)
 
-val iterator_can_yield : t -> name:string -> cap_shape -> bool
-(** Can iterator [name] yield a capability of this shape?  Unknown
+val iterator_can_yield : t -> name:string -> Annot.Ast.captype -> bool
+(** Can iterator [name] yield a capability of this kind?  Unknown
     iterators conservatively yield everything. *)
 
 val find_kexport : t -> string -> kexport

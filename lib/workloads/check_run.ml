@@ -55,7 +55,7 @@ let check_catalog ?only () : report =
 
 (** The deliberately broken module of the acceptance checklist: a slot
     annotation naming a parameter that does not exist (forged past
-    [Registry.define]'s validation, the way a hand-edited annotation
+    [Registry.make_src]'s validation, the way a hand-edited annotation
     table would arrive), an annotation using an unregistered capability
     iterator, and an entry function that stores through a parameter no
     clause grants WRITE for.  Every one of these is a guaranteed

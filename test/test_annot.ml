@@ -133,13 +133,16 @@ let test_validation () =
     (Result.is_error (v "principal(nope)" [ "dev" ]));
   (* the registry enforces it at definition time, as a structured error *)
   let r = Annot.Registry.create () in
-  (match Annot.Registry.define_src r ~name:"bad.slot" ~params:[ "a" ] ~annot_src:"principal(b)" with
+  let define ~name ~params ~annot_src =
+    Result.bind (Annot.Registry.make_src ~name ~params ~annot_src) (Annot.Registry.add r)
+  in
+  (match define ~name:"bad.slot" ~params:[ "a" ] ~annot_src:"principal(b)" with
   | Error (Annot.Registry.Invalid { name = "bad.slot"; _ }) -> ()
   | Error e ->
       Alcotest.failf "wrong error kind: %s" (Annot.Registry.error_to_string e)
   | Ok _ -> Alcotest.fail "registry must reject invalid annotations");
   (* unparsable source is reported with the parser diagnostic attached *)
-  match Annot.Registry.define_src r ~name:"bad.syntax" ~params:[] ~annot_src:"pre(" with
+  match define ~name:"bad.syntax" ~params:[] ~annot_src:"pre(" with
   | Error (Annot.Registry.Parse { name = "bad.syntax"; err; _ }) ->
       Alcotest.(check bool) "parse error has a position" true (err.P.err_pos <> None)
   | Error e -> Alcotest.failf "wrong error kind: %s" (Annot.Registry.error_to_string e)
@@ -149,9 +152,12 @@ let test_registry () =
   let r = Annot.Registry.create () in
   let s = Annot.Registry.define_exn r ~name:"t.f" ~params:[ "a" ] ~annot_src:"principal(a)" in
   Alcotest.(check bool) "registered" true (Annot.Registry.mem r "t.f");
-  Alcotest.(check bool) "hash exposed" true
-    (Int64.equal s.Annot.Registry.sl_ahash (Annot.Registry.ahash r "t.f"));
-  (match Annot.Registry.define_src r ~name:"t.f" ~params:[ "a" ] ~annot_src:"" with
+  Alcotest.(check bool) "the registered declaration" true (Annot.Registry.find r "t.f" == s);
+  (match
+     Result.bind
+       (Annot.Registry.make_src ~name:"t.f" ~params:[ "a" ] ~annot_src:"")
+       (Annot.Registry.add r)
+   with
   | Error (Annot.Registry.Duplicate "t.f") -> ()
   | Error e -> Alcotest.failf "wrong duplicate error: %s" (Annot.Registry.error_to_string e)
   | Ok _ -> Alcotest.fail "duplicate must be rejected");

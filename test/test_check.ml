@@ -20,7 +20,8 @@ let mk_env ?(iterators = [ "skb_caps" ]) ?(kexports = []) () =
       Check.Env.registry;
       types;
       iterator_exists = (fun n -> List.mem n iterators);
-      kexport = (fun n -> List.find_opt (fun k -> k.Check.Env.kx_name = n) kexports);
+      kexport =
+        (fun n -> List.find_opt (fun (k : Annot.Registry.slot) -> k.sl_name = n) kexports);
       kexports = (fun () -> kexports);
     }
   in
@@ -30,6 +31,9 @@ let parse src =
   match Annot.Parser.parse src with
   | Ok t -> t
   | Error e -> Alcotest.failf "parse %S: %s" src (Annot.Parser.error_to_string e)
+
+let declare name params annot_src =
+  Annot.Registry.ok_exn (Annot.Registry.make_src ~name ~params ~annot_src)
 
 let rules fs = String.concat ", " (List.map F.rule fs)
 let has_rule r fs = List.exists (fun f -> F.rule f = r) fs
@@ -196,15 +200,7 @@ let test_principal_held_store () =
 
 let test_use_after_transfer () =
   let open Mir.Builder in
-  let kexports =
-    [
-      {
-        Check.Env.kx_name = "take";
-        kx_params = [ "p" ];
-        kx_annot = parse "pre(transfer(write, p, 8))";
-      };
-    ]
-  in
+  let kexports = [ declare "take" [ "p" ] "pre(transfer(write, p, 8))" ] in
   let fs =
     capflow ~kexports
       ~slots:[ ("t.entry", [ "n" ], "") ]
@@ -253,10 +249,7 @@ let test_propagation () =
 (* Syscall-flow extraction (apiflow)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let flow_kexports names =
-  List.map
-    (fun n -> { Check.Env.kx_name = n; kx_params = [ "a" ]; kx_annot = parse "" })
-    names
+let flow_kexports names = List.map (fun n -> declare n [ "a" ] "") names
 
 let flow_env () =
   let _, env =

@@ -232,10 +232,16 @@ let test_watchdog_expiry () =
 
 (* The inner entry faults while the outer activation of the same
    principal is in flight: the inner frame restores the outer nesting
-   depth but resets the position, and the outer exit then leaves the
-   principal at rest. *)
+   depth and position, and the outer exit then leaves the principal at
+   rest at its last call, [pin_reenter]. *)
 let test_faulting_reentry () =
   let w = world Lxfi.Config.lxfi in
+  let pin_reenter =
+    match w.mi.Lxfi.Runtime.mi_flow with
+    | Some g -> Check.Apiflow.id g "pin_reenter"
+    | None -> Alcotest.fail "no flow graph under lxfi"
+  in
+  Alcotest.(check bool) "pin_reenter is a node" true (pin_reenter >= 0);
   check_seen
     {
       outcome = "returned -14";
@@ -252,7 +258,7 @@ let test_faulting_reentry () =
           "M2K- pin_reenter";
           "K2M- pin:entry";
         ];
-      callee_flow = at_start;
+      callee_flow = (pin_reenter, 0);
       global_flow = at_start;
     }
     (observe w (invoke w 5))

@@ -268,8 +268,7 @@ let test_corpus_shared_across_boots () =
   let rt (sys : Ksys.t) = sys.Ksys.rt in
   let table sys =
     Hashtbl.fold
-      (fun _ (ke : Lxfi.Runtime.kexport) acc ->
-        (ke.Lxfi.Runtime.ke_name, ke.ke_addr, ke.ke_params, ke.ke_ahash) :: acc)
+      (fun _ (ke : Lxfi.Runtime.kexport) acc -> (ke.ke_decl, ke.ke_addr) :: acc)
       (rt sys).Lxfi.Runtime.kexports []
     |> List.sort compare
   in
@@ -286,6 +285,10 @@ let test_corpus_shared_across_boots () =
   in
   Alcotest.(check bool) "addresses follow declaration order" true
     (List.sort_uniq compare addrs = addrs);
+  Alcotest.(check bool) "each export holds its one declaration" true
+    (List.for_all
+       (fun (d, _) -> (Lxfi.Runtime.find_kexport (rt b) d.sl_name).Lxfi.Runtime.ke_decl == d)
+       Ksys.kexports);
   ignore (define_exn (rt a).Lxfi.Runtime.registry ~name:"only.a" ~params:[] ~annot_src:"");
   Alcotest.(check bool) "a slot added to A is absent from B" false
     (mem (rt b).Lxfi.Runtime.registry "only.a");

@@ -292,21 +292,106 @@ let prop_annot_hash_stable =
             (Annot.Hash.of_annot ~params t)
       | Error _ -> false)
 
-let prop_registry_define_consistent =
-  (* the typed registry API accepts exactly what Ast.validate accepts,
-     and on success exposes the canonical hash *)
-  QCheck.Test.make ~count:300 ~name:"Registry.define agrees with validate" arb_annot
+let prop_registry_make_src_consistent =
+  (* the registry's front door accepts exactly what Ast.validate
+     accepts, and on success exposes the canonical hash *)
+  QCheck.Test.make ~count:300 ~name:"Registry.make_src agrees with validate" arb_annot
     (fun t ->
       let params = [ "p"; "len"; "buf"; "skb" ] in
       let r = Annot.Registry.create () in
+      let annot_src = Annot.Ast.to_string t in
       match
-        (Annot.Registry.define r ~name:"gen.slot" ~params ~annot:t,
-         Annot.Ast.validate ~params t)
+        ( Result.bind
+            (Annot.Registry.make_src ~name:"gen.slot" ~params ~annot_src)
+            (Annot.Registry.add r),
+          Annot.Ast.validate ~params t )
       with
       | Ok slot, Ok () ->
           Int64.equal slot.Annot.Registry.sl_ahash (Annot.Hash.of_annot ~params t)
       | Error (Annot.Registry.Invalid _), Error _ -> true
       | _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Hostile annotation and corpus text is diagnosed, never raised.      *)
+(* ------------------------------------------------------------------ *)
+
+(* One 1–4-byte edit: overwrite, insert or delete at [pos] (taken
+   modulo the text's length plus one) as many bytes as [bytes] holds. *)
+type edit = { op : int; pos : int; bytes : string }
+
+let apply_edit { op; pos; bytes } src =
+  let len = String.length src and n = String.length bytes in
+  let pos = pos mod (len + 1) in
+  match op with
+  | 0 -> String.mapi (fun i c -> if i >= pos && i < pos + n then bytes.[i - pos] else c) src
+  | 1 -> String.sub src 0 pos ^ bytes ^ String.sub src pos (len - pos)
+  | _ ->
+      let stop = min len (pos + n) in
+      String.sub src 0 pos ^ String.sub src stop (len - stop)
+
+(* Half the bytes from the annotation language's own characters, so
+   that some edits still parse. *)
+let gen_edit =
+  let lexical =
+    List.of_seq (String.to_seq "(),=!<>&|+-* 0123456789abcdefghijklmnopqrstuvwxyz_:@")
+  in
+  QCheck.Gen.(
+    map3
+      (fun op pos bytes -> { op; pos; bytes })
+      (int_bound 2) nat
+      (string_size ~gen:(frequency [ (1, char); (1, oneofl lexical) ]) (int_range 1 4)))
+
+(* Every declared annotation with the lint for its kind, and every
+   corpus repro split after its header's closing comment. *)
+let hostile_sources =
+  lazy
+    (let env = Lxfi.Loader.check_env (Kmodules.Ksys.boot Lxfi.Config.lxfi).Kmodules.Ksys.rt in
+     let decls lint = List.map (fun d -> `Decl (lint env, d)) in
+     let corpus = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+     let header f =
+       let src = In_channel.with_open_text (Filename.concat corpus f) In_channel.input_all in
+       let rec close i =
+         if i + 2 > String.length src then String.length src
+         else if String.sub src i 2 = "*/" then i + 2
+         else close (i + 1)
+       in
+       let cut = close 0 in
+       `Header (String.sub src 0 cut, String.sub src cut (String.length src - cut))
+     in
+     let repros =
+       Sys.readdir corpus |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".mir")
+       |> List.sort compare
+     in
+     Array.of_list
+       (decls Check.Lint.slot_findings Kmodules.Ksys.slot_types
+       @ decls Check.Lint.kexport_findings (List.map fst Kmodules.Ksys.kexports)
+       @ List.map header repros))
+
+let prop_hostile_text_never_raises =
+  QCheck.Test.make ~count:3000 ~name:"hostile annotation and corpus text never raises"
+    (QCheck.make
+       ~print:(fun (i, e) ->
+         Printf.sprintf "source %d, op %d at %d, bytes %S" i e.op e.pos e.bytes)
+       QCheck.Gen.(pair nat gen_edit))
+    (fun (i, e) ->
+      let sources = Lazy.force hostile_sources in
+      match sources.(i mod Array.length sources) with
+      | `Decl (lint, (d : Annot.Registry.slot)) -> (
+          let annot_src = apply_edit e (Annot.Ast.to_string d.sl_annot) in
+          ignore
+            (Annot.Registry.make_src ~name:d.sl_name ~params:d.sl_params ~annot_src
+              : (Annot.Registry.slot, Annot.Registry.error) result);
+          match Annot.Parser.parse annot_src with
+          | Error _ -> true
+          | Ok annot ->
+              (* forged past validation, as the broken demo forges one *)
+              let ahash = Annot.Hash.of_annot ~params:d.sl_params annot in
+              ignore (lint { d with sl_annot = annot; sl_ahash = ahash } : Check.Finding.t list);
+              true)
+      | `Header (header, rest) -> (
+          match Fuzz.Corpus.parse_spec (apply_edit e header ^ rest) with
+          | Ok _ | Error _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Kmem agrees with a bytes reference model.                            *)
@@ -776,7 +861,8 @@ let () =
             prop_writer_set_matches_model;
             prop_annot_roundtrip;
             prop_annot_hash_stable;
-            prop_registry_define_consistent;
+            prop_registry_make_src_consistent;
+            prop_hostile_text_never_raises;
             prop_kmem_matches_bytes;
             prop_slab_no_overlap;
             prop_revoke_leaves_no_copies;

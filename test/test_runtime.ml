@@ -134,14 +134,14 @@ let test_duplicate_kexport_rejected () =
       (Annot.Registry.make_src ~name:"kzalloc_like" ~params:[ "size" ] ~annot_src:"")
   in
   Alcotest.(check bool) "the impostor's contract differs" false
-    (Int64.equal decl.Annot.Registry.sl_ahash first.Runtime.ke_ahash);
+    (Int64.equal decl.Annot.Registry.sl_ahash first.Runtime.ke_decl.sl_ahash);
   (match Runtime.register_kexport rt decl (fun _ -> 0L) with
   | Error (Annot.Registry.Duplicate "kzalloc_like") -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Annot.Registry.error_to_string e)
   | Ok _ -> Alcotest.fail "a second kzalloc_like must be rejected");
   let now = Runtime.find_kexport rt "kzalloc_like" in
   Alcotest.(check bool) "first export kept" true (now == first);
-  Alcotest.(check int64) "ahash unchanged" first.Runtime.ke_ahash now.Runtime.ke_ahash;
+  Alcotest.(check bool) "declaration unchanged" true (now.Runtime.ke_decl == first.Runtime.ke_decl);
   match Kstate.target_of kst first.Runtime.ke_addr with
   | Some tg ->
       Alcotest.(check bool) "raw dispatch runs the first impl" true (tg.Kstate.t_run [ 16L ] <> 0L)
@@ -281,6 +281,158 @@ let test_module_function_arity_mismatch () =
     (Hashtbl.length mi.Runtime.mi_aliases = 0);
   Alcotest.(check bool) "current still the kernel" true (rt.Runtime.current = None)
 
+(* ------------------------------------------------------------------ *)
+(* The §3.3 action table, case by case, through real crossings         *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh system whose one module has an entry [entry(p)] on slot
+   [act.entry] and imports the export [act_k(p)].  Under [~m2k] the
+   entry calls [act_k p] and [annot] is the export's annotation;
+   otherwise the entry returns and [annot] is the slot's. *)
+let action_world ?(config = Config.lxfi) ~m2k annot =
+  let _, rt = boot ~config () in
+  let slot_annot, export_annot = if m2k then ("", annot) else (annot, "") in
+  ignore
+    (Annot.Registry.define_exn rt.Runtime.registry ~name:"act.entry" ~params:[ "p" ]
+       ~annot_src:slot_annot);
+  ignore
+    (Runtime.register_kexport_exn rt ~name:"act_k" ~params:[ "p" ] ~annot_src:export_annot
+       (fun _ -> 0L));
+  let mi, _ =
+    let open Mir.Builder in
+    Loader.load rt
+      (prog "act_mod" ~imports:[ "act_k" ] ~globals:[]
+         ~funcs:
+           [
+             func "entry" [ "p" ]
+               (if m2k then [ ret (call_ext "act_k" [ v "p" ]) ] else [ ret0 ])
+               ~export:"act.entry";
+           ])
+  in
+  (rt, mi)
+
+let act_addr = 0x5150
+let act_cap = Capability.Cref { rtype = "act"; addr = act_addr }
+
+(* What one action does to the capability its caplist names, seen from
+   the module side (the shared principal here). *)
+type act_effect = Nothing | Own | Grant | Own_then_revoke | Revoke_then_grant
+
+(* Each (direction, phase, verb) with the effect and trace context the
+   paper's wrappers give it. *)
+let action_cases =
+  [
+    (true, "pre", "copy", Own, "copy(pre)");
+    (true, "pre", "transfer", Own_then_revoke, "transfer(pre)");
+    (true, "pre", "check", Own, "check");
+    (true, "post", "copy", Grant, "copy(post)");
+    (true, "post", "transfer", Revoke_then_grant, "transfer(post)");
+    (true, "post", "check", Own, "check");
+    (false, "pre", "copy", Grant, "copy(pre)");
+    (false, "pre", "transfer", Revoke_then_grant, "transfer(pre)");
+    (false, "pre", "check", Nothing, "check");
+    (false, "post", "copy", Own, "copy(post)");
+    (false, "post", "transfer", Own_then_revoke, "transfer(post)");
+    (false, "post", "check", Nothing, "check");
+  ]
+
+(* Drive one crossing with the REF held by the module's global principal
+   (a bystander) and, when [held], by the shared principal; return the
+   outcome, who holds the REF afterwards, the counter deltas and the
+   traced capability events. *)
+let drive_action ~m2k ~held annot =
+  let rt, mi = action_world ~m2k annot in
+  let shared = mi.Runtime.mi_shared and bystander = mi.Runtime.mi_global in
+  let give (p : Principal.t) =
+    Captable.add_ref p.Principal.caps ~rtype:"act" ~addr:act_addr
+  in
+  give bystander;
+  if held then give shared;
+  let s0 = Stats.snapshot rt.Runtime.stats in
+  let buf = Trace.make () in
+  Runtime.attach_trace rt buf;
+  let outcome =
+    match Runtime.invoke_module_function rt mi "entry" [ Int64.of_int act_addr ] with
+    | _ -> "returned"
+    | exception Violation.Violation v -> Violation.kind_name v.Violation.v_kind
+  in
+  Trace.detach ();
+  let d = Stats.since rt.Runtime.stats s0 in
+  let has (p : Principal.t) = Captable.has_ref p.Principal.caps ~rtype:"act" ~addr:act_addr in
+  let events =
+    List.rev
+      (Trace.fold buf [] (fun acc ~kernel:_ ~module_:_ ~guard:_ ~principal:_ k ->
+           match k with
+           | Trace.Cap (op, c, ctx) ->
+               let op =
+                 match op with
+                 | Trace.Grant -> "grant"
+                 | Trace.Revoke -> "revoke"
+                 | Trace.Dropped -> "dropped"
+               in
+               Printf.sprintf "%s %s %s" op (Capability.to_string c) ctx :: acc
+           | _ -> acc))
+  in
+  ( outcome,
+    (has shared, has bystander),
+    (d.Stats.caps_granted, d.Stats.caps_revoked, d.Stats.annotation_actions),
+    events )
+
+let test_action_table () =
+  List.iter
+    (fun (m2k, phase, verb, eff, ctx) ->
+      let annot = Printf.sprintf "%s(%s(ref(struct act), p))" phase verb in
+      let case = Printf.sprintf "%s %s" (if m2k then "M2K" else "K2M") annot in
+      let ev op = Printf.sprintf "%s %s %s" op (Capability.to_string act_cap) ctx in
+      (* (held before, shared after, bystander after, granted, revoked, events) *)
+      let held, shared, bystander, granted, revoked, events =
+        match eff with
+        | Nothing -> (false, false, true, 0, 0, [])
+        | Own -> (true, true, true, 0, 0, [])
+        | Grant -> (false, true, true, 1, 0, [ ev "grant" ])
+        | Own_then_revoke -> (true, false, false, 0, 1, [ ev "revoke" ])
+        | Revoke_then_grant -> (false, true, false, 1, 1, [ ev "revoke"; ev "grant" ])
+      in
+      let outcome, holders, deltas, seen = drive_action ~m2k ~held annot in
+      Alcotest.(check string) (case ^ ": outcome") "returned" outcome;
+      Alcotest.(check (pair bool bool)) (case ^ ": shared, bystander hold")
+        (shared, bystander) holders;
+      Alcotest.(check (triple int int int))
+        (case ^ ": granted, revoked, actions")
+        (granted, revoked, 1) deltas;
+      Alcotest.(check (list string)) (case ^ ": traced caps") events seen;
+      (* an effect that needs ownership denies a module side without it *)
+      if held then begin
+        let outcome, _, _, _ = drive_action ~m2k ~held:false annot in
+        Alcotest.(check string) (case ^ ": unowned") "ref-denied" outcome
+      end)
+    action_cases
+
+(* Under XFI a check action evaluates nothing and counts nothing: its
+   caplist here names an iterator that does not exist, which raises
+   when evaluated, as it does under LXFI. *)
+let test_check_under_xfi () =
+  let annot = "pre(check(no_such_iter(p))) post(check(no_such_iter(p)))" in
+  List.iter
+    (fun m2k ->
+      let run config =
+        let rt, mi = action_world ~config ~m2k annot in
+        let s0 = Stats.snapshot rt.Runtime.stats in
+        let outcome =
+          match Runtime.invoke_module_function rt mi "entry" [ 7L ] with
+          | r -> Printf.sprintf "returned %Ld" r
+          | exception Invalid_argument m -> m
+        in
+        (outcome, (Stats.since rt.Runtime.stats s0).Stats.annotation_actions)
+      in
+      let dir = if m2k then "M2K" else "K2M" in
+      Alcotest.(check (pair string int)) (dir ^ " under xfi") ("returned 0", 0)
+        (run Config.xfi);
+      Alcotest.(check string) (dir ^ " under lxfi evaluates")
+        "unknown capability iterator no_such_iter"
+        (fst (run Config.lxfi)))
+    [ true; false ]
+
 let () =
   Klog.quiet ();
   Alcotest.run "runtime"
@@ -299,6 +451,8 @@ let () =
             test_transfer_requires_ownership;
           Alcotest.test_case "conditional post" `Quick test_conditional_post_respects_return;
           Alcotest.test_case "duplicate kexport rejected" `Quick test_duplicate_kexport_rejected;
+          Alcotest.test_case "action table, twelve cases" `Quick test_action_table;
+          Alcotest.test_case "check under xfi evaluates nothing" `Quick test_check_under_xfi;
         ] );
       ( "wrappers",
         [

@@ -173,6 +173,38 @@ let test_upgrade_revalidates_flow_position () =
     "post-upgrade traffic re-advances from start" (Some "kmalloc")
     (position mi3)
 
+(* An upgrade restores a REF only if the new version's annotations
+   could grant it.  v1's entry receives REF(foo) through its slot's
+   [pre(copy)]; v2's only entry has a slot [post(transfer)] of the same
+   REF, by which the module gives it back to the kernel and never
+   receives it, so the REF v1 held must not survive the swap. *)
+let test_upgrade_drops_ref_only_given_back () =
+  let sys = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+  let rt = sys.Kmodules.Ksys.rt in
+  let version fname annot_src =
+    let slot = "up." ^ fname in
+    ignore
+      (Annot.Registry.define_exn rt.Lxfi.Runtime.registry ~name:slot ~params:[ "p" ]
+         ~annot_src
+        : Annot.Registry.slot);
+    let open Mir.Builder in
+    prog "upmod" ~imports:[] ~globals:[] ~funcs:[ func fname [ "p" ] [ ret0 ] ~export:slot ]
+  in
+  let foo = Lxfi.Capability.Cref { rtype = "foo"; addr = 0x4000 } in
+  let mi, _ = Kmodules.Ksys.load sys (version "take" "pre(copy(ref(struct foo), p))") in
+  ignore (Lxfi.Runtime.invoke_module_function rt mi "take" [ 0x4000L ] : int64);
+  Alcotest.(check bool) "v1 received the REF" true
+    (Lxfi.Runtime.principal_has rt mi.Lxfi.Runtime.mi_shared foo);
+  let v2 = version "give" "post(transfer(ref(struct foo), p))" in
+  let mi2, report =
+    Lxfi.Loader.upgrade rt mi
+      (Lxfi.Loader.link (Lxfi.Loader.check_env rt) rt.Lxfi.Runtime.config v2)
+  in
+  Alcotest.(check bool) "v2 does not hold the REF" false
+    (Lxfi.Runtime.principal_has rt mi2.Lxfi.Runtime.mi_shared foo);
+  Alcotest.(check (pair int int)) "restored, dropped" (2, 3)
+    (report.Lxfi.Loader.up_restored, report.Lxfi.Loader.up_dropped)
+
 (* [wset_lines] lists the writer-set lines over the captured module's
    own memory and nothing else: not a second module's stack, and not a slab
    object the module holds a WRITE capability on, though both are
@@ -315,5 +347,7 @@ let () =
         [
           Alcotest.test_case "upgrade re-validates flow position" `Quick
             test_upgrade_revalidates_flow_position;
+          Alcotest.test_case "upgrade drops a REF the new version only gives back" `Quick
+            test_upgrade_drops_ref_only_given_back;
         ] );
     ]
