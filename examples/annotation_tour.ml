@@ -47,7 +47,7 @@ let () =
   say "loading e1000: the PCI core invokes probe through that slot...";
   let h = Mod_common.install sys E1000.spec in
   let mi = h.Mod_common.mi in
-  let p = Hashtbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
+  let p = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
   say "  probe ran as %s (the principal clause)" (Lxfi.Principal.describe p);
   say "  REF(pci_dev) granted by pre(copy):        %b"
     (Lxfi.Runtime.principal_has sys.Ksys.rt p

@@ -22,8 +22,8 @@ let () =
   let mi = h.Mod_common.mi in
   say "";
   say "one e1000 module, two cards probed:";
-  let p1 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases pci1 in
-  let p2 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases pci2 in
+  let p1 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases pci1 in
+  let p2 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases pci2 in
   say "  card 1 -> principal %s" (Lxfi.Principal.describe p1);
   say "  card 2 -> principal %s" (Lxfi.Principal.describe p2);
 
@@ -65,8 +65,8 @@ let () =
          ~arg:0x2222)
   in
   let cmi = Option.get (Lxfi.Runtime.module_named sys.Ksys.rt "dm_crypt") in
-  let q1 = Hashtbl.find cmi.Lxfi.Runtime.mi_aliases ti1 in
-  let q2 = Hashtbl.find cmi.Lxfi.Runtime.mi_aliases ti2 in
+  let q1 = Kernel_sim.Inttbl.find cmi.Lxfi.Runtime.mi_aliases ti1 in
+  let q2 = Kernel_sim.Inttbl.find cmi.Lxfi.Runtime.mi_aliases ti2 in
   say "  system-disk -> %s" (Lxfi.Principal.describe q1);
   say "  usb-stick   -> %s" (Lxfi.Principal.describe q2);
   let key_of ti =

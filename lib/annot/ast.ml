@@ -107,7 +107,8 @@ let clause_to_string = function
 
 let to_string (t : t) = String.concat " " (List.map clause_to_string t)
 
-(** The principal clause of an annotation set, if any. *)
+(** The principal clause of an annotation set, if any ({!validate}
+    refuses a second one). *)
 let principal_of (t : t) =
   List.find_map (function Principal p -> Some p | _ -> None) t
 
@@ -221,9 +222,10 @@ let grants = function
     the policy specified in the annotation"; at least the
     non-evaluable mistakes are caught early). *)
 
-(** [validate ~params t] — [Error msg] for the first expression node,
-    in source order, that references an undeclared parameter or uses
-    [return] outside a post clause. *)
+(** [validate ~params t] — [Error msg] for the first problem in source
+    order: an expression node that references an undeclared parameter
+    or uses [return] outside a post clause, or a second principal
+    clause (an entry runs as one principal). *)
 let validate ~params (t : t) : (unit, string) result =
   let node ~allow_return acc e =
     match (acc, e) with
@@ -238,10 +240,19 @@ let validate ~params (t : t) : (unit, string) result =
     let _, cl, guards = leaf a in
     List.fold_left (fold_cexpr (node ~allow_return)) acc (guards @ caplist_exprs cl)
   in
-  List.fold_left
-    (fun acc -> function
-      | Pre a -> action ~allow_return:false acc a
-      | Post a -> action ~allow_return:true acc a
-      | Principal (Pexpr e) -> fold_cexpr (node ~allow_return:false) acc e
-      | Principal (Pglobal | Pshared) -> acc)
-    (Ok ()) t
+  let principal (acc, seen) spec =
+    match (acc, spec) with
+    | Error _, _ -> (acc, seen)
+    | Ok (), _ when seen ->
+        let clause = clause_to_string (Principal spec) in
+        (Error (Printf.sprintf "second principal clause %s" clause), seen)
+    | Ok (), Pexpr e -> (fold_cexpr (node ~allow_return:false) acc e, true)
+    | Ok (), (Pglobal | Pshared) -> (acc, true)
+  in
+  fst
+    (List.fold_left
+       (fun (acc, seen) -> function
+         | Pre a -> (action ~allow_return:false acc a, seen)
+         | Post a -> (action ~allow_return:true acc a, seen)
+         | Principal spec -> principal (acc, seen) spec)
+       (Ok (), false) t)

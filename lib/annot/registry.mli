@@ -3,12 +3,19 @@
     with canonical hash.  Kernel indirect-call sites pass the slot-type
     name; the runtime resolves the expected hash and contract here. *)
 
-type slot = {
+type slot = private {
   sl_name : string;
   sl_params : string list;
   sl_annot : Ast.t;
   sl_ahash : int64;
+  sl_derived : derived;
+      (** the values {!derive} made from this declaration; polymorphic
+          equality and comparison see it by identity only *)
 }
+(** Built only by {!make_src} and {!forge}, so every declaration starts
+    with nothing derived. *)
+
+and derived
 
 type t = { slots : (string, slot) Hashtbl.t }
 
@@ -36,6 +43,33 @@ val make_src :
 (** Build a declaration without touching any registry: parse
     [annot_src], validate it against [params] (unknown parameter names,
     [return] in pre clauses) and compute its canonical hash. *)
+
+val forge : name:string -> params:string list -> Ast.t -> slot
+(** A declaration built without validation, the way a hand-edited
+    annotation table would arrive — for the checker's tests and the
+    broken demo, which must not trust the front door. *)
+
+val equal : slot -> slot -> bool
+(** The same declaration: physically, or by name, parameters,
+    annotation and hash.  Use it rather than [=], under which two equal
+    declarations made separately differ (their derived values do). *)
+
+(** {1 Values derived per declaration}
+
+    What a client computes from a declaration alone — the runtime's
+    compiled crossings, the checker's parameter coverage — is made the
+    first time it is asked for and kept on the declaration: once per
+    declaration per process, never per boot, and never longer than the
+    declaration lives. *)
+
+type 'a key
+(** Names one kind of derived value; make each key once per process. *)
+
+val key : unit -> 'a key
+
+val derive : 'a key -> (slot -> 'a) -> slot -> 'a
+(** [derive k make s] — the value of kind [k] derived from [s], made by
+    [make s] the first time. *)
 
 val add : t -> slot -> (slot, error) result
 (** Insert a declaration; [Error (Duplicate name)] if the name is

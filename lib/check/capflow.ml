@@ -73,7 +73,12 @@ let caplist_covers ~kind name cl =
       true
   | _ -> false
 
-let cover_of (slot : Annot.Registry.slot) : cover =
+(* What a slot declaration covers depends on nothing else, so it is
+   made once per declaration (the checker asks at every entry of every
+   module it checks). *)
+let cover_key : cover Annot.Registry.key = Annot.Registry.key ()
+
+let cover_of_slot (slot : Annot.Registry.slot) : cover =
   let params = Array.of_list slot.sl_params in
   let n = Array.length params in
   let annot = slot.sl_annot in
@@ -105,6 +110,8 @@ let cover_of (slot : Annot.Registry.slot) : cover =
     principal = Array.init n principal_mentions;
     granted_write = Array.init n grants;
   }
+
+let cover_of = Annot.Registry.derive cover_key cover_of_slot
 
 (* --- kexport pre(transfer) positions, for use-after-transfer --- *)
 

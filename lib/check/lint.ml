@@ -21,6 +21,9 @@
     - ["unsat-guard"] (warning) / ["redundant-guard"] (info): an [if]
       guard whose condition constant-folds to false (the action is
       dead) or true (the guard is noise);
+    - ["duplicate-principal"] (error): a second principal clause —
+      [Ast.validate] refuses it, so only a forged declaration carries
+      one, and the runtime would select by the first alone;
     - ["duplicate-clause"] / ["duplicate-guard"] (warning): the same
       clause registered twice, or the same condition repeated in a
       nested guard chain;
@@ -172,13 +175,26 @@ let transfer_then_use ctx ~dir (t : t) =
 
 let annot_findings env ~what ~kexport ~params (t : t) : Finding.t list =
   let ctx = { env; what; params; acc = [] } in
-  List.iter
-    (function
-      | Pre a -> action_check ctx ~allow_return:false a
-      | Post a -> action_check ctx ~allow_return:true a
-      | Principal (Pexpr e) -> cexpr_check ctx ~allow_return:false e
-      | Principal (Pglobal | Pshared) -> ())
-    t;
+  ignore
+    (List.fold_left
+       (fun principals -> function
+         | Pre a ->
+             action_check ctx ~allow_return:false a;
+             principals
+         | Post a ->
+             action_check ctx ~allow_return:true a;
+             principals
+         | Principal spec as clause ->
+             if principals > 0 then
+               emit ctx ~rule:"duplicate-principal" Diag.Error
+                 "%s is a second principal clause; the entry would run as the first's \
+                  principal"
+                 (clause_to_string clause);
+             (match spec with
+             | Pexpr e -> cexpr_check ctx ~allow_return:false e
+             | Pglobal | Pshared -> ());
+             principals + 1)
+       0 t);
   dup_clause_check ctx t;
   transfer_then_use ctx ~dir:(if kexport then M2K else K2M) t;
   List.rev ctx.acc

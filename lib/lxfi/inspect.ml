@@ -5,7 +5,7 @@
 
 (* The name pointers resolving to [p], in address order. *)
 let aliases (mi : Runtime.module_info) (p : Principal.t) =
-  Hashtbl.fold
+  Kernel_sim.Inttbl.fold
     (fun name q acc -> if q.Principal.id = p.Principal.id then name :: acc else acc)
     mi.Runtime.mi_aliases []
   |> List.sort compare

@@ -73,7 +73,7 @@ let check_env (rt : Runtime.t) : Check.Env.t =
   {
     Check.Env.registry = rt.Runtime.registry;
     types = rt.kst.Kstate.types;
-    iterator_exists = Hashtbl.mem rt.iterators;
+    iterator_exists = (fun name -> Option.is_some (Runtime.find_iterator rt name));
     kexport =
       (fun name ->
         Option.map (fun (ke : Runtime.kexport) -> ke.ke_decl) (Hashtbl.find_opt rt.kexports name));
@@ -173,7 +173,7 @@ let holds (rt : Runtime.t) = function
   | Config c -> link_fields c = link_fields rt.config
   | Bound { slot; field; _ } -> (
       (match Annot.Registry.find_opt rt.registry slot.sl_name with
-      | Some d -> d == slot || d = slot
+      | Some d -> Annot.Registry.equal d slot
       | None -> false)
       &&
       match field with
@@ -183,7 +183,7 @@ let holds (rt : Runtime.t) = function
   | Kexport (name, decl) -> (
       match (Hashtbl.find_opt rt.kexports name, decl) with
       | None, None -> true
-      | Some ke, Some d -> ke.ke_decl == d || ke.ke_decl = d
+      | Some ke, Some d -> Annot.Registry.equal ke.ke_decl d
       | _ -> false)
 
 let stale rt im = List.find_opt (fun f -> not (holds rt f)) im.im_facts
@@ -292,10 +292,10 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
       mi_shared = shared;
       mi_global = global;
       mi_principals = [ shared; global ];
-      mi_aliases = Hashtbl.create 8;
+      mi_aliases = Inttbl.create 8;
       mi_globals = globals_tbl;
       mi_func_addr = func_addr_tbl;
-      mi_func_slot = Hashtbl.create 8;
+      mi_entries = Hashtbl.create 16;
       mi_ctx = None;
       mi_sections = sections;
       mi_stack_base = stack_base;
@@ -309,11 +309,20 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
     }
   in
 
-  (* --- the annotations [link] propagated (§4.2) --- *)
+  (* --- the annotations [link] propagated (§4.2), each compiled once
+     per process --- *)
+  let entry fname crossing =
+    {
+      Runtime.en_fname = fname;
+      en_wrapper = Runtime.wrapper_name mname fname;
+      en_crossing = crossing;
+    }
+  in
   List.iter
     (function
       | Bound { func; slot; _ } ->
-          Hashtbl.replace mi.Runtime.mi_func_slot func slot;
+          Hashtbl.replace mi.Runtime.mi_entries func
+            (entry func (Some (Runtime.crossing_of ~dir:Annot.Ast.K2M slot)));
           Inttbl.replace rt.Runtime.func_ahash_by_addr (Hashtbl.find func_addr_tbl func)
             slot.Annot.Registry.sl_ahash
       | Config _ | Kexport _ -> ())
@@ -348,15 +357,23 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
          })
   end;
 
-  (* --- make module functions kernel-callable (through wrappers) --- *)
+  (* --- make module functions kernel-callable (through wrappers), each
+     dispatch closure holding its bound entry --- *)
   List.iter
     (fun (f : Mir.Ast.func) ->
       let fname = f.Mir.Ast.fname in
-      let addr = Hashtbl.find func_addr_tbl fname in
-      Kstate.register_target kst
-        ~name:(Runtime.wrapper_name mname fname)
-        ~addr ~kind:(Kstate.Module_fn mname)
-        (fun args -> Quarantine.dispatch rt mi fname args))
+      let en =
+        match Hashtbl.find_opt mi.Runtime.mi_entries fname with
+        | Some en -> en
+        | None ->
+            let en = entry fname None in
+            Hashtbl.replace mi.Runtime.mi_entries fname en;
+            en
+      in
+      Kstate.register_target kst ~name:en.Runtime.en_wrapper
+        ~addr:(Hashtbl.find func_addr_tbl fname)
+        ~kind:(Kstate.Module_fn mname)
+        (fun args -> Quarantine.enter rt mi en args))
     prog.Mir.Ast.funcs;
 
   (* --- interpreter context --- *)
@@ -399,7 +416,7 @@ let load_image (rt : Runtime.t) (im : image) : Runtime.module_info =
       ~stack_base ~stack_len
   in
   mi.Runtime.mi_ctx <- Some ctx;
-  Hashtbl.replace rt.Runtime.modules mname mi;
+  Runtime.add_module rt mi;
   Klog.info "loaded module %s (%d functions, %d globals, mode %s)" mname nfuncs
     (List.length prog.Mir.Ast.globals)
     (Config.mode_name rt.Runtime.config.Config.mode);
@@ -456,8 +473,9 @@ let unload (rt : Runtime.t) (mi : Runtime.module_info) =
     {e without} isolation, as the paper's loader does: initialisation
     happens before the module sees untrusted input. *)
 let init_call rt (mi : Runtime.module_info) fname args =
-  match Hashtbl.find_opt mi.Runtime.mi_func_slot fname with
-  | Some _ -> Runtime.invoke_module_function rt mi fname args
+  let en = Runtime.entry mi fname in
+  match en.Runtime.en_crossing with
+  | Some _ -> Runtime.enter rt mi en args
   | None -> run_as_shared rt mi fname args
 
 (** {1 Hot upgrade}
@@ -501,7 +519,10 @@ let caplist_yields rt (cl : Annot.Ast.caplist) (kind : Annot.Ast.captype) =
 
 let surface_of (rt : Runtime.t) (mi : Runtime.module_info) : surface =
   let slots =
-    Hashtbl.fold (fun _ sl acc -> sl :: acc) mi.Runtime.mi_func_slot []
+    Hashtbl.fold
+      (fun _ (en : Runtime.entry) acc ->
+        match en.en_crossing with Some cr -> Runtime.crossing_decl cr :: acc | None -> acc)
+      mi.Runtime.mi_entries []
     |> List.sort_uniq (fun (a : Annot.Registry.slot) (b : Annot.Registry.slot) ->
            compare
              (a.Annot.Registry.sl_name, a.Annot.Registry.sl_ahash)

@@ -17,6 +17,7 @@ type t = {
   id : int;  (** unique within the runtime *)
   kind : kind;
   owner : string;  (** module name *)
+  home : int;  (** [owner]'s number, by which {!Runtime.module_of} finds the module *)
   primary_name : int;  (** 0 for shared/global; the first name pointer otherwise *)
   label : string;  (** {!describe}'s text, from the three fields above *)
   caps : Captable.t;
@@ -34,6 +35,17 @@ type t = {
 
 let counter = ref 0
 
+(* Module names, numbered in the order this process first sees them. *)
+let homes : (string, int) Hashtbl.t = Hashtbl.create 16
+
+let home_of owner =
+  match Hashtbl.find_opt homes owner with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.length homes in
+      Hashtbl.add homes owner h;
+      h
+
 let make ~kind ~owner ~primary_name =
   incr counter;
   let label =
@@ -42,7 +54,7 @@ let make ~kind ~owner ~primary_name =
     | Global -> owner ^ "/global"
     | Instance -> Printf.sprintf "%s/instance(0x%x)" owner primary_name
   in
-  { id = !counter; kind; owner; primary_name; label; caps = Captable.create ();
+  { id = !counter; kind; owner; home = home_of owner; primary_name; label; caps = Captable.create ();
     quarantined = None; flow_pos = Check.Apiflow.start; flow_depth = 0 }
 
 let describe t = t.label

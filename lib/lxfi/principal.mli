@@ -15,6 +15,9 @@ type t = {
   id : int;  (** unique within the runtime *)
   kind : kind;
   owner : string;  (** module name *)
+  home : int;
+      (** [owner]'s number, given in the order this process first sees
+          each module name; [Runtime.module_of] indexes by it *)
   primary_name : int;  (** 0 for shared/global; first name pointer otherwise *)
   label : string;  (** {!describe}'s text, rendered once by {!make} *)
   caps : Captable.t;
@@ -26,7 +29,7 @@ type t = {
           principal called, or {!Check.Apiflow.start} *)
   mutable flow_depth : int;
       (** nesting depth of kernel-entered activations running as this
-          principal; maintained by [Runtime.invoke_module_function] *)
+          principal; maintained by [Runtime.enter] *)
 }
 
 val make : kind:kind -> owner:string -> primary_name:int -> t

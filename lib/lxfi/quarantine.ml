@@ -155,20 +155,20 @@ let contain (rt : Runtime.t) f handler =
       rt.Runtime.current <- saved;
       r
 
-(** [dispatch rt mi fname args] — the kernel→module entry the loader
-    registers in place of a bare [Runtime.invoke_module_function]: under
-    a quarantine config any violation, memory fault or oops raised by
-    the entry is contained (shadow stack unwound to the kernel frame,
-    kernel principal restored, offender quarantined) and surfaces to the
+(** [enter rt mi en args] — the kernel→module entry the loader
+    registers in place of a bare [Runtime.enter]: under a quarantine
+    config any violation, memory fault or oops raised by the entry is
+    contained (shadow stack unwound to the kernel frame, kernel
+    principal restored, offender quarantined) and surfaces to the
     kernel caller as {!efault}.  Without quarantine it is transparent. *)
-let dispatch (rt : Runtime.t) (mi : Runtime.module_info) fname args =
-  if not (enabled rt) then Runtime.invoke_module_function rt mi fname args
+let enter (rt : Runtime.t) (mi : Runtime.module_info) (en : Runtime.entry) args =
+  if not (enabled rt) then Runtime.enter rt mi en args
   else begin
-    mi.Runtime.mi_last_entry <- Some (fname, args);
+    mi.Runtime.mi_last_entry <- Some (en.Runtime.en_fname, args);
     let saved_callee = rt.Runtime.last_callee in
     let r =
       contain rt
-        (fun () -> Runtime.invoke_module_function rt mi fname args)
+        (fun () -> Runtime.enter rt mi en args)
         (function
           | Violation.Violation v ->
               handle rt v;
@@ -188,6 +188,9 @@ let dispatch (rt : Runtime.t) (mi : Runtime.module_info) fname args =
     rt.Runtime.last_callee <- saved_callee;
     r
   end
+
+(** [dispatch rt mi fname args] — {!enter} the function of this name. *)
+let dispatch rt mi fname args = enter rt mi (Runtime.entry mi fname) args
 
 (** [protect rt f] contains violations that surface at kernel top level
     rather than inside a kernel→module entry — e.g. a kernel indirect

@@ -17,10 +17,15 @@ val quarantine_principal : Runtime.t -> Principal.t -> reason:string -> unit
     selection.  Idempotent.  Exported for the containment tests that
     quarantine a principal directly. *)
 
+val enter : Runtime.t -> Runtime.module_info -> Runtime.entry -> int64 list -> int64
+(** The kernel→module entry registered by the loader, one bound entry
+    per function: transparent without quarantine; with it, any
+    violation / memory fault / oops is contained and returns {!efault}
+    to the kernel caller. *)
+
 val dispatch : Runtime.t -> Runtime.module_info -> string -> int64 list -> int64
-(** The kernel→module entry registered by the loader: transparent
-    without quarantine; with it, any violation / memory fault / oops is
-    contained and returns {!efault} to the kernel caller. *)
+(** {!enter} the function of this name (the harnesses' and replay's
+    entry). *)
 
 val protect : Runtime.t -> (unit -> 'a) -> ('a, Violation.info) result
 (** Contain violations surfacing at kernel top level (kernel indirect

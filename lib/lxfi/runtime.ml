@@ -41,11 +41,11 @@ type module_info = {
   mi_shared : Principal.t;
   mi_global : Principal.t;
   mutable mi_principals : Principal.t list;  (** all, including shared+global *)
-  mi_aliases : (int, Principal.t) Hashtbl.t;  (** name pointer -> principal *)
+  mi_aliases : Principal.t Inttbl.t;  (** name pointer -> principal *)
   mi_globals : (string, int) Hashtbl.t;
   mi_func_addr : (string, int) Hashtbl.t;
-  mi_func_slot : (string, Annot.Registry.slot) Hashtbl.t;
-      (** propagated annotation (slot type) per kernel-callable function *)
+  mi_entries : (string, entry) Hashtbl.t;
+      (** every function as the loader bound it for kernel entry *)
   mutable mi_ctx : Mir.Interp.ctx option;  (** set by the loader *)
   mi_sections : (string * int * int) list;  (** (section, base, len) *)
   mi_stack_base : int;
@@ -71,27 +71,64 @@ type module_info = {
       (** each kernel export's node id in [mi_flow] ([-1]: none), by [ke_idx] *)
 }
 
-type kexport = {
+(** A module function as the loader binds it for kernel entry. *)
+and entry = {
+  en_fname : string;
+  en_wrapper : string;  (** {!wrapper_name} of the module and function *)
+  en_crossing : crossing option;  (** its propagated slot type's; [None]: unannotated *)
+}
+
+(** A declaration compiled for one direction of crossing. *)
+and crossing = {
+  cr_decl : Annot.Registry.slot;
+  cr_arity : int;
+  cr_pre : action array;
+  cr_post : action array;
+  cr_principal : selector;
+}
+
+(** One action: its [if] conditions outermost first, its caplist, and
+    what it does to each capability in this direction and phase. *)
+and action = {
+  act_guards : cexpr list;
+  act_caps : caplist;
+  act_effect : Annot.Ast.cap_effect;
+  act_check : bool;  (** a [check], which XFI skips whole *)
+  act_ctx : string;  (** the trace context of its grants and revocations *)
+}
+
+and selector = Sel_shared | Sel_global | Sel_instance of cexpr
+
+(* A compiled expression or caplist: its value given the runtime, the
+   call's arguments and, in a post clause, its return value. *)
+and cexpr = t -> int64 list -> int64 -> int64
+and caplist = t -> int64 list -> int64 -> Capability.t list
+
+and kexport = {
   ke_decl : Annot.Registry.slot;
   ke_addr : int;
   ke_idx : int;
   ke_impl : int64 list -> int64;
+  ke_crossing : crossing;
 }
 
-type t = {
+and t = {
   kst : Kstate.t;
   config : Config.t;
   registry : Annot.Registry.t;
   stats : Stats.t;
   wset : Writer_set.t;
   modules : (string, module_info) Hashtbl.t;
+  mutable homes : module_info option array;
+      (** the loaded modules again, by [Principal.home] *)
   kexports : (string, kexport) Hashtbl.t;
   kexport_by_addr : kexport Inttbl.t;
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry self-extracts its graph at load time *)
-  iterators : (string, Annot.Ast.captype list * (int64 list -> Capability.t list)) Hashtbl.t;
-      (** per iterator: the capability kinds it can yield, and the iterator *)
+  mutable iterators : (Annot.Ast.captype list * (int64 list -> Capability.t list)) option array;
+      (** per iterator number ({!iterator_id}): the capability kinds it
+          can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
   mutable current : Principal.t option;  (** None = kernel context *)
   sstack : Shadow_stack.t;
@@ -146,10 +183,11 @@ let create ~kst ~(config : Config.t) =
       stats = Stats.create ();
       wset = Writer_set.create ();
       modules = Hashtbl.create 16;
+      homes = [||];
       kexports = Hashtbl.create 64;
       kexport_by_addr = Inttbl.create 64;
       flow_graphs = Hashtbl.create 8;
-      iterators = Hashtbl.create 16;
+      iterators = [||];
       func_ahash_by_addr = Inttbl.create 64;
       current = None;
       sstack;
@@ -167,8 +205,27 @@ let create ~kst ~(config : Config.t) =
 
 let module_named rt name = Hashtbl.find_opt rt.modules name
 
-(** The loaded module a principal belongs to. *)
-let module_of rt (p : Principal.t) = module_named rt p.Principal.owner
+(** The loaded module a principal belongs to: the one loaded under its
+    owner's name, found by the name's number. *)
+let module_of rt (p : Principal.t) =
+  let h = p.Principal.home in
+  if h < Array.length rt.homes then Array.unsafe_get rt.homes h else None
+
+(* [a] with room for index [i], new slots [None]. *)
+let grown a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) None in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(** [add_module rt mi] makes [mi] the loaded module of its name. *)
+let add_module rt mi =
+  Hashtbl.replace rt.modules mi.mi_name mi;
+  let h = mi.mi_shared.Principal.home in
+  rt.homes <- grown rt.homes h;
+  rt.homes.(h) <- Some mi
 
 let current_module rt = Option.bind rt.current (module_of rt)
 
@@ -210,16 +267,150 @@ let retire_module rt mi =
   List.iter
     (fun (p : Principal.t) -> Captable.clear p.Principal.caps)
     mi.mi_principals;
-  Hashtbl.remove rt.modules mi.mi_name
+  Hashtbl.remove rt.modules mi.mi_name;
+  let h = mi.mi_shared.Principal.home in
+  if h < Array.length rt.homes then rt.homes.(h) <- None
+
+(** {1 Compiled crossings}
+
+    Each annotated declaration is compiled once per process for the
+    direction it is crossed in ({!crossing_of}), and kept on the
+    declaration: parameters become positions, each action's §3.3 effect
+    is fixed, each caplist and guard becomes one closure, and the
+    principal clause becomes a selector.  Compiled code receives the
+    runtime as an argument and never keeps one.  A name that does not
+    resolve compiles to code that raises where evaluation would: an
+    unknown parameter, [return] in a pre or principal clause, an
+    unregistered iterator, an unknown struct in [sizeof]. *)
+
+(* Capability iterator names, numbered in the order this process first
+   sees them; each runtime keeps its iterators in an array by number. *)
+let iterator_ids : (string, int) Hashtbl.t = Hashtbl.create 16
+
+let iterator_id name =
+  match Hashtbl.find_opt iterator_ids name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length iterator_ids in
+      Hashtbl.add iterator_ids name i;
+      i
+
+let iterator_at rt i = if i < Array.length rt.iterators then rt.iterators.(i) else None
+let iterator_named rt name = Option.bind (Hashtbl.find_opt iterator_ids name) (iterator_at rt)
+let find_iterator rt name = Option.map snd (iterator_named rt name)
+
+(* [p]'s position among [params] (the first, if repeated). *)
+let param_index p params =
+  let rec go i = function
+    | [] -> None
+    | q :: params -> if String.equal q p then Some i else go (i + 1) params
+  in
+  go 0 params
+
+let rec compile_eval_cexpr ~params ~post (e : Annot.Ast.cexpr) : cexpr =
+  match e with
+  | Annot.Ast.Cint n -> fun _ _ _ -> n
+  | Annot.Ast.Cparam p -> (
+      match param_index p params with
+      | Some i -> fun _ args _ -> List.nth args i
+      | None ->
+          let msg = Printf.sprintf "annotation references unknown parameter %s" p in
+          fun _ _ _ -> invalid_arg msg)
+  | Annot.Ast.Creturn ->
+      if post then fun _ _ ret -> ret
+      else fun _ _ _ -> invalid_arg "annotation references return value in pre context"
+  | Annot.Ast.Cneg e ->
+      let e = compile_eval_cexpr ~params ~post e in
+      fun rt args ret -> Int64.neg (e rt args ret)
+  | Annot.Ast.Csizeof s -> fun rt _ _ -> Int64.of_int (Ktypes.sizeof rt.kst.Kstate.types s)
+  | Annot.Ast.Cbin (op, a, b) ->
+      let a = compile_eval_cexpr ~params ~post a in
+      let b = compile_eval_cexpr ~params ~post b in
+      fun rt args ret ->
+        let va = a rt args ret in
+        let vb = b rt args ret in
+        Annot.Ast.eval_binop op va vb
+
+let compile_caps_of_caplist ~params ~post (cl : Annot.Ast.caplist) : caplist =
+  match cl with
+  | Annot.Ast.Inline (ct, pe, se) -> (
+      let pe = compile_eval_cexpr ~params ~post pe in
+      match (ct, se) with
+      | Annot.Ast.Write, Some se ->
+          let se = compile_eval_cexpr ~params ~post se in
+          fun rt args ret ->
+            let base = Int64.to_int (pe rt args ret) in
+            let size = Int64.to_int (se rt args ret) in
+            if size <= 0 then [] else [ Capability.Cwrite { base; size } ]
+      | Annot.Ast.Write, None ->
+          (* documented default when no referent type is known *)
+          fun rt args ret ->
+            [ Capability.Cwrite { base = Int64.to_int (pe rt args ret); size = 8 } ]
+      | Annot.Ast.Call, _ ->
+          fun rt args ret -> [ Capability.Ccall { target = Int64.to_int (pe rt args ret) } ]
+      | Annot.Ast.Ref rtype, _ ->
+          fun rt args ret -> [ Capability.Cref { rtype; addr = Int64.to_int (pe rt args ret) } ])
+  | Annot.Ast.Iter (name, argexprs) ->
+      let id = iterator_id name and es = List.map (compile_eval_cexpr ~params ~post) argexprs in
+      let missing = Printf.sprintf "unknown capability iterator %s" name in
+      fun rt args ret ->
+        match iterator_at rt id with
+        | Some (_, fn) -> fn (List.map (fun e -> e rt args ret) es)
+        | None -> invalid_arg missing
+
+let compile_run_action ~dir ~phase ~params a =
+  let verb, cl, guards = Annot.Ast.leaf a in
+  let post = phase = `Post in
+  {
+    act_guards = List.map (compile_eval_cexpr ~params ~post) guards;
+    act_caps = compile_caps_of_caplist ~params ~post cl;
+    act_effect = Annot.Ast.cap_effect ~dir ~phase verb;
+    act_check = verb = `Check;
+    act_ctx =
+      (let phase = if post then "(post)" else "(pre)" in
+       match verb with
+       | `Check -> "check"
+       | `Copy -> "copy" ^ phase
+       | `Transfer -> "transfer" ^ phase);
+  }
+
+let compile_crossing ~dir (d : Annot.Registry.slot) =
+  let params = d.Annot.Registry.sl_params and annot = d.Annot.Registry.sl_annot in
+  let actions phase clauses =
+    Array.of_list (List.map (compile_run_action ~dir ~phase ~params) clauses)
+  in
+  {
+    cr_decl = d;
+    cr_arity = List.length params;
+    cr_pre = actions `Pre (Annot.Ast.pre_actions annot);
+    cr_post = actions `Post (Annot.Ast.post_actions annot);
+    cr_principal =
+      (match Annot.Ast.principal_of annot with
+      | None | Some Annot.Ast.Pshared -> Sel_shared
+      | Some Annot.Ast.Pglobal -> Sel_global
+      | Some (Annot.Ast.Pexpr e) -> Sel_instance (compile_eval_cexpr ~params ~post:false e));
+  }
+
+let k2m_key : crossing Annot.Registry.key = Annot.Registry.key ()
+let m2k_key : crossing Annot.Registry.key = Annot.Registry.key ()
+
+(** [crossing_of ~dir d] — [d] compiled for crossings in direction
+    [dir], made the first time this process asks. *)
+let crossing_of ~dir d =
+  match dir with
+  | Annot.Ast.K2M -> Annot.Registry.derive k2m_key (compile_crossing ~dir) d
+  | Annot.Ast.M2K -> Annot.Registry.derive m2k_key (compile_crossing ~dir) d
+
+let crossing_decl cr = cr.cr_decl
 
 (** {1 Kernel exports and capability iterators} *)
 
 (** [register_kexport rt decl impl] registers the kernel export
     declared by [decl] (parsed, validated and hashed once, by
-    {!Annot.Registry.make_src}); the hash participates in
-    indirect-call matching.  A name registered twice is an error, as
-    for slot types: silently replacing an export would swap the
-    contract the kernel enforces. *)
+    {!Annot.Registry.make_src}, and compiled once, by {!crossing_of});
+    the hash participates in indirect-call matching.  A name registered
+    twice is an error, as for slot types: silently replacing an export
+    would swap the contract the kernel enforces. *)
 let register_kexport rt (d : Annot.Registry.slot) impl :
     (kexport, Annot.Registry.error) result =
   let name = d.Annot.Registry.sl_name in
@@ -228,7 +419,15 @@ let register_kexport rt (d : Annot.Registry.slot) impl :
     (* Kernel exports are also raw-callable through the kernel's own
        dispatch table (stock kernels call them without wrappers). *)
     let addr = Kstate.register_kernel_fn rt.kst name impl in
-    let ke = { ke_decl = d; ke_addr = addr; ke_idx = Hashtbl.length rt.kexports; ke_impl = impl } in
+    let ke =
+      {
+        ke_decl = d;
+        ke_addr = addr;
+        ke_idx = Hashtbl.length rt.kexports;
+        ke_impl = impl;
+        ke_crossing = crossing_of ~dir:Annot.Ast.M2K d;
+      }
+    in
     Hashtbl.add rt.kexports name ke;
     Inttbl.replace rt.kexport_by_addr addr ke;
     Inttbl.replace rt.func_ahash_by_addr addr d.Annot.Registry.sl_ahash;
@@ -253,7 +452,10 @@ let register_flow_graph rt ~module_ (g : Check.Apiflow.graph) =
 let flow_position mi (p : Principal.t) =
   Option.bind mi.mi_flow (fun g -> Check.Apiflow.name g p.Principal.flow_pos)
 
-let register_iterator rt ~name ~shapes fn = Hashtbl.replace rt.iterators name (shapes, fn)
+let register_iterator rt ~name ~shapes fn =
+  let i = iterator_id name in
+  rt.iterators <- grown rt.iterators i;
+  rt.iterators.(i) <- Some (shapes, fn)
 
 (** [iterator_can_yield rt ~name kind] — can iterator [name] yield a
     capability of [kind]?  Unknown iterators conservatively yield
@@ -261,7 +463,7 @@ let register_iterator rt ~name ~shapes fn = Hashtbl.replace rt.iterators name (s
     a missing declaration — the caller treats "can yield" as "the
     annotation surface still justifies this capability kind"). *)
 let iterator_can_yield rt ~name (shape : Annot.Ast.captype) =
-  match Hashtbl.find_opt rt.iterators name with
+  match iterator_named rt name with
   | None -> true
   | Some (shapes, _) -> List.mem shape shapes
 
@@ -355,72 +557,28 @@ let revoke_from_all ?(ctx = "") rt (c : Capability.t) =
 (** {1 Principal management} *)
 
 let find_or_create_instance _rt mi ~name_ptr =
-  match Hashtbl.find_opt mi.mi_aliases name_ptr with
+  match Inttbl.find_opt mi.mi_aliases name_ptr with
   | Some p -> p
   | None ->
       let p =
         Principal.make ~kind:Principal.Instance ~owner:mi.mi_name ~primary_name:name_ptr
       in
       mi.mi_principals <- p :: mi.mi_principals;
-      Hashtbl.replace mi.mi_aliases name_ptr p;
+      Inttbl.replace mi.mi_aliases name_ptr p;
       Klog.debug "new principal %s" (Principal.describe p);
       p
 
-(** {1 Annotation evaluation} *)
+(** {1 Running compiled actions} *)
 
-type eval_env = { params : string list; args : int64 list; ret : int64 option }
-
-(* The argument bound to parameter [p], walking parameters and
-   arguments together.  Both crossings check that the counts agree
-   before any annotation runs ([check_arity]). *)
-let rec arg_of p params args =
-  match (params, args) with
-  | q :: params, v :: args -> if String.equal q p then v else arg_of p params args
-  | _ -> invalid_arg (Printf.sprintf "annotation references unknown parameter %s" p)
-
-(** [check_arity ~module_ ~fname params args] raises [Kstate.Oops], in
+(** [check_arity ~module_ ~fname arity args] raises [Kstate.Oops], in
     the MIR engine's words, unless there is one argument per declared
     parameter. *)
-let check_arity ~module_ ~fname params args =
-  if List.compare_lengths params args <> 0 then
+let check_arity ~module_ ~fname arity args =
+  let n = List.length args in
+  if n <> arity then
     raise
       (Kstate.Oops
-         (Printf.sprintf "module %s: %s arity mismatch (%d args, want %d)" module_ fname
-            (List.length args) (List.length params)))
-
-let rec eval_cexpr rt env (e : Annot.Ast.cexpr) : int64 =
-  match e with
-  | Annot.Ast.Cint n -> n
-  | Annot.Ast.Cparam p -> arg_of p env.params env.args
-  | Annot.Ast.Creturn -> (
-      match env.ret with
-      | Some v -> v
-      | None -> invalid_arg "annotation references return value in pre context")
-  | Annot.Ast.Cneg e -> Int64.neg (eval_cexpr rt env e)
-  | Annot.Ast.Csizeof s -> Int64.of_int (Ktypes.sizeof rt.kst.Kstate.types s)
-  | Annot.Ast.Cbin (op, a, b) ->
-      let va = eval_cexpr rt env a and vb = eval_cexpr rt env b in
-      Annot.Ast.eval_binop op va vb
-
-(** Resolve a caplist to concrete capabilities. *)
-let caps_of_caplist rt env (cl : Annot.Ast.caplist) : Capability.t list =
-  match cl with
-  | Annot.Ast.Inline (ct, pe, se) -> (
-      let ptr = Int64.to_int (eval_cexpr rt env pe) in
-      match ct with
-      | Annot.Ast.Write ->
-          let size =
-            match se with
-            | Some e -> Int64.to_int (eval_cexpr rt env e)
-            | None -> 8 (* documented default when no referent type is known *)
-          in
-          if size <= 0 then [] else [ Capability.Cwrite { base = ptr; size } ]
-      | Annot.Ast.Call -> [ Capability.Ccall { target = ptr } ]
-      | Annot.Ast.Ref rtype -> [ Capability.Cref { rtype; addr = ptr } ])
-  | Annot.Ast.Iter (fname, argexprs) -> (
-      match Hashtbl.find_opt rt.iterators fname with
-      | None -> invalid_arg (Printf.sprintf "unknown capability iterator %s" fname)
-      | Some (_, fn) -> fn (List.map (eval_cexpr rt env) argexprs))
+         (Printf.sprintf "module %s: %s arity mismatch (%d args, want %d)" module_ fname n arity))
 
 let violation_kind_of_cap = function
   | Capability.Cwrite _ -> Violation.Write_denied
@@ -433,53 +591,57 @@ let check_owned rt mi (p : Principal.t) (c : Capability.t) ~ctx =
       "%s: principal %s does not own %s" ctx (Principal.describe p)
       (Capability.to_string c)
 
-(* Apply one action's effect to each capability its caplist names.  Cost
+(* Apply one action's effect to each capability its caplist named.  Cost
    accounting is per capability processed, not per syntactic action: an
    skb_caps transfer does twice the table work of a plain lock check,
    and the netperf CPU inflation (§8.4) is dominated by exactly this
    "cost of capability operations". *)
-let run_action_effect rt mi (mp : Principal.t) env cl (eff : Annot.Ast.cap_effect) ~ctx =
-  let caps = caps_of_caplist rt env cl in
+let rec run_action_caps rt mi (mp : Principal.t) (eff : Annot.Ast.cap_effect) ~ctx = function
+  | [] -> ()
+  | cap :: caps ->
+      (match eff with
+      | Annot.Ast.No_effect -> ()
+      | Annot.Ast.Own -> check_owned rt mi mp cap ~ctx
+      | Annot.Ast.Grant -> grant ~ctx rt mp cap
+      | Annot.Ast.Own_then_revoke ->
+          check_owned rt mi mp cap ~ctx;
+          revoke_from_all ~ctx rt cap
+      | Annot.Ast.Revoke_then_grant ->
+          revoke_from_all ~ctx rt cap;
+          grant ~ctx rt mp cap);
+      run_action_caps rt mi mp eff ~ctx caps
+
+let run_action_effect rt mi mp caps eff ~ctx =
   let n = max 1 (List.length caps) in
   rt.stats.Stats.annotation_actions <- rt.stats.Stats.annotation_actions + n;
   charge rt (n * Cost.annotation_action);
-  match eff with
-  | Annot.Ast.No_effect -> ()
-  | Annot.Ast.Own -> List.iter (fun cap -> check_owned rt mi mp cap ~ctx) caps
-  | Annot.Ast.Grant -> List.iter (grant ~ctx rt mp) caps
-  | Annot.Ast.Own_then_revoke ->
-      List.iter
-        (fun cap ->
-          check_owned rt mi mp cap ~ctx;
-          revoke_from_all ~ctx rt cap)
-        caps
-  | Annot.Ast.Revoke_then_grant ->
-      List.iter
-        (fun cap ->
-          revoke_from_all ~ctx rt cap;
-          grant ~ctx rt mp cap)
-        caps
+  run_action_caps rt mi mp eff ~ctx caps
 
-(** Execute one annotation action: its effect for this direction and
-    phase ({!Annot.Ast.cap_effect}) on every capability it names.  [mp]
-    is the module-side principal of the call (caller for M2K, callee
-    for K2M).  Under XFI, which enforces no API integrity, a check
-    action is skipped whole. *)
-let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.action) =
-  match a with
-  | Annot.Ast.Cif (c, a) -> if eval_cexpr rt env c <> 0L then run_action rt mi mp ~dir ~phase env a
-  | Annot.Ast.Check cl ->
-      if rt.config.Config.mode <> Config.Xfi then
-        run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Check) ~ctx:"check"
-  | Annot.Ast.Copy cl ->
-      run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Copy)
-        ~ctx:(match phase with `Pre -> "copy(pre)" | `Post -> "copy(post)")
-  | Annot.Ast.Transfer cl ->
-      run_action_effect rt mi mp env cl (Annot.Ast.cap_effect ~dir ~phase `Transfer)
-        ~ctx:(match phase with `Pre -> "transfer(pre)" | `Post -> "transfer(post)")
+let rec run_action_guards rt args ret = function
+  | [] -> true
+  | (g : cexpr) :: gs ->
+      (not (Int64.equal (g rt args ret) 0L)) && run_action_guards rt args ret gs
 
-let run_actions rt mi mp ~dir ~phase env actions =
-  List.iter (run_action rt mi mp ~dir ~phase env) actions
+(** Execute one compiled action: when its guards hold, its effect on
+    every capability its caplist names.  [mp] is the module-side
+    principal of the call (caller for M2K, callee for K2M).  Under XFI,
+    which enforces no API integrity, a check is skipped whole. *)
+let run_action rt mi (mp : Principal.t) (a : action) args ret =
+  if
+    run_action_guards rt args ret a.act_guards
+    && not (a.act_check && rt.config.Config.mode = Config.Xfi)
+  then run_action_effect rt mi mp (a.act_caps rt args ret) a.act_effect ~ctx:a.act_ctx
+
+let run_actions rt mi mp (actions : action array) args ret =
+  for i = 0 to Array.length actions - 1 do
+    run_action rt mi mp (Array.unsafe_get actions i) args ret
+  done
+
+(** [run_phase rt mi mp cr phase args ~ret] — [cr]'s pre or post
+    actions, as its wrapper runs them ([ret] is read by post clauses
+    only). *)
+let run_phase rt mi mp cr (phase : Annot.Ast.phase) args ~ret =
+  run_actions rt mi mp (match phase with `Pre -> cr.cr_pre | `Post -> cr.cr_post) args ret
 
 (** {1 Wrappers} *)
 
@@ -503,14 +665,16 @@ let crossing rt span ~wrapper body =
   entry_guard rt;
   if !Trace.on then Trace.emit (Trace.Span_begin (span, wrapper));
   let token = Shadow_stack.push rt.sstack ~wrapper ~saved_principal:rt.current in
-  let result = match body () with ret -> Ok ret | exception e -> Error e in
-  rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
-  if !Trace.on then Trace.emit (Trace.Span_end (span, wrapper));
-  match result with
-  | Ok ret ->
+  match body () with
+  | ret ->
+      rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
+      if !Trace.on then Trace.emit (Trace.Span_end (span, wrapper));
       exit_guard rt;
       ret
-  | Error e -> raise e
+  | exception e ->
+      rt.current <- Shadow_stack.pop rt.sstack ~wrapper ~token;
+      if !Trace.on then Trace.emit (Trace.Span_end (span, wrapper));
+      raise e
 
 (** [call_kexport rt ke args] — module→kernel crossing.  The wrapper
     validates pre actions against the calling principal, runs the
@@ -522,8 +686,8 @@ let call_kexport rt (ke : kexport) args =
       (* Stock kernels, and kernel code calling a kernel export: no boundary. *)
       ke.ke_impl args
   | (Config.Xfi | Config.Lxfi), Some mp ->
-      let d = ke.ke_decl in
-      check_arity ~module_:mp.Principal.owner ~fname:d.sl_name d.sl_params args;
+      let cr = ke.ke_crossing and name = ke.ke_decl.Annot.Registry.sl_name in
+      check_arity ~module_:mp.Principal.owner ~fname:name cr.cr_arity args;
       let mi =
         match module_of rt mp with
         | Some mi -> mi
@@ -546,31 +710,26 @@ let call_kexport rt (ke : kexport) args =
                rt.stats.Stats.flow_violations <- rt.stats.Stats.flow_violations + 1;
                Violation.raise_ ~principal:mp ?where:(where_of mi)
                  ~kind:Violation.Flow_violation ~module_:mi.mi_name
-                 "call to %s is off the module's flow graph (position: %s)" d.sl_name
+                 "call to %s is off the module's flow graph (position: %s)" name
                  (Option.value (Check.Apiflow.name g pos) ~default:"(start)")
              end);
-      crossing rt Trace.M2k ~wrapper:d.sl_name (fun () ->
-          let env = { params = d.sl_params; args; ret = None } in
-          run_actions rt mi mp ~dir:Annot.Ast.M2K ~phase:`Pre env
-            (Annot.Ast.pre_actions d.sl_annot);
+      crossing rt Trace.M2k ~wrapper:name (fun () ->
+          run_actions rt mi mp cr.cr_pre args 0L;
           rt.current <- None;
           let ret = ke.ke_impl args in
           rt.current <- Some mp;
-          let env = { env with ret = Some ret } in
-          run_actions rt mi mp ~dir:Annot.Ast.M2K ~phase:`Post env
-            (Annot.Ast.post_actions d.sl_annot);
+          run_actions rt mi mp cr.cr_post args ret;
           ret)
 
-(** Select the callee principal for a kernel→module call according to
-    the slot type's [principal] clause. *)
-let select_principal rt mi (slot : Annot.Registry.slot) env =
-  match Annot.Ast.principal_of slot.Annot.Registry.sl_annot with
-  | None | Some Annot.Ast.Pshared -> mi.mi_shared
-  | Some Annot.Ast.Pglobal -> mi.mi_global
-  | Some (Annot.Ast.Pexpr e) ->
+(** The callee principal of a kernel→module call, by the compiled
+    principal clause of its slot type. *)
+let select_principal rt mi cr args =
+  match cr.cr_principal with
+  | Sel_shared -> mi.mi_shared
+  | Sel_global -> mi.mi_global
+  | Sel_instance e ->
       if rt.config.Config.mode = Config.Lxfi then
-        let name_ptr = Int64.to_int (eval_cexpr rt env e) in
-        find_or_create_instance rt mi ~name_ptr
+        find_or_create_instance rt mi ~name_ptr:(Int64.to_int (e rt args 0L))
       else mi.mi_shared
 
 let run_mir rt mi fname args =
@@ -588,7 +747,7 @@ let run_mir rt mi fname args =
 
 (* The callee's half of a kernel→module entry: watchdog, pre actions,
    the switch to [callee], the module code, post actions. *)
-let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Principal.t) =
+let run_entry rt mi cr fname args (callee : Principal.t) =
   (* Arm the per-entry watchdog: the budget is per kernel→module
      crossing, so a wedged entry point expires instead of soft-locking
      the simulation. *)
@@ -597,8 +756,7 @@ let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Princi
       ctx.Mir.Interp.watchdog <- true;
       Mir.Interp.refuel ~fuel:budget ctx
   | _ -> ());
-  run_actions rt mi callee ~dir:Annot.Ast.K2M ~phase:`Pre env
-    (Annot.Ast.pre_actions slot.Annot.Registry.sl_annot);
+  run_actions rt mi callee cr.cr_pre args 0L;
   rt.stats.Stats.principal_switches <- rt.stats.Stats.principal_switches + 1;
   charge rt Cost.principal_switch;
   if !Trace.on then Trace.emit (Trace.Switch (Principal.describe callee));
@@ -606,43 +764,40 @@ let run_entry rt mi (slot : Annot.Registry.slot) fname args env (callee : Princi
   let ret = run_mir rt mi fname args in
   (* Post actions run against the callee principal even if the module
      switched principals internally (switch_global). *)
-  let env = { env with ret = Some ret } in
-  run_actions rt mi callee ~dir:Annot.Ast.K2M ~phase:`Post env
-    (Annot.Ast.post_actions slot.Annot.Registry.sl_annot);
+  run_actions rt mi callee cr.cr_post args ret;
   ret
 
-(** [invoke_module_function rt mi fname args] — kernel→module crossing
-    through the function's propagated annotation (its slot type).  The
+(** [enter rt mi en args] — kernel→module crossing into the function
+    the loader bound as [en], through its compiled slot type.  The
     paper's safe default applies: a function with no annotation cannot
     be invoked from the kernel under LXFI. *)
-let invoke_module_function rt mi fname args =
+let enter rt mi (en : entry) args =
+  let fname = en.en_fname in
   match rt.config.Config.mode with
   | Config.Stock -> run_mir rt mi fname args
   | Config.Xfi | Config.Lxfi -> (
-      match Hashtbl.find_opt mi.mi_func_slot fname with
+      match en.en_crossing with
       | None ->
           if rt.config.Config.mode = Config.Lxfi then
             Violation.raise_ ~kind:Violation.Annot_mismatch ~module_:mi.mi_name
               "kernel invoked unannotated module function %s" fname
           else run_mir rt mi fname args
-      | Some slot ->
-          check_arity ~module_:mi.mi_name ~fname slot.Annot.Registry.sl_params args;
+      | Some cr ->
+          check_arity ~module_:mi.mi_name ~fname cr.cr_arity args;
           (match mi.mi_dead with
           | Some reason ->
               Violation.raise_ ~kind:Violation.Principal_denied ~module_:mi.mi_name
                 "kernel invoked function %s of dead module (%s)" fname reason
           | None -> ());
-          crossing rt Trace.K2m ~wrapper:(wrapper_name mi.mi_name fname) (fun () ->
-              let env = { params = slot.Annot.Registry.sl_params; args; ret = None } in
-              let callee = select_principal rt mi slot env in
+          crossing rt Trace.K2m ~wrapper:en.en_wrapper (fun () ->
+              let callee = select_principal rt mi cr args in
               (match callee.Principal.quarantined with
               | Some reason ->
                   Violation.raise_ ~principal:callee ~kind:Violation.Principal_denied
                     ~module_:mi.mi_name "entry %s via quarantined principal (%s)" fname reason
               | None -> ());
               rt.last_callee <- Some callee;
-              if rt.config.Config.mode <> Config.Lxfi then
-                run_entry rt mi slot fname args env callee
+              if rt.config.Config.mode <> Config.Lxfi then run_entry rt mi cr fname args callee
               else begin
                 (* Flow-automaton bookkeeping for this activation.  A
                    top-level entry continues from the principal's
@@ -656,7 +811,7 @@ let invoke_module_function rt mi fname args =
                 let pos = callee.Principal.flow_pos and depth = callee.Principal.flow_depth in
                 if depth > 0 then callee.Principal.flow_pos <- Check.Apiflow.start;
                 callee.Principal.flow_depth <- depth + 1;
-                match run_entry rt mi slot fname args env callee with
+                match run_entry rt mi cr fname args callee with
                 | ret ->
                     callee.Principal.flow_depth <- depth;
                     if depth > 0 then callee.Principal.flow_pos <- pos;
@@ -670,6 +825,15 @@ let invoke_module_function rt mi fname args =
                     end;
                     raise e
               end))
+
+(** [entry mi fname] — the entry the loader bound for [fname]; a name
+    the module does not define enters as an unannotated function. *)
+let entry mi fname =
+  match Hashtbl.find_opt mi.mi_entries fname with
+  | Some en -> en
+  | None -> { en_fname = fname; en_wrapper = wrapper_name mi.mi_name fname; en_crossing = None }
+
+let invoke_module_function rt mi fname args = enter rt mi (entry mi fname) args
 
 (** {1 Module-side guards (inserted by the rewriter)} *)
 
@@ -842,13 +1006,13 @@ let lxfi_check rt ~rtype ~addr =
 let lxfi_princ_alias rt ~existing ~fresh =
   if rt.config.Config.mode = Config.Lxfi then begin
     let p, mi = require_current_mi rt ~who:"lxfi_princ_alias" in
-    match Hashtbl.find_opt mi.mi_aliases existing with
-    | Some target -> Hashtbl.replace mi.mi_aliases fresh target
+    match Inttbl.find_opt mi.mi_aliases existing with
+    | Some target -> Inttbl.replace mi.mi_aliases fresh target
     | None ->
         (* Aliasing a not-yet-materialised name: if the caller runs as
            the instance principal named [existing], alias to it. *)
         if p.Principal.kind = Principal.Instance && p.Principal.primary_name = existing
-        then Hashtbl.replace mi.mi_aliases fresh p
+        then Inttbl.replace mi.mi_aliases fresh p
         else
           Violation.raise_ ~kind:Violation.Principal_denied ~module_:mi.mi_name
             "lxfi_princ_alias: no principal named 0x%x" existing

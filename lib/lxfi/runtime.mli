@@ -19,17 +19,21 @@ module Cost : sig
   (** per capability processed by a copy/transfer/check action *)
 end
 
+type crossing
+(** An annotated declaration compiled for one direction of crossing
+    (see {!crossing_of}). *)
+
 type module_info = {
   mi_name : string;
   mi_prog : Mir.Ast.prog;  (** the instrumented program *)
   mi_shared : Principal.t;
   mi_global : Principal.t;
   mutable mi_principals : Principal.t list;  (** all, incl. shared+global *)
-  mi_aliases : (int, Principal.t) Hashtbl.t;  (** name pointer -> principal *)
+  mi_aliases : Principal.t Inttbl.t;  (** name pointer -> principal *)
   mi_globals : (string, int) Hashtbl.t;  (** module global -> address *)
   mi_func_addr : (string, int) Hashtbl.t;  (** function -> text address *)
-  mi_func_slot : (string, Annot.Registry.slot) Hashtbl.t;
-      (** propagated annotation (slot type) per kernel-callable function *)
+  mi_entries : (string, entry) Hashtbl.t;
+      (** every function as the loader bound it for kernel entry *)
   mutable mi_ctx : Mir.Interp.ctx option;  (** set by the loader *)
   mi_sections : (string * int * int) list;  (** (section, base, len) *)
   mi_stack_base : int;
@@ -53,11 +57,22 @@ type module_info = {
 }
 (** Everything the runtime knows about one loaded module. *)
 
+and entry = {
+  en_fname : string;
+  en_wrapper : string;  (** {!wrapper_name} of the module and function *)
+  en_crossing : crossing option;
+      (** the compiled K2M crossing of the function's propagated slot
+          type; [None]: unannotated *)
+}
+(** A module function as the loader binds it into the kernel's
+    dispatch table. *)
+
 type kexport = {
   ke_decl : Annot.Registry.slot;  (** name, parameters, annotation and hash *)
   ke_addr : int;  (** fake kernel-text address (= the wrapper's address) *)
   ke_idx : int;  (** registration order: the export's index in [mi_flow_node] *)
   ke_impl : int64 list -> int64;
+  ke_crossing : crossing;  (** [ke_decl] compiled for M2K crossings *)
 }
 (** An annotated kernel export. *)
 
@@ -68,13 +83,16 @@ type t = {
   stats : Stats.t;
   wset : Writer_set.t;
   modules : (string, module_info) Hashtbl.t;
+  mutable homes : module_info option array;
+      (** the loaded modules again, by [Principal.home] *)
   kexports : (string, kexport) Hashtbl.t;
   kexport_by_addr : kexport Inttbl.t;
   flow_graphs : (string, Check.Apiflow.graph) Hashtbl.t;
       (** registered flow policies by module name; a module with no
           entry enforces its image's self-extracted graph *)
-  iterators : (string, Annot.Ast.captype list * (int64 list -> Capability.t list)) Hashtbl.t;
-      (** per iterator: the capability kinds it can yield, and the iterator *)
+  mutable iterators : (Annot.Ast.captype list * (int64 list -> Capability.t list)) option array;
+      (** by iterator number (names are numbered once per process): the
+          capability kinds it can yield, and the iterator *)
   func_ahash_by_addr : int64 Inttbl.t;
       (** annotation hash of every annotated callable address *)
   mutable current : Principal.t option;  (** None = kernel context *)
@@ -118,7 +136,11 @@ val current_module : t -> module_info option
 val module_named : t -> string -> module_info option
 
 val module_of : t -> Principal.t -> module_info option
-(** The loaded module a principal belongs to. *)
+(** The loaded module a principal belongs to: the one loaded under its
+    owner's name, found by the name's number ([Principal.home]). *)
+
+val add_module : t -> module_info -> unit
+(** Make [mi] the loaded module of its name (the loader's last step). *)
 
 val wrapper_name : string -> string -> string
 (** [wrapper_name mname fname] names the wrapper frame around
@@ -175,6 +197,9 @@ val iterator_can_yield : t -> name:string -> Annot.Ast.captype -> bool
 (** Can iterator [name] yield a capability of this kind?  Unknown
     iterators conservatively yield everything. *)
 
+val find_iterator : t -> string -> (int64 list -> Capability.t list) option
+(** The iterator registered under this name, if any. *)
+
 val find_kexport : t -> string -> kexport
 
 (** {1 Capabilities and principals} *)
@@ -209,6 +234,44 @@ val writers_of : t -> addr:int -> Principal.t list
     set, computed by walking the global principal list as in the
     paper).  Exported for the writer-set test. *)
 
+(** {1 Compiled crossings}
+
+    Each annotated declaration is compiled once per process for each
+    direction it is crossed in, and kept on the declaration
+    ({!Annot.Registry.derive}): parameter positions, the pre and post
+    actions as arrays with their §3.3 effects fixed, one closure per
+    caplist and guard, and the principal clause as a selector.
+    Compiled code takes the runtime as an argument and keeps none.  A
+    name that does not resolve raises where and as evaluation always
+    has: [Invalid_argument] for an unknown parameter, [return] in a pre
+    or principal clause, or an unregistered iterator, and
+    [Ktypes.Unknown_struct] for [sizeof] of an unknown struct. *)
+
+val crossing_of : dir:Annot.Ast.direction -> Annot.Registry.slot -> crossing
+(** The declaration compiled for crossings in direction [dir]: the
+    first call in the process compiles, later calls return the same
+    value. *)
+
+val crossing_decl : crossing -> Annot.Registry.slot
+
+val run_phase :
+  t -> module_info -> Principal.t -> crossing -> Annot.Ast.phase -> int64 list -> ret:int64 -> unit
+(** Run a crossing's pre or post actions against module-side principal
+    [mp], as its wrapper does ([ret] is read by post clauses only):
+    each action whose guards hold counts [annotation_actions] and
+    charges {!Cost.annotation_action} per capability its caplist names,
+    then applies its effect ({!run_action_effect}); under XFI a check
+    is skipped whole. *)
+
+val select_principal : t -> module_info -> crossing -> int64 list -> Principal.t
+(** The callee principal of a K2M crossing with these arguments. *)
+
+val run_action_effect :
+  t -> module_info -> Principal.t -> Capability.t list -> Annot.Ast.cap_effect -> ctx:string -> unit
+(** Count and charge one action over [caps], then apply its effect to
+    each ({!Annot.Ast.cap_effect}); [ctx] names the action in
+    violations and traced [Cap] events. *)
+
 (** {1 Wrappers and guards} *)
 
 val entry_guard : t -> unit
@@ -222,11 +285,19 @@ val call_kexport : t -> kexport -> int64 list -> int64
 val run_mir : t -> module_info -> string -> int64 list -> int64
 (** Run a module function in its interpreter context, no wrapper. *)
 
-val invoke_module_function : t -> module_info -> string -> int64 list -> int64
-(** Kernel→module crossing through the function's propagated slot-type
-    annotation: principal selection, pre/post actions, shadow stack.
+val enter : t -> module_info -> entry -> int64 list -> int64
+(** Kernel→module crossing into a bound function, through its compiled
+    slot type: principal selection, pre/post actions, shadow stack.
     Under LXFI an unannotated function is not kernel-callable (the safe
     default). *)
+
+val entry : module_info -> string -> entry
+(** The entry the loader bound for a function name; a name the module
+    does not define enters as an unannotated function. *)
+
+val invoke_module_function : t -> module_info -> string -> int64 list -> int64
+(** {!enter} the function of this name: the harnesses' entry, looked up
+    by name where the kernel's dispatch table holds the bound entry. *)
 
 val guard_write : t -> module_info -> addr:int -> size:int -> unit
 (** The rewriter-inserted store guard: the current principal must hold

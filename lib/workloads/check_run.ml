@@ -69,13 +69,7 @@ let broken_demo () : report =
      been populated through the front door *)
   let forge name params src =
     let annot = Result.get_ok (Annot.Parser.parse src) in
-    Hashtbl.replace registry.Annot.Registry.slots name
-      {
-        Annot.Registry.sl_name = name;
-        sl_params = params;
-        sl_annot = annot;
-        sl_ahash = Annot.Hash.of_annot ~params annot;
-      }
+    Hashtbl.replace registry.Annot.Registry.slots name (Annot.Registry.forge ~name ~params annot)
   in
   forge "bad.entry" [ "buf"; "n" ] "pre(check(write, bogus, 8))";
   (* unknown-iterator: parses and validates (iterator names are not

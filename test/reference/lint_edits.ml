@@ -50,13 +50,7 @@ let () =
     | Error _ -> ()
     | Ok annot ->
         incr parsed;
-        let forged =
-          {
-            d with
-            Annot.Registry.sl_annot = annot;
-            sl_ahash = Annot.Hash.of_annot ~params:d.sl_params annot;
-          }
-        in
+        let forged = Annot.Registry.forge ~name:d.sl_name ~params:d.sl_params annot in
         let fs = lint env forged in
         found := !found + List.length fs;
         Fmt.pr "%d %s %S@." i d.sl_name src;

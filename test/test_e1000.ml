@@ -65,9 +65,9 @@ let test_tx_completion_frees config () =
 let test_napi_principal_aliased () =
   let sys, pcidev, _nic, h = setup Lxfi.Config.lxfi in
   let mi = h.Mod_common.mi in
-  let p_pci = Hashtbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
-  let p_ndev = Hashtbl.find mi.Lxfi.Runtime.mi_aliases (dev_of sys pcidev) in
-  let p_napi = Hashtbl.find mi.Lxfi.Runtime.mi_aliases (E1000.napi_addr sys ~pcidev) in
+  let p_pci = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
+  let p_ndev = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases (dev_of sys pcidev) in
+  let p_napi = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases (E1000.napi_addr sys ~pcidev) in
   Alcotest.(check int) "ndev aliases pci principal" p_pci.Lxfi.Principal.id p_ndev.Lxfi.Principal.id;
   Alcotest.(check int) "napi aliases pci principal" p_pci.Lxfi.Principal.id p_napi.Lxfi.Principal.id
 
@@ -140,7 +140,7 @@ let test_strict_skb_guideline4 () =
   let mi = h.Mod_common.mi in
   (* watch the capability grants during one RX burst *)
   ignore (Nic.inject_rx nic ~count:4 ~frame_len:64);
-  let p = Hashtbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
+  let p = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases pcidev in
   Netdev.napi_schedule sys.Ksys.net (E1000.napi_addr sys ~pcidev);
   let work = Netdev.poll_scheduled sys.Ksys.net ~budget:64 in
   Alcotest.(check int) "strict driver receives" 4 work;

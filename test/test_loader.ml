@@ -88,10 +88,9 @@ let test_initial_capabilities () =
 let test_annotation_propagation_from_export () =
   let _, rt = boot () in
   let mi, _ = Loader.load rt basic_prog in
-  Alcotest.(check bool) "cb carries slot type" true
-    (Hashtbl.mem mi.Runtime.mi_func_slot "cb");
-  Alcotest.(check bool) "helper carries none" false
-    (Hashtbl.mem mi.Runtime.mi_func_slot "helper");
+  let annotated f = Option.is_some (Runtime.entry mi f).Runtime.en_crossing in
+  Alcotest.(check bool) "cb carries slot type" true (annotated "cb");
+  Alcotest.(check bool) "helper carries none" false (annotated "helper");
   let addr = Hashtbl.find mi.Runtime.mi_func_addr "cb" in
   Alcotest.(check bool) "ahash registered" true
     (Inttbl.mem rt.Runtime.func_ahash_by_addr addr)
@@ -108,7 +107,7 @@ let test_propagation_from_struct_initializer () =
   in
   let mi, _ = Loader.load rt p in
   Alcotest.(check bool) "annotation propagated through struct init" true
-    (Hashtbl.mem mi.Runtime.mi_func_slot "impl")
+    (Option.is_some (Runtime.entry mi "impl").Runtime.en_crossing)
 
 let test_conflicting_annotations_rejected () =
   let kst, rt = boot () in
@@ -342,13 +341,16 @@ let test_checker_bindings_are_loaded () =
       let name = spec.K.Mod_common.name in
       Alcotest.(check int) (name ^ ": no refusals") 0 (List.length refusals);
       Alcotest.(check (list (pair string string)))
-        (name ^ ": bound entries = mi_func_slot")
+        (name ^ ": bound entries = compiled entries")
         (List.sort_uniq compare
            (List.map (fun (f, s, _) -> (f, s.Annot.Registry.sl_name)) bindings))
         (List.sort compare
            (Hashtbl.fold
-              (fun f s acc -> (f, s.Annot.Registry.sl_name) :: acc)
-              mi.Runtime.mi_func_slot [])))
+              (fun f (en : Runtime.entry) acc ->
+                match en.en_crossing with
+                | Some cr -> (f, (Runtime.crossing_decl cr).Annot.Registry.sl_name) :: acc
+                | None -> acc)
+              mi.Runtime.mi_entries [])))
     K.Catalog.all
 
 (* The runtime as far as a refused load could have touched it. *)
@@ -426,8 +428,15 @@ let test_flow_graph_shared () =
   let kexports (im : Loader.image) =
     List.filter (function Loader.Kexport _ -> true | _ -> false) im.Loader.im_facts
   in
+  (* each boot declares its own [nop]: the same declaration, made twice *)
+  let same_fact a b =
+    match (a, b) with
+    | Loader.Kexport (n, d), Loader.Kexport (n', d') ->
+        String.equal n n' && Option.equal Annot.Registry.equal d d'
+    | _ -> false
+  in
   Alcotest.(check bool) "the graph's kernel-export facts recorded" true
-    (List.for_all (fun f -> List.mem f (kexports deopt)) (kexports lxfi));
+    (List.for_all (fun f -> List.exists (same_fact f) (kexports deopt)) (kexports lxfi));
   let kst = Kstate.boot () in
   let rt =
     Runtime.create ~kst ~config:Config.lxfi_noopt
@@ -467,7 +476,7 @@ let () =
           Alcotest.test_case "catalog image = fresh load" `Quick test_image_catalog;
           Alcotest.test_case "lcmod image = fresh load" `Quick test_image_lcmod;
           Alcotest.test_case "spec programs are values" `Quick test_spec_make_is_a_value;
-          Alcotest.test_case "checker bindings = mi_func_slot" `Quick
+          Alcotest.test_case "checker bindings = compiled entries" `Quick
             test_checker_bindings_are_loaded;
           Alcotest.test_case "stale images refused" `Quick test_stale_images_refused;
           Alcotest.test_case "flow graph shared across configs" `Quick test_flow_graph_shared;

@@ -100,8 +100,8 @@ let test_dm_crypt_principals_isolated () =
     Result.get_ok
       (Blockdev.dm_create sys.Ksys.blk ~target:"crypt" ~name:"c2" ~len:64 ~arg:2)
   in
-  let p1 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases ti1 in
-  let p2 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases ti2 in
+  let p1 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases ti1 in
+  let p2 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases ti2 in
   Alcotest.(check bool) "distinct principals" true (p1.Lxfi.Principal.id <> p2.Lxfi.Principal.id);
   let cc2 =
     Kmem.read_ptr sys.Ksys.kst.Kstate.mem
@@ -230,7 +230,7 @@ let test_ioport_ref_exact () =
   let port =
     Kernel_sim.Kmem.read_ptr sys.Ksys.kst.Kstate.mem (priv + Snd_common.p_port)
   in
-  let p = Hashtbl.find mi.Lxfi.Runtime.mi_aliases
+  let p = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases
       (Kernel_sim.Kmem.read_ptr sys.Ksys.kst.Kstate.mem (priv + Snd_common.p_pcidev)) in
   Alcotest.(check bool) "REF for the granted port" true
     (Lxfi.Runtime.principal_has sys.Ksys.rt p

@@ -98,8 +98,8 @@ let test_socket_principals_isolated () =
   let sock1, buf1 = mk () in
   let sock2, buf2 = mk () in
   let mi = h.Mod_common.mi in
-  let p1 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases sock1 in
-  let p2 = Hashtbl.find mi.Lxfi.Runtime.mi_aliases sock2 in
+  let p1 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases sock1 in
+  let p2 = Kernel_sim.Inttbl.find mi.Lxfi.Runtime.mi_aliases sock2 in
   let owns p buf =
     Lxfi.Runtime.principal_has sys.Ksys.rt p (Lxfi.Capability.Cwrite { base = buf; size = 8 })
   in

@@ -153,20 +153,31 @@ let test_wrapper_principal_selection () =
      names the instance by the first argument *)
   ignore (Runtime.invoke_module_function rt mi "entry" [ 0x7777L ]);
   Alcotest.(check bool) "instance principal created" true
-    (Hashtbl.mem mi.Runtime.mi_aliases 0x7777);
+    (Kernel_sim.Inttbl.mem mi.Runtime.mi_aliases 0x7777);
   Alcotest.(check bool) "current restored to kernel" true (rt.Runtime.current = None)
 
 let test_unannotated_function_not_callable () =
-  let _, rt, mi = setup () in
+  let kst, rt, _ = setup () in
   (* direct kernel invocation of a module function with no slot type is
      the paper's unsafe default *)
-  Hashtbl.remove mi.Runtime.mi_func_slot "entry";
-  try
-    ignore (Runtime.invoke_module_function rt mi "entry" [ 1L ]);
-    Alcotest.fail "expected annotation violation"
-  with Violation.Violation v ->
-    Alcotest.(check string) "kind" "annotation-mismatch"
-      (Violation.kind_name v.Violation.v_kind)
+  let mi, _ =
+    let open Mir.Builder in
+    Loader.load rt
+      (prog "bare_mod" ~imports:[] ~globals:[] ~funcs:[ func "bare" [ "x" ] [ ret (v "x") ] ])
+  in
+  let denied what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected annotation violation" what
+    | exception Violation.Violation v ->
+        Alcotest.(check string) (what ^ ": kind") "annotation-mismatch"
+          (Violation.kind_name v.Violation.v_kind)
+  in
+  denied "by name" (fun () -> Runtime.invoke_module_function rt mi "bare" [ 1L ]);
+  (* the kernel's own path: the dispatch entry the loader registered *)
+  let addr = Hashtbl.find mi.Runtime.mi_func_addr "bare" in
+  match Kstate.target_of kst addr with
+  | Some tg -> denied "through the dispatch table" (fun () -> tg.Kstate.t_run [ 1L ])
+  | None -> Alcotest.fail "bare has no dispatch entry"
 
 let test_kernel_indcall_hash_mismatch () =
   let kst, rt, mi = setup () in
@@ -278,7 +289,7 @@ let test_module_function_arity_mismatch () =
   expect_arity_oops rt "module probe_mod: entry arity mismatch (0 args, want 1)"
     (fun () -> Runtime.invoke_module_function rt mi "entry" []);
   Alcotest.(check bool) "no instance principal created" true
-    (Hashtbl.length mi.Runtime.mi_aliases = 0);
+    (Kernel_sim.Inttbl.length mi.Runtime.mi_aliases = 0);
   Alcotest.(check bool) "current still the kernel" true (rt.Runtime.current = None)
 
 (* ------------------------------------------------------------------ *)
