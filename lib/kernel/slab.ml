@@ -58,14 +58,21 @@ let fresh_pages t n =
   t.heap_cursor <- t.heap_cursor + (n * Kmem.page_size);
   addr
 
+(* Every class is a multiple of 16 bytes, so the smallest class of at
+   least [size] bytes is the smallest of at least [16 * ceil(size / 16)]:
+   [class_index.(q)] is the index of the smallest class of at least
+   [16 * q] bytes, for [q] up to the largest class's. *)
+let max_class = size_classes.(Array.length size_classes - 1)
+
+let class_index =
+  Array.init ((max_class / 16) + 1) (fun q ->
+      let rec go i = if size_classes.(i) >= 16 * q then i else go (i + 1) in
+      go 0)
+
+(* The class a request of [size] (at least 1) bytes rounds up to, or
+   [None] above the largest class. *)
 let class_for t size =
-  let n = Array.length t.classes in
-  let rec go i =
-    if i >= n then None
-    else if t.classes.(i).obj_size >= size then Some t.classes.(i)
-    else go (i + 1)
-  in
-  go 0
+  if size > max_class then None else Some t.classes.(class_index.((size + 15) / 16))
 
 (** [kmalloc t size] allocates [size] bytes ([size >= 1]); the object is
     zeroed (we model the common kzalloc-ish discipline so that

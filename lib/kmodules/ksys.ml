@@ -177,7 +177,8 @@ let register_iterators (t : t) =
           end
       | _ -> invalid_arg "bio_caps: expected 1 argument");
   (* snd_card_caps(card): card struct, DMA area, and the REF that
-     names the card for registration. *)
+     names the card for registration.  A pointer that is not a card
+     reads no DMA area, and yields no WRITE for one. *)
   reg
     [ Annot.Ast.Write; Annot.Ast.Ref "snd_card" ]
     "snd_card_caps" (fun args ->
@@ -185,17 +186,16 @@ let register_iterators (t : t) =
       | [ card ] ->
           let card = Int64.to_int card in
           if card = 0 then []
-          else
-            [
-              Lxfi.Capability.Cwrite
-                { base = card; size = Sound.card_layout.Ktypes.s_size };
-              Lxfi.Capability.Cwrite
-                {
-                  base = Sound.dma_area t.snd card;
-                  size = Sound.dma_bytes t.snd card;
-                };
-              Lxfi.Capability.Cref { rtype = "snd_card"; addr = card };
-            ]
+          else begin
+            let dma = Sound.dma_area t.snd card in
+            let bytes = Sound.dma_bytes t.snd card in
+            let name = Lxfi.Capability.Cref { rtype = "snd_card"; addr = card } in
+            Lxfi.Capability.Cwrite { base = card; size = Sound.card_layout.Ktypes.s_size }
+            ::
+            (if dma <> 0 && bytes > 0 then
+               [ Lxfi.Capability.Cwrite { base = dma; size = bytes }; name ]
+             else [ name ])
+          end
       | _ -> invalid_arg "snd_card_caps: expected 1 argument")
 
 (** {1 Annotated kernel exports}

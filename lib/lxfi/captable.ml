@@ -64,12 +64,9 @@ let is_big ~base ~size =
 
 (* The entries hashed into page slot [s].  An absent slot is common
    (most principals hold nothing on a given page, many nothing hashed
-   at all), so this asks [find_opt], whose only allocation is the
-   option around a present slot, rather than [find], whose [Not_found]
-   costs several times that. *)
-let slot t s =
-  if Inttbl.length t.writes = 0 then []
-  else match Inttbl.find_opt t.writes s with Some l -> l | None -> []
+   at all), so an empty table is not probed, and a probe allocates
+   nothing on a hit or a miss. *)
+let slot t s = if Inttbl.length t.writes = 0 then [] else Inttbl.find_or t.writes s ~default:[]
 
 let same_range e ~base ~size = e.base = base && e.size = size
 

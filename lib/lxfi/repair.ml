@@ -114,7 +114,7 @@ let replay (rt : Runtime.t) (inc : incident) ~(image : Loader.image) :
   let filter =
     {
       Snapshot.keep_write = (fun ~base:_ ~size:_ -> true);
-      keep_call = (fun ~target -> not (Hashtbl.mem rt.Runtime.retired target));
+      keep_call = (fun ~target -> not (Kernel_sim.Inttbl.mem rt.Runtime.retired target));
       keep_ref = (fun ~rtype:_ ~addr:_ -> true);
       keep_instances = true;
     }

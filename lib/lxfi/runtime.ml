@@ -135,7 +135,7 @@ and t = {
   raw_dispatch : slot:int -> ftype:string -> int64 list -> int64;
   kernel_stack_base : int;
   kernel_stack_len : int;
-  retired : (int, string) Hashtbl.t;
+  retired : string Inttbl.t;
       (** retired callable address -> owning module (dangling-pointer
           attribution after unload/escalation) *)
   mutable quarantine_log : Diag.t list;
@@ -194,7 +194,7 @@ let create ~kst ~(config : Config.t) =
       raw_dispatch;
       kernel_stack_base;
       kernel_stack_len;
-      retired = Hashtbl.create 16;
+      retired = Inttbl.create 16;
       quarantine_log = [];
       last_callee = None;
       last_violation = None;
@@ -262,7 +262,7 @@ let retire_module rt mi =
     (fun _fname addr ->
       Inttbl.remove rt.kst.Kstate.calltab addr;
       Inttbl.remove rt.func_ahash_by_addr addr;
-      Hashtbl.replace rt.retired addr mi.mi_name)
+      Inttbl.replace rt.retired addr mi.mi_name)
     mi.mi_func_addr;
   List.iter
     (fun (p : Principal.t) -> Captable.clear p.Principal.caps)
@@ -897,7 +897,7 @@ let kernel_indirect_call rt ~slot ~ftype args =
      attributed to the module that owned the address. *)
   (if rt.config.Config.quarantine then
      let target = Kmem.read_ptr rt.kst.Kstate.mem slot in
-     match Hashtbl.find_opt rt.retired target with
+     match Inttbl.find_opt rt.retired target with
      | Some owner ->
          Violation.raise_ ~kind:Violation.Call_denied ~module_:owner
            "kernel indirect call via slot 0x%x (%s) to retired address 0x%x" slot ftype

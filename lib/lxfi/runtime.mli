@@ -101,7 +101,7 @@ type t = {
       (** the kernel's original unchecked dispatcher *)
   kernel_stack_base : int;
   kernel_stack_len : int;
-  retired : (int, string) Hashtbl.t;
+  retired : string Inttbl.t;
       (** retired callable address -> owning module (dangling-pointer
           attribution after unload/escalation) *)
   mutable quarantine_log : Diag.t list;

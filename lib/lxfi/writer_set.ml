@@ -15,7 +15,8 @@
     right by [chunk_shift]) to an int whose low 32 bits are the marks
     of that chunk's 32 lines (2 KB of address space).  Chunks with no
     marked line have no entry, so the table only holds memory some
-    principal could write.
+    principal could write, and a stored mask is never 0: a probe reads
+    an absent chunk as 0 without allocating.
 
     False positives (a line granted but never actually written) cost
     only an unnecessary check; false negatives cannot arise from module
@@ -49,23 +50,19 @@ let iter_chunks ~base ~size f =
 
 let mark_range t ~base ~size =
   iter_chunks ~base ~size (fun c mask ->
-      match Inttbl.find_opt t c with
-      | Some m -> if m lor mask <> m then Inttbl.replace t c (m lor mask)
-      | None -> Inttbl.add t c mask)
+      let m = Inttbl.find_or t c ~default:0 in
+      if m = 0 then Inttbl.add t c mask
+      else if m lor mask <> m then Inttbl.replace t c (m lor mask))
 
 let maybe_written t addr =
   let l = addr lsr line_shift in
-  match Inttbl.find_opt t (l lsr chunk_shift) with
-  | Some m -> m land (1 lsl (l land chunk_mask)) <> 0
-  | None -> false
+  Inttbl.find_or t (l lsr chunk_shift) ~default:0 land (1 lsl (l land chunk_mask)) <> 0
 
 let clear_range t ~base ~size =
   iter_chunks ~base ~size (fun c mask ->
-      match Inttbl.find_opt t c with
-      | Some m ->
-          let m' = m land lnot mask in
-          if m' = 0 then Inttbl.remove t c else if m' <> m then Inttbl.replace t c m'
-      | None -> ())
+      let m = Inttbl.find_or t c ~default:0 in
+      let m' = m land lnot mask in
+      if m' <> m then (if m' = 0 then Inttbl.remove t c else Inttbl.replace t c m'))
 
 let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
 
@@ -74,9 +71,8 @@ let marked_lines t = Inttbl.fold (fun _ m n -> n + popcount m) t 0
 let fold_chunks t ~base ~size f acc =
   let acc = ref acc in
   iter_chunks ~base ~size (fun c mask ->
-      match Inttbl.find_opt t c with
-      | Some m when m land mask <> 0 -> acc := f !acc c (m land mask)
-      | Some _ | None -> ());
+      let m = Inttbl.find_or t c ~default:0 land mask in
+      if m <> 0 then acc := f !acc c m);
   !acc
 
 let lines_of_chunks chunks =

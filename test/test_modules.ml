@@ -239,6 +239,36 @@ let test_ioport_ref_exact () =
     (Lxfi.Runtime.principal_has sys.Ksys.rt p
        (Lxfi.Capability.Cref { rtype = "io_port"; addr = port + 1 }))
 
+(* snd_card_caps on a pointer that is not a card: the card-sized WRITE
+   and the REF, but no WRITE for a DMA area that reads 0 bytes at 0; a
+   crossing that copies them grants them instead of raising. *)
+let test_snd_card_caps_not_a_card () =
+  let sys = Ksys.boot Lxfi.Config.lxfi in
+  let rt = sys.Ksys.rt and not_a_card = 0x7000 in
+  let card_write =
+    Lxfi.Capability.Cwrite { base = not_a_card; size = Sound.card_layout.Ktypes.s_size }
+  and card_ref = Lxfi.Capability.Cref { rtype = "snd_card"; addr = not_a_card } in
+  let iter = Option.get (Lxfi.Runtime.find_iterator rt "snd_card_caps") in
+  let caps = iter [ Int64.of_int not_a_card ] in
+  Alcotest.(check bool) "card WRITE and REF only" true (caps = [ card_write; card_ref ]);
+  let mi, _ =
+    Lxfi.Loader.load rt
+      Mir.Builder.(
+        prog "cardless" ~imports:[] ~globals:[] ~funcs:[ func "entry" [ "x" ] [ ret (v "x") ] ])
+  in
+  let ke =
+    Lxfi.Runtime.register_kexport_exn rt ~name:"grab_card" ~params:[ "card" ]
+      ~annot_src:"post(copy(snd_card_caps(card)))" (fun _ -> 0L)
+  in
+  let p = mi.Lxfi.Runtime.mi_shared in
+  rt.Lxfi.Runtime.current <- Some p;
+  ignore (Lxfi.Runtime.call_kexport rt ke [ Int64.of_int not_a_card ]);
+  List.iter
+    (fun cap ->
+      Alcotest.(check bool)
+        (Lxfi.Capability.to_string cap) true (Lxfi.Runtime.principal_has rt p cap))
+    [ card_write; card_ref ]
+
 let test_annotation_effort_table () =
   let sys = Ksys.boot Lxfi.Config.lxfi in
   let rows, total_fn, total_fp = Catalog.annotation_effort sys in
@@ -340,5 +370,6 @@ let () =
           Alcotest.test_case "request_irq checks CALL cap" `Quick
             test_request_irq_call_check;
           Alcotest.test_case "io_port REF is exact" `Quick test_ioport_ref_exact;
+          Alcotest.test_case "snd_card_caps on a non-card" `Quick test_snd_card_caps_not_a_card;
         ] );
     ]

@@ -9,15 +9,31 @@ let mk () =
   let cycles = Kcycles.create () in
   Slab.create mem cycles
 
+(* Every request size up to one past the largest class: the usable size
+   is the first class at least that size, and a freed object goes back
+   to that class (the next request of the size takes it again).  Larger
+   requests round up to whole pages. *)
 let test_size_class_rounding () =
+  let classes = [ 16; 32; 64; 96; 128; 192; 256; 512; 1024; 2048; 4096 ] in
+  let pages size = (size + Kmem.page_size - 1) / Kmem.page_size * Kmem.page_size in
   let s = mk () in
+  for size = 1 to 4097 do
+    let want =
+      match List.find_opt (fun c -> c >= size) classes with Some c -> c | None -> pages size
+    in
+    let a = Slab.kmalloc s size in
+    Alcotest.(check int) (Printf.sprintf "request %d" size) want (Slab.usable_size s a);
+    Slab.kfree s a;
+    let b = Slab.kmalloc s size in
+    if want <= 4096 then
+      Alcotest.(check int) (Printf.sprintf "request %d reuses its class" size) a b;
+    Slab.kfree s b
+  done;
   List.iter
-    (fun (req, usable) ->
-      let a = Slab.kmalloc s req in
-      Alcotest.(check int)
-        (Printf.sprintf "request %d -> class %d" req usable)
-        usable (Slab.usable_size s a))
-    [ (1, 16); (16, 16); (17, 32); (33, 64); (65, 96); (100, 128); (3000, 4096) ]
+    (fun size ->
+      Alcotest.(check int) (Printf.sprintf "request %d" size) (pages size)
+        (Slab.usable_size s (Slab.kmalloc s size)))
+    [ 4097; 8192; 8193; 12289; 65536 ]
 
 let test_adjacency_within_class () =
   let s = mk () in
